@@ -5,7 +5,7 @@ import logging
 from dataclasses import dataclass
 
 from .arith import gcd_power
-from .budgets import graph_budget
+from .budgets import budget
 from .errors import (
     DegenerateGraph,
     Disconnected,
@@ -39,7 +39,7 @@ class ZetaFactorization:
         (1 - u^2)^(E - n) * prod_i (1 - lambda_i u + (k-1) u^2)^(mult_i)
 
     with E the edge count; the square-factor exponent E - n is the circuit
-    rank minus one per independent cycle basis element."""
+    rank E - n + 1 minus one."""
 
     square_factor_exponent: int
     k: int
@@ -95,7 +95,7 @@ def _root_map(spec: GraphSpec, field: FieldTable) -> dict[int, int]:
 
 
 def _complete_witnesses(spec: GraphSpec, max_order) -> dict[int, tuple[int, int]] | None:
-    if spec.order > graph_budget(max_order):
+    if spec.order > budget("graph", max_order):
         return None
     field = get_field(spec.p, spec.s, spec.m)
     roots = _root_map(spec, field)
@@ -108,8 +108,7 @@ def _bfs_witnesses(spec: GraphSpec, max_order) -> dict[int, tuple[int, int]] | N
     """Layered search from 0: layer 1 is the power set S itself, layer 2 is
     S + S; diameter 2 means nothing is left over."""
     N = spec.order
-    budget = graph_budget(max_order)
-    if N > budget:
+    if N > budget("graph", max_order):
         return None
     field = get_field(spec.p, spec.s, spec.m)
     conn = connection_set(spec, field)

@@ -1,8 +1,9 @@
 """Integer helpers: primality, factoring, exact division, and the gcd of
 q^m - 1 with q^ell + 1 that drives the whole family case analysis."""
 
+import decimal
+import functools
 import math
-import sys
 
 from .errors import BudgetExceeded, InternalCheckError
 
@@ -10,6 +11,10 @@ from .errors import BudgetExceeded, InternalCheckError
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _FACTOR_BIT_LIMIT = 128
+
+# Integers up to this many bits (about 600 digits) have fewer digits than
+# any setting of sys.set_int_max_str_digits allows, so str() converts them.
+_STR_BITS = 2000
 
 
 def is_prime(n: int) -> bool:
@@ -162,9 +167,29 @@ def exact_isqrt(n: int) -> int:
 
 
 def int_to_str(n: int) -> str:
-    """Decimal string of n, raising the interpreter's conversion guard when
-    needed (tree counts legitimately run to thousands of digits)."""
-    digits = int(abs(n).bit_length() * 0.30103) + 10
-    if digits > sys.get_int_max_str_digits():
-        sys.set_int_max_str_digits(digits)
-    return str(n)
+    """Decimal string of n, equal to str(n) but free of the interpreter's
+    digit limit, which it leaves as it is (tree counts legitimately run to
+    millions of digits).
+
+    Large n are split in binary halves, converted recursively and joined
+    with exact decimal arithmetic, whose multiplication is subquadratic;
+    str(n) on an int is quadratic in the number of digits. The same divide
+    and conquer as CPython 3.12's ``_pylong.int_to_decimal_string``."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        two_to = functools.cache(lambda w: decimal.Decimal(2) ** w)
+
+        def convert(x: int, w: int) -> decimal.Decimal:
+            """x as a Decimal, given 0 <= x < 2^w."""
+            if w <= _STR_BITS:
+                return decimal.Decimal(str(x))
+            half = w >> 1
+            hi = x >> half
+            return convert(x - (hi << half), half) + convert(hi, w - half) * two_to(half)
+
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text

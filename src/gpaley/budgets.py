@@ -1,28 +1,34 @@
 """Materialization budgets.
 
-Symbolic formulas work at any size; anything that enumerates a field or
-materializes an adjacency matrix is capped. ``GPG_MAX_ORDER`` overrides the
-table/graph caps from the environment.
+Symbolic formulas work at any size; anything that enumerates a field,
+materializes an adjacency matrix or runs an exhaustive check is capped.
+Every cap is resolved by ``budget``: an explicit value first (0 refuses
+every size), then ``GPG_MAX_ORDER`` from the environment, then the default
+of its kind. The environment may raise or lower the ``table`` and
+``graph`` caps, but only lower the others: exhaustive checks grow much
+faster than the graphs they run on.
 """
 
 import os
 
-DEFAULT_TABLE_BUDGET = 2**22  # log/exp/Zech tables
-DEFAULT_GRAPH_BUDGET = 2**13  # dense adjacency matrices
-DEFAULT_ORACLE_BUDGET = 4096  # exhaustive pair counting, matrix powers
-DEFAULT_TREE_BUDGET = 512  # exact determinants (Bareiss)
+DEFAULTS = {
+    "table": 2**22,  # log/exp/Zech tables
+    "graph": 2**13,  # dense adjacency matrices
+    "oracle": 4096,  # exhaustive pair counting, matrix powers
+    "tree": 512,  # exact determinants (Bareiss)
+    "coset": 1024,  # coset decomposition of the complement's edges
+    "arc": 256,  # affine witnesses for every arc
+}
+
+_RAISABLE = ("table", "graph")
 
 
-def _env_override() -> int | None:
+def budget(kind: str, explicit: int | None = None) -> int:
+    """The size limit of ``kind`` (a key of ``DEFAULTS``)."""
+    default = DEFAULTS[kind]
+    if explicit is not None:
+        return explicit
     raw = os.environ.get("GPG_MAX_ORDER")
     if not raw:
-        return None
-    return int(raw)
-
-
-def table_budget(explicit: int | None = None) -> int:
-    return explicit or _env_override() or DEFAULT_TABLE_BUDGET
-
-
-def graph_budget(explicit: int | None = None) -> int:
-    return explicit or _env_override() or DEFAULT_GRAPH_BUDGET
+        return default
+    return int(raw) if kind in _RAISABLE else min(int(raw), default)

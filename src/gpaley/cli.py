@@ -8,7 +8,8 @@ One verb per invocation:
 Specs are addressed with --p --s --m --ell and optionally --complement.
 JSON output is the machine-stable schema: field names fixed, big integers
 always emitted as decimal strings (53-bit-safe for downstream consumers).
-Exit status: 0 success, 1 verification failure, 2 usage error.
+Exit status: 0 success, 1 verification failure or library error, 2 usage
+error (a malformed flag or a bad --p/--s/--m/--ell/--r value).
 """
 
 import argparse
@@ -17,8 +18,7 @@ import sys
 
 from .applications import family_table, ihara_zeta, is_ramanujan, waring_number, zeta_json
 from .arith import int_to_str
-from .budgets import graph_budget
-from .errors import GPaleyError
+from .errors import CompositeP, GPaleyError
 from .field import FieldParams, build_field, element_to_string, field_to_dict
 from .graphs import (
     GraphSpec,
@@ -39,10 +39,18 @@ def _spec_args(sub):
     sub.add_argument("--complement", action="store_true", help="use the complement graph")
 
 
-def _output_args(sub):
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
+# The output formats of the verbs that offer more than JSON, and the verbs
+# that materialize a field or graph and so take a size budget.
+_FORMATS = {"spectrum": ("json", "text"), "tables": ("json", "csv", "text")}
+_BUDGETED = ("field", "graph", "export", "waring", "verify")
+
+
+def _output_args(sub, verb):
+    if verb in _FORMATS:
+        sub.add_argument("--format", choices=_FORMATS[verb], default="json")
     sub.add_argument("--out", default=None, help="write to a file instead of stdout")
-    sub.add_argument("--max-order", type=int, default=None, help="materialization budget")
+    if verb in _BUDGETED:
+        sub.add_argument("--max-order", type=int, default=None, help="materialization budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--p", type=int, required=True)
             sub.add_argument("--s", type=int, default=1)
             sub.add_argument("--m", type=int, required=True)
-        _output_args(sub)
+        _output_args(sub, verb)
         if verb == "walks":
             sub.add_argument("--r", type=int, default=3, help="walk length")
         if verb == "export":
@@ -80,12 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     tables = verbs.add_parser("tables")
     tables.add_argument("--family", type=int, required=True, choices=(2, 3, 4))
     tables.add_argument("--tmax", type=int, default=4)
-    _output_args(tables)
+    _output_args(tables, "tables")
     return parser
 
 
-def _spec_from(args) -> GraphSpec:
-    return GraphSpec(args.p, args.s, args.m, args.ell, getattr(args, "complement", False))
+def _subject(args):
+    """The field parameters or spec the arguments name (None for tables);
+    raises ValueError or CompositeP on a bad argument value."""
+    if args.verb == "tables":
+        return None
+    if args.verb == "field":
+        return FieldParams(args.p, args.s, args.m)
+    if args.verb == "walks" and args.r < 1:
+        raise ValueError("walk length --r must be positive")
+    if args.verb == "export" and args.kind == "bits" and not args.out:
+        raise ValueError("--kind bits requires --out")
+    return GraphSpec(args.p, args.s, args.m, args.ell, args.complement)
 
 
 def _emit(args, text: str) -> None:
@@ -135,20 +153,22 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run_verb(args)
-    except GPaleyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
+        subject = _subject(args)
+    except (ValueError, CompositeP) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
+    try:
+        return _run_verb(args, subject)
+    except (GPaleyError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
-def _run_verb(args) -> int:
+def _run_verb(args, subject) -> int:
     verb = args.verb
 
     if verb == "field":
-        fld = build_field(FieldParams(args.p, args.s, args.m), max_order=args.max_order)
+        fld = build_field(subject, max_order=args.max_order)
         payload = field_to_dict(fld)
         payload["alpha_digits"] = element_to_string(fld.element(fld.alpha))
         _emit(args, _json_dump(payload))
@@ -172,12 +192,12 @@ def _run_verb(args) -> int:
             _emit(args, _json_dump(enc))
         return 0
 
-    spec = _spec_from(args)
+    spec = subject
 
     if verb == "spectrum":
         sp = spectrum(spec)
         payload = {
-            "spec": _spec_json(spec),
+            "spec": spec.to_json(),
             "spectrum": [[int_to_str(l), int_to_str(mlt)] for l, mlt in sp.pairs],
         }
         if args.format == "text":
@@ -192,12 +212,12 @@ def _run_verb(args) -> int:
 
     if verb == "walks":
         w = closed_walks(spec, args.r)
-        _emit(args, _json_dump({"spec": _spec_json(spec), "r": args.r, "walks": int_to_str(w)}))
+        _emit(args, _json_dump({"spec": spec.to_json(), "r": args.r, "walks": int_to_str(w)}))
         return 0
 
     if verb == "trees":
         t = spanning_trees(spec)
-        _emit(args, _json_dump({"spec": _spec_json(spec), "trees": int_to_str(t)}))
+        _emit(args, _json_dump({"spec": spec.to_json(), "trees": int_to_str(t)}))
         return 0
 
     if verb == "waring":
@@ -212,18 +232,18 @@ def _run_verb(args) -> int:
         return 0
 
     if verb == "ramanujan":
-        _emit(args, _json_dump({"spec": _spec_json(spec), "ramanujan": is_ramanujan(spec)}))
+        _emit(args, _json_dump({"spec": spec.to_json(), "ramanujan": is_ramanujan(spec)}))
         return 0
 
     if verb == "zeta":
         z = ihara_zeta(spec)
-        _emit(args, _json_dump({"spec": _spec_json(spec), **zeta_json(z)}))
+        _emit(args, _json_dump({"spec": spec.to_json(), **zeta_json(z)}))
         return 0
 
     if verb == "graph":
         g = build_graph(spec, max_order=args.max_order)
         payload = {
-            "spec": _spec_json(spec),
+            "spec": spec.to_json(),
             "n": int_to_str(g.n),
             "k": int_to_str(g.k),
             "edges": int_to_str(int(g.adjacency.sum()) // 2),
@@ -234,9 +254,6 @@ def _run_verb(args) -> int:
     if verb == "export":
         g = build_graph(spec, max_order=args.max_order)
         if args.kind == "bits":
-            if not args.out:
-                sys.stderr.write("usage error: --kind bits requires --out\n")
-                return 2
             write_bit_dump(g, args.out)
             return 0
         lines = edge_list_lines(g) if args.kind == "edges" else dimacs_lines(g)
@@ -244,22 +261,12 @@ def _run_verb(args) -> int:
         return 0
 
     if verb == "verify":
-        report = run_suite(spec, max_order=args.max_order or graph_budget(None))
+        report = run_suite(spec, max_order=args.max_order)
         _emit(args, _json_dump(report.to_json()))
         return 0 if report.ok else 1
 
     sys.stderr.write(f"usage error: unknown verb {verb}\n")  # unreachable
     return 2
-
-
-def _spec_json(spec: GraphSpec) -> dict:
-    return {
-        "p": spec.p,
-        "s": spec.s,
-        "m": spec.m,
-        "ell": spec.ell,
-        "complemented": spec.complemented,
-    }
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorize, is_prime
-from .budgets import table_budget
+from .budgets import budget
 from .errors import BudgetExceeded, CompositeP, NotASubfield, ZeroElement
 
 _BLOCK = 4096
@@ -416,10 +416,10 @@ def build_field(params: FieldParams, max_order: int | None = None) -> FieldTable
     primitive element. Both searches are deterministic, so serialized
     artifacts are stable across runs.
     """
-    budget = table_budget(max_order)
-    if params.order > budget:
+    limit = budget("table", max_order)
+    if params.order > limit:
         raise BudgetExceeded(
-            f"p^n = {params.order} exceeds the table budget {budget}"
+            f"p^n = {params.order} exceeds the table budget {limit}"
         )
     p, n = params.p, params.n
     modulus = None
@@ -508,7 +508,7 @@ def field_to_dict(fld: FieldTable) -> dict:
 
 def field_from_dict(d: dict) -> FieldTable:
     params = FieldParams(int(d["p"]), int(d["s"]), int(d["m"]))
-    if params.order > table_budget(None):
+    if params.order > budget("table"):
         raise BudgetExceeded("serialized field exceeds the table budget")
     return FieldTable(params, tuple(int(c) for c in d["modulus"]), int(d["alpha"]))
 

@@ -10,11 +10,12 @@ nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .arith import divisors, gcd_power, is_prime, v2
-from .budgets import graph_budget
+from .budgets import budget
 from .errors import (
     BudgetExceeded,
     DirectedUnsupported,
@@ -100,6 +101,16 @@ class GraphSpec:
         core = f"Gamma_{{{self.q},{self.m}}}({self.ell})"
         return f"co-{core}" if self.complemented else core
 
+    def to_json(self) -> dict:
+        """The spec as it appears in every JSON record."""
+        return {
+            "p": self.p,
+            "s": self.s,
+            "m": self.m,
+            "ell": self.ell,
+            "complemented": self.complemented,
+        }
+
 
 @dataclass(frozen=True)
 class ConnectionSet:
@@ -128,6 +139,18 @@ class CayleyGraph:
     @property
     def k(self) -> int:
         return self.connection.cardinality
+
+    # A^2 and A^3 in float64, computed at most once per graph object. The
+    # products are exact: every partial sum is a nonnegative integer below
+    # k^3 < 2^53. dataclasses.replace builds a new object with nothing cached.
+    @cached_property
+    def square(self) -> np.ndarray:
+        a = self.adjacency.astype(np.float64)
+        return a @ a
+
+    @cached_property
+    def cube(self) -> np.ndarray:
+        return self.square @ self.adjacency.astype(np.float64)
 
 
 def connection_set(spec: GraphSpec, field: FieldTable) -> ConnectionSet:
@@ -183,9 +206,9 @@ def build_graph(
     and clear the diagonal). Rejects directed cases instead of symmetrizing.
     """
     N = spec.order
-    budget = graph_budget(max_order)
-    if N > budget:
-        raise BudgetExceeded(f"q^m = {N} exceeds the graph budget {budget}")
+    limit = budget("graph", max_order)
+    if N > limit:
+        raise BudgetExceeded(f"q^m = {N} exceeds the graph budget {limit}")
     if field is None:
         field = get_field(spec.p, spec.s, spec.m)
     if not _symmetry_rule(spec):
@@ -294,16 +317,7 @@ def dimacs_lines(g: CayleyGraph) -> list[str]:
 
 
 def bit_dump_header(g: CayleyGraph) -> dict:
-    spec = g.spec
-    return {
-        "p": spec.p,
-        "s": spec.s,
-        "m": spec.m,
-        "ell": spec.ell,
-        "complemented": spec.complemented,
-        "n": g.n,
-        "k": g.k,
-    }
+    return {**g.spec.to_json(), "n": g.n, "k": g.k}
 
 
 def write_bit_dump(g: CayleyGraph, path: str) -> None:

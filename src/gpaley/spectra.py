@@ -38,6 +38,18 @@ def _core_eigenvalues(spec: GraphSpec) -> tuple[int, int, int]:
     return k, ups, mu
 
 
+def _core_e_d(spec: GraphSpec) -> tuple[int, int]:
+    """(e, d) of the primal graph, ell != m/2:
+
+      e = (q^m - eps q^(m/2+ell)(q^ell-1) - 3 q^ell - 2) / (q^ell+1)^2
+      d = (q^m + eps q^(m/2)(q^ell-1) - q^ell) / (q^ell+1)^2"""
+    q, m, ell, eps = spec.q, spec.m, spec.ell, spec.eps
+    denom = (q**ell + 1) ** 2
+    e = exact_div(q**m - eps * q ** (m // 2 + ell) * (q**ell - 1) - 3 * q**ell - 2, denom)
+    d = exact_div(q**m + eps * q ** (m // 2) * (q**ell - 1) - q**ell, denom)
+    return e, d
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues with multiplicities, strictly decreasing."""
@@ -190,10 +202,8 @@ def eigenvalue_relations_check(spec: GraphSpec) -> list[str]:
 def srg_params(spec: GraphSpec) -> SrgRecord:
     """Strongly-regular parameters (v, k, e, d) plus derived flags.
 
-    ell != m/2:
-      e = (q^m - eps q^(m/2+ell)(q^ell-1) - 3 q^ell - 2) / (q^ell+1)^2
-      d = (q^m + eps q^(m/2)(q^ell-1) - q^ell) / (q^ell+1)^2
-    with the complement read off via ebar = v-2-2k+d, dbar = v-2k+e.
+    ell != m/2: e and d as in ``_core_e_d``, with the complement read off
+    via ebar = v-2-2k+d, dbar = v-2k+e.
     ell = m/2: disjoint cliques give (v, k, k-1, 0); the complete
     multipartite complement gives (v, Qk, Q(k-1), Qk) with Q = q^(m/2),
     k = Q-1. The (2,2,1) tuple (4,1,0,0) is rejected as meaningless."""
@@ -210,11 +220,8 @@ def srg_params(spec: GraphSpec) -> SrgRecord:
         else:
             v_, k_, e_, d_ = v, root * k0, root * (k0 - 1), root * k0
     else:
-        eps = spec.eps
-        denom = (q**ell + 1) ** 2
-        k = exact_div(q**m - 1, q**ell + 1)
-        e = exact_div(q**m - eps * q ** (m // 2 + ell) * (q**ell - 1) - 3 * q**ell - 2, denom)
-        d = exact_div(q**m + eps * q ** (m // 2) * (q**ell - 1) - q**ell, denom)
+        k = _core_eigenvalues(spec)[0]
+        e, d = _core_e_d(spec)
         if not spec.complemented:
             v_, k_, e_, d_ = v, k, e, d
         else:
@@ -289,10 +296,7 @@ def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
     s, u = ups, mu - ups
     if k != -s * (u - 1):
         raise InternalCheckError("Latin-square degree check failed")
-    q, m, ell = spec.q, spec.m, spec.ell
-    denom = (q**ell + 1) ** 2
-    e = exact_div(q**m - spec.eps * q ** (m // 2 + ell) * (q**ell - 1) - 3 * q**ell - 2, denom)
-    d = exact_div(q**m + spec.eps * q ** (m // 2) * (q**ell - 1) - q**ell, denom)
+    e, d = _core_e_d(spec)
     if (u * u, -s * (u - 1), s * s + 3 * s + u, s * (s + 1)) != (spec.order, k, e, d):
         raise InternalCheckError("PL parameter tuple mismatch")
     return (s, u)
@@ -422,13 +426,7 @@ def record_json(spec: GraphSpec) -> dict:
     strings)."""
     sp = spectrum(spec)
     out: dict = {
-        "spec": {
-            "p": spec.p,
-            "s": spec.s,
-            "m": spec.m,
-            "ell": spec.ell,
-            "complemented": spec.complemented,
-        },
+        "spec": spec.to_json(),
         "spectrum": [[str(lam), str(mult)] for lam, mult in sp.pairs],
     }
     try:

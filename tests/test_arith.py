@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,3 +87,25 @@ def test_int_to_str_huge():
     s = int_to_str(n)
     assert s.startswith("1") or s[0].isdigit()
     assert len(s) > 4300  # beyond the default conversion guard
+
+
+def _str_unlimited(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_int_to_str_equals_str():
+    limit = sys.get_int_max_str_digits()
+    for n in [0, 7, -7, 10**599, -(10**600), 2**2000 + 1, -(2**2001), 3 ** (5 * 4096),
+              -(7**9000) + 1]:
+        assert int_to_str(n) == _str_unlimited(n)
+        assert sys.get_int_max_str_digits() == limit  # the process-wide guard is left alone
+
+
+@given(st.integers(min_value=-(2**40000), max_value=2**40000))
+def test_int_to_str_property(n):
+    assert int_to_str(n) == _str_unlimited(n)

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import gpaley.cli
 from gpaley.cli import dispatch
 from gpaley.graphs import GraphSpec, build_graph, read_bit_dump
 
@@ -161,3 +163,77 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert payload["spectrum"][0] == ["5", "1"]
+
+
+def test_digit_limit_untouched(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = _run(capsys, "srg", "--p", "2", "--m", "12", "--ell", "1")
+    assert code == 0
+    assert len(json.loads(out)["trees"]) > limit
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["srg", "--p", "2", "--m", "4", "--ell", "1", "--format", "csv"],
+        ["walks", "--p", "2", "--m", "4", "--ell", "1", "--format", "text"],
+        ["spectrum", "--p", "2", "--m", "4", "--ell", "1", "--format", "csv"],
+        ["srg", "--p", "2", "--m", "4", "--ell", "1", "--max-order", "8"],
+        ["spectrum", "--p", "2", "--m", "4", "--ell", "1", "--max-order", "8"],
+        ["tables", "--family", "2", "--max-order", "8"],
+    ],
+)
+def test_flags_without_effect_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+
+
+def test_spectrum_text(capsys):
+    code, out = _run(capsys, "spectrum", "--p", "2", "--m", "4", "--ell", "1", "--format", "text")
+    assert code == 0
+    assert out == "{[5]^1, [1]^10, [-3]^5}\n"
+
+
+@pytest.mark.parametrize("verb", ["field", "graph", "export", "verify"])
+def test_max_order_takes_effect(verb, capsys):
+    spec = ["--p", "2", "--m", "4"] + (["--ell", "1"] if verb != "field" else [])
+    assert _run(capsys, verb, *spec, "--max-order", "8")[0] == 1
+    assert _run(capsys, verb, *spec, "--max-order", "16")[0] == 0
+
+
+def test_max_order_caps_waring_witnesses(capsys):
+    spec = ["--p", "2", "--m", "4", "--ell", "1"]
+    for max_order, witnessed in (("8", False), ("16", True)):
+        code, out = _run(capsys, "waring", *spec, "--max-order", max_order)
+        assert code == 0 and json.loads(out)["witnessed"] is witnessed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--p", "4", "--m", "4", "--ell", "1"],
+        ["field", "--p", "4", "--m", "2"],
+        ["field", "--p", "2", "--m", "0"],
+        ["srg", "--p", "2", "--s", "0", "--m", "4", "--ell", "1"],
+        ["trees", "--p", "2", "--m", "0", "--ell", "1"],
+        ["graph", "--p", "2", "--m", "4", "--ell", "4"],
+        ["walks", "--p", "2", "--m", "4", "--ell", "1", "--r", "0"],
+        ["export", "--p", "2", "--m", "4", "--ell", "1", "--kind", "bits"],
+    ],
+)
+def test_bad_argument_values_exit_2(argv, capsys):
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(spec):
+        raise ValueError("broken closed form")
+
+    monkeypatch.setattr(gpaley.cli, "spectrum", broken)
+    code = dispatch(["spectrum", "--p", "2", "--m", "4", "--ell", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: broken closed form\n"

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import gpaley.oracles
 from gpaley.applications import verify_waring, waring_number
 from gpaley.errors import (
     BudgetExceeded,
@@ -14,7 +15,7 @@ from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, build_graph
 from gpaley.oracles import (
     bareiss_determinant,
-    bfs_diameter,
+    bfs_eccentricity,
     count_srg_params,
     count_trees_bruteforce,
     count_walks_bruteforce,
@@ -44,8 +45,22 @@ def test_count_srg_params_examples():
 
 
 def test_count_srg_rejects_non_srg():
+    g = build_graph(GraphSpec(2, 1, 4, 1))
     with pytest.raises(NotStronglyRegular):
-        count_srg_params(_flip_edge(build_graph(GraphSpec(2, 1, 4, 1))))
+        count_srg_params(_flip_edge(g))
+    # regular, but with common-neighbor counts 1 and 0 over non-adjacent pairs
+    cycle = np.roll(np.eye(16, dtype=bool), 1, axis=1)
+    with pytest.raises(NotStronglyRegular, match="not constant"):
+        count_srg_params(dataclasses.replace(g, adjacency=cycle | cycle.T))
+
+
+def test_count_srg_sees_a_replaced_adjacency():
+    # A^2 is cached per graph object: a one-edge-dropped copy made after the
+    # cache was filled must be counted afresh
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    assert count_srg_params(g) == (16, 5, 0, 2)
+    with pytest.raises(NotStronglyRegular):
+        count_srg_params(_flip_edge(g))
 
 
 def test_count_srg_budget():
@@ -107,10 +122,10 @@ def test_bareiss_known_determinants():
 
 
 def test_bfs_diameter():
-    assert bfs_diameter(build_graph(GraphSpec(2, 1, 4, 1))) == 2
-    assert bfs_diameter(build_graph(GraphSpec(2, 1, 3, 1))) == 1  # complete graph
+    assert bfs_eccentricity(build_graph(GraphSpec(2, 1, 4, 1))) == 2
+    assert bfs_eccentricity(build_graph(GraphSpec(2, 1, 3, 1))) == 1  # complete graph
     with pytest.raises(DisconnectedComponentsFound) as exc:
-        bfs_diameter(build_graph(GraphSpec(2, 1, 4, 2)))
+        bfs_eccentricity(build_graph(GraphSpec(2, 1, 4, 2)))
     assert sorted(exc.value.sizes) == [4, 4, 4, 4]
 
 
@@ -167,3 +182,58 @@ def test_suite_records_failures_without_raising():
     g = build_graph(GraphSpec(2, 1, 4, 1))
     assert verify_a2_identity(g, (16, 5, 0, 2))
     assert not verify_a2_identity(g, (16, 5, 1, 2))
+
+
+def test_run_suite_checks_reach_the_kernels(monkeypatch):
+    # a primal graph with one edge dropped must fail every dense check on it
+    def corrupted(spec, *args, **kwargs):
+        g = build_graph(spec, *args, **kwargs)
+        return g if spec.complemented else _flip_edge(g)
+
+    monkeypatch.setattr(gpaley.oracles, "build_graph", corrupted)
+    report = run_suite(GraphSpec(2, 1, 4, 1))
+    failed = {c.name for c in report.failures()}
+    assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
+            "trees-primal"} <= failed
+    assert "srg-counts-complement" not in failed
+
+
+@pytest.mark.parametrize("env", [None, "1024"])
+def test_run_suite_lists_size_skips(monkeypatch, env):
+    # 625 vertices: above the tree (512) and arc (256) budgets, within coset
+    # (1024); an environment cap above them leaves those cut-offs in place
+    if env is None:
+        monkeypatch.delenv("GPG_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("GPG_MAX_ORDER", env)
+
+    def too_large(*args, **kwargs):
+        raise AssertionError("exhaustive check ran above its cut-off")
+
+    monkeypatch.setattr(gpaley.oracles, "count_trees_bruteforce", too_large)
+    monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", too_large)
+    report = run_suite(GraphSpec(5, 1, 4, 1))
+    assert report.ok
+    assert report.skipped == [
+        ("trees-primal", "tree", 512),
+        ("trees-complement", "tree", 512),
+        ("arc-transitivity-witnesses", "arc", 256),
+        ("edge-preservation-criterion", "arc", 256),
+    ]
+    names = {c.name for c in report.checks}
+    assert not names & {name for name, _, _ in report.skipped}
+    assert report.to_json()["skipped"][0] == {"name": "trees-primal", "budget": "tree",
+                                              "limit": 512}
+
+
+def test_run_suite_skips_follow_the_environment(monkeypatch):
+    # the graphs are admitted explicitly; GPG_MAX_ORDER lowers every other
+    # cut-off. The field is memoized first: its table cap is not the graph's.
+    get_field(2, 1, 4)
+    monkeypatch.setenv("GPG_MAX_ORDER", "8")
+    report = run_suite(GraphSpec(2, 1, 4, 1), max_order=16)
+    assert report.ok
+    assert {(kind, limit) for _, kind, limit in report.skipped} == {
+        ("tree", 8), ("coset", 8), ("arc", 8)
+    }
+    assert len(report.skipped) == 5
