@@ -97,7 +97,7 @@ def _root_map(spec: GraphSpec, field: FieldTable) -> dict[int, int]:
 def _complete_witnesses(spec: GraphSpec, max_order) -> dict[int, tuple[int, int]] | None:
     if spec.order > budget("graph", max_order):
         return None
-    field = get_field(spec.p, spec.s, spec.m)
+    field = get_field(spec.p, spec.s, spec.m, max_order)
     roots = _root_map(spec, field)
     if len(roots) != spec.order:
         raise InternalCheckError("power map not onto in the complete case")
@@ -110,7 +110,7 @@ def _bfs_witnesses(spec: GraphSpec, max_order) -> dict[int, tuple[int, int]] | N
     N = spec.order
     if N > budget("graph", max_order):
         return None
-    field = get_field(spec.p, spec.s, spec.m)
+    field = get_field(spec.p, spec.s, spec.m, max_order)
     conn = connection_set(spec, field)
     roots = _root_map(spec, field)
     members = [int(x) for x in conn.members.nonzero()[0]]

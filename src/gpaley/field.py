@@ -416,11 +416,19 @@ def build_field(params: FieldParams, max_order: int | None = None) -> FieldTable
     primitive element. Both searches are deterministic, so serialized
     artifacts are stable across runs.
     """
+    _check_table_budget(params, max_order)
+    return _construct_field(params)
+
+
+def _check_table_budget(params: FieldParams, max_order: int | None) -> None:
     limit = budget("table", max_order)
     if params.order > limit:
         raise BudgetExceeded(
             f"p^n = {params.order} exceeds the table budget {limit}"
         )
+
+
+def _construct_field(params: FieldParams) -> FieldTable:
     p, n = params.p, params.n
     modulus = None
     for c in range(params.order):
@@ -486,10 +494,22 @@ def element_order(x: FieldElement) -> int:
     return order
 
 
-@lru_cache(maxsize=32)
 def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTable:
-    """Memoized build_field; tables are immutable so sharing is safe."""
-    return build_field(FieldParams(p, s, m), max_order=max_order)
+    """Memoized build_field. Every call applies the ``table`` cap resolved
+    from ``max_order``; the memo holds one table per (p, s, m) whatever cap
+    admitted it, since tables are immutable and sharing them is safe."""
+    params = FieldParams(p, s, m)
+    _check_table_budget(params, max_order)
+    return _memoized_field(params)
+
+
+@lru_cache(maxsize=32)
+def _memoized_field(params: FieldParams) -> FieldTable:
+    return _construct_field(params)
+
+
+# empties the memo, e.g. to time cold builds
+get_field.cache_clear = _memoized_field.cache_clear
 
 
 # ---------------------------------------------------------------------------

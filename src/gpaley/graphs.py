@@ -210,7 +210,7 @@ def build_graph(
     if N > limit:
         raise BudgetExceeded(f"q^m = {N} exceeds the graph budget {limit}")
     if field is None:
-        field = get_field(spec.p, spec.s, spec.m)
+        field = get_field(spec.p, spec.s, spec.m, max_order)
     if not _symmetry_rule(spec):
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import gpaley.field
 import gpaley.oracles
 from gpaley.applications import verify_waring, waring_number
 from gpaley.errors import (
@@ -19,7 +22,9 @@ from gpaley.oracles import (
     count_srg_params,
     count_trees_bruteforce,
     count_walks_bruteforce,
+    determinant_primes,
     girth_bruteforce,
+    modular_determinant,
     run_suite,
     verify_a2_identity,
 )
@@ -119,6 +124,107 @@ def test_bareiss_known_determinants():
     n = 6
     lap = n * np.eye(n, dtype=np.int64) - 1
     assert bareiss_determinant(lap[1:, 1:]) == n ** (n - 2)
+
+
+@st.composite
+def _integer_matrices(draw):
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    mat = np.array(rows, dtype=np.int64).reshape(n, n)
+    if n >= 2 and draw(st.booleans()):
+        # singular: a row equal to a combination of two others
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        mat[i] = mat[j] - draw(st.integers(-3, 3)) * mat[k]
+    return mat
+
+
+@given(_integer_matrices())
+def test_modular_determinant_matches_bareiss(mat):
+    assert modular_determinant(mat) == bareiss_determinant(mat)
+
+
+def _primes_for(mat):
+    mat = np.asarray(mat)
+    return determinant_primes(len(mat), math.prod(int(r @ r) for r in mat))
+
+
+def test_modular_determinant_multiple_of_the_first_prime():
+    first = determinant_primes(2, 1)[0]
+    for mat in (
+        [[first, 0], [0, 3]],  # the first column is 0 modulo the first prime
+        [[first + 1, 1], [1, 1]],  # the last pivot is 0 modulo the first prime
+        [[2, 1, 0], [1, 1, 1], [0, 1, first + 2]],  # det = first
+    ):
+        assert _primes_for(mat)[0] == first
+        assert modular_determinant(mat) == bareiss_determinant(mat)
+        assert modular_determinant(mat) % first == 0
+
+
+def test_modular_determinant_swaps_for_one_prime_only():
+    # the first pivot is 0 modulo the first prime only, so that layer alone
+    # swaps rows 0 and 1; the same swap in the second layer would bring up a
+    # pivot that is 0 there
+    first, second = determinant_primes(3, 2**100)[:2]
+    mat = np.array([[first, 1, 2], [second, 1, 0], [3, 0, 5]])
+    det = 5 * first - 5 * second - 6
+    assert _primes_for(mat)[:2] == [first, second]
+    assert gpaley.oracles._residues(mat, [first, second]) == [det % first, det % second]
+    assert modular_determinant(mat) == bareiss_determinant(mat) == det
+
+
+def test_modular_determinant_at_the_hadamard_bound():
+    # the 16 x 16 Sylvester-Hadamard matrix: |det| = 16^8 = 2^32 is exactly
+    # the Hadamard bound, the extreme that the lift past twice it must cover
+    h = np.array([[1]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    assert modular_determinant(h) == bareiss_determinant(h)
+    assert abs(modular_determinant(h)) == 2**32
+    negated = h.copy()
+    negated[5] *= -1
+    assert modular_determinant(negated) == -modular_determinant(h)
+    assert modular_determinant(h[[1, 0] + list(range(2, 16))]) == -modular_determinant(h)
+
+
+def test_modular_determinant_known_values():
+    assert modular_determinant(np.zeros((0, 0), dtype=np.int64)) == 1
+    assert modular_determinant(np.zeros((3, 3), dtype=np.int64)) == 0
+    assert modular_determinant([[-7]]) == -7
+    n = 40  # Cayley: K_n has n^(n-2) spanning trees
+    lap = n * np.eye(n, dtype=np.int64) - 1
+    assert modular_determinant(lap[1:, 1:]) == n ** (n - 2)
+    # det(L U) = prod diag(U), with a Hadamard bound far above it, so the
+    # primes fill several (primes, n, n) stacks
+    rng = np.random.default_rng(7)
+    n = 128
+    lower = np.tril(rng.integers(-3, 4, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(-2**20, 2**20, (n, n)), 1) + np.diag(rng.integers(1, 2**20, n))
+    mat = lower @ upper
+    assert len(_primes_for(mat)) > gpaley.oracles._STACK_ENTRIES // n**2
+    assert modular_determinant(mat) == np.prod([int(x) for x in np.diag(upper)], dtype=object)
+    with pytest.raises(ValueError):
+        modular_determinant(np.ones((2, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 255, 2047, 2048, 2049, 4096, 10**5])
+def test_determinant_primes_keep_float64_exact(n):
+    primes = determinant_primes(n, 2**400)
+    assert all(n * p * p < 2**53 for p in primes)
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == len(primes)
+    # the product passes twice the Hadamard bound 2^200, and only just
+    assert math.prod(primes) ** 2 > 4 * 2**400 >= math.prod(primes[:-1]) ** 2
+    if n > 2048:  # below 2^11 rows every prime is < 2^21; above, smaller ones
+        assert primes[0] < determinant_primes(2047, 1)[0]
+
+
+def test_modular_determinant_above_2048_rows():
+    # a row swap of the identity: one prime, with n p^2 < 2^53 for n = 2049
+    n = 2049
+    perm = np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
+    (p,) = _primes_for(perm)
+    assert n * p * p < 2**53 <= n * determinant_primes(2047, 1)[0] ** 2
+    assert modular_determinant(perm) == -1
 
 
 def test_bfs_diameter():
@@ -228,8 +334,7 @@ def test_run_suite_lists_size_skips(monkeypatch, env):
 
 def test_run_suite_skips_follow_the_environment(monkeypatch):
     # the graphs are admitted explicitly; GPG_MAX_ORDER lowers every other
-    # cut-off. The field is memoized first: its table cap is not the graph's.
-    get_field(2, 1, 4)
+    # cut-off
     monkeypatch.setenv("GPG_MAX_ORDER", "8")
     report = run_suite(GraphSpec(2, 1, 4, 1), max_order=16)
     assert report.ok
@@ -237,3 +342,19 @@ def test_run_suite_skips_follow_the_environment(monkeypatch):
         ("tree", 8), ("coset", 8), ("arc", 8)
     }
     assert len(report.skipped) == 5
+
+
+def test_run_suite_explicit_cap_admits_a_cold_field(monkeypatch):
+    # the explicit cap that admits the graphs admits their field too, with
+    # nothing memoized beforehand
+    gpaley.field.get_field.cache_clear()
+    monkeypatch.setenv("GPG_MAX_ORDER", "8")
+    report = run_suite(GraphSpec(2, 1, 4, 1), max_order=16)
+    assert report.ok, [c.name for c in report.failures()]
+    # one memoized table for F_16 whatever cap admitted it, and the cap
+    # applies on every call, memoized or not
+    assert gpaley.field._memoized_field.cache_info().currsize == 1
+    with pytest.raises(BudgetExceeded):
+        get_field(2, 1, 4)
+    monkeypatch.delenv("GPG_MAX_ORDER")
+    assert get_field(2, 1, 4) is get_field(2, 1, 4, max_order=16)
