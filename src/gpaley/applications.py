@@ -4,7 +4,7 @@ infinite families, and Ihara zeta factorization."""
 import logging
 from dataclasses import dataclass
 
-from .arith import gcd_power
+from .arith import gcd_power, int_to_str
 from .budgets import budget
 from .errors import (
     DegenerateGraph,
@@ -240,9 +240,10 @@ def ihara_zeta(spec: GraphSpec) -> ZetaFactorization:
 
 def zeta_json(z: ZetaFactorization) -> dict:
     return {
-        "square_exp": str(z.square_factor_exponent),
+        "square_exp": int_to_str(z.square_factor_exponent),
         "factors": [
-            {"linear_coeff": str(-lam), "quad_coeff": str(z.quad_coeff), "exp": str(mult)}
+            {"linear_coeff": int_to_str(-lam), "quad_coeff": int_to_str(z.quad_coeff),
+             "exp": int_to_str(mult)}
             for lam, mult in z.factors
         ],
     }

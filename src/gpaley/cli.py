@@ -121,24 +121,18 @@ def _json_dump(payload) -> str:
 
 
 def _spectrum_text(sp) -> str:
-    return "{" + ", ".join(f"[{lam}]^{mult}" for lam, mult in sp.pairs) + "}"
+    terms = (f"[{int_to_str(lam)}]^{int_to_str(mult)}" for lam, mult in sp.pairs)
+    return "{" + ", ".join(terms) + "}"
 
 
 def _table_rows(q: int, tmax: int) -> list[dict]:
-    rows = []
-    for spec, rec, sp in family_table(q, tmax):
-        rows.append(
-            {
-                "t": spec.m // 2,
-                "graph": spec.label(),
-                "v": rec.v,
-                "k": rec.k,
-                "e": rec.e,
-                "d": rec.d,
-                "spectrum": _spectrum_text(sp),
-            }
-        )
-    return rows
+    """The family table, every integer as a decimal string."""
+    return [
+        {"t": int_to_str(spec.m // 2), "graph": spec.label(),
+         **dict(zip(("v", "k", "e", "d"), map(int_to_str, rec.params()))),
+         "spectrum": _spectrum_text(sp)}
+        for spec, rec, sp in family_table(q, tmax)
+    ]
 
 
 def _tables_csv(rows: list[dict]) -> str:
@@ -184,12 +178,7 @@ def _run_verb(args, subject) -> int:
                 for r in rows
             ))
         else:
-            enc = [
-                {k: (int_to_str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
-                 for k, v in r.items()}
-                for r in rows
-            ]
-            _emit(args, _json_dump(enc))
+            _emit(args, _json_dump(rows))
         return 0
 
     spec = subject

@@ -10,10 +10,14 @@ with nu(0) = q - 1 and nu(xi) = -1 otherwise, and its character sum equals
 eps * q^(m - r/2). Ranks here always land in {m, m - 2*(m,ell)} when
 m/(m,ell) is even; odd m/(m,ell) is outside the classification and is
 reported as such rather than guessed at.
+
+``kernel_counts``, ``count_kernel`` and ``exp_sum`` all read the value
+histogram kept on the form, so each form is evaluated over the field once.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +39,17 @@ class TraceForm:
             raise ZeroElement("gamma must be nonzero")
         if self.ell < 0:
             raise ValueError("ell must be nonnegative")
+
+    @cached_property
+    def histogram(self) -> dict[int, int]:
+        """{value index: count} of Q over the field, one entry per element of
+        the q-element subfield; computed at most once per form object."""
+        fld = self.field
+        counts = np.bincount(form_values(self), minlength=fld.order)
+        out = {int(x): int(counts[x]) for x in fld.subfield_indices(fld.params.s)}
+        if sum(out.values()) != fld.order:
+            raise InternalCheckError("form took a value outside the subfield")
+        return out
 
     @property
     def q(self) -> int:
@@ -81,22 +96,22 @@ def evaluate_form(f: TraceForm, x) -> FieldElement:
 
 
 def form_values(f: TraceForm) -> np.ndarray:
-    """Q over the whole field as an index array (exhaustive)."""
+    """Q over the whole field as an index array, Q(x) at index x, in one
+    exhaustive pass in the log domain: for x = alpha^i,
+    gamma x^e = alpha^(log gamma + e*i), and Q(0) = 0."""
     fld = f.field
-    idx = np.arange(fld.order, dtype=np.int64)
-    powers = fld.pow_array(idx, f.exponent)
-    return fld.trace_map(fld.params.s)[fld.mul_array(powers, f.gamma)]
+    trace = fld.trace_map(fld.params.s)  # cached per field; built before the arrays below
+    units, log_gamma = fld.order - 1, int(fld.log[f.gamma])
+    step = (f.exponent - 1) % units + 1  # e mod (N - 1) in 1..N-1: a nonzero step
+    logs = np.arange(log_gamma, log_gamma + step * units, step, dtype=np.int64) % units
+    out = np.zeros(fld.order, dtype=np.int64)
+    out[fld.exp] = trace[fld.exp[logs]]
+    return out
 
 
 def kernel_counts(f: TraceForm) -> dict[int, int]:
     """Histogram {value index: count} of Q over the field."""
-    vals = form_values(f)
-    counts = np.bincount(vals, minlength=f.field.order)
-    sub = f.field.subfield_indices(f.field.params.s)
-    out = {int(x): int(counts[x]) for x in sub}
-    if sum(out.values()) != f.field.order:
-        raise InternalCheckError("form took a value outside the subfield")
-    return out
+    return dict(f.histogram)
 
 
 def count_kernel(f: TraceForm, xi) -> int:
@@ -104,14 +119,14 @@ def count_kernel(f: TraceForm, xi) -> int:
     target = xi.index if isinstance(xi, FieldElement) else int(xi)
     if not f.field.in_subfield(target, f.field.params.s):
         raise ValueError("xi must lie in the q-element subfield")
-    return int(np.count_nonzero(form_values(f) == target))
+    return f.histogram[target]
 
 
 def exp_sum(f: TraceForm, a=1) -> int:
     """The character sum sum_x zeta_p^(Tr_{q/p}(a Q(x))), evaluated exactly
-    as an integer: tally the residue-class counts N_c over the prime field
-    and return N_0 - N_1, after insisting the counts are constant over
-    c != 0 (they are whenever the sum is a rational integer of the
+    as an integer: tally the residue-class counts N_c over the q histogram
+    entries and return N_0 - N_1, after insisting the counts are constant
+    over c != 0 (they are whenever the sum is a rational integer of the
     even-rank shape; anything else is out of theory, not coerced)."""
     fld = f.field
     a_idx = a.index if isinstance(a, FieldElement) else int(a)
@@ -119,17 +134,14 @@ def exp_sum(f: TraceForm, a=1) -> int:
         raise ZeroElement("a must be a unit of the small field")
     if not fld.in_subfield(a_idx, fld.params.s):
         raise ValueError("a must lie in the q-element subfield")
-    vals = form_values(f)
-    scaled = fld.mul_array(vals, a_idx)
     # Tr_{q/p} on the small field; prime-subfield elements are indices 0..p-1
-    residues = fld.trace_map(1, from_degree=fld.params.s)[scaled]
-    counts = np.bincount(residues, minlength=fld.p)
-    nonzero = counts[1:]
-    if fld.p > 2 and not (nonzero == nonzero[0]).all():
-        raise UnbalancedCounts(
-            f"residue counts {counts.tolist()} not constant off zero"
-        )
-    return int(counts[0]) - int(counts[1])
+    residue = fld.trace_map(1, from_degree=fld.params.s)
+    counts = [0] * fld.p
+    for xi, count in f.histogram.items():
+        counts[residue[fld.mul(xi, a_idx)]] += count
+    if len(set(counts[1:])) > 1:
+        raise UnbalancedCounts(f"residue counts {counts} not constant off zero")
+    return counts[0] - counts[1]
 
 
 def classify_form(f: TraceForm) -> FormClass:
@@ -191,8 +203,6 @@ def class_from_counts(q: int, m: int, counts: dict[int, int]) -> FormClass:
     if val != 1:
         raise OutOfTheory(f"offset {step} is not a power of q")
     rank = 2 * (m - 1 - power)
-    expected_off = {xi: base - eps * step for xi in counts if xi != 0}
-    for xi, cnt in counts.items():
-        if xi != 0 and cnt != expected_off[xi]:
-            raise OutOfTheory("nonzero value counts do not match the balanced form")
+    if any(cnt != base - eps * step for xi, cnt in counts.items() if xi != 0):
+        raise OutOfTheory("nonzero value counts do not match the balanced form")
     return FormClass(rank, eps)

@@ -302,18 +302,21 @@ def permutation_preserves_edges(g: CayleyGraph, perm: np.ndarray) -> bool:
 # export / import
 # ---------------------------------------------------------------------------
 
+def _edges(g: CayleyGraph) -> list[tuple[int, int]]:
+    """Every undirected edge as (i, j), i < j, in row-major order."""
+    ii, jj = np.nonzero(np.triu(g.adjacency, 1))
+    return list(zip(ii.tolist(), jj.tolist()))
+
+
 def edge_list_lines(g: CayleyGraph) -> list[str]:
     """One 'i j' line per undirected edge, i < j."""
-    ii, jj = np.nonzero(np.triu(g.adjacency, 1))
-    return [f"{i} {j}" for i, j in zip(ii.tolist(), jj.tolist())]
+    return [f"{i} {j}" for i, j in _edges(g)]
 
 
 def dimacs_lines(g: CayleyGraph) -> list[str]:
     """DIMACS graph format (1-based vertices)."""
-    edges = edge_list_lines(g)
-    out = [f"p edge {g.n} {len(edges)}"]
-    out.extend(f"e {int(e.split()[0]) + 1} {int(e.split()[1]) + 1}" for e in edges)
-    return out
+    edges = _edges(g)
+    return [f"p edge {g.n} {len(edges)}"] + [f"e {i + 1} {j + 1}" for i, j in edges]
 
 
 def bit_dump_header(g: CayleyGraph) -> dict:

@@ -427,22 +427,22 @@ def record_json(spec: GraphSpec) -> dict:
     sp = spectrum(spec)
     out: dict = {
         "spec": spec.to_json(),
-        "spectrum": [[str(lam), str(mult)] for lam, mult in sp.pairs],
+        "spectrum": [[int_to_str(lam), int_to_str(mult)] for lam, mult in sp.pairs],
     }
     try:
         rec = srg_params(spec)
-        out["srg"] = [str(x) for x in rec.params()]
+        out["srg"] = [int_to_str(x) for x in rec.params()]
         out["flags"] = {
             "primitive": rec.primitive,
             "conference": rec.conference,
-            "latin_square": [str(x) for x in rec.latin_square] if rec.latin_square else None,
+            "latin_square": [int_to_str(x) for x in rec.latin_square] if rec.latin_square else None,
             "ramanujan": rec.ramanujan,
         }
     except DegenerateGraph:
         out["srg"] = None
         out["flags"] = None
     try:
-        out["array"] = [str(x) for x in intersection_array(spec).as_tuple()]
+        out["array"] = [int_to_str(x) for x in intersection_array(spec).as_tuple()]
     except (Disconnected, DegenerateGraph):
         out["array"] = None
     out["walks"] = {str(r): int_to_str(closed_walks(spec, r)) for r in range(2, 7)}

@@ -173,6 +173,48 @@ def test_digit_limit_untouched(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def _negated(text: str) -> str:
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def test_symbolic_verbs_past_the_digit_limit(capsys):
+    # eigenvalues of Gamma_{2,14400}(1) run to 4,335 digits, past the
+    # interpreter's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    spec = ["--p", "2", "--m", "14400", "--ell", "1"]
+    code, out = _run(capsys, "spectrum", *spec)
+    assert code == 0
+    pairs = json.loads(out)["spectrum"]
+    assert max(len(lam) for lam, _ in pairs) > limit
+    code, out = _run(capsys, "spectrum", *spec, "--format", "text")
+    assert code == 0
+    assert out == "{" + ", ".join(f"[{lam}]^{mult}" for lam, mult in pairs) + "}\n"
+    code, out = _run(capsys, "zeta", *spec)
+    assert code == 0
+    factors = json.loads(out)["factors"]
+    assert [[_negated(f["linear_coeff"]), f["exp"]] for f in factors] == pairs
+    assert len({f["quad_coeff"] for f in factors}) == 1
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_tables_past_the_digit_limit(fmt, capsys):
+    # the default limit is first passed near t = 3600; the lowest limit the
+    # interpreter accepts (640 digits) is passed at t = 532
+    code, expected = _run(capsys, "tables", "--family", "4", "--tmax", "540", "--format", fmt)
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = _run(capsys, "tables", "--family", "4", "--tmax", "540", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert out == expected
+    if fmt == "json":  # every integer as a decimal string
+        assert all(isinstance(v, str) for row in json.loads(out) for v in row.values())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,8 @@
 import pytest
 
+import gpaley.forms
 from gpaley.errors import OutOfTheory, UnbalancedCounts, ZeroElement
-from gpaley.field import get_field
+from gpaley.field import FieldTable, get_field
 from gpaley.forms import (
     TraceForm,
     class_from_counts,
@@ -9,6 +10,7 @@ from gpaley.forms import (
     count_kernel,
     evaluate_form,
     exp_sum,
+    form_values,
     kernel_counts,
 )
 from gpaley.graphs import GraphSpec, connection_set
@@ -44,6 +46,38 @@ def test_kernel_counts_partition():
         counts = kernel_counts(TraceForm(f, gamma, 1))
         assert sum(counts.values()) == 16
         assert count_kernel(TraceForm(f, gamma, 1), 0) == counts[0]
+
+
+@pytest.mark.parametrize("p,s,m,ell", [(2, 1, 4, 1), (3, 1, 4, 1), (2, 2, 4, 1), (2, 1, 8, 2)])
+def test_form_values_match_pointwise_evaluation(p, s, m, ell):
+    # the log-domain pass against the scalar evaluation, for every gamma and x
+    f = get_field(p, s, m)
+    for gamma in range(1, f.order):
+        form = TraceForm(f, gamma, ell)
+        assert form_values(form).tolist() == [
+            evaluate_form(form, x).index for x in range(f.order)
+        ]
+        counts = kernel_counts(form)
+        assert {xi: count_kernel(form, xi) for xi in counts} == counts
+
+
+def test_each_form_is_evaluated_once(monkeypatch):
+    f = get_field(2, 1, 4)
+    exp_sum(TraceForm(f, 1, 1))  # builds the field's trace maps
+    calls = []
+    real = gpaley.forms.form_values
+    monkeypatch.setattr(gpaley.forms, "form_values", lambda form: calls.append(form) or real(form))
+
+    def no_power_map(*args):
+        raise AssertionError("a form rebuilt a whole-field power map")
+
+    monkeypatch.setattr(FieldTable, "pow_array", no_power_map)
+    form = TraceForm(f, 3, 1)
+    counts = kernel_counts(form)
+    counts[0] += 1  # the caller's copy, not the form's histogram
+    assert exp_sum(form) == 4
+    assert count_kernel(form, 0) == kernel_counts(form)[0] == 10
+    assert calls == [form]
 
 
 def test_kernel_matches_balanced_formula_f16():

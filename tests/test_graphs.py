@@ -282,6 +282,10 @@ def test_edge_list_and_dimacs():
     d = dimacs_lines(g)
     assert d[0] == "p edge 4 2"
     assert all(x.startswith("e ") for x in d[1:])
+    # the same edges, in the same order, numbered from 1
+    paley9 = build_graph(GraphSpec(3, 1, 2, 1))
+    shifted = [f"e {int(i) + 1} {int(j) + 1}" for i, j in map(str.split, edge_list_lines(paley9))]
+    assert dimacs_lines(paley9) == ["p edge 9 9"] + shifted
 
 
 def test_bit_dump_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gpaley.field
+import gpaley.forms
 import gpaley.oracles
 from gpaley.applications import verify_waring, waring_number
 from gpaley.errors import (
@@ -15,7 +16,7 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, build_graph
+from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
 from gpaley.oracles import (
     bareiss_determinant,
     bfs_eccentricity,
@@ -302,6 +303,45 @@ def test_run_suite_checks_reach_the_kernels(monkeypatch):
     assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
             "trees-primal"} <= failed
     assert "srg-counts-complement" not in failed
+
+
+def _moved_count(form):
+    counts = gpaley.forms.kernel_counts(form)
+    counts[0] -= 1
+    counts[1] += 1
+    return counts
+
+
+_CORRUPTED_FORM_KERNELS = {
+    "kernel_counts": _moved_count,
+    "exp_sum": lambda form, a=1: -gpaley.forms.exp_sum(form, a),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_CORRUPTED_FORM_KERNELS))
+def test_klapper_sweep_reaches_the_form_kernels(monkeypatch, kernel):
+    # a fault in either public form kernel must show in the sweep
+    monkeypatch.setattr(gpaley.oracles, kernel, _CORRUPTED_FORM_KERNELS[kernel])
+    report = run_suite(GraphSpec(2, 1, 4, 1))
+    failed = {c.name for c in report.failures()}
+    assert "klapper-vs-kernel-counts" in failed
+    assert failed <= {"klapper-vs-kernel-counts", "klapper-low-rank-multiplicity"}
+
+
+def test_arc_witnesses_check_each_scale_once(monkeypatch):
+    # Gamma_{2,4}(1) has 80 arcs but 5 scales, one per connection member;
+    # the edge-preservation criterion then tries the scales 1..15
+    calls = []
+
+    def recording(g, a, b, i):
+        calls.append((int(a), b, i))
+        return apply_affine_frobenius(g, a, b, i)
+
+    monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", recording)
+    spec = GraphSpec(2, 1, 4, 1)
+    assert run_suite(spec).ok
+    members = np.flatnonzero(build_graph(spec).connection.members).tolist()
+    assert calls == [(a, 0, 0) for a in members] + [(a, 0, 0) for a in range(1, 16)]
 
 
 @pytest.mark.parametrize("env", [None, "1024"])
