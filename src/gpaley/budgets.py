@@ -14,7 +14,6 @@ import os
 DEFAULTS = {
     "table": 2**22,  # log/exp/Zech tables
     "graph": 2**13,  # dense adjacency matrices
-    "oracle": 4096,  # exhaustive pair counting, matrix powers
     "tree": 512,  # exact determinants (multi-modular, a pass per prime)
     "coset": 1024,  # coset decomposition of the complement's edges
     "arc": 256,  # affine witnesses for every arc

@@ -27,6 +27,9 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, get_field
 
+# Rows of A per block when a walk row or the translation check reads A.
+_ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -140,17 +143,39 @@ class CayleyGraph:
     def k(self) -> int:
         return self.connection.cardinality
 
-    # A^2 and A^3 in float64, computed at most once per graph object. The
-    # products are exact: every partial sum is a nonnegative integer below
-    # k^3 < 2^53. dataclasses.replace builds a new object with nothing cached.
+    # Both computed at most once per graph object; dataclasses.replace builds
+    # a new object with nothing cached.
     @cached_property
-    def square(self) -> np.ndarray:
-        a = self.adjacency.astype(np.float64)
-        return a @ a
+    def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row 0 of A, A^2 and A^3 as int64: each row is the previous one
+        times A, that is, the rows of A counted a block at a time and
+        weighted by the previous row's entry. A^t[0, x] counts the t-walks
+        from 0 to x, at most k^(t-1)."""
+        rows = [self.adjacency[0].astype(np.int64)]
+        for _ in range(2):
+            prev, nxt = rows[-1], np.zeros(self.n, dtype=np.int64)
+            for weight in np.unique(prev[prev != 0]).tolist():
+                members = np.flatnonzero(prev == weight)
+                for start in range(0, len(members), _ROW_BLOCK):
+                    block = self.adjacency[members[start : start + _ROW_BLOCK]]
+                    nxt += weight * block.sum(axis=0, dtype=np.int64)
+            rows.append(nxt)
+        return tuple(rows)
 
     @cached_property
-    def cube(self) -> np.ndarray:
-        return self.square @ self.adjacency.astype(np.float64)
+    def translation_invariant(self) -> bool:
+        """A[0, x] = A[0, -x] and A[i, i + x] = A[0, x] for every i and x.
+        Then A is symmetric, A^t[i, j] = A^t[0, j - i] for every t, and row 0
+        of each power fixes all of it (Babai, JCTB 27, 1979)."""
+        fld, row = self.field, self.adjacency[0]
+        idx = np.arange(self.n, dtype=np.int64)
+        if not np.array_equal(row[fld.neg_array(idx)], row):
+            return False
+        for start in range(0, self.n, _ROW_BLOCK):
+            rows = idx[start : start + _ROW_BLOCK, None]
+            if not (self.adjacency[rows, fld.add_arrays(rows, idx)] == row).all():
+                return False
+        return True
 
 
 def connection_set(spec: GraphSpec, field: FieldTable) -> ConnectionSet:

@@ -2,12 +2,13 @@
 materialized graphs: the trust anchor of the package.
 
 Nothing here consults the closed-form spectra module for its own answers;
-counting runs on adjacency matrices (dense boolean, exact integer matrix
-products) and exact determinants, and only at the end are the numbers
-compared against the formulas. The dense kernels share the graph's A^2 and
-A^3 (``CayleyGraph.square`` and ``cube``), taken once per graph in float64,
-which is exact for these counts (every partial sum is a nonnegative integer
-bounded by k^3 < 2^53), and reduced to Python integers through int64 rows.
+counting runs on adjacency matrices and exact determinants, and only at the
+end are the numbers compared against the formulas. Every graph is a Cayley
+graph on the additive group of the field, so row 0 of A, A^2 and A^3
+(``CayleyGraph.walk_rows``, exact int64 counts) fixes those powers once
+``CayleyGraph.translation_invariant`` has checked A[i, i + x] = A[0, x]
+entry by entry; the walk, srg and girth kernels read row 0, require that
+check, and sum their products in Python integers. No float enters them.
 Tree counts are Laplacian determinants computed modulo primes p with
 n p^2 < 2^53, so that the float64 elimination is exact, and lifted by the
 Chinese remainder theorem past twice the Hadamard bound, so that the lift
@@ -30,6 +31,7 @@ from .errors import (
     InternalCheckError,
     NotApplicable,
     NotStronglyRegular,
+    OutOfTheory,
     UnbalancedCounts,
 )
 from .forms import TraceForm, class_from_counts, classify_form, exp_sum, kernel_counts
@@ -43,8 +45,6 @@ from .graphs import (
 )
 from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
 
-# Rows per block when int64 products are formed from the float64 powers.
-_ROWS = 256
 # Scales tried by the edge-preservation criterion.
 _SCALES = 64
 # Primes for the multi-modular determinant lie below this ceiling (lower
@@ -62,92 +62,75 @@ _STACK_ENTRIES = 2**20
 # raw counting kernels
 # ---------------------------------------------------------------------------
 
-def _check_budget(g: CayleyGraph, kind: str, max_order: int | None) -> None:
-    limit = budget(kind, max_order)
-    if g.n > limit:
-        raise BudgetExceeded(f"{g.n} vertices above the {kind} budget {limit}")
+def _require_invariance(g: CayleyGraph) -> None:
+    """Row 0 of A, A^2, A^3 fixes those powers only on a translation
+    invariant adjacency; any other raises."""
+    if not g.translation_invariant:
+        raise InternalCheckError(f"{g.spec.label()}: adjacency is not translation invariant")
 
 
-def _a2_matches(g: CayleyGraph, k: int, e: int, d: int) -> bool:
-    """A^2 = (e-d) A + (k-d) I + d J entrywise (entry (i,j) of A^2 is the
-    common-neighbor count of i and j)."""
-    expected = np.where(g.adjacency, float(e), float(d))
-    expected.flat[:: g.n + 1] += k - d
-    return bool(np.array_equal(g.square, expected))
+def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
+    """(v, k, e, d) by exhaustive common-neighbor counting.
 
-
-def count_srg_params(g: CayleyGraph, max_order: int | None = None) -> tuple[int, int, int, int]:
-    """(v, k, e, d) by exhaustive common-neighbor counting over all pairs.
-
-    e is the common count over adjacent pairs, d over distinct non-adjacent
-    pairs; both are read off vertex 0 and then required of every pair, and
-    non-constant counts falsify strong regularity and raise."""
-    _check_budget(g, "oracle", max_order)
-    n, adj, common = g.n, g.adjacency, g.square
+    e is the common count of 0 with its neighbors, d with its non-neighbors
+    other than 0; non-constant counts falsify strong regularity and raise.
+    Translation invariance then carries row 0 to every pair, and an adjacency
+    without it raises InternalCheckError."""
+    n, adj = g.n, g.adjacency
     deg = adj.sum(axis=1)
     if not (deg == deg[0]).all():
         raise NotStronglyRegular("graph is not regular")
     k = int(deg[0])
+    common = g.walk_rows[1]
     others = ~adj[0]
     others[0] = False
-    e = int(common[0][adj[0]][0]) if k else 0
-    d = int(common[0][others][0]) if others.any() else 0
-    if not _a2_matches(g, k, e, d):
-        off = ~np.eye(n, dtype=bool)
+    adjacent, non_adjacent = np.unique(common[adj[0]]), np.unique(common[others])
+    if len(adjacent) > 1 or len(non_adjacent) > 1:
         raise NotStronglyRegular(
-            f"common-neighbor counts not constant: adjacent {np.unique(common[adj]).tolist()}, "
-            f"non-adjacent {np.unique(common[off & ~adj]).tolist()}"
+            f"common-neighbor counts not constant: adjacent {adjacent.tolist()}, "
+            f"non-adjacent {non_adjacent.tolist()}"
         )
+    _require_invariance(g)
+    e = int(adjacent[0]) if k else 0
+    d = int(non_adjacent[0]) if others.any() else 0
     return (n, k, e, d)
 
 
-def verify_a2_identity(
-    g: CayleyGraph, params: tuple[int, int, int, int], max_order: int | None = None
-) -> bool:
-    """Check A^2 = (e-d) A + (k-d) I + d J entrywise."""
-    _check_budget(g, "oracle", max_order)
+def verify_a2_identity(g: CayleyGraph, params: tuple[int, int, int, int]) -> bool:
+    """Check A^2 = (e-d) A + (k-d) I + d J entrywise: on row 0 (entry (0, x)
+    of A^2 is the common-neighbor count of 0 and x), and on every other row
+    through translation invariance."""
     v, k, e, d = params
-    return v == g.n and _a2_matches(g, k, e, d)
+    expected = np.where(g.adjacency[0], e, d)
+    expected[0] += k - d
+    return v == g.n and np.array_equal(g.walk_rows[1], expected) and g.translation_invariant
 
 
-def count_walks_bruteforce(g: CayleyGraph, r: int, max_order: int | None = None) -> int:
-    """trace(A^r) for r <= 6 from the exact integer matrix powers A^2, A^3."""
+def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
+    """trace(A^r) for r <= 6. r <= 2 is read off the adjacency; above, on a
+    translation invariant adjacency every diagonal entry of A^r equals
+    A^r[0, 0] = <row 0 of A^a, row 0 of A^b> with a + b = r, summed in
+    Python integers."""
     if not 1 <= r <= 6:
         raise ValueError("supported walk lengths are 1..6")
-    _check_budget(g, "oracle", max_order)
+    adj = g.adjacency
     if r == 1:
-        return 0
+        return int(np.count_nonzero(adj.diagonal()))
     if r == 2:
-        return _exact_trace(g.square)
-    if r == 3:
-        return _exact_trace(g.cube)
-    if r == 4:
-        return _frobenius_product(g.square, g.square)
-    if r == 5:
-        return _frobenius_product(g.square, g.cube)
-    return _frobenius_product(g.cube, g.cube)
-
-
-def _exact_trace(mat: np.ndarray) -> int:
-    return int(np.diagonal(mat).astype(np.int64).sum())
-
-
-def _frobenius_product(x: np.ndarray, y: np.ndarray) -> int:
-    """sum_ij x_ij * y_ij with int64 row sums, a block of rows at a time,
-    folded into a Python integer (the grand total can exceed 2^63)."""
-    total = 0
-    for start in range(0, len(x), _ROWS):
-        block = slice(start, start + _ROWS)
-        rows = (x[block].astype(np.int64) * y[block].astype(np.int64)).sum(axis=1)
-        total += sum(int(v) for v in rows)
-    return total
+        return int(np.count_nonzero(adj & adj.T))
+    _require_invariance(g)
+    a = r // 2  # walk_rows[t - 1] is row 0 of A^t
+    left, right = g.walk_rows[a - 1].tolist(), g.walk_rows[r - a - 1].tolist()
+    return g.n * sum(x * y for x, y in zip(left, right))
 
 
 def count_trees_bruteforce(g: CayleyGraph, max_order: int | None = None) -> int:
     """Any cofactor of the Laplacian, by the exact multi-modular determinant.
-    Budgeted harder than the other oracles: the elimination is cubic, once
-    per prime."""
-    _check_budget(g, "tree", max_order)
+    The only oracle with a budget of its own: the elimination is cubic, once
+    per prime, where the others read row 0 in O(N^2)."""
+    limit = budget("tree", max_order)
+    if g.n > limit:
+        raise BudgetExceeded(f"{g.n} vertices above the tree budget {limit}")
     deg = g.adjacency.sum(axis=1)
     lap = np.diag(deg.astype(np.int64)) - g.adjacency.astype(np.int64)
     minor = lap[1:, 1:]
@@ -333,16 +316,15 @@ def _component_sizes(g: CayleyGraph) -> list[int]:
     return sizes
 
 
-def girth_bruteforce(g: CayleyGraph, max_order: int | None = None) -> int:
+def girth_bruteforce(g: CayleyGraph) -> int:
     """3 if there is a triangle, else 4 if there is a quadrilateral.
 
     Diameter-2 graphs with d > 0 never need more; a triangle-free,
     square-free case would raise rather than guess."""
-    _check_budget(g, "oracle", max_order)
-    if _exact_trace(g.cube) > 0:
+    if count_walks_bruteforce(g, 3) > 0:
         return 3
-    k = int(g.adjacency.sum(axis=1)[0])
-    squares = _frobenius_product(g.square, g.square) - g.n * k * (2 * k - 1)
+    k = int(g.adjacency[0].sum())
+    squares = count_walks_bruteforce(g, 4) - g.n * k * (2 * k - 1)
     if squares > 0:
         return 4
     raise NotApplicable("girth exceeds 4; out of scope for these families")
@@ -440,7 +422,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     left out for size are listed in the report's ``skipped``."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     suite = _Suite(spec)
-    # the dense kernels run on every graph the graph budget admits
+    # the cap that admits the graphs admits the Waring witnesses too
     cap = budget("graph", max_order)
     g = build_graph(spec, max_order=cap)
     gbar = build_graph(spec.complement(), max_order=cap)
@@ -448,10 +430,10 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
 
     _structure_checks(suite, g, gbar)
     if not degenerate:
-        _srg_checks(suite, g, gbar, cap)
-    _walk_checks(suite, g, gbar, cap)
+        _srg_checks(suite, g, gbar)
+    _walk_checks(suite, g, gbar)
     _tree_checks(suite, g, gbar)
-    _metric_checks(suite, g, gbar, cap, degenerate)
+    _metric_checks(suite, g, gbar, degenerate)
     _moment_checks(suite, spec)
     _klapper_checks(suite, g)
     _waring_checks(suite, g, cap)
@@ -476,19 +458,19 @@ def _structure_checks(suite, g, gbar):
     )
 
 
-def _srg_checks(suite, g, gbar, cap):
+def _srg_checks(suite, g, gbar):
     for name, graph in (("primal", g), ("complement", gbar)):
         params = srg_params(graph.spec).params()
-        suite.run(f"srg-counts-{name}", params, lambda: count_srg_params(graph, cap))
-        suite.run(f"a2-identity-{name}", True, lambda: verify_a2_identity(graph, params, cap))
+        suite.run(f"srg-counts-{name}", params, lambda: count_srg_params(graph))
+        suite.run(f"a2-identity-{name}", True, lambda: verify_a2_identity(graph, params))
 
 
-def _walk_checks(suite, g, gbar, cap):
+def _walk_checks(suite, g, gbar):
     for name, graph in (("primal", g), ("complement", gbar)):
         suite.run(
             f"walks-2..6-{name}",
             tuple(closed_walks(graph.spec, r) for r in range(2, 7)),
-            lambda: tuple(count_walks_bruteforce(graph, r, cap) for r in range(2, 7)),
+            lambda: tuple(count_walks_bruteforce(graph, r) for r in range(2, 7)),
         )
 
 
@@ -501,7 +483,7 @@ def _tree_checks(suite, g, gbar):
         )
 
 
-def _metric_checks(suite, g, gbar, cap, degenerate):
+def _metric_checks(suite, g, gbar, degenerate):
     spec = g.spec
     if spec.is_half:
         root = spec.q ** (spec.m // 2)
@@ -526,7 +508,7 @@ def _metric_checks(suite, g, gbar, cap, degenerate):
             suite.run(
                 f"girth-{name}",
                 invariant_bounds(graph.spec).girth,
-                lambda: girth_bruteforce(graph, cap),
+                lambda: girth_bruteforce(graph),
             )
 
 
@@ -545,38 +527,37 @@ def _klapper_checks(suite, g):
     match what exhaustive kernel counting reverse-engineers, and the
     integral character sum must equal type * q^(m - rank/2). Each form goes
     through the public kernels of ``gpaley.forms``, which evaluate it over
-    the field once."""
+    the field once. A gamma whose counts fit no form is a mismatch, and the
+    sweep goes on; it reports the mismatching gammas."""
     spec, fld = g.spec, g.field
     low_rank = []
 
     def sweep():
-        mismatches = 0
+        mismatches = []
         low = 0
         d = math.gcd(spec.m, spec.ell)
         for gamma in range(1, spec.order):
             form = TraceForm(fld, gamma, spec.ell)
             closed = classify_form(form)
-            if class_from_counts(spec.q, spec.m, kernel_counts(form)) != closed:
-                mismatches += 1
-                continue
             try:
-                t_sum = exp_sum(form)
-            except UnbalancedCounts:
-                mismatches += 1
-                continue
-            if t_sum != closed.type_sign * spec.q ** (spec.m - closed.rank // 2):
-                mismatches += 1
-            if closed.rank == spec.m - 2 * d:
+                counted = class_from_counts(spec.q, spec.m, kernel_counts(form))
+                t_sum = exp_sum(form) if counted == closed else None
+            except (OutOfTheory, UnbalancedCounts):
+                counted = t_sum = None
+            t_closed = closed.type_sign * spec.q ** (spec.m - closed.rank // 2)
+            if counted != closed or t_sum != t_closed:
+                mismatches.append(gamma)
+            if counted == closed and closed.rank == spec.m - 2 * d:
                 low += 1
         low_rank.append(low)
         return mismatches
 
-    suite.run("klapper-vs-kernel-counts", 0, sweep)
-    # the count comes from the sweep above; a failed sweep fails this check too
+    suite.run("klapper-vs-kernel-counts", [], sweep)
+    # the count comes from the sweep above; a crashed sweep leaves None
     suite.run(
         "klapper-low-rank-multiplicity",
         connection_set(spec, fld).cardinality,
-        lambda: low_rank[0],
+        lambda: low_rank[0] if low_rank else None,
     )
 
 
@@ -601,30 +582,24 @@ def _ramanujan_checks(suite, spec, degenerate):
 
 
 def _coset_checks(suite, g, gbar):
-    """The q^ell multiplicative shifts of S partition the complement's
-    edge set."""
+    """The q^ell cosets alpha^j S, j = 1..q^ell, cover F* minus S exactly
+    once, and their union is the complement's connection set: row 0 of its
+    translation invariant adjacency, so the cosets partition its edges."""
     spec, fld = g.spec, g.field
     if not suite.within("coset", g.n, ("coset-decomposition",)):
         return
 
     def decompose():
-        # S = <alpha^g> with g = (N-1)/|S|; its cosets alpha^j S, j = 1..q^ell
-        gcd_step = (spec.order - 1) // g.connection.cardinality
-        union = np.zeros_like(gbar.adjacency)
-        total_edges = 0
-        idx = np.arange(g.n, dtype=np.int64)
-        for j in range(1, spec.q**spec.ell + 1):
-            members = fld.exp[(gcd_step * np.arange(g.connection.cardinality) + j) % (spec.order - 1)]
-            coset_adj = np.zeros_like(gbar.adjacency)
-            for s_elem in members:
-                coset_adj[idx, fld.add_arrays(idx, int(s_elem))] = True
-            if (union & coset_adj).any():
-                return "cosets overlap"
-            union |= coset_adj
-            total_edges += int(coset_adj.sum()) // 2
-        if not np.array_equal(union, gbar.adjacency):
-            return "union != complement"
-        return (True, total_edges == int(gbar.adjacency.sum()) // 2)
+        # S = <alpha^g> with g = (N-1)/|S|; row j lists the logs of alpha^j S
+        k, units = g.connection.cardinality, spec.order - 1
+        logs = (units // k) * np.arange(k) + np.arange(1, spec.q**spec.ell + 1)[:, None]
+        cover = np.bincount(fld.exp[logs % units].ravel(), minlength=g.n)
+        outside = ~g.connection.members
+        outside[0] = False
+        return (
+            np.array_equal(cover, outside),
+            np.array_equal(cover > 0, gbar.adjacency[0]) and gbar.translation_invariant,
+        )
 
     suite.run("coset-decomposition", (True, True), decompose)
 

@@ -4,7 +4,7 @@ from gpaley.budgets import DEFAULTS, budget
 from gpaley.errors import BudgetExceeded
 from gpaley.field import FieldParams, build_field
 from gpaley.graphs import GraphSpec, build_graph
-from gpaley.oracles import count_srg_params, count_trees_bruteforce
+from gpaley.oracles import count_trees_bruteforce
 
 
 def test_defaults(monkeypatch):
@@ -12,7 +12,6 @@ def test_defaults(monkeypatch):
     assert DEFAULTS == {
         "table": 2**22,
         "graph": 2**13,
-        "oracle": 4096,
         "tree": 512,
         "coset": 1024,
         "arc": 256,
@@ -33,7 +32,7 @@ def test_precedence(monkeypatch):
 def test_environment_raises_only_the_materialization_caps(monkeypatch):
     monkeypatch.setenv("GPG_MAX_ORDER", str(2**30))
     assert budget("table") == budget("graph") == 2**30
-    for kind in ("oracle", "tree", "coset", "arc"):
+    for kind in ("tree", "coset", "arc"):
         assert budget(kind) == DEFAULTS[kind]
 
 
@@ -49,8 +48,6 @@ def test_explicit_zero_refuses_every_size():
     with pytest.raises(BudgetExceeded):
         build_graph(GraphSpec(2, 1, 2, 1), max_order=0)
     with pytest.raises(BudgetExceeded):
-        count_srg_params(g, max_order=0)
-    with pytest.raises(BudgetExceeded):
         count_trees_bruteforce(g, max_order=0)
 
 
@@ -59,7 +56,5 @@ def test_environment_caps_the_oracles(monkeypatch):
     monkeypatch.setenv("GPG_MAX_ORDER", "8")
     with pytest.raises(BudgetExceeded):
         count_trees_bruteforce(g)
-    with pytest.raises(BudgetExceeded):
-        count_srg_params(g)
     monkeypatch.delenv("GPG_MAX_ORDER")
-    assert count_srg_params(g) == (16, 5, 0, 2)
+    assert count_trees_bruteforce(g) == 2**31

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -13,6 +14,7 @@ from gpaley.applications import verify_waring, waring_number
 from gpaley.errors import (
     BudgetExceeded,
     DisconnectedComponentsFound,
+    InternalCheckError,
     NotStronglyRegular,
 )
 from gpaley.field import get_field
@@ -30,6 +32,20 @@ from gpaley.oracles import (
     verify_a2_identity,
 )
 from gpaley.spectra import closed_walks, spanning_trees
+
+
+def _two_switch(g):
+    """A copy of g with edges (a, b), (c, d) switched to (a, d), (c, b), all
+    four vertices non-neighbors of 0: every degree and row 0 of A^2 stay as
+    they were, so only the translation check can tell."""
+    adj = g.adjacency.copy()
+    outside = [int(v) for v in np.flatnonzero(~adj[0])[1:]]
+    for a, b, c, d in itertools.permutations(outside, 4):
+        if adj[a, b] and adj[c, d] and not (adj[a, d] or adj[c, b]):
+            adj[[a, b, c, d], [b, a, d, c]] = False
+            adj[[a, d, c, b], [d, a, b, c]] = True
+            return dataclasses.replace(g, adjacency=adj)
+    raise AssertionError("no 2-switch among the non-neighbors of 0")
 
 
 def _flip_edge(g):
@@ -61,18 +77,12 @@ def test_count_srg_rejects_non_srg():
 
 
 def test_count_srg_sees_a_replaced_adjacency():
-    # A^2 is cached per graph object: a one-edge-dropped copy made after the
-    # cache was filled must be counted afresh
+    # the walk rows are cached per graph object: a one-edge-dropped copy made
+    # after the cache was filled must be counted afresh
     g = build_graph(GraphSpec(2, 1, 4, 1))
     assert count_srg_params(g) == (16, 5, 0, 2)
     with pytest.raises(NotStronglyRegular):
         count_srg_params(_flip_edge(g))
-
-
-def test_count_srg_budget():
-    g = build_graph(GraphSpec(2, 1, 4, 1))
-    with pytest.raises(BudgetExceeded):
-        count_srg_params(g, max_order=8)
 
 
 def test_a2_identity():
@@ -99,6 +109,63 @@ def test_walk_counts():
 def test_walk_counts_detect_corruption():
     g = build_graph(GraphSpec(2, 1, 4, 1, True))
     assert count_walks_bruteforce(_flip_edge(g), 2) != closed_walks(GraphSpec(2, 1, 4, 1, True), 2)
+
+
+_SWITCHED = [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)]
+
+
+@pytest.mark.parametrize("spec", _SWITCHED)
+def test_kernels_refuse_a_switched_adjacency(spec):
+    g = build_graph(spec)
+    switched = _two_switch(g)
+    assert (switched.adjacency.sum(axis=1) == g.k).all()
+    assert np.array_equal(switched.walk_rows[1], g.walk_rows[1])
+    assert not switched.translation_invariant
+    with pytest.raises(InternalCheckError):
+        count_srg_params(switched)
+    for r in range(3, 7):
+        with pytest.raises(InternalCheckError):
+            count_walks_bruteforce(switched, r)
+    with pytest.raises(InternalCheckError):
+        girth_bruteforce(switched)
+    assert not verify_a2_identity(switched, count_srg_params(g))
+
+
+@pytest.mark.parametrize("spec", _SWITCHED)
+def test_run_suite_fails_a_switched_adjacency(monkeypatch, spec):
+    def switched(spec, *args, **kwargs):
+        g = build_graph(spec, *args, **kwargs)
+        return g if spec.complemented else _two_switch(g)
+
+    monkeypatch.setattr(gpaley.oracles, "build_graph", switched)
+    failed = {c.name for c in run_suite(spec).failures()}
+    assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
+            "girth-primal"} <= failed
+    assert "srg-counts-complement" not in failed
+
+
+def test_coset_decomposition_needs_an_invariant_complement(monkeypatch):
+    def switched(spec, *args, **kwargs):
+        g = build_graph(spec, *args, **kwargs)
+        return _two_switch(g) if spec.complemented else g
+
+    monkeypatch.setattr(gpaley.oracles, "build_graph", switched)
+    checks = {c.name: c for c in run_suite(GraphSpec(3, 1, 4, 1)).checks}
+    assert checks["coset-decomposition"].observed == (True, False)
+    assert checks["srg-counts-primal"].passed
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1),
+                                  GraphSpec(2, 2, 4, 1)])
+@pytest.mark.parametrize("complemented", [False, True])
+def test_walk_rows_match_the_dense_powers(spec, complemented):
+    g = build_graph(dataclasses.replace(spec, complemented=complemented))
+    a = g.adjacency.astype(np.int64)
+    square = a @ a
+    assert g.translation_invariant
+    for row, power in zip(g.walk_rows, (a, square, square @ a)):
+        assert row.dtype == np.int64
+        assert np.array_equal(row, power[0])
 
 
 def test_tree_counts():
@@ -326,6 +393,23 @@ def test_klapper_sweep_reaches_the_form_kernels(monkeypatch, kernel):
     failed = {c.name for c in report.failures()}
     assert "klapper-vs-kernel-counts" in failed
     assert failed <= {"klapper-vs-kernel-counts", "klapper-low-rank-multiplicity"}
+    if kernel == "kernel_counts":
+        # counts that fit no form are a mismatch per gamma, and the sweep goes
+        # on: every gamma is named, and no check crashes
+        checks = {c.name: c for c in report.checks}
+        assert checks["klapper-vs-kernel-counts"].observed == list(range(1, 16))
+        assert not any("IndexError" in str(c.observed) for c in report.checks)
+
+
+def test_crashed_klapper_sweep_leaves_no_multiplicity(monkeypatch):
+    def crash(form):
+        raise RuntimeError("classification crashed")
+
+    monkeypatch.setattr(gpaley.oracles, "classify_form", crash)
+    checks = {c.name: c for c in run_suite(GraphSpec(2, 1, 4, 1)).checks}
+    assert checks["klapper-vs-kernel-counts"].observed == "RuntimeError: classification crashed"
+    multiplicity = checks["klapper-low-rank-multiplicity"]
+    assert multiplicity.observed is None and not multiplicity.passed
 
 
 def test_arc_witnesses_check_each_scale_once(monkeypatch):
