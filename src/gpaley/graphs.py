@@ -228,7 +228,8 @@ def build_graph(
 ) -> CayleyGraph:
     """Materialize the adjacency matrix: i ~ j iff element_j - element_i is a
     connection member (complemented specs take the complement of the rows
-    and clear the diagonal). Rejects directed cases instead of symmetrizing.
+    and clear the diagonal). Rejects directed cases instead of symmetrizing;
+    the result has passed its translation check.
     """
     N = spec.order
     limit = budget("graph", max_order)
@@ -248,13 +249,12 @@ def build_graph(
     if spec.complemented:
         adj = ~adj
         np.fill_diagonal(adj, False)
-    conn = connection_set(spec, field)
-    deg = adj.sum(axis=1)
-    if not (deg == conn.cardinality).all():
-        raise InternalCheckError("graph is not regular of the expected degree")
-    if not np.array_equal(adj, adj.T) or adj.diagonal().any():
-        raise InternalCheckError("adjacency not symmetric/loop-free")
-    return CayleyGraph(spec, field, conn, adj)
+    g = CayleyGraph(spec, field, connection_set(spec, field), adj)
+    # a translation invariant A is symmetric with every row a shift of row 0,
+    # so row 0 settles the degree and the diagonal
+    if int(adj[0].sum()) != g.k or adj[0, 0] or not g.translation_invariant:
+        raise InternalCheckError("adjacency is not a loop-free Cayley graph of the expected degree")
+    return g
 
 
 def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:

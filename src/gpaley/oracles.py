@@ -107,17 +107,14 @@ def verify_a2_identity(g: CayleyGraph, params: tuple[int, int, int, int]) -> boo
 
 
 def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
-    """trace(A^r) for r <= 6. r <= 2 is read off the adjacency; above, on a
+    """trace(A^r) for r <= 6. r = 1 is read off the diagonal; above, on a
     translation invariant adjacency every diagonal entry of A^r equals
     A^r[0, 0] = <row 0 of A^a, row 0 of A^b> with a + b = r, summed in
     Python integers."""
     if not 1 <= r <= 6:
         raise ValueError("supported walk lengths are 1..6")
-    adj = g.adjacency
     if r == 1:
-        return int(np.count_nonzero(adj.diagonal()))
-    if r == 2:
-        return int(np.count_nonzero(adj & adj.T))
+        return int(np.count_nonzero(g.adjacency.diagonal()))
     _require_invariance(g)
     a = r // 2  # walk_rows[t - 1] is row 0 of A^t
     left, right = g.walk_rows[a - 1].tolist(), g.walk_rows[r - a - 1].tolist()
@@ -272,48 +269,35 @@ def _residues(a: np.ndarray, primes: list[int]) -> list[int]:
     return [int(d) for d in det]
 
 
+def _reach(g: CayleyGraph, source: int) -> tuple[np.ndarray, int]:
+    """The vertices reachable from the source, by breadth-first search, and
+    the source's eccentricity among them."""
+    visited = np.zeros(g.n, dtype=bool)
+    visited[source] = True
+    frontier, dist = visited.copy(), 0
+    while True:
+        nxt = g.adjacency[frontier].any(axis=0) & ~visited
+        if not nxt.any():
+            return visited, dist
+        visited |= nxt
+        frontier = nxt
+        dist += 1
+
+
 def bfs_eccentricity(g: CayleyGraph, source: int = 0) -> int:
     """Eccentricity of the source by breadth-first search; equals the
     diameter on vertex-transitive graphs. Raises with the component sizes
     when the graph is disconnected."""
-    n = g.n
-    visited = np.zeros(n, dtype=bool)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    visited[source] = True
-    dist = 0
-    while True:
-        nxt = g.adjacency[frontier].any(axis=0) & ~visited
-        if not nxt.any():
-            break
-        visited |= nxt
-        frontier = nxt
-        dist += 1
+    visited, dist = _reach(g, source)
     if not visited.all():
-        sizes = _component_sizes(g)
+        seen, sizes = np.zeros(g.n, dtype=bool), []
+        for start in range(g.n):
+            if not seen[start]:
+                component = _reach(g, start)[0]
+                seen |= component
+                sizes.append(int(component.sum()))
         raise DisconnectedComponentsFound(sizes)
     return dist
-
-
-def _component_sizes(g: CayleyGraph) -> list[int]:
-    n = g.n
-    seen = np.zeros(n, dtype=bool)
-    sizes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = np.zeros(n, dtype=bool)
-        comp[start] = True
-        frontier = comp.copy()
-        while True:
-            nxt = g.adjacency[frontier].any(axis=0) & ~comp
-            if not nxt.any():
-                break
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
-        sizes.append(int(comp.sum()))
-    return sizes
 
 
 def girth_bruteforce(g: CayleyGraph) -> int:

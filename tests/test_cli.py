@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -156,6 +157,53 @@ def test_env_budget_override(monkeypatch, capsys):
     monkeypatch.delenv("GPG_MAX_ORDER")
 
 
+_SPEC = ["--p", "2", "--m", "4", "--ell", "1"]
+# one small invocation per verb, in the order of the verb table
+_EVERY_VERB = {
+    "field": ["--p", "2", "--m", "4"],
+    "graph": _SPEC,
+    "spectrum": _SPEC,
+    "srg": _SPEC,
+    "walks": _SPEC,
+    "trees": _SPEC,
+    "waring": _SPEC,
+    "ramanujan": _SPEC,
+    "zeta": _SPEC,
+    "tables": ["--family", "2", "--tmax", "2"],
+    "verify": _SPEC,
+    "export": _SPEC,
+}
+
+
+def _untimed(report: str) -> dict:
+    payload = json.loads(report)
+    for check in payload["checks"]:
+        del check["seconds"]
+    return payload
+
+
+@pytest.mark.parametrize("verb", list(_EVERY_VERB))
+def test_every_verb_writes_its_output_to_out(verb, tmp_path, capsys):
+    argv = [verb, *_EVERY_VERB[verb]]
+    code, expected = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out"
+    code, out = _run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    written = path.read_text()
+    if verb == "verify":  # check timings vary from run to run
+        written, expected = _untimed(written), _untimed(expected)
+    assert written == expected
+
+
+def test_docstring_lists_every_verb():
+    usage = gpaley.cli.build_parser().format_usage()
+    parser_verbs = re.search(r"\{(.*?)\}", usage).group(1).split(",")
+    block = gpaley.cli.__doc__.split("One verb per invocation:")[1].split("\n\n")[1]
+    assert [verb.strip() for verb in block.split("|")] == parser_verbs
+    assert parser_verbs == list(_EVERY_VERB)  # the --out test covers every verb
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     code, out = _run(capsys, "spectrum", "--p", "2", "--m", "4", "--ell", "1",
@@ -224,6 +272,8 @@ def test_tables_past_the_digit_limit(fmt, capsys):
         ["srg", "--p", "2", "--m", "4", "--ell", "1", "--max-order", "8"],
         ["spectrum", "--p", "2", "--m", "4", "--ell", "1", "--max-order", "8"],
         ["tables", "--family", "2", "--max-order", "8"],
+        ["verify", "--p", "2", "--m", "4", "--ell", "1", "--complement"],
+        ["waring", "--p", "2", "--m", "4", "--ell", "1", "--complement"],
     ],
 )
 def test_flags_without_effect_are_rejected(argv):
@@ -263,6 +313,7 @@ def test_max_order_caps_waring_witnesses(capsys):
         ["graph", "--p", "2", "--m", "4", "--ell", "4"],
         ["walks", "--p", "2", "--m", "4", "--ell", "1", "--r", "0"],
         ["export", "--p", "2", "--m", "4", "--ell", "1", "--kind", "bits"],
+        ["tables", "--family", "2", "--tmax", "1"],
     ],
 )
 def test_bad_argument_values_exit_2(argv, capsys):

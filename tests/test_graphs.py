@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import gpaley.graphs
 from gpaley.errors import (
     DirectedUnsupported,
+    InternalCheckError,
     MixedBase,
     NotDivisible,
     NotInFamily,
@@ -154,6 +157,23 @@ def test_directed_rejected():
 def test_paley_13_builds():
     g = build_graph(GraphSpec(13, 1, 1, 0))
     assert g.k == 6
+
+
+def test_build_refuses_an_asymmetric_connection_set(monkeypatch):
+    # dropping s but not -s from S leaves a regular, loop-free Cayley digraph
+    # with the expected degree: only the translation check's A[0, x] = A[0, -x]
+    # can refuse it
+    real = gpaley.graphs.connection_set
+
+    def dropped(spec, field):
+        conn = real(spec, field)
+        members = conn.members.copy()
+        members[np.flatnonzero(members)[0]] = False
+        return dataclasses.replace(conn, members=members, cardinality=conn.cardinality - 1)
+
+    monkeypatch.setattr(gpaley.graphs, "connection_set", dropped)
+    with pytest.raises(InternalCheckError):
+        build_graph(GraphSpec(3, 1, 4, 1))
 
 
 # ---------------------------------------------------------------------------
