@@ -4,6 +4,8 @@ infinite families, and Ihara zeta factorization."""
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import gcd_power, int_to_str
 from .budgets import budget
 from .errors import (
@@ -72,7 +74,7 @@ def waring_number(
         raise NotApplicable("ell = m/2: the powers span a proper subfield only")
     if spec.m_ell % 2 == 1:
         if q % 2 == 0:
-            witnesses = _complete_witnesses(spec, max_order) if with_witnesses else None
+            witnesses = _witnesses(spec, 1, max_order) if with_witnesses else None
             return WaringCertificate(k_exp, N, 1, witnesses)
         raise NotApplicable("odd q with m_ell odd is the classic Paley regime")
     if not spec.is_proper:
@@ -80,67 +82,60 @@ def waring_number(
     if gcd_power(q, m, ell) == q ** (m // 2) + 1:
         log.warning("vacuous-looking gcd guard fired for %s", spec.label())
         raise NotApplicable("power gcd degenerates to the half case")
-    witnesses = _bfs_witnesses(spec, max_order) if with_witnesses else None
+    witnesses = _witnesses(spec, 2, max_order) if with_witnesses else None
     return WaringCertificate(k_exp, N, 2, witnesses)
 
 
-def _root_map(spec: GraphSpec, field: FieldTable) -> dict[int, int]:
-    """One preimage under x -> x^(q^ell+1) for every attained power."""
-    roots: dict[int, int] = {0: 0}
-    e = spec.q**spec.ell + 1
-    for x in range(1, spec.order):
-        powered = field.pow(x, e)
-        roots.setdefault(powered, x)
+def _root_map(spec: GraphSpec, field: FieldTable) -> np.ndarray:
+    """roots[y] is the least x with x^(q^ell+1) = y, or -1 if there is none."""
+    powers = field.pow_array(np.arange(spec.order, dtype=np.int64), spec.q**spec.ell + 1)
+    attained, first = np.unique(powers, return_index=True)
+    roots = np.full(spec.order, -1, dtype=np.int64)
+    roots[attained] = first
     return roots
 
 
-def _complete_witnesses(spec: GraphSpec, max_order) -> dict[int, tuple[int, int]] | None:
-    if spec.order > budget("graph", max_order):
-        return None
-    field = get_field(spec.p, spec.s, spec.m, max_order)
-    roots = _root_map(spec, field)
-    if len(roots) != spec.order:
-        raise InternalCheckError("power map not onto in the complete case")
-    return {a: (roots[a], 0) for a in range(spec.order)}
-
-
-def _bfs_witnesses(spec: GraphSpec, max_order) -> dict[int, tuple[int, int]] | None:
-    """Layered search from 0: layer 1 is the power set S itself, layer 2 is
-    S + S; diameter 2 means nothing is left over."""
+def _witnesses(spec: GraphSpec, g: int, max_order) -> dict[int, tuple[int, int]] | None:
+    """Layered search from 0 for the Waring number g: layer 1 is the power
+    set S itself, layer 2 is S + S, searched one member b of S at a time in
+    ascending order over the elements still uncovered, so each element a
+    gets (root of a - b, root of b) for its least such b. Diameter 2 means
+    nothing is left over."""
     N = spec.order
     if N > budget("graph", max_order):
         return None
     field = get_field(spec.p, spec.s, spec.m, max_order)
     conn = connection_set(spec, field)
     roots = _root_map(spec, field)
-    members = [int(x) for x in conn.members.nonzero()[0]]
-    witnesses: dict[int, tuple[int, int]] = {0: (0, 0)}
-    for a in members:
-        witnesses[a] = (roots[a], 0)
-    for a in range(1, N):
-        if a in witnesses:
-            continue
-        for b in members:
-            diff = field.sub(a, b)
-            if conn.members[diff]:
-                witnesses[a] = (roots[diff], roots[b])
-                break
-        else:
-            raise InternalCheckError(f"element {a} unreachable in two power steps")
-    return witnesses
+    if g == 1 and (roots < 0).any():
+        raise InternalCheckError("power map not onto in the complete case")
+    if not np.array_equal(roots[1:] >= 0, conn.members[1:]):
+        raise InternalCheckError("the nonzero powers are not the connection set")
+    members = np.flatnonzero(conn.members)
+    x, y = roots.copy(), np.zeros(N, dtype=np.int64)
+    others = np.flatnonzero(~conn.members)[1:]  # index 0 is zero, its own witness
+    left = others
+    for b, neg_b in zip(members.tolist(), field.neg_array(members).tolist()):
+        if not len(left):
+            break
+        diff = field.add_arrays(left, neg_b)
+        hit = conn.members[diff]
+        x[left[hit]], y[left[hit]] = roots[diff[hit]], roots[b]
+        left = left[~hit]
+    if len(left):
+        raise InternalCheckError(f"element {left[0]} unreachable in two power steps")
+    order = np.concatenate(([0], members, others))
+    return dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
 
 
 def verify_waring(cert: WaringCertificate, field: FieldTable) -> bool:
     """Soundness: re-evaluate every witness pair."""
     if cert.witnesses is None:
         return True
-    e = cert.k_exp
-    for a, (x, y) in cert.witnesses.items():
-        if field.add(field.pow(x, e), field.pow(y, e)) != a:
-            return False
-        if y == 0 and x == 0 and a != 0:
-            return False
-    return len(cert.witnesses) == cert.field_size
+    targets = np.fromiter(cert.witnesses, dtype=np.int64, count=len(cert.witnesses))
+    x, y = np.array(list(cert.witnesses.values()), dtype=np.int64).reshape(-1, 2).T
+    sums = field.add_arrays(field.pow_array(x, cert.k_exp), field.pow_array(y, cert.k_exp))
+    return np.array_equal(sums, targets) and len(cert.witnesses) == cert.field_size
 
 
 def is_ramanujan(spec: GraphSpec) -> bool:

@@ -7,6 +7,11 @@ the base-p digits of the index are the coefficients of the residue
 polynomial (little-endian). Index 0 is zero, index 1 is one, and the prime
 subfield occupies indices 0..p-1.
 
+Multiplication adds logarithms. Addition is the XOR of the indices for
+p = 2 and one Zech-logarithm lookup for odd p (Lidl and Niederreiter,
+Finite Fields, 2.4); negation is the product by -1, the index p - 1. The
+scalar operations call the whole-array ones.
+
 The defining modulus is the lexicographically least monic irreducible of
 degree n (non-leading coefficients compared as a base-p integer), and the
 distinguished generator alpha is the primitive element of least index, so
@@ -192,7 +197,8 @@ class FieldTable:
     exp[i] is the index of alpha^i, log is its inverse on nonzero indices
     (log[0] = -1), and zech[i] solves alpha^zech[i] = 1 + alpha^i
     (-1 where 1 + alpha^i = 0). Multiplication is exponent addition;
-    addition in log form is one Zech lookup.
+    addition is XOR for p = 2 and one Zech lookup for odd p; negation
+    multiplies by -1.
     """
 
     def __init__(self, params: FieldParams, modulus: tuple[int, ...], alpha: int):
@@ -270,25 +276,10 @@ class FieldTable:
         return self.element(1)
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p, out, pw = self.p, 0, 1
-        for _ in range(self.n):
-            out += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
+        return int(self.add_arrays(a, b))
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p, out, pw = self.p, 0, 1
-        for _ in range(self.n):
-            out += ((-a) % p) * pw
-            a //= p
-            pw *= p
-        return out
+        return int(self.neg_array(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -318,33 +309,26 @@ class FieldTable:
     # -- vectorized arithmetic on index arrays ------------------------------
 
     def add_arrays(self, a: np.ndarray, b) -> np.ndarray:
-        """Digit-wise sum of index arrays (b may be a scalar index)."""
+        """Elementwise sum of index arrays (either may be a scalar index):
+        XOR of the digit vectors for p = 2, otherwise one Zech lookup,
+        alpha^i + alpha^j = alpha^(i + zech[j - i])."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        p = self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.n):
-            out += ((a + b) % p) * pw
-            a = a // p
-            b = b // p
-            pw *= p
+        la = self.log[a]
+        # "wrap" reduces the exponents mod p^n - 1; log 0 = -1 only picks
+        # entries that the zero cases below overwrite
+        z = np.take(self.zech, self.log[b] - la, mode="wrap")
+        out = np.asarray(np.take(self.exp, la + z, mode="wrap"))
+        np.copyto(out, 0, where=z < 0)
+        np.copyto(out, b, where=a == 0)
+        np.copyto(out, a, where=b == 0)
         return out
 
     def neg_array(self, a: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return np.asarray(a, dtype=np.int64).copy()
-        p = self.p
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.n):
-            out += ((-a) % p) * pw
-            a = a // p
-            pw *= p
-        return out
+        """-a = (-1) a, and -1 has index p - 1."""
+        return self.mul_array(a, self.p - 1)
 
     def mul_array(self, a: np.ndarray, b_index: int) -> np.ndarray:
         """Elementwise product of an index array with one fixed element."""
@@ -527,10 +511,18 @@ def field_to_dict(fld: FieldTable) -> dict:
 
 
 def field_from_dict(d: dict) -> FieldTable:
+    """The canonical table of (p, s, m); the recorded modulus and alpha must
+    be the canonical ones, since every table is reproducible from (p, s, m)."""
     params = FieldParams(int(d["p"]), int(d["s"]), int(d["m"]))
-    if params.order > budget("table"):
-        raise BudgetExceeded("serialized field exceeds the table budget")
-    return FieldTable(params, tuple(int(c) for c in d["modulus"]), int(d["alpha"]))
+    _check_table_budget(params, None)
+    fld = _memoized_field(params)
+    modulus, alpha = tuple(int(c) for c in d["modulus"]), int(d["alpha"])
+    if (modulus, alpha) != (fld.modulus, fld.alpha):
+        raise ValueError(
+            f"modulus {list(modulus)} with alpha {alpha} is not the canonical "
+            f"F_{fld.p}^{fld.n}: modulus {list(fld.modulus)}, alpha {fld.alpha}"
+        )
+    return fld
 
 
 def element_to_string(x: FieldElement) -> str:
@@ -542,10 +534,11 @@ def element_to_string(x: FieldElement) -> str:
 
 
 def element_from_string(fld: FieldTable, s: str) -> FieldElement:
-    digits = [int(c) for c in (s.split(",") if "," in s else s)]
-    if len(digits) != fld.n or any(not 0 <= d < fld.p for d in digits):
+    """Inverse of element_to_string, split by the same p > 10 rule."""
+    digits = s.split(",") if fld.p > 10 else list(s)
+    if len(digits) != fld.n or not all(d.isdecimal() and int(d) < fld.p for d in digits):
         raise ValueError(f"bad digit string {s!r} for F_{fld.p}^{fld.n}")
     idx = 0
     for d in reversed(digits):
-        idx = idx * fld.p + d
+        idx = idx * fld.p + int(d)
     return fld.element(idx)

@@ -134,41 +134,6 @@ def count_trees_bruteforce(g: CayleyGraph, max_order: int | None = None) -> int:
     return modular_determinant(minor)
 
 
-def bareiss_determinant(mat) -> int:
-    """Fraction-free determinant of an integer matrix in Python integers.
-    Every division below is exact by the Bareiss identity; pivoting tracks
-    the sign. The reference that ``modular_determinant`` is tested against."""
-    m = [[int(x) for x in row] for row in np.asarray(mat)]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[col][col]
-        row_k = m[col]
-        for i in range(col + 1, n):
-            row_i = m[i]
-            lead = row_i[col]
-            if lead:
-                row_i[col + 1 :] = [
-                    (x * piv - lead * y) // prev
-                    for x, y in zip(row_i[col + 1 :], row_k[col + 1 :])
-                ]
-            else:
-                row_i[col + 1 :] = [(x * piv) // prev for x in row_i[col + 1 :]]
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
 @functools.cache
 def _descending_primes() -> np.ndarray:
     """Every prime below _PRIME_CEILING, largest first (sieved on first use)."""

@@ -1,0 +1,60 @@
+"""Reference computations for the tests, written apart from ``gpaley``.
+
+Field addition here works on the base-p digits of the element indices,
+which are the coefficients of the residue polynomials, so it shares
+nothing with the library's XOR and Zech-logarithm kernels. The Bareiss
+determinant is exact in Python integers and is what the multi-modular
+determinant is tested against.
+"""
+
+import numpy as np
+
+
+def _digits(a, p: int, n: int) -> np.ndarray:
+    """Little-endian base-p digits of every index, on a new last axis."""
+    return (np.asarray(a, dtype=np.int64)[..., None] // p ** np.arange(n)) % p
+
+
+def digit_add(a, b, p: int, n: int) -> np.ndarray:
+    """Index of a + b: the digits added mod p, read back in base p."""
+    return ((_digits(a, p, n) + _digits(b, p, n)) % p) @ p ** np.arange(n)
+
+
+def digit_neg(a, p: int, n: int) -> np.ndarray:
+    """Index of -a: every digit negated mod p."""
+    return (-_digits(a, p, n) % p) @ p ** np.arange(n)
+
+
+def bareiss_determinant(mat) -> int:
+    """Fraction-free determinant of an integer matrix in Python integers.
+    Every division below is exact by the Bareiss identity; pivoting tracks
+    the sign."""
+    m = [[int(x) for x in row] for row in np.asarray(mat)]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            for r in range(col + 1, n):
+                if m[r][col] != 0:
+                    m[col], m[r] = m[r], m[col]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = m[col][col]
+        row_k = m[col]
+        for i in range(col + 1, n):
+            row_i = m[i]
+            lead = row_i[col]
+            if lead:
+                row_i[col + 1 :] = [
+                    (x * piv - lead * y) // prev
+                    for x, y in zip(row_i[col + 1 :], row_k[col + 1 :])
+                ]
+            else:
+                row_i[col + 1 :] = [(x * piv) // prev for x in row_i[col + 1 :]]
+        prev = piv
+    return sign * m[n - 1][n - 1]

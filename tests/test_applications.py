@@ -13,7 +13,7 @@ from gpaley.applications import (
 from gpaley.errors import DegenerateGraph, Disconnected, NotApplicable, NotInFamily
 from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, build_graph, enumerate_family
-from gpaley.oracles import bareiss_determinant
+from reference import bareiss_determinant, digit_add, digit_neg
 
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -37,6 +37,40 @@ def test_waring_examples():
     assert verify_waring(cert, get_field(2, 1, 3))
     # cubing is a bijection of F_8, so every witness has y = 0
     assert all(y == 0 for _, y in cert.witnesses.values())
+
+
+def _brute_force_witnesses(spec):
+    """The least root of every power, and for each element a outside the
+    powers the first power b in ascending order with a - b a power, found
+    with the digit-wise reference addition."""
+    f = get_field(spec.p, spec.s, spec.m)
+    e = spec.q**spec.ell + 1
+    roots = {}
+    for x in range(f.order):
+        roots.setdefault(f.pow(x, e), x)
+    powers = np.array(sorted(set(roots) - {0}), dtype=np.int64)
+    neg_powers = digit_neg(powers, spec.p, f.n)
+    witnesses = {}
+    for a in range(f.order):
+        if a in roots:
+            witnesses[a] = (roots[a], 0)
+            continue
+        diffs = digit_add(a, neg_powers, spec.p, f.n).tolist()
+        first = next(i for i, d in enumerate(diffs) if d in roots)
+        witnesses[a] = (roots[diffs[first]], roots[int(powers[first])])
+    return witnesses
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 1), GraphSpec(2, 1, 5, 1)],
+    ids=GraphSpec.label,
+)
+def test_waring_witnesses_match_a_brute_force_search(spec):
+    # Gamma_{2,5}(1) is a complete case: cubing is onto F_32
+    cert = waring_number(spec)
+    assert cert.witnesses == _brute_force_witnesses(spec)
+    assert verify_waring(cert, get_field(spec.p, spec.s, spec.m))
 
 
 def test_waring_g2_means_a_pair_is_needed():

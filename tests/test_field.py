@@ -13,6 +13,7 @@ from gpaley.field import (
     get_field,
     trace,
 )
+from reference import digit_add, digit_neg
 
 
 def test_build_f16():
@@ -114,15 +115,13 @@ def test_frobenius_additive():
 
 
 def test_zech_round_trip():
+    # 1 + alpha^i by the digit-wise reference, since f.add reads the Zech table
     for (p, s, m) in [(2, 1, 4), (3, 1, 2), (3, 1, 4), (2, 2, 2)]:
         f = get_field(p, s, m)
-        for i in range(f.order - 1):
-            z = int(f.zech[i])
-            one_plus = f.add(1, int(f.exp[i]))
-            if z < 0:
-                assert one_plus == 0
-            else:
-                assert int(f.exp[z]) == one_plus
+        one_plus = digit_add(1, f.exp, p, f.n)
+        zero = one_plus == 0
+        assert np.array_equal(f.zech < 0, zero)
+        assert np.array_equal(f.exp[f.zech[~zero]], one_plus[~zero])
 
 
 def test_exp_log_inverse():
@@ -149,18 +148,50 @@ def test_arithmetic_axioms_sampled():
 
 
 def test_vector_ops_match_scalar():
+    # the whole-array products and powers against the scalar ones; addition
+    # and negation are held to the digit-wise reference below instead, since
+    # the scalar add and neg call the array kernels
     f = get_field(3, 1, 3)
     idx = np.arange(f.order, dtype=np.int64)
-    for b in [0, 1, 5, 20]:
-        vec = f.add_arrays(idx, b)
-        for x in range(f.order):
-            assert int(vec[x]) == f.add(x, b)
     powed = f.pow_array(idx, 4)
     for x in range(f.order):
         assert int(powed[x]) == f.pow(x, 4)
-    negd = f.neg_array(idx)
+    for b in [0, 1, 5, 20]:
+        prod = f.mul_array(idx, b)
+        for x in range(f.order):
+            assert int(prod[x]) == f.mul(x, b)
+
+
+@pytest.mark.parametrize(
+    "p, s, m", [(3, 2, 1), (5, 1, 2), (3, 1, 3), (7, 1, 2), (3, 2, 2), (11, 1, 2), (2, 3, 2)]
+)
+def test_addition_matches_the_digitwise_reference(p, s, m):
+    """F_9, F_25, F_27, F_49, F_81, F_121 and F_64: every pair, zero operands
+    and a = -b included, whole-array and scalar."""
+    f = get_field(p, s, m)
+    n, idx = f.n, np.arange(f.order, dtype=np.int64)
+    a, b = np.meshgrid(idx, idx, indexing="ij")
+    expect = digit_add(a, b, p, n)
+    assert np.array_equal(f.add_arrays(a, b), expect)
+    assert np.array_equal(f.add_arrays(idx[:, None], idx), expect)
+    assert np.array_equal(f.add_arrays(idx, 0), idx)
+    assert np.array_equal(f.add_arrays(0, idx), idx)
+    neg = digit_neg(idx, p, n)
+    assert np.array_equal(f.neg_array(idx), neg)
+    assert not f.add_arrays(idx, neg).any()
     for x in range(f.order):
-        assert int(negd[x]) == f.neg(x)
+        assert f.neg(x) == neg[x]
+        for y in range(f.order):
+            assert f.add(x, y) == expect[x, y]
+            assert f.sub(x, y) == expect[x, neg[y]]
+
+
+def test_addition_broadcasts_a_row_block():
+    """The (256, 1) + (N,) shape that the translation check adds."""
+    f = get_field(3, 1, 6)
+    idx = np.arange(f.order, dtype=np.int64)
+    rows = idx[300:556, None]
+    assert np.array_equal(f.add_arrays(rows, idx), digit_add(rows, idx, 3, 6))
 
 
 def test_serialization_round_trip():
@@ -173,6 +204,30 @@ def test_serialization_round_trip():
     s = element_to_string(x)
     assert element_from_string(f, s) == x
     assert s == "1011"  # 37 = 1 + 0*3 + 1*9 + 1*27, little-endian digits
+
+
+@pytest.mark.parametrize("p, s, m", [(13, 1, 1), (11, 1, 2), (3, 1, 4)])
+def test_element_strings_round_trip(p, s, m):
+    # p > 10 writes comma-separated digits, F_13's index 12 as "12"
+    f = get_field(p, s, m)
+    for x in range(f.order):
+        assert element_from_string(f, element_to_string(f.element(x))).index == x
+    with pytest.raises(ValueError):
+        element_from_string(f, "")
+
+
+@pytest.mark.parametrize(
+    "modulus, alpha",
+    [
+        ([2, 1, 2], 3),  # not monic; the arithmetic would reduce by x^2 + x + 2
+        ([1, 0, 2], 4),  # the canonical x^2 + 1 with leading coefficient 2
+        ([1, 2, 0, 1], 4),  # degree 3, the modulus of F_27
+        ([1, 0, 1], 3),  # x has order 4 modulo x^2 + 1, not 8
+    ],
+)
+def test_field_from_dict_rejects_a_noncanonical_field(modulus, alpha):
+    with pytest.raises(ValueError, match=r"F_3\^2"):
+        field_from_dict({"p": 3, "s": 1, "m": 2, "modulus": modulus, "alpha": alpha})
 
 
 def test_modulus_is_minimal_irreducible():
