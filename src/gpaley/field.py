@@ -208,6 +208,14 @@ class FieldTable:
         self.order = params.order
         self.modulus = tuple(int(c) for c in modulus)
         self.alpha = int(alpha)
+        if (len(self.modulus) != self.n + 1 or self.modulus[-1] != 1
+                or not all(0 <= c < self.p for c in self.modulus)):
+            raise ValueError(
+                f"modulus {list(self.modulus)} of F_{self.p}^{self.n} is not monic of "
+                f"degree {self.n} with coefficients in [0, {self.p})"
+            )
+        if not 0 < self.alpha < self.order:
+            raise ValueError(f"alpha {self.alpha} is not a nonzero element of F_{self.p}^{self.n}")
         self._unit_order_factors = factorize(self.order - 1) if self.order > 2 else {}
         self._build_tables()
         self._trace_cache: dict[int, np.ndarray] = {}
@@ -255,7 +263,11 @@ class FieldTable:
         log = np.full(N, -1, dtype=np.int64)
         log[exp] = np.arange(units, dtype=np.int64)
         if np.any(log[1:] < 0):
-            raise CompositeP("alpha does not generate the unit group")  # unreachable
+            # a reducible modulus leaves no cyclic group of order p^n - 1
+            raise ValueError(
+                f"alpha {self.alpha} does not generate the unit group of F_{self.p}^{self.n} "
+                f"modulo {list(self.modulus)}"
+            )
         low = exp % p
         plus_one = np.where(low == p - 1, exp - (p - 1), exp + 1)
         self.exp = exp

@@ -13,6 +13,10 @@ reported as such rather than guessed at.
 
 ``kernel_counts``, ``count_kernel`` and ``exp_sum`` all read the value
 histogram kept on the form, so each form is evaluated over the field once.
+Since Q_{gamma c^(q^ell+1)}(x) = Q_gamma(c x), the histogram is constant on
+each coset gamma S of the nonzero (q^ell + 1)-th powers S; the Klapper sweep
+of ``gpaley.oracles`` evaluates two forms per coset and classifies every
+gamma in closed form.
 """
 
 import math

@@ -164,16 +164,18 @@ class CayleyGraph:
 
     @cached_property
     def translation_invariant(self) -> bool:
-        """A[0, x] = A[0, -x] and A[i, i + x] = A[0, x] for every i and x.
+        """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j.
         Then A is symmetric, A^t[i, j] = A^t[0, j - i] for every t, and row 0
-        of each power fixes all of it (Babai, JCTB 27, 1979)."""
+        of each power fixes all of it (Babai, JCTB 27, 1979). Each block of
+        rows is compared whole with its gather from row 0."""
         fld, row = self.field, self.adjacency[0]
         idx = np.arange(self.n, dtype=np.int64)
-        if not np.array_equal(row[fld.neg_array(idx)], row):
+        neg = fld.neg_array(idx)
+        if not np.array_equal(row[neg], row):
             return False
         for start in range(0, self.n, _ROW_BLOCK):
-            rows = idx[start : start + _ROW_BLOCK, None]
-            if not (self.adjacency[rows, fld.add_arrays(rows, idx)] == row).all():
+            shifts = fld.add_arrays(neg[start : start + _ROW_BLOCK, None], idx)
+            if not np.array_equal(self.adjacency[start : start + _ROW_BLOCK], row[shifts]):
                 return False
         return True
 

@@ -6,7 +6,7 @@ counting runs on adjacency matrices and exact determinants, and only at the
 end are the numbers compared against the formulas. Every graph is a Cayley
 graph on the additive group of the field, so row 0 of A, A^2 and A^3
 (``CayleyGraph.walk_rows``, exact int64 counts) fixes those powers once
-``CayleyGraph.translation_invariant`` has checked A[i, i + x] = A[0, x]
+``CayleyGraph.translation_invariant`` has checked A[i, j] = A[0, j - i]
 entry by entry; the walk, srg and girth kernels read row 0, require that
 check, and sum their products in Python integers. No float enters them.
 Tree counts are Laplacian determinants computed modulo primes p with
@@ -314,6 +314,8 @@ class VerificationReport:
     checks: list[CheckResult] = dc_field(default_factory=list)
     # (check name, budget kind, limit) of every check left out for size
     skipped: list[tuple[str, str, int]] = dc_field(default_factory=list)
+    # seconds of build_graph for the primal graph and its complement
+    build_seconds: tuple[float, float] = (0.0, 0.0)
 
     @property
     def ok(self) -> bool:
@@ -327,6 +329,7 @@ class VerificationReport:
             "spec": self.spec.to_json(),
             "label": self.spec.label(),
             "ok": self.ok,
+            "build_seconds": [round(t, 6) for t in self.build_seconds],
             "checks": [c.to_json() for c in self.checks],
             "skipped": [
                 {"name": name, "budget": kind, "limit": limit}
@@ -364,17 +367,22 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     """Every applicable cross-check of brute force against closed forms for
     one primal family member: parameter counting, the A^2 identity, walk
     counts, tree counts (size permitting), diameter / components, girth,
-    spectrum moments, the quadratic-form classification against kernel
-    counting for every gamma, Waring witnesses, the Ramanujan inequality,
-    the coset decomposition of the complement, and arc-transitivity
-    witnesses on small graphs. Failures are recorded, never thrown; checks
-    left out for size are listed in the report's ``skipped``."""
+    spectrum moments, the quadratic-form classification of every gamma
+    against kernel counting on two members of each coset of S, Waring
+    witnesses, the Ramanujan inequality, the coset decomposition of the
+    complement, and arc-transitivity witnesses on small graphs. Failures are
+    recorded, never thrown; checks left out for size are listed in the
+    report's ``skipped``, and the seconds of the two graph builds in its
+    ``build_seconds``."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     suite = _Suite(spec)
     # the cap that admits the graphs admits the Waring witnesses too
     cap = budget("graph", max_order)
+    t0 = time.perf_counter()
     g = build_graph(spec, max_order=cap)
+    t1 = time.perf_counter()
     gbar = build_graph(spec.complement(), max_order=cap)
+    suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
     degenerate = (spec.q, spec.m, spec.ell) == (2, 2, 1)
 
     _structure_checks(suite, g, gbar)
@@ -472,31 +480,44 @@ def _moment_checks(suite, spec):
 
 
 def _klapper_checks(suite, g):
-    """For every nonzero gamma: the closed rank/type classification must
-    match what exhaustive kernel counting reverse-engineers, and the
-    integral character sum must equal type * q^(m - rank/2). Each form goes
-    through the public kernels of ``gpaley.forms``, which evaluate it over
-    the field once. A gamma whose counts fit no form is a mismatch, and the
-    sweep goes on; it reports the mismatching gammas."""
+    """The closed rank/type classification of every nonzero gamma against
+    exhaustive kernel counting. Q_{gamma c^e}(x) = Q_gamma(c x) with
+    e = q^ell + 1, so the value histogram and the character sum are constant
+    on each coset of S = <alpha^g>. The first and last member of each coset
+    alpha^j S, alpha^j and alpha^(j + N - 1 - g), go through the public
+    kernels of ``gpaley.forms`` and must agree; each gamma's closed class and
+    sum type * q^(m - rank/2) are held to those of its coset, log(gamma) mod
+    g. A coset whose members disagree, or whose counts fit no form, makes
+    each of its gammas a mismatch, and the sweep goes on; it reports the
+    mismatching gammas."""
     spec, fld = g.spec, g.field
+    units = spec.order - 1
+    cosets = units // g.k
     low_rank = []
 
+    def coset_class(j):
+        """(counted class, character sum) of alpha^j S, or None."""
+        forms = [TraceForm(fld, int(fld.exp[log]), spec.ell) for log in (j, j + units - cosets)]
+        try:
+            (counts, t_sum), last = [(kernel_counts(f), exp_sum(f)) for f in forms]
+            if (counts, t_sum) == last:
+                return class_from_counts(spec.q, spec.m, counts), t_sum
+        except (OutOfTheory, UnbalancedCounts):
+            pass
+        return None
+
     def sweep():
+        counted = [coset_class(j) for j in range(cosets)]
         mismatches = []
         low = 0
         d = math.gcd(spec.m, spec.ell)
         for gamma in range(1, spec.order):
-            form = TraceForm(fld, gamma, spec.ell)
-            closed = classify_form(form)
-            try:
-                counted = class_from_counts(spec.q, spec.m, kernel_counts(form))
-                t_sum = exp_sum(form) if counted == closed else None
-            except (OutOfTheory, UnbalancedCounts):
-                counted = t_sum = None
+            closed = classify_form(TraceForm(fld, gamma, spec.ell))
             t_closed = closed.type_sign * spec.q ** (spec.m - closed.rank // 2)
-            if counted != closed or t_sum != t_closed:
+            coset = counted[int(fld.log[gamma]) % cosets]
+            if coset != (closed, t_closed):
                 mismatches.append(gamma)
-            if counted == closed and closed.rank == spec.m - 2 * d:
+            if coset is not None and coset[0] == closed and closed.rank == spec.m - 2 * d:
                 low += 1
         low_rank.append(low)
         return mismatches

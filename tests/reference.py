@@ -2,9 +2,10 @@
 
 Field addition here works on the base-p digits of the element indices,
 which are the coefficients of the residue polynomials, so it shares
-nothing with the library's XOR and Zech-logarithm kernels. The Bareiss
-determinant is exact in Python integers and is what the multi-modular
-determinant is tested against.
+nothing with the library's XOR and Zech-logarithm kernels; the
+translation check below is built on it. The Bareiss determinant is exact in
+Python integers and is what the multi-modular determinant is tested
+against.
 """
 
 import numpy as np
@@ -23,6 +24,21 @@ def digit_add(a, b, p: int, n: int) -> np.ndarray:
 def digit_neg(a, p: int, n: int) -> np.ndarray:
     """Index of -a: every digit negated mod p."""
     return (-_digits(a, p, n) % p) @ p ** np.arange(n)
+
+
+def translation_invariant(adj, p: int, n: int) -> bool:
+    """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j, one
+    entry at a time, with j - i taken digit by digit."""
+    adj = np.asarray(adj, dtype=bool)
+    idx = np.arange(len(adj))
+    row, neg = adj[0].tolist(), digit_neg(idx, p, n).tolist()
+    if any(row[x] != row[neg[x]] for x in idx.tolist()):
+        return False
+    for i, a_i in enumerate(adj.tolist()):
+        # entry j of the shifted row is A[0, j - i]
+        if a_i != [row[d] for d in digit_add(idx, neg[i], p, n).tolist()]:
+            return False
+    return True
 
 
 def bareiss_determinant(mat) -> int:

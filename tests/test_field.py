@@ -4,6 +4,7 @@ import pytest
 from gpaley.errors import BudgetExceeded, CompositeP, NotASubfield, ZeroElement
 from gpaley.field import (
     FieldParams,
+    FieldTable,
     build_field,
     element_from_string,
     element_order,
@@ -228,6 +229,35 @@ def test_element_strings_round_trip(p, s, m):
 def test_field_from_dict_rejects_a_noncanonical_field(modulus, alpha):
     with pytest.raises(ValueError, match=r"F_3\^2"):
         field_from_dict({"p": 3, "s": 1, "m": 2, "modulus": modulus, "alpha": alpha})
+
+
+@pytest.mark.parametrize(
+    "modulus, alpha",
+    [
+        ((2, 1, 2), 4),  # not monic; the arithmetic would reduce by x^2 + x + 2
+        ((1, 0, 2), 4),  # the canonical x^2 + 1 with leading coefficient 2
+        ((1, 2, 0, 1), 4),  # degree 3, the modulus of F_27
+        ((1, 0), 1),  # degree 1
+        ((4, 0, 1), 4),  # a coefficient outside F_3
+        ((2, 0, 1), 4),  # x^2 - 1 = (x - 1)(x + 1) is reducible
+        ((0, 0, 1), 4),  # x^2 is reducible
+        ((1, 0, 1), 3),  # x has order 4 modulo x^2 + 1, not 8
+        ((1, 0, 1), 0),  # zero
+        ((1, 0, 1), 9),  # not an element index
+    ],
+)
+def test_field_table_rejects_a_modulus_or_alpha_that_defines_no_field(modulus, alpha):
+    with pytest.raises(ValueError, match=r"F_3\^2"):
+        FieldTable(FieldParams(3, 1, 2), modulus, alpha)
+
+
+def test_field_table_accepts_any_primitive_alpha():
+    f = get_field(3, 1, 2)
+    assert (f.modulus, f.alpha) == ((1, 0, 1), 4)
+    same = FieldTable(f.params, f.modulus, f.alpha)
+    assert np.array_equal(same.exp, f.exp) and np.array_equal(same.zech, f.zech)
+    other = FieldTable(f.params, f.modulus, f.exp[3])  # alpha^3, also primitive
+    assert np.array_equal(other.exp, f.exp[(3 * np.arange(8)) % 8])
 
 
 def test_modulus_is_minimal_irreducible():

@@ -11,6 +11,7 @@ import gpaley.field
 import gpaley.forms
 import gpaley.oracles
 from gpaley.applications import verify_waring, waring_number
+from gpaley.arith import gcd_power
 from gpaley.errors import (
     BudgetExceeded,
     DisconnectedComponentsFound,
@@ -31,15 +32,16 @@ from gpaley.oracles import (
     verify_a2_identity,
 )
 from gpaley.spectra import closed_walks, spanning_trees
-from reference import bareiss_determinant
+from reference import bareiss_determinant, translation_invariant
 
 
-def _two_switch(g):
+def _two_switch(g, rows=None):
     """A copy of g with edges (a, b), (c, d) switched to (a, d), (c, b), all
-    four vertices non-neighbors of 0: every degree and row 0 of A^2 stay as
-    they were, so only the translation check can tell."""
+    four vertices non-neighbors of 0 (and inside ``rows``, a range, if
+    given): every degree and row 0 of A^2 stay as they were, so only the
+    translation check can tell."""
     adj = g.adjacency.copy()
-    outside = [int(v) for v in np.flatnonzero(~adj[0])[1:]]
+    outside = [int(v) for v in np.flatnonzero(~adj[0])[1:] if rows is None or v in rows]
     for a, b, c, d in itertools.permutations(outside, 4):
         if adj[a, b] and adj[c, d] and not (adj[a, d] or adj[c, b]):
             adj[[a, b, c, d], [b, a, d, c]] = False
@@ -123,6 +125,7 @@ def test_kernels_refuse_a_switched_adjacency(spec):
     assert (switched.adjacency.sum(axis=1) == g.k).all()
     assert np.array_equal(switched.walk_rows[1], g.walk_rows[1])
     assert not switched.translation_invariant
+    assert not translation_invariant(switched.adjacency, spec.p, g.field.n)
     with pytest.raises(InternalCheckError):
         count_srg_params(switched)
     for r in range(2, 7):
@@ -131,6 +134,30 @@ def test_kernels_refuse_a_switched_adjacency(spec):
     with pytest.raises(InternalCheckError):
         girth_bruteforce(switched)
     assert not verify_a2_identity(switched, count_srg_params(g))
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1),
+                                  GraphSpec(7, 1, 4, 2)])
+@pytest.mark.parametrize("complemented", [False, True])
+def test_translation_check_matches_the_entrywise_reference(spec, complemented):
+    g = build_graph(dataclasses.replace(spec, complemented=complemented))
+    assert g.translation_invariant
+    assert translation_invariant(g.adjacency, spec.p, g.field.n)
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [
+        (GraphSpec(7, 1, 4, 2), range(2304, 2401)),  # the last, partial block of 256 rows
+        (GraphSpec(2, 1, 12, 1), range(2048, 2304)),  # a block in the middle
+    ],
+)
+def test_translation_check_reads_every_row_block(spec, rows):
+    g = build_graph(spec)
+    switched = _two_switch(g, rows)
+    changed = np.flatnonzero((switched.adjacency != g.adjacency).any(axis=1))
+    assert len(changed) == 4 and set(changed.tolist()) <= set(rows)
+    assert not switched.translation_invariant
 
 
 @pytest.mark.parametrize("spec", _SWITCHED)
@@ -401,6 +428,61 @@ def test_klapper_sweep_reaches_the_form_kernels(monkeypatch, kernel):
         checks = {c.name: c for c in report.checks}
         assert checks["klapper-vs-kernel-counts"].observed == list(range(1, 16))
         assert not any("IndexError" in str(c.observed) for c in report.checks)
+
+
+def _coset_logs(spec):
+    """Per coset alpha^j S of S = <alpha^g>: the logs of its members."""
+    units = spec.order - 1
+    cosets = gcd_power(spec.q, spec.m, spec.ell)
+    return [list(range(j, units, cosets)) for j in range(cosets)]
+
+
+@pytest.mark.parametrize(
+    "spec, forms",
+    [
+        (GraphSpec(2, 1, 4, 1), 6),  # g = gcd(15, 3) = 3
+        (GraphSpec(3, 1, 4, 1), 8),  # g = gcd(80, 4) = 4
+        (GraphSpec(2, 1, 6, 3), 18),  # g = gcd(63, 9) = 9
+        (GraphSpec(2, 1, 2, 1), 6),  # g = 3 cosets of S = {1}: each member twice
+    ],
+)
+def test_klapper_sweep_evaluates_two_forms_per_coset(monkeypatch, spec, forms):
+    # the first and last member of each coset alpha^j S, in order of j
+    calls = []
+
+    def recording(form):
+        calls.append(form.gamma)
+        return gpaley.forms.kernel_counts(form)
+
+    monkeypatch.setattr(gpaley.oracles, "kernel_counts", recording)
+    assert run_suite(spec).ok
+    fld = get_field(spec.p, spec.s, spec.m)
+    assert len(calls) == forms
+    assert calls == [int(fld.exp[coset[t]]) for coset in _coset_logs(spec) for t in (0, -1)]
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
+@pytest.mark.parametrize("kernel", sorted(_CORRUPTED_FORM_KERNELS))
+def test_klapper_sweep_names_the_coset_of_a_corrupted_last_member(monkeypatch, spec, kernel):
+    # a fault on the last member of one coset alone must name exactly the
+    # gammas of that coset; the low-rank count loses that coset's gammas
+    fld = get_field(spec.p, spec.s, spec.m)
+    low_rank = spec.m - 2 * math.gcd(spec.m, spec.ell)
+    original, corrupted = getattr(gpaley.oracles, kernel), _CORRUPTED_FORM_KERNELS[kernel]
+    for coset in _coset_logs(spec):
+        last = int(fld.exp[coset[-1]])
+        monkeypatch.setattr(
+            gpaley.oracles, kernel,
+            lambda form, *args: (corrupted if form.gamma == last else original)(form, *args),
+        )
+        checks = {c.name: c for c in run_suite(spec).checks}
+        assert checks["klapper-vs-kernel-counts"].observed == sorted(
+            int(fld.exp[log]) for log in coset
+        )
+        lost = gpaley.forms.classify_form(gpaley.forms.TraceForm(fld, last, spec.ell))
+        assert checks["klapper-low-rank-multiplicity"].passed == (lost.rank != low_rank)
+        failed = {name for name, c in checks.items() if not c.passed}
+        assert failed <= {"klapper-vs-kernel-counts", "klapper-low-rank-multiplicity"}
 
 
 def test_crashed_klapper_sweep_leaves_no_multiplicity(monkeypatch):
