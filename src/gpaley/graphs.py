@@ -9,6 +9,7 @@ nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -244,12 +245,15 @@ def build_graph(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"
         )
     primal = connection_set(replace(spec, complemented=False), field)
-    adj = np.zeros((N, N), dtype=bool)
+    # A gets its own zeroed pages from the OS rather than a block of malloc's
+    # heap, so dropping a graph hands them back at once and the memory held
+    # follows the graphs alive, not the order in which graphs were built
+    adj = np.frombuffer(mmap.mmap(-1, N * N), dtype=bool).reshape(N, N)
     idx = np.arange(N, dtype=np.int64)
     for s_elem in np.flatnonzero(primal.members):
         adj[idx, field.add_arrays(idx, int(s_elem))] = True
     if spec.complemented:
-        adj = ~adj
+        np.logical_not(adj, out=adj)
         np.fill_diagonal(adj, False)
     g = CayleyGraph(spec, field, connection_set(spec, field), adj)
     # a translation invariant A is symmetric with every row a shift of row 0,

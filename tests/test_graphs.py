@@ -147,6 +147,10 @@ def test_complement_build():
     np.fill_diagonal(both, True)
     assert both.all()
     assert not (g.adjacency & gbar.adjacency).any()
+    for graph in (g, gbar):
+        adj = graph.adjacency
+        assert adj.dtype == bool and adj.shape == (16, 16)
+        assert adj.flags.c_contiguous and adj.flags.writeable
 
 
 def test_directed_rejected():
