@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .applications import family_table, ihara_zeta, is_ramanujan, waring_number, zeta_json
@@ -198,6 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``dispatch`` reuses: built on the first call, and a parse
+    leaves no state on it."""
+    return build_parser()
+
+
 def _subject(args, verb: Verb):
     """The field parameters or spec the arguments name (None for tables);
     raises ValueError or CompositeP on a bad argument value."""
@@ -222,7 +230,7 @@ def _emit(args, text: str) -> None:
 
 
 def dispatch(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     verb = VERBS[args.verb]
     try:
         subject = _subject(args, verb)

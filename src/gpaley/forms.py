@@ -49,8 +49,10 @@ class TraceForm:
         """{value index: count} of Q over the field, one entry per element of
         the q-element subfield; computed at most once per form object."""
         fld = self.field
-        counts = np.bincount(form_values(self), minlength=fld.order)
-        out = {int(x): int(counts[x]) for x in fld.subfield_indices(fld.params.s)}
+        values = fld.subfield_indices(fld.params.s)
+        counts = np.bincount(_unit_values(self), minlength=int(values[-1]) + 1)
+        counts[0] += 1  # Q(0) = 0
+        out = {int(x): int(counts[x]) for x in values}
         if sum(out.values()) != fld.order:
             raise InternalCheckError("form took a value outside the subfield")
         return out
@@ -99,17 +101,23 @@ def evaluate_form(f: TraceForm, x) -> FieldElement:
     return fld.element(tr)
 
 
-def form_values(f: TraceForm) -> np.ndarray:
-    """Q over the whole field as an index array, Q(x) at index x, in one
-    exhaustive pass in the log domain: for x = alpha^i,
-    gamma x^e = alpha^(log gamma + e*i), and Q(0) = 0."""
+def _unit_values(f: TraceForm) -> np.ndarray:
+    """Q(alpha^i) at position i, in one exhaustive pass in the log domain:
+    gamma (alpha^i)^e = alpha^(log gamma + e*i)."""
     fld = f.field
     trace = fld.trace_map(fld.params.s)  # cached per field; built before the arrays below
     units, log_gamma = fld.order - 1, int(fld.log[f.gamma])
     step = (f.exponent - 1) % units + 1  # e mod (N - 1) in 1..N-1: a nonzero step
     logs = np.arange(log_gamma, log_gamma + step * units, step, dtype=np.int64) % units
+    return trace[fld.exp[logs]]
+
+
+def form_values(f: TraceForm) -> np.ndarray:
+    """Q over the whole field as an index array, Q(x) at index x, and
+    Q(0) = 0."""
+    fld = f.field
     out = np.zeros(fld.order, dtype=np.int64)
-    out[fld.exp] = trace[fld.exp[logs]]
+    out[fld.exp] = _unit_values(f)
     return out
 
 

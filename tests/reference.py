@@ -3,7 +3,7 @@
 Field addition here works on the base-p digits of the element indices,
 which are the coefficients of the residue polynomials, so it shares
 nothing with the library's XOR and Zech-logarithm kernels; the
-translation check below is built on it. The Bareiss determinant is exact in
+translation check and the trace map below are built on it. The Bareiss determinant is exact in
 Python integers and is what the multi-modular determinant is tested
 against.
 """
@@ -24,6 +24,19 @@ def digit_add(a, b, p: int, n: int) -> np.ndarray:
 def digit_neg(a, p: int, n: int) -> np.ndarray:
     """Index of -a: every digit negated mod p."""
     return (-_digits(a, p, n) % p) @ p ** np.arange(n)
+
+
+def frobenius_trace_map(fld, t: int, f: int) -> np.ndarray:
+    """sum_{j < f/t} x^(p^(t j)) at every index x of the field table ``fld``,
+    by f/t - 1 whole-array Frobenius passes through its exp and log tables,
+    added digit by digit."""
+    p, n, units = fld.p, fld.n, fld.order - 1
+    idx = np.arange(fld.order, dtype=np.int64)
+    acc = y = idx
+    for _ in range(f // t - 1):
+        y = np.where(y == 0, 0, fld.exp[(fld.log[y] * p**t) % units])
+        acc = digit_add(acc, y, p, n)
+    return acc
 
 
 def translation_invariant(adj, p: int, n: int) -> bool:

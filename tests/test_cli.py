@@ -331,3 +331,42 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: broken closed form\n"
+
+
+_SRG = ["srg", "--p", "3", "--m", "4", "--ell", "1"]
+
+
+def test_same_argv_twice_gives_the_same_output(capsys):
+    # dispatch reuses one parser: a parse must leave nothing behind on it
+    for argv in (_SRG, ["tables", "--family", "3", "--format", "csv"],
+                 ["walks", "--p", "2", "--m", "4", "--ell", "1", "--r", "5", "--complement"]):
+        first, second = _run(capsys, *argv), _run(capsys, *argv)
+        assert first[0] == 0 and first == second
+
+
+@pytest.mark.parametrize(
+    "bad", [["srg", "--p", "3", "--m", "4"], ["walks", "--p", "2", "--m", "4", "--ell", "1", "--r", "0"]]
+)
+def test_usage_error_leaves_the_next_call_unaffected(bad, capsys):
+    code, good = _run(capsys, *_SRG)
+    assert code == 0
+    try:
+        assert dispatch(bad) == 2
+    except SystemExit as exc:
+        assert exc.code == 2
+    capsys.readouterr()
+    assert _run(capsys, *_SRG) == (0, good)
+
+
+def test_parser_is_built_once_across_calls(monkeypatch, capsys):
+    builds = []
+    real = gpaley.cli.build_parser
+    monkeypatch.setattr(gpaley.cli, "build_parser", lambda: builds.append(1) or real())
+    gpaley.cli._parser.cache_clear()
+    try:
+        for argv in (_SRG, ["spectrum", "--p", "2", "--m", "4", "--ell", "1"], _SRG):
+            assert _run(capsys, *argv)[0] == 0
+        assert len(builds) == 1
+        assert gpaley.cli.build_parser() is not gpaley.cli.build_parser()
+    finally:
+        gpaley.cli._parser.cache_clear()

@@ -14,7 +14,7 @@ from gpaley.field import (
     get_field,
     trace,
 )
-from reference import digit_add, digit_neg
+from reference import digit_add, digit_neg, frobenius_trace_map
 
 
 def test_build_f16():
@@ -93,6 +93,22 @@ def test_trace_linear_and_surjective():
                 assert int(tr[f.mul(c, x)]) == f.mul(c, int(tr[x]))
         # each fiber has the same size
         assert np.bincount(tr, minlength=p).tolist() == [f.order // p] * p
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 8), (2, 2, 4), (3, 1, 6), (3, 2, 2), (5, 1, 4), (7, 1, 3)])
+def test_trace_map_matches_the_frobenius_reference(p, s, m):
+    # the map built from n basis images, on every index and every t | f | n,
+    # and the scalar trace on every element of the degree-f subfield
+    fld = get_field(p, s, m)
+    for f in (f for f in range(1, fld.n + 1) if fld.n % f == 0):
+        for t in (t for t in range(1, f + 1) if f % t == 0):
+            tr = fld.trace_map(t, f)
+            assert tr.dtype == np.int64
+            assert np.array_equal(tr, frobenius_trace_map(fld, t, f))
+            assert all(
+                int(tr[x]) == trace(fld.element(x), f, t).index
+                for x in fld.subfield_indices(f).tolist()
+            )
 
 
 def test_element_order_examples():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import gpaley.forms
@@ -48,7 +49,10 @@ def test_kernel_counts_partition():
         assert count_kernel(TraceForm(f, gamma, 1), 0) == counts[0]
 
 
-@pytest.mark.parametrize("p,s,m,ell", [(2, 1, 4, 1), (3, 1, 4, 1), (2, 2, 4, 1), (2, 1, 8, 2)])
+_FORM_FIELDS = [(2, 1, 4, 1), (3, 1, 4, 1), (2, 2, 4, 1), (2, 1, 8, 2)]
+
+
+@pytest.mark.parametrize("p,s,m,ell", _FORM_FIELDS)
 def test_form_values_match_pointwise_evaluation(p, s, m, ell):
     # the log-domain pass against the scalar evaluation, for every gamma and x
     f = get_field(p, s, m)
@@ -61,12 +65,24 @@ def test_form_values_match_pointwise_evaluation(p, s, m, ell):
         assert {xi: count_kernel(form, xi) for xi in counts} == counts
 
 
+@pytest.mark.parametrize("p,s,m,ell", _FORM_FIELDS)
+def test_histogram_is_the_bincount_of_the_form_values(p, s, m, ell):
+    # the one-pass histogram against the values in index order, Q(0) included
+    f = get_field(p, s, m)
+    values = f.subfield_indices(s)
+    for gamma in range(1, f.order):
+        form = TraceForm(f, gamma, ell)
+        counts = np.bincount(form_values(form), minlength=f.order)
+        assert form.histogram == {int(x): int(counts[x]) for x in values}
+        assert counts[values].sum() == f.order  # every value lies in F_q
+
+
 def test_each_form_is_evaluated_once(monkeypatch):
     f = get_field(2, 1, 4)
     exp_sum(TraceForm(f, 1, 1))  # builds the field's trace maps
     calls = []
-    real = gpaley.forms.form_values
-    monkeypatch.setattr(gpaley.forms, "form_values", lambda form: calls.append(form) or real(form))
+    real = gpaley.forms._unit_values
+    monkeypatch.setattr(gpaley.forms, "_unit_values", lambda form: calls.append(form) or real(form))
 
     def no_power_map(*args):
         raise AssertionError("a form rebuilt a whole-field power map")

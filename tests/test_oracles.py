@@ -485,6 +485,29 @@ def test_klapper_sweep_names_the_coset_of_a_corrupted_last_member(monkeypatch, s
         assert failed <= {"klapper-vs-kernel-counts", "klapper-low-rank-multiplicity"}
 
 
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
+def test_klapper_sweep_reads_the_built_trace_map(monkeypatch, spec):
+    # Q_gamma reads the trace map at gamma x^(q^ell+1) only, on the coset
+    # gamma S; one wrong entry at y must name exactly the gammas of y's coset
+    fld = get_field(spec.p, spec.s, spec.m)
+    built = fld.trace_map(spec.s)
+    values = fld.subfield_indices(spec.s).tolist()
+    for coset in _coset_logs(spec):
+        y = int(fld.exp[coset[-1]])
+        corrupted = built.copy()
+        corrupted[y] = next(v for v in values if v != built[y])
+        monkeypatch.setitem(fld._trace_cache, (fld.n, spec.s), corrupted)
+        checks = {c.name: c for c in run_suite(spec).checks}
+        assert checks["klapper-vs-kernel-counts"].observed == sorted(
+            int(fld.exp[log]) for log in coset
+        )
+        failed = {name for name, c in checks.items() if not c.passed}
+        assert "klapper-vs-kernel-counts" in failed
+        assert failed <= {"klapper-vs-kernel-counts", "klapper-low-rank-multiplicity"}
+    monkeypatch.undo()
+    assert run_suite(spec).ok
+
+
 def test_crashed_klapper_sweep_leaves_no_multiplicity(monkeypatch):
     def crash(form):
         raise RuntimeError("classification crashed")
