@@ -158,14 +158,6 @@ def exact_div(a: int, b: int) -> int:
     return d
 
 
-def exact_isqrt(n: int) -> int:
-    """Integer square root that insists n is a perfect square."""
-    r = math.isqrt(n)
-    if r * r != n:
-        raise InternalCheckError(f"{n} is not a perfect square")
-    return r
-
-
 def int_to_str(n: int) -> str:
     """Decimal string of n, equal to str(n) but free of the interpreter's
     digit limit, which it leaves as it is (tree counts legitimately run to

@@ -315,9 +315,6 @@ class FieldTable:
             return 0
         return int(self.exp[(int(self.log[a]) * e) % (self.order - 1)])
 
-    def frobenius(self, a: int, i: int = 1) -> int:
-        return self.pow(a, self.p**i)
-
     # -- vectorized arithmetic on index arrays ------------------------------
 
     def add_arrays(self, a: np.ndarray, b) -> np.ndarray:
@@ -386,13 +383,17 @@ class FieldTable:
         if f % t or self.n % f:
             raise NotASubfield(f"need to | from | n, got {t} | {f} | {self.n}")
         if (f, t) not in self._trace_cache:
-            basis = self.p ** np.arange(self.n, dtype=np.int64)
-            acc = np.zeros(self.order, dtype=np.int64)
-            for size, image in zip(basis.tolist(), self._frobenius_sum(basis, t, f // t).tolist()):
-                for d in range(1, self.p):
-                    acc[d * size : (d + 1) * size] = self.add_arrays(
-                        acc[(d - 1) * size : d * size], image
-                    )
+            if f == t:  # a single Frobenius iterate: the identity
+                acc = np.arange(self.order, dtype=np.int64)
+            else:
+                basis = self.p ** np.arange(self.n, dtype=np.int64)
+                images = self._frobenius_sum(basis, t, f // t).tolist()
+                acc = np.zeros(self.order, dtype=np.int64)
+                for size, image in zip(basis.tolist(), images):
+                    for d in range(1, self.p):
+                        acc[d * size : (d + 1) * size] = self.add_arrays(
+                            acc[(d - 1) * size : d * size], image
+                        )
             if f == self.n and not np.array_equal(self.pow_array(acc, self.p**t), acc):
                 raise NotASubfield("trace image escaped the target subfield")  # unreachable
             self._trace_cache[(f, t)] = acc

@@ -7,9 +7,12 @@ A form of even rank r and type eps has value counts
     N(xi) = q^(m-1) + eps * nu(xi) * q^(m - r/2 - 1),
 
 with nu(0) = q - 1 and nu(xi) = -1 otherwise, and its character sum equals
-eps * q^(m - r/2). Ranks here always land in {m, m - 2*(m,ell)} when
-m/(m,ell) is even; odd m/(m,ell) is outside the classification and is
-reported as such rather than guessed at.
+eps * q^(m - r/2). When m_ell = m/(m,ell) is even, one rule classifies
+every form (``classify_form``): with eps = (-1)^(m_ell/2) and
+L = q^(m,ell) + 1, the form of gamma = alpha^t has rank m - 2(m,ell) and
+type -eps when t = L/2 mod L (odd q, eps = -1) or t = 0 mod L (otherwise),
+and rank m and type eps for every other gamma. Odd m_ell is outside the
+classification and is reported as such rather than guessed at.
 
 ``kernel_counts``, ``count_kernel`` and ``exp_sum`` all read the value
 histogram kept on the form, so each form is evaluated over the field once.
@@ -25,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import gcd_power
 from .errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
 from .field import FieldElement, FieldTable
 
@@ -58,26 +60,8 @@ class TraceForm:
         return out
 
     @property
-    def q(self) -> int:
-        return self.field.params.q
-
-    @property
-    def m(self) -> int:
-        return self.field.params.m
-
-    @property
     def exponent(self) -> int:
-        return self.q**self.ell + 1
-
-    @property
-    def m_ell(self) -> int:
-        return self.m // math.gcd(self.m, self.ell) if self.ell else 1
-
-    @property
-    def eps_ell(self) -> int:
-        if self.m_ell % 2:
-            raise OutOfTheory(f"m_ell = {self.m_ell} is odd")
-        return -1 if (self.m_ell // 2) % 2 else 1
+        return self.field.params.q**self.ell + 1
 
 
 @dataclass(frozen=True)
@@ -157,40 +141,23 @@ def exp_sum(f: TraceForm, a=1) -> int:
 
 
 def classify_form(f: TraceForm) -> FormClass:
-    """Closed-form rank/type classification.
+    """Closed-form rank/type classification, for m_ell = m/(m,ell) even.
 
-    Even q: gamma a (q^ell+1)-th power gives rank m - 2(m,ell) and type
-    -eps_ell; otherwise rank m and type eps_ell, with
-    eps_ell = (-1)^(m_ell/2).
-
-    Odd q, writing gamma = alpha^t and L = q^(m,ell) + 1:
-    eps_ell = +1 and t = 0 mod L      -> (m - 2(m,ell), -1)
-    eps_ell = +1 otherwise            -> (m, +1)
-    eps_ell = -1 and t = L/2 mod L    -> (m - 2(m,ell), +1)
-    eps_ell = -1 otherwise            -> (m, -1)
-    """
-    if f.m_ell % 2:
-        raise OutOfTheory(f"no closed classification for odd m_ell = {f.m_ell}")
-    fld = f.field
-    q, m = f.q, f.m
+    With eps = (-1)^(m_ell/2), L = q^(m,ell) + 1 and gamma = alpha^t, the
+    form has the low rank m - 2(m,ell) and type -eps exactly when
+    t = c mod L, where c = L/2 for odd q with eps = -1 and c = 0 otherwise
+    (for even q, gamma is then a (q^ell+1)-th power); every other form has
+    rank m and type eps."""
+    q, m = f.field.params.q, f.field.params.m
     d = math.gcd(m, f.ell)
-    eps = f.eps_ell
-    low_rank = m - 2 * d
-    if q % 2 == 0:
-        g = gcd_power(q, m, f.ell)
-        in_powers = int(fld.log[f.gamma]) % g == 0
-        if in_powers:
-            return FormClass(low_rank, -eps)
-        return FormClass(m, eps)
-    t = int(fld.log[f.gamma])
+    if (m // d) % 2:
+        raise OutOfTheory(f"no closed classification for odd m_ell = {m // d}")
+    eps = -1 if (m // d // 2) % 2 else 1
     L = q**d + 1
-    if eps == 1:
-        if t % L == 0:
-            return FormClass(low_rank, -1)
-        return FormClass(m, 1)
-    if t % L == L // 2:
-        return FormClass(low_rank, 1)
-    return FormClass(m, -1)
+    c = L // 2 if q % 2 and eps == -1 else 0
+    if int(f.field.log[f.gamma]) % L == c:
+        return FormClass(m - 2 * d, -eps)
+    return FormClass(m, eps)
 
 
 def class_from_counts(q: int, m: int, counts: dict[int, int]) -> FormClass:

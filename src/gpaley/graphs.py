@@ -79,6 +79,12 @@ class GraphSpec:
         return self.is_proper and 2 * self.ell == self.m
 
     @property
+    def is_degenerate(self) -> bool:
+        """The (2, 2, 1) member: two disjoint edges, whose complement is the
+        4-cycle."""
+        return (self.q, self.m, self.ell) == (2, 2, 1)
+
+    @property
     def eps(self) -> int:
         """Sign (-1)^(m_ell / 2); demands m_ell even."""
         if self.m_ell % 2:
@@ -265,11 +271,8 @@ def build_graph(
 
 def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:
     """All proper members: 1 <= ell <= m/2, ell | m, m/(m,ell) even, ascending."""
-    out = []
-    for ell in range(1, m // 2 + 1):
-        if m % ell == 0 and (m // ell) % 2 == 0:
-            out.append(GraphSpec(p, s, m, ell))
-    return out
+    specs = (GraphSpec(p, s, m, ell) for ell in range(1, m // 2 + 1))
+    return [spec for spec in specs if spec.is_proper]
 
 
 def is_subgraph(a: GraphSpec, b: GraphSpec) -> bool:

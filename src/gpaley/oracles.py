@@ -45,8 +45,6 @@ from .graphs import (
 )
 from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
 
-# Scales tried by the edge-preservation criterion.
-_SCALES = 64
 # Primes for the multi-modular determinant lie below this ceiling (lower
 # for matrices above 2047 rows, where n p^2 < 2^53 asks for it).
 _PRIME_CEILING = 2**21
@@ -383,18 +381,17 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     t1 = time.perf_counter()
     gbar = build_graph(spec.complement(), max_order=cap)
     suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
-    degenerate = (spec.q, spec.m, spec.ell) == (2, 2, 1)
 
     _structure_checks(suite, g, gbar)
-    if not degenerate:
+    if not spec.is_degenerate:
         _srg_checks(suite, g, gbar)
     _walk_checks(suite, g, gbar)
     _tree_checks(suite, g, gbar)
-    _metric_checks(suite, g, gbar, degenerate)
+    _metric_checks(suite, g, gbar)
     _moment_checks(suite, spec)
     _klapper_checks(suite, g)
     _waring_checks(suite, g, cap)
-    _ramanujan_checks(suite, spec, degenerate)
+    _ramanujan_checks(suite, spec)
     _coset_checks(suite, g, gbar)
     _arc_transitivity_checks(suite, g)
     return suite.report
@@ -440,7 +437,7 @@ def _tree_checks(suite, g, gbar):
         )
 
 
-def _metric_checks(suite, g, gbar, degenerate):
+def _metric_checks(suite, g, gbar):
     spec = g.spec
     if spec.is_half:
         root = spec.q ** (spec.m // 2)
@@ -457,7 +454,7 @@ def _metric_checks(suite, g, gbar, degenerate):
     else:
         suite.run("diameter-primal", 2, lambda: bfs_eccentricity(g))
         suite.run("diameter-complement", 2, lambda: bfs_eccentricity(gbar))
-    if not degenerate:
+    if not spec.is_degenerate:
         pairs = [("complement", gbar)]
         if not spec.is_half:
             pairs.insert(0, ("primal", g))
@@ -544,10 +541,10 @@ def _waring_checks(suite, g, cap):
     )
 
 
-def _ramanujan_checks(suite, spec, degenerate):
+def _ramanujan_checks(suite, spec):
     if not spec.is_half:
         suite.run("ramanujan-double-path", True, lambda: is_ramanujan(spec) in (True, False))
-    if not degenerate:
+    if not spec.is_degenerate:
         suite.run("ramanujan-complement", True, lambda: is_ramanujan(spec.complement()))
 
 
@@ -601,7 +598,7 @@ def _arc_transitivity_checks(suite, g):
     suite.run("arc-transitivity-witnesses", True, witness_all_arcs)
 
     def membership_criterion():
-        for a in range(1, min(g.n, _SCALES)):
+        for a in range(1, g.n):
             perm = apply_affine_frobenius(g, a, 0, 0)
             preserves = permutation_preserves_edges(g, perm)
             if preserves != bool(g.connection.members[a]):

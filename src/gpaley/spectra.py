@@ -202,64 +202,41 @@ def eigenvalue_relations_check(spec: GraphSpec) -> list[str]:
 def srg_params(spec: GraphSpec) -> SrgRecord:
     """Strongly-regular parameters (v, k, e, d) plus derived flags.
 
-    ell != m/2: e and d as in ``_core_e_d``, with the complement read off
-    via ebar = v-2-2k+d, dbar = v-2k+e.
-    ell = m/2: disjoint cliques give (v, k, k-1, 0); the complete
-    multipartite complement gives (v, Qk, Q(k-1), Qk) with Q = q^(m/2),
-    k = Q-1. The (2,2,1) tuple (4,1,0,0) is rejected as meaningless."""
-    _require_proper(spec)
-    q, m, ell = spec.q, spec.m, spec.ell
-    v = spec.order
-    if spec.is_half:
-        if (q, m, ell) == (2, 2, 1) and not spec.complemented:
-            raise DegenerateGraph("(2,2,1) has no sensible srg parameters")
-        root = q ** (m // 2)
-        k0 = root - 1
-        if not spec.complemented:
-            v_, k_, e_, d_ = v, k0, k0 - 1, 0
-        else:
-            v_, k_, e_, d_ = v, root * k0, root * (k0 - 1), root * k0
-    else:
-        k = _core_eigenvalues(spec)[0]
-        e, d = _core_e_d(spec)
-        if not spec.complemented:
-            v_, k_, e_, d_ = v, k, e, d
-        else:
-            v_, k_, e_, d_ = v, v - k - 1, v - 2 - 2 * k + d, v - 2 * k + e
-        _check_record_against_spectrum(spec, v_, k_, e_, d_)
-    if (v_ - k_ - 1) * d_ != k_ * (k_ - e_ - 1):
+    (v, k) and the nontrivial eigenvalues r > s are read off the spectrum,
+    and e = k + r + s + rs, d = k + rs (Brouwer and Haemers, Spectra of
+    Graphs, 9.1). Off ell = m/2 that pair is held to the stated form: e and
+    d as in ``_core_e_d`` for the primal graph, and ebar = v-2-2k+d,
+    dbar = v-2k+e from the primal's k, e, d for the complement. The (2,2,1)
+    tuple (4,1,0,0) is rejected as meaningless."""
+    sp = spectrum(spec)
+    if spec.is_degenerate and not spec.complemented:
+        raise DegenerateGraph("(2,2,1) has no sensible srg parameters")
+    v, k = sp.v, sp.k
+    r, s = sp.nontrivial()[0][0], sp.smallest()
+    e, d = k + r + s + r * s, k + r * s
+    if not spec.is_half:
+        e0, d0 = _core_e_d(spec)
+        if spec.complemented:
+            k0 = _core_eigenvalues(spec)[0]
+            e0, d0 = v - 2 - 2 * k0 + d0, v - 2 * k0 + e0
+        if (e, d) != (e0, d0):
+            raise InternalCheckError("srg (e, d) from the spectrum disagree with the stated form")
+    if (v - k - 1) * d != k * (k - e - 1):
         raise InternalCheckError("srg identity (v-k-1)d = k(k-e-1) violated")
-    conference = 2 * k_ + (v_ - 1) * (e_ - d_) == 0
+    conference = 2 * k + (v - 1) * (e - d) == 0
     primitive = not spec.is_half
     connected = spec.complemented or not spec.is_half
     return SrgRecord(
-        v=v_,
-        k=k_,
-        e=e_,
-        d=d_,
+        v=v,
+        k=k,
+        e=e,
+        d=d,
         primitive=primitive,
         conference=conference,
         latin_square=latin_square_class(spec),
         ramanujan=ramanujan_by_inequality(spec) if connected else False,
-        vertex_connectivity=k_ if connected else 0,
+        vertex_connectivity=k if connected else 0,
     )
-
-
-def _check_record_against_spectrum(spec: GraphSpec, v: int, k: int, e: int, d: int) -> None:
-    """The nontrivial eigenvalues must be the roots of
-    x^2 - (e-d)x - (k-d), with the standard multiplicity split."""
-    sp = spectrum(spec)
-    lam2, lam3 = sp.second_largest(), sp.smallest()
-    disc = (e - d) ** 2 + 4 * (k - d)
-    delta = math.isqrt(disc)
-    if delta * delta != disc:
-        raise InternalCheckError("srg discriminant is not a perfect square")
-    if (lam2, lam3) != ((e - d + delta) // 2, (e - d - delta) // 2):
-        raise InternalCheckError("eigenvalues disagree with srg parameters")
-    m_plus = exact_div((v - 1) - exact_div(2 * k + (v - 1) * (e - d), delta), 2)
-    m_minus = (v - 1) - m_plus
-    if (m_plus, m_minus) != (sp.multiplicity(lam2), sp.multiplicity(lam3)):
-        raise InternalCheckError("multiplicities disagree with srg parameters")
 
 
 def intersection_array(spec: GraphSpec) -> IntersectionArray:
@@ -290,7 +267,7 @@ def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
     (u^2, -s(u-1), s^2+3s+u, s(s+1)). Returns (s, u), else None."""
     if spec.complemented or not spec.is_proper or spec.is_half:
         return None
-    if (spec.m_ell // 2) % 2 == 0:
+    if spec.eps == 1:
         return None
     k, ups, mu = _core_eigenvalues(spec)
     s, u = ups, mu - ups
@@ -374,10 +351,10 @@ def invariant_bounds(spec: GraphSpec) -> InvariantBounds:
     _require_proper(spec)
     if spec.is_half and not spec.complemented:
         raise Disconnected("invariants target connected members")
-    if (spec.q, spec.m, spec.ell) == (2, 2, 1):
+    if spec.is_degenerate:
         raise DegenerateGraph("(2,2,1) is excluded from the invariant table")
     q, m, ell = spec.q, spec.m, spec.ell
-    half_odd = (spec.m_ell // 2) % 2 == 1
+    half_odd = spec.eps == -1
     sp = spectrum(spec)
     k = sp.k
     girth = 3

@@ -93,6 +93,18 @@ def test_waring_symbolic_beyond_budget():
     assert cert.g == 2 and cert.witnesses is None
 
 
+def test_verify_waring_refuses_a_certificate_without_witnesses():
+    # nothing to re-evaluate is not a pass; the refusal comes before the
+    # field is read, so F_16 stands in for F_{2^20}
+    cert = waring_number(GraphSpec(2, 1, 20, 1), with_witnesses=False)
+    with pytest.raises(NotApplicable):
+        verify_waring(cert, get_field(2, 1, 4))
+    capped = waring_number(GraphSpec(2, 1, 4, 1), max_order=8)
+    assert capped.witnesses is None
+    with pytest.raises(NotApplicable):
+        verify_waring(capped, get_field(2, 1, 4))
+
+
 # ---------------------------------------------------------------------------
 # Ramanujan classification
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
+from gpaley.graphs import (
+    GraphSpec,
+    apply_affine_frobenius,
+    build_graph,
+    permutation_preserves_edges,
+)
 from gpaley.oracles import (
     bfs_eccentricity,
     count_srg_params,
@@ -533,6 +538,39 @@ def test_arc_witnesses_check_each_scale_once(monkeypatch):
     assert run_suite(spec).ok
     members = np.flatnonzero(build_graph(spec).connection.members).tolist()
     assert calls == [(a, 0, 0) for a in members] + [(a, 0, 0) for a in range(1, 16)]
+
+
+def _arc_checks(g):
+    """The arc-transitivity checks of run_suite on one graph, by name."""
+    suite = gpaley.oracles._Suite(g.spec)
+    gpaley.oracles._arc_transitivity_checks(suite, g)
+    return {c.name: c for c in suite.report.checks}
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
+def test_edge_preservation_tries_every_nonzero_scale(monkeypatch, spec):
+    scales = []
+
+    def recording(g, perm):
+        scales.append(int(perm[1]))  # x -> a x sends 1 to a
+        return permutation_preserves_edges(g, perm)
+
+    monkeypatch.setattr(gpaley.oracles, "permutation_preserves_edges", recording)
+    assert _arc_checks(build_graph(spec))["edge-preservation-criterion"].passed
+    assert scales == list(range(1, spec.order))
+
+
+def test_edge_preservation_reads_every_scale_of_a_256_vertex_graph():
+    # Gamma_{4,4}(1), at the arc budget: one non-member a >= 64 marked as a
+    # member must break the criterion at scale a
+    g = build_graph(GraphSpec(2, 2, 4, 1))
+    a = int(np.flatnonzero(~g.connection.members[64:])[0]) + 64
+    members = g.connection.members.copy()
+    members[a] = True
+    forged = dataclasses.replace(g, connection=dataclasses.replace(g.connection, members=members))
+    check = _arc_checks(forged)["edge-preservation-criterion"]
+    assert not check.passed
+    assert check.observed == f"scale {a} violates the membership criterion"
 
 
 @pytest.mark.parametrize("env", [None, "1024"])

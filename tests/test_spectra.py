@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from gpaley.errors import DegenerateGraph, Disconnected, NotInFamily
+import gpaley.spectra
+from gpaley.applications import ihara_zeta, is_ramanujan, waring_number
+from gpaley.errors import (
+    DegenerateGraph,
+    Disconnected,
+    InternalCheckError,
+    NotApplicable,
+    NotInFamily,
+)
 from gpaley.graphs import GraphSpec, enumerate_family, is_subgraph
 from gpaley.spectra import (
     closed_walks,
@@ -11,6 +19,7 @@ from gpaley.spectra import (
     intersection_array,
     invariant_bounds,
     latin_square_class,
+    ramanujan_by_inequality,
     spanning_trees,
     spectrum,
     srg_params,
@@ -112,6 +121,83 @@ def test_srg_half_cases():
         srg_params(GraphSpec(2, 1, 2, 1))
     # the complement of the degenerate case is the 4-cycle
     assert srg_params(GraphSpec(2, 1, 2, 1, True)).params() == (4, 2, 0, 2)
+
+
+# The result, or the exception type, of each closed form on one spec of each
+# kind: which guard answers first is part of the interface.
+_GUARD_CALLS = {
+    "spectrum": lambda s: spectrum(s).pairs,
+    "srg_params": lambda s: srg_params(s).params(),
+    "intersection_array": lambda s: intersection_array(s).as_tuple(),
+    "invariant_bounds": lambda s: (lambda b: (b.girth, b.clique_exact))(invariant_bounds(s)),
+    "ramanujan_by_inequality": ramanujan_by_inequality,
+    "is_ramanujan": is_ramanujan,
+    "ihara_zeta": lambda s: ihara_zeta(s).square_factor_exponent,
+    "waring_number": lambda s: waring_number(s, with_witnesses=False).g,
+}
+_CONNECTED_ONLY = ("intersection_array", "invariant_bounds", "ramanujan_by_inequality",
+                   "is_ramanujan", "ihara_zeta")
+_NOT_PROPER = dict.fromkeys(("spectrum", "srg_params") + _CONNECTED_ONLY, NotInFamily)
+_HALF_PRIMAL = dict.fromkeys(_CONNECTED_ONLY, Disconnected)
+_GUARD_TABLE = [
+    # not proper (m_ell = 3), and ell = 0; both are complete Waring cases
+    (GraphSpec(2, 1, 3, 1), {**_NOT_PROPER, "waring_number": 1}),
+    (GraphSpec(2, 1, 4, 0), {**_NOT_PROPER, "waring_number": 1}),
+    (GraphSpec(2, 1, 4, 2), {**_HALF_PRIMAL, "spectrum": ((3, 4), (-1, 12)),
+                             "srg_params": (16, 3, 2, 0), "waring_number": NotApplicable}),
+    (GraphSpec(2, 1, 4, 2, True), {
+        "spectrum": ((12, 1), (0, 12), (-4, 3)), "srg_params": (16, 12, 8, 12),
+        "intersection_array": (12, 3, 1, 12), "invariant_bounds": (3, 4),
+        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 80,
+        "waring_number": NotApplicable}),
+    (GraphSpec(2, 1, 2, 1), {**_HALF_PRIMAL, "spectrum": ((1, 2), (-1, 2)),
+                             "srg_params": DegenerateGraph, "ihara_zeta": DegenerateGraph,
+                             "waring_number": NotApplicable}),
+    (GraphSpec(2, 1, 2, 1, True), {
+        "spectrum": ((2, 1), (0, 2), (-2, 1)), "srg_params": (4, 2, 0, 2),
+        "intersection_array": (2, 1, 1, 2), "invariant_bounds": DegenerateGraph,
+        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": DegenerateGraph,
+        "waring_number": NotApplicable}),
+    (GraphSpec(2, 1, 4, 1), {
+        "spectrum": ((5, 1), (1, 10), (-3, 5)), "srg_params": (16, 5, 0, 2),
+        "intersection_array": (5, 4, 1, 2), "invariant_bounds": (4, None),
+        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 24,
+        "waring_number": 2}),
+    (GraphSpec(2, 1, 4, 1, True), {
+        "spectrum": ((10, 1), (2, 5), (-2, 10)), "srg_params": (16, 10, 6, 6),
+        "intersection_array": (10, 3, 1, 6), "invariant_bounds": (3, None),
+        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 64,
+        "waring_number": NotApplicable}),
+]
+
+
+@pytest.mark.parametrize("spec, expected", _GUARD_TABLE, ids=[s.label() for s, _ in _GUARD_TABLE])
+def test_guard_precedence_table(spec, expected):
+    observed = {}
+    for name, call in _GUARD_CALLS.items():
+        try:
+            observed[name] = call(spec)
+        except Exception as exc:  # the table records which exception answers
+            observed[name] = type(exc)
+    assert observed == expected
+
+
+def test_srg_params_are_held_to_the_stated_form(monkeypatch):
+    # e and d read off the spectrum must equal the paper's (e, d) on the
+    # primal graph and the complement rule on its complement
+    stated = gpaley.spectra._core_e_d
+
+    def shifted(spec):
+        e, d = stated(spec)
+        return e + 1, d
+
+    monkeypatch.setattr(gpaley.spectra, "_core_e_d", shifted)
+    specs = [spec for spec in _family_specs(12, max_order=2**12) if not spec.is_half]
+    assert len(specs) == 15
+    for spec in specs:
+        for s in (spec, spec.complement()):
+            with pytest.raises(InternalCheckError):
+                srg_params(s)
 
 
 def test_srg_identity_and_flags_family_wide():
