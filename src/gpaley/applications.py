@@ -52,16 +52,16 @@ class ZetaFactorization:
         return 2 * self.square_factor_exponent + 2 * sum(e for _, e in self.factors)
 
 
-def waring_number(
-    spec: GraphSpec, with_witnesses: bool = True, max_order: int | None = None
-) -> WaringCertificate:
+def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertificate:
     """Waring number of the exponent q^ell + 1 over F_{q^m}.
 
     Complete-graph cases (q even, m_ell odd) give g = 1: the power map is
     onto. Proper members with ell < m/2 give g = 2: the graph is connected
     with diameter 2, so breadth-first layers from 0 stop after two steps.
     ell = m/2 is refused (the powers generate a proper subfield). Witnesses
-    are materialized within budget via those BFS layers."""
+    are found via those BFS layers when q^m is within the ``graph`` budget
+    resolved from ``max_order``; above it, and always for max_order=0, the
+    certificate carries none and no field table is built."""
     if spec.complemented:
         raise NotApplicable("Waring certification concerns the primal power graph")
     q = spec.q
@@ -71,13 +71,11 @@ def waring_number(
         raise NotApplicable("ell = m/2: the powers span a proper subfield only")
     if spec.m_ell % 2 == 1:
         if q % 2 == 0:
-            witnesses = _witnesses(spec, 1, max_order) if with_witnesses else None
-            return WaringCertificate(k_exp, N, 1, witnesses)
+            return WaringCertificate(k_exp, N, 1, _witnesses(spec, 1, max_order))
         raise NotApplicable("odd q with m_ell odd is the classic Paley regime")
     if not spec.is_proper:
         raise NotInFamily(f"{spec.label()} is not a proper family member")
-    witnesses = _witnesses(spec, 2, max_order) if with_witnesses else None
-    return WaringCertificate(k_exp, N, 2, witnesses)
+    return WaringCertificate(k_exp, N, 2, _witnesses(spec, 2, max_order))
 
 
 def _root_map(spec: GraphSpec, field: FieldTable) -> np.ndarray:

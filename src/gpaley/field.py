@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorize, is_prime
-from .budgets import budget
-from .errors import BudgetExceeded, CompositeP, NotASubfield, ZeroElement
+from .budgets import require
+from .errors import CompositeP, NotASubfield, ZeroElement
 
 _BLOCK = 4096
 
@@ -426,16 +426,8 @@ def build_field(params: FieldParams, max_order: int | None = None) -> FieldTable
     primitive element. Both searches are deterministic, so serialized
     artifacts are stable across runs.
     """
-    _check_table_budget(params, max_order)
+    require("table", params.order, max_order)
     return _construct_field(params)
-
-
-def _check_table_budget(params: FieldParams, max_order: int | None) -> None:
-    limit = budget("table", max_order)
-    if params.order > limit:
-        raise BudgetExceeded(
-            f"p^n = {params.order} exceeds the table budget {limit}"
-        )
 
 
 def _construct_field(params: FieldParams) -> FieldTable:
@@ -504,7 +496,7 @@ def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTabl
     from ``max_order``; the memo holds one table per (p, s, m) whatever cap
     admitted it, since tables are immutable and sharing them is safe."""
     params = FieldParams(p, s, m)
-    _check_table_budget(params, max_order)
+    require("table", params.order, max_order)
     return _memoized_field(params)
 
 
@@ -535,7 +527,7 @@ def field_from_dict(d: dict) -> FieldTable:
     """The canonical table of (p, s, m); the recorded modulus and alpha must
     be the canonical ones, since every table is reproducible from (p, s, m)."""
     params = FieldParams(int(d["p"]), int(d["s"]), int(d["m"]))
-    _check_table_budget(params, None)
+    require("table", params.order)
     fld = _memoized_field(params)
     modulus, alpha = tuple(int(c) for c in d["modulus"]), int(d["alpha"])
     if (modulus, alpha) != (fld.modulus, fld.alpha):

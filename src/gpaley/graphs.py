@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .arith import divisors, gcd_power, is_prime, v2
-from .budgets import budget
+from .budgets import require
 from .errors import (
-    BudgetExceeded,
     DirectedUnsupported,
     InternalCheckError,
     MixedBase,
@@ -131,9 +130,6 @@ class ConnectionSet:
     members: np.ndarray  # bool, length q^m
     cardinality: int
 
-    def __contains__(self, index: int) -> bool:
-        return bool(self.members[int(index)])
-
 
 @dataclass(frozen=True)
 class CayleyGraph:
@@ -150,8 +146,13 @@ class CayleyGraph:
     def k(self) -> int:
         return self.connection.cardinality
 
-    # Both computed at most once per graph object; dataclasses.replace builds
+    # Each computed at most once per graph object; dataclasses.replace builds
     # a new object with nothing cached.
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The row sums of A: every vertex's degree."""
+        return self.adjacency.sum(axis=1)
+
     @cached_property
     def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row 0 of A, A^2 and A^3 as int64: each row is the previous one
@@ -230,22 +231,16 @@ def _symmetry_rule(spec: GraphSpec) -> bool:
     return spec.order % 4 == 1
 
 
-def build_graph(
-    spec: GraphSpec,
-    field: FieldTable | None = None,
-    max_order: int | None = None,
-) -> CayleyGraph:
+def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     """Materialize the adjacency matrix: i ~ j iff element_j - element_i is a
     connection member (complemented specs take the complement of the rows
-    and clear the diagonal). Rejects directed cases instead of symmetrizing;
-    the result has passed its translation check.
+    and clear the diagonal). ``max_order`` caps the graph, then its field
+    table (see ``budgets.require``). Rejects directed cases instead of
+    symmetrizing; the result has passed its translation check.
     """
     N = spec.order
-    limit = budget("graph", max_order)
-    if N > limit:
-        raise BudgetExceeded(f"q^m = {N} exceeds the graph budget {limit}")
-    if field is None:
-        field = get_field(spec.p, spec.s, spec.m, max_order)
+    require("graph", N, max_order)
+    field = get_field(spec.p, spec.s, spec.m, max_order)
     if not _symmetry_rule(spec):
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"

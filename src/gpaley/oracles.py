@@ -24,7 +24,7 @@ import numpy as np
 
 from .applications import is_ramanujan, verify_waring, waring_number
 from .arith import int_to_str
-from .budgets import budget
+from .budgets import budget, require
 from .errors import (
     BudgetExceeded,
     DisconnectedComponentsFound,
@@ -40,7 +40,6 @@ from .graphs import (
     GraphSpec,
     apply_affine_frobenius,
     build_graph,
-    connection_set,
     permutation_preserves_edges,
 )
 from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
@@ -74,8 +73,7 @@ def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
     other than 0; non-constant counts falsify strong regularity and raise.
     Translation invariance then carries row 0 to every pair, and an adjacency
     without it raises InternalCheckError."""
-    n, adj = g.n, g.adjacency
-    deg = adj.sum(axis=1)
+    n, adj, deg = g.n, g.adjacency, g.degrees
     if not (deg == deg[0]).all():
         raise NotStronglyRegular("graph is not regular")
     k = int(deg[0])
@@ -120,14 +118,13 @@ def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
 
 
 def count_trees_bruteforce(g: CayleyGraph, max_order: int | None = None) -> int:
-    """Any cofactor of the Laplacian, by the exact multi-modular determinant.
-    The only oracle with a budget of its own: the elimination is cubic, once
-    per prime, where the others read row 0 in O(N^2)."""
-    limit = budget("tree", max_order)
-    if g.n > limit:
-        raise BudgetExceeded(f"{g.n} vertices above the tree budget {limit}")
-    deg = g.adjacency.sum(axis=1)
-    lap = np.diag(deg.astype(np.int64)) - g.adjacency.astype(np.int64)
+    """Any cofactor of the Laplacian ``diag(g.degrees) - A``, by the exact
+    multi-modular determinant. The only oracle with a budget of its own
+    (``tree``, refused by ``budgets.require`` above ``max_order`` or its
+    default): the elimination is cubic, once per prime, where the others
+    read row 0 in O(N^2)."""
+    require("tree", g.n, max_order)
+    lap = np.diag(g.degrees.astype(np.int64)) - g.adjacency.astype(np.int64)
     minor = lap[1:, 1:]
     return modular_determinant(minor)
 
@@ -247,11 +244,11 @@ def _reach(g: CayleyGraph, source: int) -> tuple[np.ndarray, int]:
         dist += 1
 
 
-def bfs_eccentricity(g: CayleyGraph, source: int = 0) -> int:
-    """Eccentricity of the source by breadth-first search; equals the
-    diameter on vertex-transitive graphs. Raises with the component sizes
-    when the graph is disconnected."""
-    visited, dist = _reach(g, source)
+def bfs_eccentricity(g: CayleyGraph) -> int:
+    """Eccentricity of vertex 0 by breadth-first search; equals the
+    diameter on vertex-transitive graphs such as these Cayley graphs. Raises
+    with the component sizes when the graph is disconnected."""
+    visited, dist = _reach(g, 0)
     if not visited.all():
         seen, sizes = np.zeros(g.n, dtype=bool), []
         for start in range(g.n):
@@ -270,7 +267,7 @@ def girth_bruteforce(g: CayleyGraph) -> int:
     square-free case would raise rather than guess."""
     if count_walks_bruteforce(g, 3) > 0:
         return 3
-    k = int(g.adjacency[0].sum())
+    k = int(g.degrees[0])
     squares = count_walks_bruteforce(g, 4) - g.n * k * (2 * k - 1)
     if squares > 0:
         return 4
@@ -365,21 +362,21 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     """Every applicable cross-check of brute force against closed forms for
     one primal family member: parameter counting, the A^2 identity, walk
     counts, tree counts (size permitting), diameter / components, girth,
-    spectrum moments, the quadratic-form classification of every gamma
-    against kernel counting on two members of each coset of S, Waring
-    witnesses, the Ramanujan inequality, the coset decomposition of the
-    complement, and arc-transitivity witnesses on small graphs. Failures are
-    recorded, never thrown; checks left out for size are listed in the
-    report's ``skipped``, and the seconds of the two graph builds in its
-    ``build_seconds``."""
+    traces of A and A^2 against the spectrum's moments, the quadratic-form
+    classification of every gamma against kernel counting on two members of
+    each coset of S, Waring witnesses, the Ramanujan inequality, the coset
+    decomposition of the complement, and arc-transitivity witnesses on small
+    graphs. Failures are recorded, never thrown; checks left out for size
+    are listed in the report's ``skipped``, and the seconds of the two graph
+    builds in its ``build_seconds``."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     suite = _Suite(spec)
-    # the cap that admits the graphs admits the Waring witnesses too
-    cap = budget("graph", max_order)
+    # build_graph admits the graphs under max_order, so the field and the
+    # Waring witnesses, capped by the same value, are admitted too
     t0 = time.perf_counter()
-    g = build_graph(spec, max_order=cap)
+    g = build_graph(spec, max_order=max_order)
     t1 = time.perf_counter()
-    gbar = build_graph(spec.complement(), max_order=cap)
+    gbar = build_graph(spec.complement(), max_order=max_order)
     suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
 
     _structure_checks(suite, g, gbar)
@@ -388,9 +385,9 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     _walk_checks(suite, g, gbar)
     _tree_checks(suite, g, gbar)
     _metric_checks(suite, g, gbar)
-    _moment_checks(suite, spec)
+    _moment_checks(suite, g, gbar)
     _klapper_checks(suite, g)
-    _waring_checks(suite, g, cap)
+    _waring_checks(suite, g, max_order)
     _ramanujan_checks(suite, spec)
     _coset_checks(suite, g, gbar)
     _arc_transitivity_checks(suite, g)
@@ -398,18 +395,9 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
 
 
 def _structure_checks(suite, g, gbar):
-    spec = g.spec
-    suite.run("regular-degree", True, lambda: bool((g.adjacency.sum(axis=1) == g.k).all()))
-    suite.run(
-        "complement-degree",
-        True,
-        lambda: bool((gbar.adjacency.sum(axis=1) == g.n - 1 - g.k).all()),
-    )
-    suite.run(
-        "connection-cardinality",
-        connection_set(spec, g.field).cardinality,
-        lambda: int(g.adjacency[0].sum()),
-    )
+    suite.run("regular-degree", True, lambda: bool((g.degrees == g.k).all()))
+    suite.run("complement-degree", True, lambda: bool((gbar.degrees == g.n - 1 - g.k).all()))
+    suite.run("connection-cardinality", spectrum(g.spec).k, lambda: int(g.adjacency[0].sum()))
 
 
 def _srg_checks(suite, g, gbar):
@@ -466,13 +454,15 @@ def _metric_checks(suite, g, gbar):
             )
 
 
-def _moment_checks(suite, spec):
-    for name, s in (("primal", spec), ("complement", spec.complement())):
-        sp = spectrum(s)
+def _moment_checks(suite, g, gbar):
+    """The closed spectrum's (v, sum lambda, sum lambda^2) against the
+    counted order, trace(A) and trace(A^2)."""
+    for name, graph in (("primal", g), ("complement", gbar)):
+        sp = spectrum(graph.spec)
         suite.run(
             f"spectrum-moments-{name}",
-            (s.order, 0, s.order * sp.k),
-            lambda: (sp.v, sp.moment(1), sp.moment(2)),
+            (sp.v, sp.moment(1), sp.moment(2)),
+            lambda: (graph.n, count_walks_bruteforce(graph, 1), count_walks_bruteforce(graph, 2)),
         )
 
 
@@ -521,14 +511,10 @@ def _klapper_checks(suite, g):
 
     suite.run("klapper-vs-kernel-counts", [], sweep)
     # the count comes from the sweep above; a crashed sweep leaves None
-    suite.run(
-        "klapper-low-rank-multiplicity",
-        connection_set(spec, fld).cardinality,
-        lambda: low_rank[0] if low_rank else None,
-    )
+    suite.run("klapper-low-rank-multiplicity", g.k, lambda: low_rank[0] if low_rank else None)
 
 
-def _waring_checks(suite, g, cap):
+def _waring_checks(suite, g, max_order):
     spec = g.spec
     if spec.is_half:
         return
@@ -536,7 +522,7 @@ def _waring_checks(suite, g, cap):
         "waring-witnesses",
         True,
         lambda: (lambda cert: cert.g == 2 and verify_waring(cert, g.field))(
-            waring_number(spec, max_order=cap)
+            waring_number(spec, max_order=max_order)
         ),
     )
 

@@ -343,7 +343,9 @@ def invariant_bounds(spec: GraphSpec) -> InvariantBounds:
     """Diameter, girth, clique/independence/chromatic data, isoperimetric
     interval and the algebraic-connectivity eigenvalue.
 
-    Girth is 3 everywhere except the (2,4,1) primal graph (girth 4). For
+    Girth is 3 when adjacent vertices have a common neighbour (srg e > 0),
+    else 4: the diameter is 2, so two vertices at distance 2 have d common
+    neighbours, and d = 1 (a Moore graph) occurs in no member. For
     m_ell/2 odd, clique = independence = chromatic = q^(m/2) exactly;
     otherwise only the eigenvalue bounds are available. Isoperimetric
     bounds are kept exact: the lower bound as a rational, the upper bound
@@ -357,9 +359,7 @@ def invariant_bounds(spec: GraphSpec) -> InvariantBounds:
     half_odd = spec.eps == -1
     sp = spectrum(spec)
     k = sp.k
-    girth = 3
-    if (q, m, ell, spec.complemented) == (2, 4, 1, False):
-        girth = 4
+    girth = 3 if srg_params(spec).e > 0 else 4
     root = q ** (m // 2)
     if half_odd:
         cl_up = ind_up = chrom_low = Fraction(root)

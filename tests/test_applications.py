@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gpaley.field
 from gpaley.applications import (
     ZetaFactorization,
     family_table,
@@ -89,14 +90,21 @@ def test_waring_not_applicable():
 
 
 def test_waring_symbolic_beyond_budget():
-    cert = waring_number(GraphSpec(2, 1, 20, 1), with_witnesses=False)
+    cert = waring_number(GraphSpec(2, 1, 20, 1), max_order=0)
     assert cert.g == 2 and cert.witnesses is None
+
+
+def test_waring_without_witnesses_builds_no_table():
+    get_field.cache_clear()
+    cert = waring_number(GraphSpec(2, 1, 4, 1), max_order=0)
+    assert cert.g == 2 and cert.witnesses is None
+    assert gpaley.field._memoized_field.cache_info().currsize == 0
 
 
 def test_verify_waring_refuses_a_certificate_without_witnesses():
     # nothing to re-evaluate is not a pass; the refusal comes before the
     # field is read, so F_16 stands in for F_{2^20}
-    cert = waring_number(GraphSpec(2, 1, 20, 1), with_witnesses=False)
+    cert = waring_number(GraphSpec(2, 1, 20, 1), max_order=0)
     with pytest.raises(NotApplicable):
         verify_waring(cert, get_field(2, 1, 4))
     capped = waring_number(GraphSpec(2, 1, 4, 1), max_order=8)

@@ -1,6 +1,7 @@
 import pytest
 
-from gpaley.budgets import DEFAULTS, budget
+from gpaley.budgets import DEFAULTS, budget, require
+from gpaley.cli import dispatch
 from gpaley.errors import BudgetExceeded
 from gpaley.field import FieldParams, build_field
 from gpaley.graphs import GraphSpec, build_graph
@@ -39,6 +40,26 @@ def test_environment_raises_only_the_materialization_caps(monkeypatch):
 def test_unknown_kind():
     with pytest.raises(KeyError):
         budget("matrix")
+
+
+def test_require_admits_the_limit_and_refuses_one_more(monkeypatch):
+    monkeypatch.delenv("GPG_MAX_ORDER", raising=False)
+    for kind, limit in DEFAULTS.items():
+        require(kind, limit)
+        with pytest.raises(BudgetExceeded) as refused:
+            require(kind, limit + 1)
+        assert str(refused.value) == f"{limit + 1} exceeds the {kind} budget {limit}"
+        require(kind, 7, 7)
+        with pytest.raises(BudgetExceeded, match=f"^8 exceeds the {kind} budget 7$"):
+            require(kind, 8, 7)
+
+
+def test_non_integer_environment_is_named(monkeypatch, capsys):
+    monkeypatch.setenv("GPG_MAX_ORDER", "abc")
+    with pytest.raises(ValueError, match="GPG_MAX_ORDER='abc'"):
+        budget("graph")
+    assert dispatch(["verify", "--p", "2", "--m", "4", "--ell", "1"]) == 1
+    assert "GPG_MAX_ORDER='abc' is not an integer" in capsys.readouterr().err
 
 
 def test_explicit_zero_refuses_every_size():

@@ -23,3 +23,52 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _calls_by_function(tree: ast.Module):
+    """(enclosing function name or None, call node) for every call."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield owner, child
+            yield from visit(child, owner)
+
+    return visit(tree, None)
+
+
+def _sites(predicate) -> set[tuple[str, str | None]]:
+    return {
+        (path.name, owner)
+        for path in MODULES
+        for owner, call in _calls_by_function(ast.parse(path.read_text()))
+        if predicate(call)
+    }
+
+
+def test_budget_refusals_come_from_require():
+    # every size refusal goes through budgets.require; the other two
+    # BudgetExceeded raises refuse work that no size budget describes
+    sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "BudgetExceeded")
+    allowed = {("arith.py", "factorize"), ("oracles.py", "determinant_primes")}
+    assert sorted(s for s in sites if s[0] != "budgets.py" and s not in allowed) == []
+
+
+def _is_adjacency_row_sum(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "sum"
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "adjacency"
+        and any(
+            k.arg == "axis" and isinstance(k.value, ast.Constant) and k.value.value == 1
+            for k in call.keywords
+        )
+    )
+
+
+def test_degrees_are_counted_once():
+    assert _sites(_is_adjacency_row_sum) == {("graphs.py", "degrees")}

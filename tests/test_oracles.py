@@ -385,11 +385,38 @@ def test_report_json_shape():
 
 
 def test_suite_records_failures_without_raising():
-    # run the suite machinery against a corrupted comparison by hand:
-    # a perturbed record must make the A^2 check fail, not crash
+    # a kernel that raises and a kernel that returns a wrong value both
+    # become failed results, and the suite goes on to the next check
     g = build_graph(GraphSpec(2, 1, 4, 1))
-    assert verify_a2_identity(g, (16, 5, 0, 2))
-    assert not verify_a2_identity(g, (16, 5, 1, 2))
+    suite = gpaley.oracles._Suite(g.spec)
+    suite.run("trees-capped", 2**31, lambda: count_trees_bruteforce(g, max_order=8))
+    suite.run("a2-perturbed", True, lambda: verify_a2_identity(g, (16, 5, 1, 2)))
+    suite.run("a2-identity", True, lambda: verify_a2_identity(g, (16, 5, 0, 2)))
+    raised, wrong, following = suite.report.checks
+    assert not raised.passed
+    assert raised.observed == "BudgetExceeded: 16 exceeds the tree budget 8"
+    assert (wrong.passed, wrong.observed) == (False, False)
+    assert following.passed and following.observed is True
+    assert [c.name for c in suite.report.failures()] == ["trees-capped", "a2-perturbed"]
+    assert not suite.report.ok
+
+
+def test_connection_cardinality_is_held_to_the_closed_degree(monkeypatch):
+    # a connection set of the wrong size still makes a loop-free Cayley
+    # graph that build_graph certifies; only the paper's degree can tell
+    monkeypatch.setattr(gpaley.graphs, "gcd_power", lambda q, m, ell: 5)
+    checks = {c.name: c for c in run_suite(GraphSpec(2, 1, 4, 1)).checks}
+    cardinality = checks["connection-cardinality"]
+    assert (cardinality.expected, cardinality.observed, cardinality.passed) == (5, 3, False)
+
+
+def test_a_flipped_copy_counts_its_own_degrees():
+    g = build_graph(GraphSpec(2, 1, 4, 1, True))
+    assert (g.degrees == 10).all() and count_trees_bruteforce(g) == 2**31 * 3**10
+    flipped = _flip_edge(g)
+    assert flipped.degrees.tolist().count(9) == 2 and flipped.degrees.sum() == 16 * 10 - 2
+    assert (g.degrees == 10).all()
+    assert count_trees_bruteforce(flipped) != 2**31 * 3**10
 
 
 def test_run_suite_checks_reach_the_kernels(monkeypatch):
@@ -402,7 +429,7 @@ def test_run_suite_checks_reach_the_kernels(monkeypatch):
     report = run_suite(GraphSpec(2, 1, 4, 1))
     failed = {c.name for c in report.failures()}
     assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
-            "trees-primal"} <= failed
+            "trees-primal", "spectrum-moments-primal"} <= failed
     assert "srg-counts-complement" not in failed
 
 

@@ -133,7 +133,7 @@ _GUARD_CALLS = {
     "ramanujan_by_inequality": ramanujan_by_inequality,
     "is_ramanujan": is_ramanujan,
     "ihara_zeta": lambda s: ihara_zeta(s).square_factor_exponent,
-    "waring_number": lambda s: waring_number(s, with_witnesses=False).g,
+    "waring_number": lambda s: waring_number(s, max_order=0).g,
 }
 _CONNECTED_ONLY = ("intersection_array", "invariant_bounds", "ramanujan_by_inequality",
                    "is_ramanujan", "ihara_zeta")
