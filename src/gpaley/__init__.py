@@ -3,10 +3,8 @@
 from . import applications, arith, errors, field, forms, graphs, oracles, spectra
 from .arith import gcd_power
 from .field import (
-    FieldElement,
     FieldParams,
     FieldTable,
-    build_field,
     element_order,
     get_field,
     trace,
@@ -34,10 +32,8 @@ __all__ = [
     "graphs",
     "oracles",
     "spectra",
-    "FieldElement",
     "FieldParams",
     "FieldTable",
-    "build_field",
     "element_order",
     "get_field",
     "trace",

@@ -24,7 +24,7 @@ from typing import Callable
 from .applications import family_table, ihara_zeta, is_ramanujan, waring_number, zeta_json
 from .arith import int_to_str
 from .errors import CompositeP, GPaleyError
-from .field import FieldParams, build_field, element_to_string, field_to_dict
+from .field import FieldParams, element_to_string, field_to_dict, get_field
 from .graphs import (
     GraphSpec,
     build_graph,
@@ -57,9 +57,9 @@ def _spectrum_text(sp) -> str:
 
 
 def _field(args, params):
-    fld = build_field(params, max_order=args.max_order)
+    fld = get_field(params.p, params.s, params.m, max_order=args.max_order)
     payload = field_to_dict(fld)
-    payload["alpha_digits"] = element_to_string(fld.element(fld.alpha))
+    payload["alpha_digits"] = element_to_string(fld, fld.alpha)
     return payload
 
 
@@ -69,7 +69,7 @@ def _graph(args, spec):
         "spec": spec.to_json(),
         "n": int_to_str(g.n),
         "k": int_to_str(g.k),
-        "edges": int_to_str(int(g.adjacency.sum()) // 2),
+        "edges": int_to_str(int(g.degrees.sum()) // 2),
     }
 
 

@@ -2,7 +2,7 @@
 
 A field F_{q^m} with q = p^s is realized as a single degree-n extension of
 F_p, n = s*m; the intermediate field F_q is recovered as the fixed field of
-the s-fold Frobenius. Elements are identified with integers in [0, p^n):
+the s-fold Frobenius. An element is a plain integer index in [0, p^n):
 the base-p digits of the index are the coefficients of the residue
 polynomial (little-endian). Index 0 is zero, index 1 is one, and the prime
 subfield occupies indices 0..p-1.
@@ -12,10 +12,9 @@ p = 2 and one Zech-logarithm lookup for odd p (Lidl and Niederreiter,
 Finite Fields, 2.4); negation is the product by -1, the index p - 1. The
 scalar operations call the whole-array ones.
 
-The defining modulus is the lexicographically least monic irreducible of
-degree n (non-leading coefficients compared as a base-p integer), and the
-distinguished generator alpha is the primitive element of least index, so
-every table is reproducible from (p, s, m) alone.
+``get_field`` is the one constructor: it picks the modulus and the
+generator alpha by a deterministic rule, so every table is reproducible
+from (p, s, m) alone, and memoizes one table per (p, s, m).
 """
 
 from dataclasses import dataclass
@@ -146,51 +145,6 @@ class FieldParams:
         return self.p**self.n
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element carried as its canonical integer index."""
-
-    field: "FieldTable"
-    index: int
-
-    @property
-    def coeffs(self) -> list[int]:
-        return _index_digits(self.index, self.field.p, self.field.n)
-
-    def __add__(self, other):
-        return self.field.element(self.field.add(self.index, _idx(other)))
-
-    def __sub__(self, other):
-        return self.field.element(self.field.sub(self.index, _idx(other)))
-
-    def __mul__(self, other):
-        return self.field.element(self.field.mul(self.index, _idx(other)))
-
-    def __truediv__(self, other):
-        return self.field.element(self.field.mul(self.index, self.field.inv(_idx(other))))
-
-    def __pow__(self, e: int):
-        return self.field.element(self.field.pow(self.index, e))
-
-    def __neg__(self):
-        return self.field.element(self.field.neg(self.index))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.index == other.index and self.field is other.field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.index))
-
-    def __repr__(self):
-        return f"<F_{self.field.p}^{self.field.n} #{self.index}>"
-
-
-def _idx(x) -> int:
-    return x.index if isinstance(x, FieldElement) else int(x)
-
-
 class FieldTable:
     """Immutable table-backed realization of F_{p^n}.
 
@@ -276,25 +230,11 @@ class FieldTable:
 
     # -- scalar arithmetic on indices ---------------------------------------
 
-    def element(self, index) -> FieldElement:
-        return FieldElement(self, int(_idx(index)))
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.element(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
-
     def add(self, a: int, b: int) -> int:
         return int(self.add_arrays(a, b))
 
     def neg(self, a: int) -> int:
         return int(self.neg_array(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -418,35 +358,6 @@ class FieldTable:
 # public operations
 # ---------------------------------------------------------------------------
 
-def build_field(params: FieldParams, max_order: int | None = None) -> FieldTable:
-    """Construct the canonical table-backed realization of F_{p^(s*m)}.
-
-    The modulus is the least monic irreducible of degree n in the base-p
-    ordering of its non-leading coefficients; alpha is the least-index
-    primitive element. Both searches are deterministic, so serialized
-    artifacts are stable across runs.
-    """
-    require("table", params.order, max_order)
-    return _construct_field(params)
-
-
-def _construct_field(params: FieldParams) -> FieldTable:
-    p, n = params.p, params.n
-    modulus = None
-    for c in range(params.order):
-        cand = _index_digits(c, p, n) + [1]
-        if n >= 2 and cand[0] == 0:
-            continue  # divisible by x
-        if _is_irreducible(cand, p):
-            modulus = cand
-            break
-    if modulus is None:  # cannot happen: irreducibles exist in every degree
-        raise CompositeP(f"no irreducible of degree {n} over F_{p}")
-    alpha = _find_primitive(modulus, params)
-    table = FieldTable(params, tuple(modulus), alpha)
-    return table
-
-
 def _find_primitive(modulus: list[int], params: FieldParams) -> int:
     p, n, N = params.p, params.n, params.order
     if N == 2:
@@ -464,37 +375,41 @@ def _find_primitive(modulus: list[int], params: FieldParams) -> int:
     raise CompositeP("no primitive element found")  # unreachable
 
 
-def trace(x: FieldElement, from_degree: int, to_degree: int) -> FieldElement:
+def trace(fld: FieldTable, x: int, from_degree: int, to_degree: int) -> int:
     """Relative trace sum_{i<r} x^(p^(t*i)) with r = from/to (degrees over
     the prime field). x must lie in the subfield of size p^from."""
-    fld = x.field
     if from_degree % to_degree or fld.n % from_degree:
         raise NotASubfield(
             f"need to | from | n, got to={to_degree}, from={from_degree}, n={fld.n}"
         )
-    if fld.pow(x.index, fld.p**from_degree) != x.index:
-        raise NotASubfield(f"element {x.index} not in the degree-{from_degree} subfield")
-    return fld.element(int(fld._frobenius_sum(x.index, to_degree, from_degree // to_degree)))
+    if fld.pow(x, fld.p**from_degree) != x:
+        raise NotASubfield(f"element {x} not in the degree-{from_degree} subfield")
+    return int(fld._frobenius_sum(x, to_degree, from_degree // to_degree))
 
 
-def element_order(x: FieldElement) -> int:
+def element_order(fld: FieldTable, x: int) -> int:
     """Multiplicative order, by stripping prime factors from p^n - 1."""
-    if x.index == 0:
+    if x == 0:
         raise ZeroElement("zero has no multiplicative order")
-    fld = x.field
     order = fld.order - 1
     if order == 1:
         return 1
     for r in fld._unit_order_factors:
-        while order % r == 0 and fld.pow(x.index, order // r) == 1:
+        while order % r == 0 and fld.pow(x, order // r) == 1:
             order //= r
     return order
 
 
 def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTable:
-    """Memoized build_field. Every call applies the ``table`` cap resolved
-    from ``max_order``; the memo holds one table per (p, s, m) whatever cap
-    admitted it, since tables are immutable and sharing them is safe."""
+    """The canonical table-backed realization of F_{p^(s*m)}, memoized.
+
+    The modulus is the least monic irreducible of degree n in the base-p
+    ordering of its non-leading coefficients; alpha is the least-index
+    primitive element. Both searches are deterministic, so serialized
+    artifacts are stable across runs. Every call applies the ``table`` cap
+    resolved from ``max_order``; the memo holds one table per (p, s, m)
+    whatever cap admitted it, since tables are immutable and sharing them
+    is safe."""
     params = FieldParams(p, s, m)
     require("table", params.order, max_order)
     return _memoized_field(params)
@@ -502,7 +417,14 @@ def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTabl
 
 @lru_cache(maxsize=32)
 def _memoized_field(params: FieldParams) -> FieldTable:
-    return _construct_field(params)
+    p, n = params.p, params.n
+    for c in range(params.order):
+        modulus = _index_digits(c, p, n) + [1]
+        # a zero constant term makes x a factor
+        if (n == 1 or modulus[0]) and _is_irreducible(modulus, p):
+            return FieldTable(params, tuple(modulus), _find_primitive(modulus, params))
+    # cannot happen: irreducibles exist in every degree
+    raise CompositeP(f"no irreducible of degree {n} over F_{p}")
 
 
 # empties the memo, e.g. to time cold builds
@@ -526,9 +448,7 @@ def field_to_dict(fld: FieldTable) -> dict:
 def field_from_dict(d: dict) -> FieldTable:
     """The canonical table of (p, s, m); the recorded modulus and alpha must
     be the canonical ones, since every table is reproducible from (p, s, m)."""
-    params = FieldParams(int(d["p"]), int(d["s"]), int(d["m"]))
-    require("table", params.order)
-    fld = _memoized_field(params)
+    fld = get_field(int(d["p"]), int(d["s"]), int(d["m"]))
     modulus, alpha = tuple(int(c) for c in d["modulus"]), int(d["alpha"])
     if (modulus, alpha) != (fld.modulus, fld.alpha):
         raise ValueError(
@@ -538,15 +458,12 @@ def field_from_dict(d: dict) -> FieldTable:
     return fld
 
 
-def element_to_string(x: FieldElement) -> str:
+def element_to_string(fld: FieldTable, x: int) -> str:
     """Little-endian base-p digit string; comma-separated when p > 10."""
-    digits = x.coeffs
-    if x.field.p <= 10:
-        return "".join(str(d) for d in digits)
-    return ",".join(str(d) for d in digits)
+    return ("" if fld.p <= 10 else ",").join(str(d) for d in _index_digits(x, fld.p, fld.n))
 
 
-def element_from_string(fld: FieldTable, s: str) -> FieldElement:
+def element_from_string(fld: FieldTable, s: str) -> int:
     """Inverse of element_to_string, split by the same p > 10 rule."""
     digits = s.split(",") if fld.p > 10 else list(s)
     if len(digits) != fld.n or not all(d.isdecimal() and int(d) < fld.p for d in digits):
@@ -554,4 +471,4 @@ def element_from_string(fld: FieldTable, s: str) -> FieldElement:
     idx = 0
     for d in reversed(digits):
         idx = idx * fld.p + int(d)
-    return fld.element(idx)
+    return idx

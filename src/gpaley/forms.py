@@ -14,8 +14,10 @@ type -eps when t = L/2 mod L (odd q, eps = -1) or t = 0 mod L (otherwise),
 and rank m and type eps for every other gamma. Odd m_ell is outside the
 classification and is reported as such rather than guessed at.
 
-``kernel_counts``, ``count_kernel`` and ``exp_sum`` all read the value
-histogram kept on the form, so each form is evaluated over the field once.
+Field elements are integer indices (``gpaley.field``). ``kernel_counts``
+and ``exp_sum`` both read the value histogram kept on the form, so each form
+is evaluated over the field once; ``evaluate_form`` is the scalar reference
+for that pass.
 Since Q_{gamma c^(q^ell+1)}(x) = Q_gamma(c x), the histogram is constant on
 each coset gamma S of the nonzero (q^ell + 1)-th powers S; the Klapper sweep
 of ``gpaley.oracles`` evaluates two forms per coset and classifies every
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
-from .field import FieldElement, FieldTable
+from .field import FieldTable
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,10 @@ class FormClass:
             raise ValueError("rank must be even and type +-1")
 
 
-def evaluate_form(f: TraceForm, x) -> FieldElement:
+def evaluate_form(f: TraceForm, x: int) -> int:
     """Q(x), landing in the q-element subfield."""
     fld = f.field
-    xi = x.index if isinstance(x, FieldElement) else int(x)
-    y = fld.mul(f.gamma, fld.pow(xi, f.exponent))
-    tr = int(fld.trace_map(fld.params.s)[y])
-    return fld.element(tr)
+    return int(fld.trace_map(fld.params.s)[fld.mul(f.gamma, fld.pow(x, f.exponent))])
 
 
 def _unit_values(f: TraceForm) -> np.ndarray:
@@ -96,45 +95,27 @@ def _unit_values(f: TraceForm) -> np.ndarray:
     return trace[fld.exp[logs]]
 
 
-def form_values(f: TraceForm) -> np.ndarray:
-    """Q over the whole field as an index array, Q(x) at index x, and
-    Q(0) = 0."""
-    fld = f.field
-    out = np.zeros(fld.order, dtype=np.int64)
-    out[fld.exp] = _unit_values(f)
-    return out
-
-
 def kernel_counts(f: TraceForm) -> dict[int, int]:
     """Histogram {value index: count} of Q over the field."""
     return dict(f.histogram)
 
 
-def count_kernel(f: TraceForm, xi) -> int:
-    """Exact # {x : Q(x) = xi} by exhaustive evaluation."""
-    target = xi.index if isinstance(xi, FieldElement) else int(xi)
-    if not f.field.in_subfield(target, f.field.params.s):
-        raise ValueError("xi must lie in the q-element subfield")
-    return f.histogram[target]
-
-
-def exp_sum(f: TraceForm, a=1) -> int:
+def exp_sum(f: TraceForm, a: int = 1) -> int:
     """The character sum sum_x zeta_p^(Tr_{q/p}(a Q(x))), evaluated exactly
     as an integer: tally the residue-class counts N_c over the q histogram
     entries and return N_0 - N_1, after insisting the counts are constant
     over c != 0 (they are whenever the sum is a rational integer of the
     even-rank shape; anything else is out of theory, not coerced)."""
     fld = f.field
-    a_idx = a.index if isinstance(a, FieldElement) else int(a)
-    if a_idx == 0:
+    if a == 0:
         raise ZeroElement("a must be a unit of the small field")
-    if not fld.in_subfield(a_idx, fld.params.s):
+    if not fld.in_subfield(a, fld.params.s):
         raise ValueError("a must lie in the q-element subfield")
     # Tr_{q/p} on the small field; prime-subfield elements are indices 0..p-1
     residue = fld.trace_map(1, from_degree=fld.params.s)
     counts = [0] * fld.p
     for xi, count in f.histogram.items():
-        counts[residue[fld.mul(xi, a_idx)]] += count
+        counts[residue[fld.mul(xi, a)]] += count
     if len(set(counts[1:])) > 1:
         raise UnbalancedCounts(f"residue counts {counts} not constant off zero")
     return counts[0] - counts[1]

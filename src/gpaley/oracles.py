@@ -337,14 +337,21 @@ class _Suite:
     def __init__(self, spec: GraphSpec):
         self.report = VerificationReport(spec)
 
-    def run(self, name: str, expected, fn):
+    def run(self, name: str, expect, observe):
+        """Record one check. ``expect`` (the closed form) and ``observe``
+        (the count) are thunks evaluated here; one that raises fails the
+        check, its exception text in place of its value, and the suite goes
+        on: a crash is a failing check, not a crash of the suite."""
         t0 = time.perf_counter()
-        try:
-            observed = fn()
-            passed = observed == expected
-        except Exception as exc:  # a crash is a failing check, not a crash of the suite
-            observed = f"{type(exc).__name__}: {exc}"
-            passed = False
+        sides, passed = [], True
+        for side in (expect, observe):
+            try:
+                sides.append(side())
+            except Exception as exc:
+                sides.append(f"{type(exc).__name__}: {exc}")
+                passed = False
+        expected, observed = sides
+        passed = passed and observed == expected
         self.report.checks.append(
             CheckResult(name, expected, observed, passed, time.perf_counter() - t0)
         )
@@ -378,6 +385,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     t1 = time.perf_counter()
     gbar = build_graph(spec.complement(), max_order=max_order)
     suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
+    spectrum(spec)  # refuses a spec outside the family before any check runs
 
     _structure_checks(suite, g, gbar)
     if not spec.is_degenerate:
@@ -395,23 +403,29 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
 
 
 def _structure_checks(suite, g, gbar):
-    suite.run("regular-degree", True, lambda: bool((g.degrees == g.k).all()))
-    suite.run("complement-degree", True, lambda: bool((gbar.degrees == g.n - 1 - g.k).all()))
-    suite.run("connection-cardinality", spectrum(g.spec).k, lambda: int(g.adjacency[0].sum()))
+    suite.run("regular-degree", lambda: True, lambda: bool((g.degrees == g.k).all()))
+    suite.run(
+        "complement-degree", lambda: True, lambda: bool((gbar.degrees == g.n - 1 - g.k).all())
+    )
+    suite.run(
+        "connection-cardinality", lambda: spectrum(g.spec).k, lambda: int(g.adjacency[0].sum())
+    )
 
 
 def _srg_checks(suite, g, gbar):
     for name, graph in (("primal", g), ("complement", gbar)):
-        params = srg_params(graph.spec).params()
+        def params():
+            return srg_params(graph.spec).params()
+
         suite.run(f"srg-counts-{name}", params, lambda: count_srg_params(graph))
-        suite.run(f"a2-identity-{name}", True, lambda: verify_a2_identity(graph, params))
+        suite.run(f"a2-identity-{name}", lambda: True, lambda: verify_a2_identity(graph, params()))
 
 
 def _walk_checks(suite, g, gbar):
     for name, graph in (("primal", g), ("complement", gbar)):
         suite.run(
             f"walks-2..6-{name}",
-            tuple(closed_walks(graph.spec, r) for r in range(2, 7)),
+            lambda: tuple(closed_walks(graph.spec, r) for r in range(2, 7)),
             lambda: tuple(count_walks_bruteforce(graph, r) for r in range(2, 7)),
         )
 
@@ -421,7 +435,9 @@ def _tree_checks(suite, g, gbar):
         return
     for name, graph in (("primal", g), ("complement", gbar)):
         suite.run(
-            f"trees-{name}", spanning_trees(graph.spec), lambda: count_trees_bruteforce(graph)
+            f"trees-{name}",
+            lambda: spanning_trees(graph.spec),
+            lambda: count_trees_bruteforce(graph),
         )
 
 
@@ -437,11 +453,11 @@ def _metric_checks(suite, g, gbar):
             except DisconnectedComponentsFound as exc:
                 return (len(exc.sizes), sorted(set(exc.sizes)))
 
-        suite.run("half-case-components", (root, [root]), components)
-        suite.run("diameter-complement", 2, lambda: bfs_eccentricity(gbar))
+        suite.run("half-case-components", lambda: (root, [root]), components)
+        suite.run("diameter-complement", lambda: 2, lambda: bfs_eccentricity(gbar))
     else:
-        suite.run("diameter-primal", 2, lambda: bfs_eccentricity(g))
-        suite.run("diameter-complement", 2, lambda: bfs_eccentricity(gbar))
+        suite.run("diameter-primal", lambda: 2, lambda: bfs_eccentricity(g))
+        suite.run("diameter-complement", lambda: 2, lambda: bfs_eccentricity(gbar))
     if not spec.is_degenerate:
         pairs = [("complement", gbar)]
         if not spec.is_half:
@@ -449,7 +465,7 @@ def _metric_checks(suite, g, gbar):
         for name, graph in pairs:
             suite.run(
                 f"girth-{name}",
-                invariant_bounds(graph.spec).girth,
+                lambda: invariant_bounds(graph.spec).girth,
                 lambda: girth_bruteforce(graph),
             )
 
@@ -458,10 +474,13 @@ def _moment_checks(suite, g, gbar):
     """The closed spectrum's (v, sum lambda, sum lambda^2) against the
     counted order, trace(A) and trace(A^2)."""
     for name, graph in (("primal", g), ("complement", gbar)):
-        sp = spectrum(graph.spec)
+        def moments():
+            sp = spectrum(graph.spec)
+            return sp.v, sp.moment(1), sp.moment(2)
+
         suite.run(
             f"spectrum-moments-{name}",
-            (sp.v, sp.moment(1), sp.moment(2)),
+            moments,
             lambda: (graph.n, count_walks_bruteforce(graph, 1), count_walks_bruteforce(graph, 2)),
         )
 
@@ -509,9 +528,11 @@ def _klapper_checks(suite, g):
         low_rank.append(low)
         return mismatches
 
-    suite.run("klapper-vs-kernel-counts", [], sweep)
+    suite.run("klapper-vs-kernel-counts", lambda: [], sweep)
     # the count comes from the sweep above; a crashed sweep leaves None
-    suite.run("klapper-low-rank-multiplicity", g.k, lambda: low_rank[0] if low_rank else None)
+    suite.run(
+        "klapper-low-rank-multiplicity", lambda: g.k, lambda: low_rank[0] if low_rank else None
+    )
 
 
 def _waring_checks(suite, g, max_order):
@@ -520,7 +541,7 @@ def _waring_checks(suite, g, max_order):
         return
     suite.run(
         "waring-witnesses",
-        True,
+        lambda: True,
         lambda: (lambda cert: cert.g == 2 and verify_waring(cert, g.field))(
             waring_number(spec, max_order=max_order)
         ),
@@ -529,9 +550,11 @@ def _waring_checks(suite, g, max_order):
 
 def _ramanujan_checks(suite, spec):
     if not spec.is_half:
-        suite.run("ramanujan-double-path", True, lambda: is_ramanujan(spec) in (True, False))
+        suite.run(
+            "ramanujan-double-path", lambda: True, lambda: is_ramanujan(spec) in (True, False)
+        )
     if not spec.is_degenerate:
-        suite.run("ramanujan-complement", True, lambda: is_ramanujan(spec.complement()))
+        suite.run("ramanujan-complement", lambda: True, lambda: is_ramanujan(spec.complement()))
 
 
 def _coset_checks(suite, g, gbar):
@@ -554,7 +577,7 @@ def _coset_checks(suite, g, gbar):
             np.array_equal(cover > 0, gbar.adjacency[0]) and gbar.translation_invariant,
         )
 
-    suite.run("coset-decomposition", (True, True), decompose)
+    suite.run("coset-decomposition", lambda: (True, True), decompose)
 
 
 def _arc_transitivity_checks(suite, g):
@@ -581,7 +604,7 @@ def _arc_transitivity_checks(suite, g):
             apply_affine_frobenius(g, a, 0, 0)
         return True
 
-    suite.run("arc-transitivity-witnesses", True, witness_all_arcs)
+    suite.run("arc-transitivity-witnesses", lambda: True, witness_all_arcs)
 
     def membership_criterion():
         for a in range(1, g.n):
@@ -591,4 +614,4 @@ def _arc_transitivity_checks(suite, g):
                 return f"scale {a} violates the membership criterion"
         return True
 
-    suite.run("edge-preservation-criterion", True, membership_criterion)
+    suite.run("edge-preservation-criterion", lambda: True, membership_criterion)

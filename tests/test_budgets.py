@@ -3,7 +3,7 @@ import pytest
 from gpaley.budgets import DEFAULTS, budget, require
 from gpaley.cli import dispatch
 from gpaley.errors import BudgetExceeded
-from gpaley.field import FieldParams, build_field
+from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, build_graph
 from gpaley.oracles import count_trees_bruteforce
 
@@ -65,7 +65,7 @@ def test_non_integer_environment_is_named(monkeypatch, capsys):
 def test_explicit_zero_refuses_every_size():
     g = build_graph(GraphSpec(2, 1, 2, 1))
     with pytest.raises(BudgetExceeded):
-        build_field(FieldParams(2, 1, 1), max_order=0)
+        get_field(2, 1, 1, max_order=0)
     with pytest.raises(BudgetExceeded):
         build_graph(GraphSpec(2, 1, 2, 1), max_order=0)
     with pytest.raises(BudgetExceeded):

@@ -8,10 +8,8 @@ from gpaley.forms import (
     TraceForm,
     class_from_counts,
     classify_form,
-    count_kernel,
     evaluate_form,
     exp_sum,
-    form_values,
     kernel_counts,
 )
 from gpaley.graphs import GraphSpec, connection_set
@@ -20,7 +18,7 @@ from gpaley.graphs import GraphSpec, connection_set
 def test_zero_maps_to_zero():
     f = get_field(2, 1, 4)
     form = TraceForm(f, 1, 1)
-    assert evaluate_form(form, 0).index == 0
+    assert evaluate_form(form, 0) == 0
 
 
 def test_gamma_zero_rejected():
@@ -36,8 +34,8 @@ def test_homogeneity_over_small_field():
     for c in range(1, 3):  # prime-subfield scalars are indices 0..p-1
         c2 = f.mul(c, c)
         for x in range(81):
-            lhs = evaluate_form(form, f.mul(c, x)).index
-            rhs = f.mul(c2, evaluate_form(form, x).index)
+            lhs = evaluate_form(form, f.mul(c, x))
+            rhs = f.mul(c2, evaluate_form(form, x))
             assert lhs == rhs
 
 
@@ -46,33 +44,22 @@ def test_kernel_counts_partition():
     for gamma in (1, 5, 9):
         counts = kernel_counts(TraceForm(f, gamma, 1))
         assert sum(counts.values()) == 16
-        assert count_kernel(TraceForm(f, gamma, 1), 0) == counts[0]
 
 
 _FORM_FIELDS = [(2, 1, 4, 1), (3, 1, 4, 1), (2, 2, 4, 1), (2, 1, 8, 2)]
 
 
 @pytest.mark.parametrize("p,s,m,ell", _FORM_FIELDS)
-def test_form_values_match_pointwise_evaluation(p, s, m, ell):
-    # the log-domain pass against the scalar evaluation, for every gamma and x
-    f = get_field(p, s, m)
-    for gamma in range(1, f.order):
-        form = TraceForm(f, gamma, ell)
-        assert form_values(form).tolist() == [
-            evaluate_form(form, x).index for x in range(f.order)
-        ]
-        counts = kernel_counts(form)
-        assert {xi: count_kernel(form, xi) for xi in counts} == counts
-
-
-@pytest.mark.parametrize("p,s,m,ell", _FORM_FIELDS)
 def test_histogram_is_the_bincount_of_the_form_values(p, s, m, ell):
+    # the log-domain pass against the scalar evaluation at every alpha^i, and
     # the one-pass histogram against the values in index order, Q(0) included
     f = get_field(p, s, m)
     values = f.subfield_indices(s)
     for gamma in range(1, f.order):
         form = TraceForm(f, gamma, ell)
-        counts = np.bincount(form_values(form), minlength=f.order)
+        pointwise = [evaluate_form(form, x) for x in range(f.order)]
+        assert gpaley.forms._unit_values(form).tolist() == [pointwise[x] for x in f.exp]
+        counts = np.bincount(pointwise, minlength=f.order)
         assert form.histogram == {int(x): int(counts[x]) for x in values}
         assert counts[values].sum() == f.order  # every value lies in F_q
 
@@ -92,7 +79,7 @@ def test_each_form_is_evaluated_once(monkeypatch):
     counts = kernel_counts(form)
     counts[0] += 1  # the caller's copy, not the form's histogram
     assert exp_sum(form) == 4
-    assert count_kernel(form, 0) == kernel_counts(form)[0] == 10
+    assert kernel_counts(form)[0] == 10
     assert calls == [form]
 
 

@@ -56,19 +56,24 @@ def test_budget_refusals_come_from_require():
     assert sorted(s for s in sites if s[0] != "budgets.py" and s not in allowed) == []
 
 
-def _is_adjacency_row_sum(call: ast.Call) -> bool:
+def _is_adjacency_sum(call: ast.Call) -> bool:
+    """``<x>.adjacency.sum(...)``, with or without ``axis``."""
     func = call.func
     return (
         isinstance(func, ast.Attribute)
         and func.attr == "sum"
         and isinstance(func.value, ast.Attribute)
         and func.value.attr == "adjacency"
-        and any(
-            k.arg == "axis" and isinstance(k.value, ast.Constant) and k.value.value == 1
-            for k in call.keywords
-        )
     )
 
 
 def test_degrees_are_counted_once():
-    assert _sites(_is_adjacency_row_sum) == {("graphs.py", "degrees")}
+    # every N^2 pass over an adjacency for its degrees or its edge count
+    # reads CayleyGraph.degrees instead
+    assert _sites(_is_adjacency_sum) == {("graphs.py", "degrees")}
+
+
+def test_field_tables_are_built_in_one_place():
+    # get_field, through its memo, is the one constructor of a field
+    sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "FieldTable")
+    assert sites == {("field.py", "_memoized_field")}

@@ -10,12 +10,14 @@ from hypothesis import given, strategies as st
 import gpaley.field
 import gpaley.forms
 import gpaley.oracles
+import gpaley.spectra
 from gpaley.applications import verify_waring, waring_number
 from gpaley.arith import gcd_power
 from gpaley.errors import (
     BudgetExceeded,
     DisconnectedComponentsFound,
     InternalCheckError,
+    NotInFamily,
     NotStronglyRegular,
 )
 from gpaley.field import get_field
@@ -385,20 +387,52 @@ def test_report_json_shape():
 
 
 def test_suite_records_failures_without_raising():
-    # a kernel that raises and a kernel that returns a wrong value both
-    # become failed results, and the suite goes on to the next check
+    # a kernel that raises, a closed form that raises and a kernel that
+    # returns a wrong value all become failed results, and the suite goes on
+    # to the next check
     g = build_graph(GraphSpec(2, 1, 4, 1))
     suite = gpaley.oracles._Suite(g.spec)
-    suite.run("trees-capped", 2**31, lambda: count_trees_bruteforce(g, max_order=8))
-    suite.run("a2-perturbed", True, lambda: verify_a2_identity(g, (16, 5, 1, 2)))
-    suite.run("a2-identity", True, lambda: verify_a2_identity(g, (16, 5, 0, 2)))
-    raised, wrong, following = suite.report.checks
+    suite.run("trees-capped", lambda: 2**31, lambda: count_trees_bruteforce(g, max_order=8))
+    suite.run("trees-closed-raises", lambda: spanning_trees(GraphSpec(2, 1, 3, 1)),
+              lambda: count_trees_bruteforce(g))
+    suite.run("a2-perturbed", lambda: True, lambda: verify_a2_identity(g, (16, 5, 1, 2)))
+    suite.run("a2-identity", lambda: True, lambda: verify_a2_identity(g, (16, 5, 0, 2)))
+    raised, closed_raised, wrong, following = suite.report.checks
     assert not raised.passed
-    assert raised.observed == "BudgetExceeded: 16 exceeds the tree budget 8"
+    assert (raised.expected, raised.observed) == (
+        2**31, "BudgetExceeded: 16 exceeds the tree budget 8"
+    )
+    assert not closed_raised.passed
+    assert closed_raised.expected.startswith("NotInFamily: ")
+    assert closed_raised.observed == 2**31
     assert (wrong.passed, wrong.observed) == (False, False)
     assert following.passed and following.observed is True
-    assert [c.name for c in suite.report.failures()] == ["trees-capped", "a2-perturbed"]
+    assert [c.name for c in suite.report.failures()] == [
+        "trees-capped", "trees-closed-raises", "a2-perturbed"
+    ]
     assert not suite.report.ok
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
+def test_a_closed_form_that_raises_fails_its_check_and_the_suite_goes_on(monkeypatch, spec):
+    # an (e, d) off by one makes srg_params, and every check that reads it,
+    # raise InternalCheckError; the report still lists every check
+    real = gpaley.spectra._core_e_d
+    monkeypatch.setattr(gpaley.spectra, "_core_e_d", lambda s: (real(s)[0] + 1, real(s)[1]))
+    report = run_suite(spec)
+    assert len(report.checks) == 25
+    failed = [c.name for c in report.failures()]
+    assert failed == [
+        "srg-counts-primal", "a2-identity-primal", "srg-counts-complement",
+        "a2-identity-complement", "girth-primal", "girth-complement",
+    ]
+    assert all(c.expected.startswith("InternalCheckError: ")
+               for c in report.failures() if c.name.startswith("srg-counts"))
+
+
+def test_run_suite_refuses_a_spec_outside_the_family():
+    with pytest.raises(NotInFamily):
+        run_suite(GraphSpec(2, 1, 3, 1))
 
 
 def test_connection_cardinality_is_held_to_the_closed_degree(monkeypatch):
@@ -600,10 +634,13 @@ def test_edge_preservation_reads_every_scale_of_a_256_vertex_graph():
     assert check.observed == f"scale {a} violates the membership criterion"
 
 
-@pytest.mark.parametrize("env", [None, "1024"])
-def test_run_suite_lists_size_skips(monkeypatch, env):
+@pytest.mark.parametrize("env, max_order", [(None, None), ("1024", None), (None, 1024)],
+                         ids=["None", "1024", "max_order=1024"])
+def test_run_suite_lists_size_skips(monkeypatch, env, max_order):
     # 625 vertices: above the tree (512) and arc (256) budgets, within coset
-    # (1024); an environment cap above them leaves those cut-offs in place
+    # (1024); an environment cap above them leaves those cut-offs in place,
+    # and so does an explicit max_order, which admits only the graphs, the
+    # field and the Waring witnesses
     if env is None:
         monkeypatch.delenv("GPG_MAX_ORDER", raising=False)
     else:
@@ -614,7 +651,7 @@ def test_run_suite_lists_size_skips(monkeypatch, env):
 
     monkeypatch.setattr(gpaley.oracles, "count_trees_bruteforce", too_large)
     monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", too_large)
-    report = run_suite(GraphSpec(5, 1, 4, 1))
+    report = run_suite(GraphSpec(5, 1, 4, 1), max_order=max_order)
     assert report.ok
     assert report.skipped == [
         ("trees-primal", "tree", 512),
