@@ -10,7 +10,8 @@ subfield occupies indices 0..p-1.
 Multiplication adds logarithms. Addition is the XOR of the indices for
 p = 2 and one Zech-logarithm lookup for odd p (Lidl and Niederreiter,
 Finite Fields, 2.4); negation is the product by -1, the index p - 1. The
-scalar operations call the whole-array ones.
+scalar ``add`` and ``neg`` call the whole-array kernels; ``mul``, ``inv``
+and ``pow`` read the exp and log tables directly.
 
 ``get_field`` is the one constructor: it picks the modulus and the
 generator alpha by a deterministic rule, so every table is reproducible
@@ -25,9 +26,6 @@ import numpy as np
 from .arith import factorize, is_prime
 from .budgets import require
 from .errors import CompositeP, NotASubfield, ZeroElement
-
-_BLOCK = 4096
-
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p (little-endian coefficient lists)
@@ -114,6 +112,31 @@ def _index_digits(idx: int, p: int, n: int) -> list[int]:
     return out
 
 
+def _linear_map(p: int, n: int, images: list[int]) -> np.ndarray:
+    """Index array of the F_p-linear map on F_{p^n} that sends each basis
+    index p^i to images[i] (Lidl and Niederreiter, Finite Fields, 2.3).
+    Block [d p^i, (d+1) p^i) is block d - 1 plus images[i], added without a
+    field table: XOR for p = 2, else in rows of base-p digits sized for the
+    sum of two."""
+    if p == 2:
+        out = np.zeros(2**n, dtype=np.int64)
+        for i, image in enumerate(images):
+            np.bitwise_xor(out[: 1 << i], image, out=out[1 << i : 2 << i])
+        return out
+    digits = np.zeros((n, p**n), dtype=np.min_scalar_type(2 * p))
+    for i, image in enumerate(images):
+        size, image_digits = p**i, np.array(_index_digits(image, p, n), dtype=digits.dtype)
+        for d in range(1, p):
+            block = digits[:, d * size : (d + 1) * size]
+            np.add(digits[:, (d - 1) * size : d * size], image_digits[:, None], out=block)
+            np.remainder(block, p, out=block)
+    out = np.zeros(p**n, dtype=np.int64)
+    for row in digits[::-1]:
+        out *= p
+        out += row
+    return out
+
+
 # ---------------------------------------------------------------------------
 # field parameters and tables
 # ---------------------------------------------------------------------------
@@ -153,6 +176,11 @@ class FieldTable:
     (-1 where 1 + alpha^i = 0). Multiplication is exponent addition;
     addition is XOR for p = 2 and one Zech lookup for odd p; negation
     multiplies by -1.
+
+    exp is filled by doubling. ``_linear_map`` builds the F_p-linear map
+    x -> alpha x from the products alpha x^i mod the modulus; given the map
+    for alpha^B, exp[B:2B] is its gather at exp[:B], and the map composed
+    with itself is the one for alpha^(2B). log inverts exp.
     """
 
     def __init__(self, params: FieldParams, modulus: tuple[int, ...], alpha: int):
@@ -176,44 +204,21 @@ class FieldTable:
 
     # -- construction -------------------------------------------------------
 
-    def _mult_by_alpha_matrix(self) -> np.ndarray:
-        p, n = self.p, self.n
-        alpha_poly = _index_digits(self.alpha, p, n)
-        mod = list(self.modulus)
-        cols = []
-        for j in range(n):
-            basis = [0] * j + [1]
-            cols.append(_poly_mulmod(alpha_poly, basis, mod, p))
-        return np.array(cols, dtype=np.int64).T % p
-
     def _build_tables(self):
         p, n, N = self.p, self.n, self.order
         units = N - 1
-        pw = p ** np.arange(n, dtype=np.int64)
-        M = self._mult_by_alpha_matrix()
-        block = min(_BLOCK, units)
-        S = np.zeros((n, block), dtype=np.int64)
-        cur = np.zeros(n, dtype=np.int64)
-        cur[0] = 1
-        for i in range(block):
-            S[:, i] = cur
-            cur = (M @ cur) % p
-        MB = np.eye(n, dtype=np.int64)
-        e = block
-        Msq = M
-        while e:
-            if e & 1:
-                MB = (MB @ Msq) % p
-            Msq = (Msq @ Msq) % p
-            e >>= 1
+        alpha_poly, mod = _index_digits(self.alpha, p, n), list(self.modulus)
+        products = (_poly_mulmod(alpha_poly, [0] * i + [1], mod, p) for i in range(n))
+        step = _linear_map(p, n, [sum(c * p**j for j, c in enumerate(x)) for x in products])
         exp = np.empty(units, dtype=np.int64)
-        pos = 0
-        while pos < units:
-            w = min(block, units - pos)
-            exp[pos : pos + w] = pw @ S[:, :w]
-            pos += w
-            if pos < units:
-                S = (MB @ S) % p
+        exp[0], done = 1, 1
+        while done < units:
+            block = exp[done : 2 * done]
+            np.take(step, exp[: len(block)], out=block)
+            done += len(block)
+            if done < units:
+                step = step[step]
+        del step
         log = np.full(N, -1, dtype=np.int64)
         log[exp] = np.arange(units, dtype=np.int64)
         if np.any(log[1:] < 0):
@@ -313,11 +318,8 @@ class FieldTable:
         """Index array of the relative trace Tr_{p^from / p^to}(x) at every
         index x, cached per (from, to). Entries are only meaningful for x in
         the degree-``from`` subfield; elsewhere the array holds the same sum of
-        from/to Frobenius iterates. That sum is F_p-linear on all of F_{p^n}
-        (Lidl and Niederreiter, Finite Fields, 2.3), so the map is built from
-        the images of the n basis monomials, the indices p^i: block
-        [d p^i, (d+1) p^i) is block d - 1 plus the image of p^i, about p^n
-        additions in all."""
+        from/to Frobenius iterates. That sum is F_p-linear on all of F_{p^n},
+        so ``_linear_map`` builds it from the images of the basis indices p^i."""
         t = to_degree
         f = self.n if from_degree is None else from_degree
         if f % t or self.n % f:
@@ -327,13 +329,7 @@ class FieldTable:
                 acc = np.arange(self.order, dtype=np.int64)
             else:
                 basis = self.p ** np.arange(self.n, dtype=np.int64)
-                images = self._frobenius_sum(basis, t, f // t).tolist()
-                acc = np.zeros(self.order, dtype=np.int64)
-                for size, image in zip(basis.tolist(), images):
-                    for d in range(1, self.p):
-                        acc[d * size : (d + 1) * size] = self.add_arrays(
-                            acc[(d - 1) * size : d * size], image
-                        )
+                acc = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, f // t).tolist())
             if f == self.n and not np.array_equal(self.pow_array(acc, self.p**t), acc):
                 raise NotASubfield("trace image escaped the target subfield")  # unreachable
             self._trace_cache[(f, t)] = acc

@@ -210,16 +210,13 @@ def connection_set(spec: GraphSpec, field: FieldTable) -> ConnectionSet:
 
 def is_symmetric(conn: ConnectionSet) -> bool:
     """True iff -1 lies among the (q^ell + 1)-th powers; the complement set
-    inherits the same symmetry. Cross-checked against the parity rule:
-    always true for q even; for q odd, true iff m_ell is even or
-    q^m = 1 mod 4. Disagreement would be a bug, not an input condition."""
-    spec, field = conn.spec, conn.field
-    primal = conn
-    if spec.complemented:
-        primal = connection_set(replace(spec, complemented=False), field)
-    direct = bool(primal.members[field.neg(1)])
-    if direct != _symmetry_rule(spec):
-        raise InternalCheckError(f"symmetry rule mismatch for {spec}")
+    inherits the same symmetry, and -1, being nonzero, lies in exactly one
+    of the two sets. Cross-checked against the parity rule: always true for
+    q even; for q odd, true iff m_ell is even or q^m = 1 mod 4.
+    Disagreement would be a bug, not an input condition."""
+    direct = bool(conn.members[conn.field.neg(1)]) != conn.spec.complemented
+    if direct != _symmetry_rule(conn.spec):
+        raise InternalCheckError(f"symmetry rule mismatch for {conn.spec}")
     return direct
 
 

@@ -244,7 +244,6 @@ def intersection_array(spec: GraphSpec) -> IntersectionArray:
 
     Primal: {k, k-e-1; 1, d} with k-e-1 = q^ell * d. Complement:
     {kbar, kbar-ebar-1; 1, dbar}, i.e. {q^ell k, k-d; 1, v-2k+e}."""
-    _require_proper(spec)
     if spec.is_half and not spec.complemented:
         raise Disconnected("ell = m/2 graphs are disconnected")
     rec = srg_params(spec)
@@ -301,7 +300,6 @@ def spanning_trees(spec: GraphSpec) -> int:
 
     (and its complement analogue) is evaluated as well; the two must agree.
     """
-    _require_proper(spec)
     if spec.is_half and not spec.complemented:
         return 0
     sp = spectrum(spec)
@@ -331,7 +329,6 @@ def spanning_trees(spec: GraphSpec) -> int:
 def ramanujan_by_inequality(spec: GraphSpec) -> bool:
     """lambda(G) <= 2 sqrt(k-1), decided by the exact squared comparison
     max(|lambda|)^2 <= 4(k-1) over nontrivial eigenvalues."""
-    _require_proper(spec)
     if spec.is_half and not spec.complemented:
         raise Disconnected("Ramanujan condition needs a connected graph")
     sp = spectrum(spec)

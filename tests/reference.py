@@ -5,7 +5,9 @@ which are the coefficients of the residue polynomials, so it shares
 nothing with the library's XOR and Zech-logarithm kernels; the
 translation check and the trace map below are built on it. The Bareiss determinant is exact in
 Python integers and is what the multi-modular determinant is tested
-against.
+against. The power table multiplies residue polynomials in Python lists,
+one product per power, and is what the field's exponential table is
+tested against.
 """
 
 import numpy as np
@@ -37,6 +39,27 @@ def frobenius_trace_map(fld, t: int, f: int) -> np.ndarray:
         y = np.where(y == 0, 0, fld.exp[(fld.log[y] * p**t) % units])
         acc = digit_add(acc, y, p, n)
     return acc
+
+
+def power_table(p: int, n: int, modulus, alpha: int) -> list[int]:
+    """Index of alpha^i for 0 <= i < p^n - 1, each power the previous one
+    times alpha, multiplied and reduced by the monic ``modulus`` (its n + 1
+    coefficients, little-endian) in Python lists."""
+    a = [alpha // p**j % p for j in range(n)]
+    cur, table = [1] + [0] * (n - 1), []
+    for _ in range(p**n - 1):
+        table.append(sum(c * p**j for j, c in enumerate(cur)))
+        prod = [0] * (2 * n - 1)
+        for i, c in enumerate(cur):
+            for j, d in enumerate(a):
+                prod[i + j] += c * d
+        # x^k = x^(k-n) x^n, and x^n = -(modulus[0] + ... + modulus[n-1] x^(n-1))
+        for k in range(2 * n - 2, n - 1, -1):
+            lead = prod[k] % p
+            for j in range(n):
+                prod[k - n + j] -= lead * modulus[j]
+        cur = [c % p for c in prod[:n]]
+    return table
 
 
 def translation_invariant(adj, p: int, n: int) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from gpaley.field import (
     get_field,
     trace,
 )
-from reference import digit_add, digit_neg, frobenius_trace_map
+from reference import digit_add, digit_neg, frobenius_trace_map, power_table
 
 
 def test_build_f16():
@@ -269,6 +271,54 @@ def test_field_table_accepts_any_primitive_alpha():
     assert np.array_equal(same.exp, f.exp) and np.array_equal(same.zech, f.zech)
     other = FieldTable(f.params, f.modulus, f.exp[3])  # alpha^3, also primitive
     assert np.array_equal(other.exp, f.exp[(3 * np.arange(8)) % 8])
+
+
+def _fields_up_to(limit, prime_powers):
+    return [
+        (p, s, m) for p, s in prime_powers for m in range(1, 23) if p ** (s * m) <= limit
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, s, m",
+    _fields_up_to(1024, [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (11, 1)]),
+)
+def test_exp_table_matches_the_power_reference(p, s, m):
+    # the canonical alpha, and alpha^3, which is a generator exactly when
+    # gcd(3, p^n - 1) = 1; otherwise the table must refuse it
+    f = get_field(p, s, m)
+    assert f.exp.dtype == np.int64
+    assert f.exp.tolist() == power_table(p, f.n, f.modulus, f.alpha)
+    if f.order <= 4:
+        return
+    cube = power_table(p, f.n, f.modulus, int(f.exp[3]))
+    if len(set(cube)) < f.order - 1:
+        with pytest.raises(ValueError, match="does not generate"):
+            FieldTable(f.params, f.modulus, f.exp[3])
+    else:
+        assert FieldTable(f.params, f.modulus, f.exp[3]).exp.tolist() == cube
+
+
+def test_tables_are_reproducible_across_versions():
+    # one digest of (p, s, m), exp, log, zech and every trace map
+    # Tr_{p^f / p^t} with t | f | n, over 63 fields up to 2^16 elements
+    digest = hashlib.sha256()
+    fields = _fields_up_to(
+        1 << 16, [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (11, 1), (13, 1), (2, 3)]
+    )
+    assert len(fields) == 63
+    for p, s, m in fields:
+        fld = get_field(p, s, m)
+        digest.update(repr((p, s, m)).encode())
+        for table in (fld.exp, fld.log, fld.zech):
+            digest.update(table.tobytes())
+        for f in (f for f in range(1, fld.n + 1) if fld.n % f == 0):
+            for t in (t for t in range(1, f + 1) if f % t == 0):
+                digest.update(fld.trace_map(t, f).tobytes())
+        get_field.cache_clear()
+    assert digest.hexdigest() == (
+        "d753dfa9adf177005e60f9b625e3d7c92c558b0c3a256ba87ac52f3e768731d6"
+    )
 
 
 def test_modulus_is_minimal_irreducible():

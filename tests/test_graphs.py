@@ -110,6 +110,21 @@ def test_symmetry():
     assert is_symmetric(connection_set(GraphSpec(13, 1, 1, 0), f13))  # 13 = 1 mod 4
 
 
+def test_complement_symmetry_agrees_with_the_primal():
+    # -1 is nonzero, so it lies in exactly one of S and its complement; both
+    # sets must report the symmetry of the primal set
+    count = 0
+    for p, s, m in _orders_up_to(1 << 12):
+        f = get_field(p, s, m)
+        for ell in range(0, m):
+            primal = connection_set(GraphSpec(p, s, m, ell), f)
+            direct = bool(primal.members[f.neg(1)])
+            assert is_symmetric(primal) == direct
+            assert is_symmetric(connection_set(GraphSpec(p, s, m, ell, True), f)) == direct
+            count += 1
+    assert count == 168
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------

@@ -25,6 +25,27 @@ def test_every_imported_name_is_used(path):
     assert sorted(_imported_names(tree) - used) == []
 
 
+def _module_constants(tree: ast.Module) -> set[str]:
+    """Upper-case names bound at module level, such as ``_ROW_BLOCK``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.lstrip("_").isupper()}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_constant_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(_module_constants(tree) - read) == []
+
+
 def _calls_by_function(tree: ast.Module):
     """(enclosing function name or None, call node) for every call."""
     def visit(node, owner):
