@@ -10,7 +10,7 @@ from .errors import BudgetExceeded, InternalCheckError
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_FACTOR_BIT_LIMIT = 128
+_FACTOR_BIT_LIMIT = 40
 
 # Integers up to this many bits (about 600 digits) have fewer digits than
 # any setting of sys.set_int_max_str_digits allows, so str() converts them.
@@ -42,67 +42,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    x0 = 2
-    c = 1
-    while True:
-        x = y = x0
-        d = 1
-        q = 1
-        ys = y
-        m = 128
-        r = 1
-        while d == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and d == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                d = math.gcd(q, n)
-                k += m
-            r *= 2
-        if d == n:
-            # backtrack one squaring at a time
-            d = 1
-            while d == 1:
-                ys = (ys * ys + c) % n
-                d = math.gcd(abs(x - ys), n)
-        if d != n:
-            return d
-        c += 1  # rare: retry with a different polynomial
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}. Trial division then Pollard
-    rho; inputs beyond 128 bits are refused (callers fall back to symbolic
-    paths that never need the factorization)."""
+    """Prime factorization as {prime: exponent}, by trial division up to
+    isqrt(n). The package factors only degrees and unit-group orders
+    p^n - 1 of fields within the table budget; inputs of 2^40 or more are
+    refused, so every accepted input takes at most about 2^19 divisions."""
     if n.bit_length() > _FACTOR_BIT_LIMIT:
         raise BudgetExceeded(f"refusing to factor {n.bit_length()}-bit integer")
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
     return out
 
 

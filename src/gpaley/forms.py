@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
-from .field import FieldTable
+from .field import FieldTable, trace
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ def _unit_values(f: TraceForm) -> np.ndarray:
     """Q(alpha^i) at position i, in one exhaustive pass in the log domain:
     gamma (alpha^i)^e = alpha^(log gamma + e*i)."""
     fld = f.field
-    trace = fld.trace_map(fld.params.s)  # cached per field; built before the arrays below
+    tr = fld.trace_map(fld.params.s)  # cached per field; built before the arrays below
     units, log_gamma = fld.order - 1, int(fld.log[f.gamma])
     step = (f.exponent - 1) % units + 1  # e mod (N - 1) in 1..N-1: a nonzero step
     logs = np.arange(log_gamma, log_gamma + step * units, step, dtype=np.int64) % units
-    return trace[fld.exp[logs]]
+    return tr[fld.exp[logs]]
 
 
 def kernel_counts(f: TraceForm) -> dict[int, int]:
@@ -111,11 +111,10 @@ def exp_sum(f: TraceForm, a: int = 1) -> int:
         raise ZeroElement("a must be a unit of the small field")
     if not fld.in_subfield(a, fld.params.s):
         raise ValueError("a must lie in the q-element subfield")
-    # Tr_{q/p} on the small field; prime-subfield elements are indices 0..p-1
-    residue = fld.trace_map(1, from_degree=fld.params.s)
+    # Tr_{q/p} on the q values summed; prime-subfield elements are indices 0..p-1
     counts = [0] * fld.p
     for xi, count in f.histogram.items():
-        counts[residue[fld.mul(xi, a)]] += count
+        counts[trace(fld, fld.mul(xi, a), fld.params.s, 1)] += count
     if len(set(counts[1:])) > 1:
         raise UnbalancedCounts(f"residue counts {counts} not constant off zero")
     return counts[0] - counts[1]

@@ -377,6 +377,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     are listed in the report's ``skipped``, and the seconds of the two graph
     builds in its ``build_seconds``."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
+    spectrum(spec)  # refuses a spec outside the family before any graph is built
     suite = _Suite(spec)
     # build_graph admits the graphs under max_order, so the field and the
     # Waring witnesses, capped by the same value, are admitted too
@@ -385,7 +386,6 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     t1 = time.perf_counter()
     gbar = build_graph(spec.complement(), max_order=max_order)
     suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
-    spectrum(spec)  # refuses a spec outside the family before any check runs
 
     _structure_checks(suite, g, gbar)
     if not spec.is_degenerate:

@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gpaley.arith import (
     divisors,
@@ -13,7 +13,7 @@ from gpaley.arith import (
     is_prime,
     v2,
 )
-from gpaley.errors import InternalCheckError
+from gpaley.errors import BudgetExceeded, InternalCheckError
 
 
 def test_is_prime_small():
@@ -37,6 +37,27 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2**40 - 1))
+def test_factorize_property(n):
+    f = factorize(n)
+    assert all(is_prime(p) and e >= 1 for p, e in f.items())
+    assert math.prod(p**e for p, e in f.items()) == n
+
+
+def test_factorize_exact():
+    assert factorize(1) == {}
+    assert factorize(2**20 - 1) == {3: 1, 5: 2, 11: 1, 31: 1, 41: 1}
+    assert factorize(2**22 - 1) == {3: 1, 23: 1, 89: 1, 683: 1}
+    assert factorize(3**13 - 1) == {2: 1, 797161: 1}
+
+
+@pytest.mark.parametrize("n", [2**40, 2**40 + 1, 2**64 - 1, 3**100])
+def test_factorize_refuses_40_bits_and_above(n):
+    with pytest.raises(BudgetExceeded):
+        factorize(n)
 
 
 def test_divisors():

@@ -83,6 +83,17 @@ def test_each_form_is_evaluated_once(monkeypatch):
     assert calls == [form]
 
 
+def test_exp_sum_builds_no_small_field_trace_map():
+    # Tr_{q/p} is read on the q summed values, not as a whole-field array
+    get_field.cache_clear()
+    f = get_field(2, 2, 4)  # q = 4, m = 4
+    try:
+        exp_sum(TraceForm(f, 1, 1))
+        assert list(f._trace_cache) == [(8, 2)]
+    finally:
+        get_field.cache_clear()
+
+
 def test_kernel_matches_balanced_formula_f16():
     # rank/type from exhaustive counts; N(0) = q^(m-1) + eps(q-1)q^(m-r/2-1)
     f = get_field(2, 1, 4)

@@ -195,6 +195,27 @@ def test_build_refuses_an_asymmetric_connection_set(monkeypatch):
         build_graph(GraphSpec(3, 1, 4, 1))
 
 
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(3, 1, 4, 1), GraphSpec(5, 1, 2, 1), GraphSpec(7, 1, 2, 1)]
+)
+def test_build_graph_refuses_every_shifted_zech_entry(spec):
+    # for odd p the Zech table is the addition of build_graph: moving any one
+    # entry zech[i] -> zech[i] + 1 must fail the translation check
+    field = get_field(spec.p, spec.s, spec.m)
+    units = field.order - 1
+    try:
+        for i in np.flatnonzero(field.zech >= 0):
+            saved = int(field.zech[i])
+            field.zech[i] = (saved + 1) % units
+            try:
+                with pytest.raises(InternalCheckError):
+                    build_graph(spec)
+            finally:
+                field.zech[i] = saved
+    finally:
+        get_field.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # family bookkeeping
 # ---------------------------------------------------------------------------

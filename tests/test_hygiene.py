@@ -46,6 +46,29 @@ def test_every_module_constant_is_read(path):
     assert sorted(_module_constants(tree) - read) == []
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Functions, methods and classes with a single leading underscore."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, defs) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_read(path):
+    # a private helper that its own module never reads is dead code
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert sorted(_private_definitions(tree) - read) == []
+
+
 def _calls_by_function(tree: ast.Module):
     """(enclosing function name or None, call node) for every call."""
     def visit(node, owner):

@@ -435,6 +435,18 @@ def test_run_suite_refuses_a_spec_outside_the_family():
         run_suite(GraphSpec(2, 1, 3, 1))
 
 
+@pytest.mark.parametrize("spec", [(2, 1, 12, 5), (3, 1, 3, 1), (3, 1, 9, 2)])
+def test_run_suite_refuses_outside_the_family_before_building(monkeypatch, spec):
+    # the spectrum alone refuses these specs; a build of Gamma_{3,3}(1) would
+    # raise DirectedUnsupported in place of NotInFamily
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built for a spec outside the family")
+
+    monkeypatch.setattr(gpaley.oracles, "build_graph", no_build)
+    with pytest.raises(NotInFamily):
+        run_suite(GraphSpec(*spec))
+
+
 def test_connection_cardinality_is_held_to_the_closed_degree(monkeypatch):
     # a connection set of the wrong size still makes a loop-free Cayley
     # graph that build_graph certifies; only the paper's degree can tell
