@@ -11,7 +11,9 @@ Multiplication adds logarithms. Addition is the XOR of the indices for
 p = 2 and one Zech-logarithm lookup for odd p (Lidl and Niederreiter,
 Finite Fields, 2.4); negation is the product by -1, the index p - 1. The
 scalar ``add`` and ``neg`` call the whole-array kernels; ``mul``, ``inv``
-and ``pow`` read the exp and log tables directly.
+and ``pow`` read the exp and log tables directly. The exp table is filled
+by baby-step/giant-step (Shanks, 1971), and the Zech table is built on
+first read, so a p = 2 field never builds it.
 
 ``get_field`` is the one constructor: it picks the modulus and the
 generator alpha by a deterministic rule, so every table is reproducible
@@ -19,7 +21,8 @@ from (p, s, m) alone, and memoizes one table per (p, s, m).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -177,10 +180,12 @@ class FieldTable:
     addition is XOR for p = 2 and one Zech lookup for odd p; negation
     multiplies by -1.
 
-    exp is filled by doubling. ``_linear_map`` builds the F_p-linear map
-    x -> alpha x from the products alpha x^i mod the modulus; given the map
-    for alpha^B, exp[B:2B] is its gather at exp[:B], and the map composed
-    with itself is the one for alpha^(2B). log inverts exp.
+    exp is filled by baby-step/giant-step with B = isqrt(p^n - 1): the
+    baby steps exp[:B] are B small products of digit vectors by the matrix
+    of x -> alpha x; ``_linear_map`` builds the giant map x -> alpha^B x
+    once, from the products alpha^B x^i mod the modulus, and each block
+    exp[jB:(j+1)B] is its gather at block j - 1. log inverts exp; zech is
+    built on first read.
     """
 
     def __init__(self, params: FieldParams, modulus: tuple[int, ...], alpha: int):
@@ -206,19 +211,28 @@ class FieldTable:
 
     def _build_tables(self):
         p, n, N = self.p, self.n, self.order
-        units = N - 1
+        units, baby = N - 1, isqrt(N - 1)
         alpha_poly, mod = _index_digits(self.alpha, p, n), list(self.modulus)
-        products = (_poly_mulmod(alpha_poly, [0] * i + [1], mod, p) for i in range(n))
-        step = _linear_map(p, n, [sum(c * p**j for j, c in enumerate(x)) for x in products])
+        weights = p ** np.arange(n, dtype=np.int64)
+
+        def basis_images(a: list[int]) -> np.ndarray:
+            """Digit rows of a x^i mod the modulus, i < n: the map x -> a x."""
+            return np.array([_poly_mulmod(a, [0] * i + [1], mod, p) for i in range(n)])
+
         exp = np.empty(units, dtype=np.int64)
-        exp[0], done = 1, 1
-        while done < units:
-            block = exp[done : 2 * done]
-            np.take(step, exp[: len(block)], out=block)
-            done += len(block)
-            if done < units:
-                step = step[step]
-        del step
+        # baby steps: the digits of alpha^i, i < B, one small product each
+        step, digits = basis_images(alpha_poly).T, np.zeros((baby, n), dtype=np.int64)
+        digits[0, 0] = 1
+        for i in range(1, baby):
+            digits[i] = step @ digits[i - 1] % p
+        exp[:baby] = digits @ weights
+        # giant steps: block j is the map x -> alpha^B x gathered at block j - 1
+        giant_poly = _poly_powmod(alpha_poly, baby, mod, p)
+        giant = _linear_map(p, n, (basis_images(giant_poly) @ weights).tolist())
+        for start in range(baby, units, baby):
+            block = exp[start : start + baby]
+            np.take(giant, exp[start - baby : start - baby + len(block)], out=block)
+        del giant
         log = np.full(N, -1, dtype=np.int64)
         log[exp] = np.arange(units, dtype=np.int64)
         if np.any(log[1:] < 0):
@@ -227,11 +241,17 @@ class FieldTable:
                 f"alpha {self.alpha} does not generate the unit group of F_{self.p}^{self.n} "
                 f"modulo {list(self.modulus)}"
             )
-        low = exp % p
-        plus_one = np.where(low == p - 1, exp - (p - 1), exp + 1)
         self.exp = exp
         self.log = log
-        self.zech = log[plus_one]
+
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0; built on
+        first read, which only odd-p addition makes. Adding one steps the
+        lowest base-p digit cyclically, so in rows of p consecutive indices
+        log(x + 1) is the row of log(x) rotated by one."""
+        log_plus_one = np.roll(self.log.reshape(-1, self.p), -1, axis=1).ravel()
+        return log_plus_one[self.exp]
 
     # -- scalar arithmetic on indices ---------------------------------------
 

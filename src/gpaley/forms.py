@@ -16,8 +16,7 @@ classification and is reported as such rather than guessed at.
 
 Field elements are integer indices (``gpaley.field``). ``kernel_counts``
 and ``exp_sum`` both read the value histogram kept on the form, so each form
-is evaluated over the field once; ``evaluate_form`` is the scalar reference
-for that pass.
+is evaluated over the field once.
 Since Q_{gamma c^(q^ell+1)}(x) = Q_gamma(c x), the histogram is constant on
 each coset gamma S of the nonzero (q^ell + 1)-th powers S; the Klapper sweep
 of ``gpaley.oracles`` evaluates two forms per coset and classifies every
@@ -76,12 +75,6 @@ class FormClass:
     def __post_init__(self):
         if self.rank % 2 or self.type_sign not in (-1, 1):
             raise ValueError("rank must be even and type +-1")
-
-
-def evaluate_form(f: TraceForm, x: int) -> int:
-    """Q(x), landing in the q-element subfield."""
-    fld = f.field
-    return int(fld.trace_map(fld.params.s)[fld.mul(f.gamma, fld.pow(x, f.exponent))])
 
 
 def _unit_values(f: TraceForm) -> np.ndarray:

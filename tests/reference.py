@@ -6,8 +6,10 @@ nothing with the library's XOR and Zech-logarithm kernels; the
 translation check and the trace map below are built on it. The Bareiss determinant is exact in
 Python integers and is what the multi-modular determinant is tested
 against. The power table multiplies residue polynomials in Python lists,
-one product per power, and is what the field's exponential table is
-tested against.
+one product per power, and square-and-multiply gives single powers; the
+field's exponential table is tested against both. The scalar form
+evaluation reads the library's field table one element at a time, and is
+what the forms module's whole-field pass is tested against.
 """
 
 import numpy as np
@@ -41,25 +43,49 @@ def frobenius_trace_map(fld, t: int, f: int) -> np.ndarray:
     return acc
 
 
+def _mulmod(a: list[int], b: list[int], modulus, p: int) -> list[int]:
+    """Digits of a b, multiplied and reduced by the monic ``modulus`` (its
+    n + 1 coefficients, little-endian) in Python lists."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            prod[i + j] += c * d
+    # x^k = x^(k-n) x^n, and x^n = -(modulus[0] + ... + modulus[n-1] x^(n-1))
+    for k in range(2 * n - 2, n - 1, -1):
+        lead = prod[k] % p
+        for j in range(n):
+            prod[k - n + j] -= lead * modulus[j]
+    return [c % p for c in prod[:n]]
+
+
 def power_table(p: int, n: int, modulus, alpha: int) -> list[int]:
     """Index of alpha^i for 0 <= i < p^n - 1, each power the previous one
-    times alpha, multiplied and reduced by the monic ``modulus`` (its n + 1
-    coefficients, little-endian) in Python lists."""
+    times alpha."""
     a = [alpha // p**j % p for j in range(n)]
     cur, table = [1] + [0] * (n - 1), []
     for _ in range(p**n - 1):
         table.append(sum(c * p**j for j, c in enumerate(cur)))
-        prod = [0] * (2 * n - 1)
-        for i, c in enumerate(cur):
-            for j, d in enumerate(a):
-                prod[i + j] += c * d
-        # x^k = x^(k-n) x^n, and x^n = -(modulus[0] + ... + modulus[n-1] x^(n-1))
-        for k in range(2 * n - 2, n - 1, -1):
-            lead = prod[k] % p
-            for j in range(n):
-                prod[k - n + j] -= lead * modulus[j]
-        cur = [c % p for c in prod[:n]]
+        cur = _mulmod(cur, a, modulus, p)
     return table
+
+
+def power(p: int, n: int, modulus, alpha: int, e: int) -> int:
+    """Index of alpha^e, by square-and-multiply on the bits of e."""
+    base, cur = [alpha // p**j % p for j in range(n)], [1] + [0] * (n - 1)
+    while e:
+        if e & 1:
+            cur = _mulmod(cur, base, modulus, p)
+        base = _mulmod(base, base, modulus, p)
+        e >>= 1
+    return sum(c * p**j for j, c in enumerate(cur))
+
+
+def evaluate_form(f, x: int) -> int:
+    """Q(x) = Tr(gamma x^(q^ell + 1)) of the trace form ``f`` at one index,
+    landing in the q-element subfield."""
+    fld = f.field
+    return int(fld.trace_map(fld.params.s)[fld.mul(f.gamma, fld.pow(x, f.exponent))])
 
 
 def translation_invariant(adj, p: int, n: int) -> bool:

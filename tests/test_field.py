@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from gpaley.field import (
     get_field,
     trace,
 )
-from reference import digit_add, digit_neg, frobenius_trace_map, power_table
+from gpaley.graphs import GraphSpec, build_graph
+from reference import digit_add, digit_neg, frobenius_trace_map, power, power_table
 
 
 def test_build_f16():
@@ -138,6 +140,22 @@ def test_zech_round_trip():
         zero = one_plus == 0
         assert np.array_equal(f.zech < 0, zero)
         assert np.array_equal(f.exp[f.zech[~zero]], one_plus[~zero])
+
+
+def test_zech_is_built_only_when_read():
+    # p = 2 adds by XOR, so its Zech table is never built; odd p builds it at
+    # the first addition and keeps it
+    get_field.cache_clear()
+    f = get_field(2, 1, 6)
+    f.mul(3, 5), f.pow(3, 7), f.add_arrays(np.arange(64), 9), f.trace_map(1)
+    assert build_graph(GraphSpec(2, 1, 6, 1)).field is f
+    assert "zech" not in vars(f)
+    g = get_field(3, 1, 4)
+    assert "zech" not in vars(g)
+    g.add(1, 1)
+    zech = vars(g)["zech"]
+    g.add(5, 7), g.add_arrays(np.arange(81), 2)
+    assert g.zech is zech
 
 
 def test_exp_log_inverse():
@@ -319,6 +337,29 @@ def test_tables_are_reproducible_across_versions():
     assert digest.hexdigest() == (
         "d753dfa9adf177005e60f9b625e3d7c92c558b0c3a256ba87ac52f3e768731d6"
     )
+
+
+@pytest.mark.parametrize(
+    "p, s, m, digests",
+    [
+        (2, 1, 20, ("d9bbf13f33c1e260", "bd9e1410691d8862", "2a0abd96033a731a")),
+        (2, 2, 10, ("d9bbf13f33c1e260", "bd9e1410691d8862", "2a0abd96033a731a")),
+        (3, 1, 12, ("1739f36a6fe74e61", "8cbffb47be3c6acb", "76e90a6eaf50c22e")),
+        (5, 1, 8, ("82ed0e210ffaa723", "90a519ab2ddbd6c8", "44340ecc23f72f3d")),
+        (2, 1, 22, ("f4d7f9e633ca2c97", "03fd9e992155b34f", "5df9efbe711cc0e7")),
+        (3, 1, 13, ("9cfbfd76dce39f38", "e72543565514e260", "d59bfb73bdf0067e")),
+    ],
+)
+def test_large_tables_are_reproducible(p, s, m, digests):
+    # sha256 prefixes of exp, log and zech, and exp around the first block
+    # boundaries against square-and-multiply powers
+    fld = get_field(p, s, m)
+    tables = (fld.exp, fld.log, fld.zech)
+    assert tuple(hashlib.sha256(t.tobytes()).hexdigest()[:16] for t in tables) == digests
+    block = math.isqrt(fld.order - 1)
+    for i in (block - 1, block, block + 1, fld.order - 2):
+        assert fld.exp[i] == power(p, fld.n, fld.modulus, fld.alpha, i)
+    get_field.cache_clear()
 
 
 def test_modulus_is_minimal_irreducible():
