@@ -14,13 +14,12 @@ type -eps when t = L/2 mod L (odd q, eps = -1) or t = 0 mod L (otherwise),
 and rank m and type eps for every other gamma. Odd m_ell is outside the
 classification and is reported as such rather than guessed at.
 
-Field elements are integer indices (``gpaley.field``). ``kernel_counts``
-and ``exp_sum`` both read the value histogram kept on the form, so each form
-is evaluated over the field once.
-Since Q_{gamma c^(q^ell+1)}(x) = Q_gamma(c x), the histogram is constant on
-each coset gamma S of the nonzero (q^ell + 1)-th powers S; the Klapper sweep
-of ``gpaley.oracles`` evaluates two forms per coset and classifies every
-gamma in closed form.
+Field elements are integer indices (``gpaley.field``). x -> x^(q^ell+1)
+maps F^* h-to-1 onto the nonzero (q^ell+1)-th powers S, so on F^* the form
+takes the trace values of the coset gamma S, h times each; its value
+histogram, which ``kernel_counts`` and ``exp_sum`` both read, is counted on
+those k values. The Klapper sweep of ``gpaley.oracles`` evaluates two forms
+per coset and classifies every gamma in closed form.
 """
 
 import math
@@ -44,16 +43,20 @@ class TraceForm:
     def __post_init__(self):
         if self.gamma == 0:
             raise ZeroElement("gamma must be nonzero")
+        if not 0 < self.gamma < self.field.order:
+            raise ValueError(f"gamma {self.gamma} is not an element index of the field")
         if self.ell < 0:
             raise ValueError("ell must be nonnegative")
 
     @cached_property
     def histogram(self) -> dict[int, int]:
         """{value index: count} of Q over the field, one entry per element of
-        the q-element subfield; computed at most once per form object."""
+        the q-element subfield: h counts per value on gamma S, and Q(0) = 0.
+        Computed at most once per form object."""
         fld = self.field
-        values = fld.subfield_indices(fld.params.s)
-        counts = np.bincount(_unit_values(self), minlength=int(values[-1]) + 1)
+        values, on_coset = fld.subfield_indices(fld.params.s), _unit_values(self)
+        counts = np.bincount(on_coset, minlength=int(values[-1]) + 1)
+        counts *= (fld.order - 1) // len(on_coset)  # h = (N - 1)/k
         counts[0] += 1  # Q(0) = 0
         out = {int(x): int(counts[x]) for x in values}
         if sum(out.values()) != fld.order:
@@ -78,14 +81,11 @@ class FormClass:
 
 
 def _unit_values(f: TraceForm) -> np.ndarray:
-    """Q(alpha^i) at position i, in one exhaustive pass in the log domain:
-    gamma (alpha^i)^e = alpha^(log gamma + e*i)."""
+    """Tr_{q^m/q} at the k members of gamma S = alpha^(log gamma mod h) S,
+    h = gcd(e, N - 1), in log order: a strided view of exp, then one gather."""
     fld = f.field
-    tr = fld.trace_map(fld.params.s)  # cached per field; built before the arrays below
-    units, log_gamma = fld.order - 1, int(fld.log[f.gamma])
-    step = (f.exponent - 1) % units + 1  # e mod (N - 1) in 1..N-1: a nonzero step
-    logs = np.arange(log_gamma, log_gamma + step * units, step, dtype=np.int64) % units
-    return tr[fld.exp[logs]]
+    h = math.gcd(f.exponent, fld.order - 1)
+    return fld.trace_map(fld.params.s)[fld.exp[int(fld.log[f.gamma]) % h :: h]]
 
 
 def kernel_counts(f: TraceForm) -> dict[int, int]:

@@ -487,15 +487,15 @@ def _moment_checks(suite, g, gbar):
 
 def _klapper_checks(suite, g):
     """The closed rank/type classification of every nonzero gamma against
-    exhaustive kernel counting. Q_{gamma c^e}(x) = Q_gamma(c x) with
-    e = q^ell + 1, so the value histogram and the character sum are constant
-    on each coset of S = <alpha^g>. The first and last member of each coset
-    alpha^j S, alpha^j and alpha^(j + N - 1 - g), go through the public
-    kernels of ``gpaley.forms`` and must agree; each gamma's closed class and
-    sum type * q^(m - rank/2) are held to those of its coset, log(gamma) mod
-    g. A coset whose members disagree, or whose counts fit no form, makes
-    each of its gammas a mismatch, and the sweep goes on; it reports the
-    mismatching gammas."""
+    kernel counting. Q_{gamma c^e}(x) = Q_gamma(c x), e = q^ell + 1, so the
+    histogram and character sum are constant on each coset of S = <alpha^h>.
+    The first and last member of each coset alpha^j S, alpha^j and
+    alpha^(j + N - 1 - h), go through the kernels of ``gpaley.forms``, which
+    read the k trace values of the coset (2(N - 1) entries in all), and must
+    agree; each gamma's closed class and sum type * q^(m - rank/2) are held to
+    those of its coset, log(gamma) mod h. A coset whose members disagree, or
+    whose counts fit no form, makes each of its gammas a mismatch, and the
+    sweep goes on; it reports the mismatching gammas."""
     spec, fld = g.spec, g.field
     units = spec.order - 1
     cosets = units // g.k

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from gpaley.forms import (
     kernel_counts,
 )
 from gpaley.graphs import GraphSpec, connection_set
-from reference import evaluate_form
+from gpaley.spectra import spectrum
+from reference import evaluate_form, frobenius_trace_map
 
 
 def test_zero_maps_to_zero():
@@ -25,6 +29,14 @@ def test_gamma_zero_rejected():
     f = get_field(2, 1, 4)
     with pytest.raises(ZeroElement):
         TraceForm(f, 0, 1)
+
+
+@pytest.mark.parametrize("gamma", [-1, -15, 16])
+def test_gamma_outside_the_field_rejected(gamma):
+    # a negative index would wrap in the log table and name another element
+    f = get_field(2, 1, 4)
+    with pytest.raises(ValueError, match="not an element index"):
+        TraceForm(f, gamma, 1)
 
 
 def test_homogeneity_over_small_field():
@@ -51,14 +63,18 @@ _FORM_FIELDS = [(2, 1, 4, 1), (3, 1, 4, 1), (2, 2, 4, 1), (2, 1, 8, 2)]
 
 @pytest.mark.parametrize("p,s,m,ell", _FORM_FIELDS)
 def test_histogram_is_the_bincount_of_the_form_values(p, s, m, ell):
-    # the log-domain pass against the scalar evaluation at every alpha^i, and
-    # the one-pass histogram against the values in index order, Q(0) included
+    # the coset read against the reference trace on gamma S, its h-fold
+    # multiset against the scalar evaluation on F^*, and the histogram
+    # against the values in index order, Q(0) included
     f = get_field(p, s, m)
-    values = f.subfield_indices(s)
+    values, tr = f.subfield_indices(s), frobenius_trace_map(f, s, f.n)
+    h = math.gcd(p ** (s * ell) + 1, f.order - 1)
     for gamma in range(1, f.order):
         form = TraceForm(f, gamma, ell)
         pointwise = [evaluate_form(form, x) for x in range(f.order)]
-        assert gpaley.forms._unit_values(form).tolist() == [pointwise[x] for x in f.exp]
+        unit_values = gpaley.forms._unit_values(form).tolist()
+        assert unit_values == tr[f.exp[f.log[gamma] % h :: h]].tolist()
+        assert sorted(unit_values * h) == sorted(pointwise[1:])
         counts = np.bincount(pointwise, minlength=f.order)
         assert form.histogram == {int(x): int(counts[x]) for x in values}
         assert counts[values].sum() == f.order  # every value lies in F_q
@@ -81,6 +97,34 @@ def test_each_form_is_evaluated_once(monkeypatch):
     assert exp_sum(form) == 4
     assert kernel_counts(form)[0] == 10
     assert calls == [form]
+
+
+@pytest.mark.parametrize(
+    "p,s,m,ell",
+    [(2, 1, 4, 1), (3, 1, 4, 1), (2, 2, 4, 1), (2, 1, 8, 2), (5, 1, 4, 1), (7, 1, 4, 1),
+     (2, 1, 6, 3), (3, 1, 4, 2)],
+)
+def test_character_sums_are_gauss_periods(p, s, m, ell):
+    # x -> x^e is h-to-1 onto S, so the sum of Q_{alpha^j} is 1 + h lambda_j,
+    # with lambda_j = sum_{s in S} zeta_p^Tr(alpha^j s) the Gauss period of the
+    # coset alpha^j S, counted here with the reference trace to F_p; k copies
+    # of each period are the nontrivial spectrum
+    spec, f = GraphSpec(p, s, m, ell), get_field(p, s, m)
+    units = f.order - 1
+    e = p ** (s * ell) + 1
+    s_logs = np.unique(e * np.arange(units) % units)  # the logs of S = {x^e}
+    k, h = len(s_logs), units // len(s_logs)
+    tr = frobenius_trace_map(f, 1, f.n)
+    primal, complement = Counter({k: 1}), Counter({units - k: 1})
+    for j in range(h):
+        zeros = int(np.count_nonzero(tr[f.exp[(j + s_logs) % units]] == 0))
+        lam, rem = divmod(p * zeros - k, p - 1)
+        assert rem == 0
+        assert exp_sum(TraceForm(f, int(f.exp[j]), ell)) == 1 + h * lam
+        primal[lam] += k
+        complement[-1 - lam] += k
+    assert primal == dict(spectrum(spec).pairs)
+    assert complement == dict(spectrum(spec.complement()).pairs)
 
 
 def test_exp_sum_builds_no_small_field_trace_map():
