@@ -1,6 +1,8 @@
-"""Integer helpers: primality, factoring, exact division, and the gcd of
+"""Integer helpers: primality, factoring, exact division, the exact
+decimal context and decimal text of large integers, and the gcd of
 q^m - 1 with q^ell + 1 that drives the whole family case analysis."""
 
+import contextlib
 import decimal
 import functools
 import math
@@ -115,10 +117,24 @@ def exact_div(a: int, b: int) -> int:
     return d
 
 
+@contextlib.contextmanager
+def exact_decimal():
+    """A local decimal context in which integer arithmetic of any size is
+    exact: the precision and exponent reach their maxima, and any rounding
+    raises ``decimal.Inexact`` rather than change a digit. The caller's
+    context is restored on exit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        yield
+
+
 def int_to_str(n: int) -> str:
     """Decimal string of n, equal to str(n) but free of the interpreter's
-    digit limit, which it leaves as it is (tree counts legitimately run to
-    millions of digits).
+    digit limit, which it leaves as it is (walk counts at a large length
+    legitimately run to millions of digits). Tree counts for output do not
+    pass through here: ``spectra.tree_count_text`` computes them in decimal.
 
     Large n are split in binary halves, converted recursively and joined
     with exact decimal arithmetic, whose multiplication is subquadratic;
@@ -126,10 +142,7 @@ def int_to_str(n: int) -> str:
     and conquer as CPython 3.12's ``_pylong.int_to_decimal_string``."""
     if n.bit_length() <= _STR_BITS:
         return str(n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    with exact_decimal():
         two_to = functools.cache(lambda w: decimal.Decimal(2) ** w)
 
         def convert(x: int, w: int) -> decimal.Decimal:

@@ -33,7 +33,7 @@ from .graphs import (
     write_bit_dump,
 )
 from .oracles import run_suite
-from .spectra import closed_walks, record_json, spanning_trees, spectrum
+from .spectra import closed_walks, record_json, spectrum, tree_count_text
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ VERBS = {
     ),
     "trees": Verb(
         GraphSpec,
-        lambda args, spec: {"spec": spec.to_json(), "trees": int_to_str(spanning_trees(spec))},
+        lambda args, spec: {"spec": spec.to_json(), "trees": tree_count_text(spec)},
         complement=True,
     ),
     "waring": Verb(GraphSpec, _waring, budgeted=True),

@@ -27,7 +27,8 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, get_field
 
-# Rows of A per block when a walk row or the translation check reads A.
+# Rows of A per block when build_graph fills A, or a walk row or the
+# translation check reads it.
 _ROW_BLOCK = 256
 
 
@@ -247,9 +248,10 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     # heap, so dropping a graph hands them back at once and the memory held
     # follows the graphs alive, not the order in which graphs were built
     adj = np.frombuffer(mmap.mmap(-1, N * N), dtype=bool).reshape(N, N)
-    idx = np.arange(N, dtype=np.int64)
-    for s_elem in np.flatnonzero(primal.members):
-        adj[idx, field.add_arrays(idx, int(s_elem))] = True
+    members = np.flatnonzero(primal.members)
+    for start in range(0, N, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, N), dtype=np.int64)[:, None]
+        adj[rows, field.add_arrays(rows, members)] = True
     if spec.complemented:
         np.logical_not(adj, out=adj)
         np.fill_diagonal(adj, False)

@@ -2,17 +2,20 @@
 Latin-square classification, walk/tree counts and invariant bounds for the
 family graphs and their complements.
 
-Everything here is plain integer arithmetic on the spec (q, m, ell); no
-field or adjacency matrix is ever materialized, so these formulas work far
-beyond any enumeration budget. Divisions are asserted exact: the spectra
-are integral, and a nonzero remainder can only mean a formula is wrong.
+Everything here is exact arithmetic on the spec (q, m, ell): integers,
+and for the decimal text of a tree count, decimals with every rounding
+trapped. No field or adjacency matrix is ever materialized, so these
+formulas work far beyond any enumeration budget. Divisions are asserted
+exact: the spectra are integral, and a nonzero remainder can only mean a
+formula is wrong.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import exact_div, int_to_str
+from .arith import exact_decimal, exact_div, int_to_str
 from .errors import (
     DegenerateGraph,
     Disconnected,
@@ -290,40 +293,62 @@ def closed_walks(spec: GraphSpec, r: int) -> int:
     return w
 
 
-def spanning_trees(spec: GraphSpec) -> int:
-    """Spanning-tree count via the Laplacian spectrum: the product of
-    (k - lambda) over nontrivial eigenvalues, divided by the vertex count.
-    Zero for the disconnected ell = m/2 primal graphs. For connected
-    non-half members the hand product form
+def _tree_count(spec: GraphSpec, one):
+    """The spanning-tree count as a number of the type of ``one``: the
+    product of (k - lambda) over nontrivial eigenvalues, divided by the
+    vertex count. Zero for the disconnected ell = m/2 primal graphs. For
+    connected non-half members the hand product form is evaluated as well;
+    the two must agree."""
+    if spec.is_half and not spec.complemented:
+        return 0 * one
+    sp = spectrum(spec)
+    laplacian = ((sp.k - lam, mult) for lam, mult in sp.nontrivial())
+    trees = exact_div(_power_product(one, laplacian), sp.v)
+    if not spec.is_half and _power_product(one, _hand_tree_factors(spec)) != trees:
+        raise InternalCheckError("tree-count product form disagrees with spectrum form")
+    return trees
+
+
+def _hand_tree_factors(spec: GraphSpec) -> tuple[tuple[int, int], ...]:
+    """(base, exponent) pairs of the hand product form of the tree count of
+    a connected non-half member,
 
         q^((m/2)(q^m-3)) * upsilon^(q^ell k) * ((q^(m/2)+eps q^ell)/(q^ell+1))^k
 
-    (and its complement analogue) is evaluated as well; the two must agree.
-    """
-    if spec.is_half and not spec.complemented:
-        return 0
-    sp = spectrum(spec)
-    k = sp.k
-    prod = 1
-    for lam, mult in sp.nontrivial():
-        prod *= (k - lam) ** mult
-    trees = exact_div(prod, sp.v)
-    if not spec.is_half:
-        q, m, ell, eps = spec.q, spec.m, spec.ell, spec.eps
-        k0, ups, mu = _core_eigenvalues(spec)
-        if not spec.complemented:
-            base = exact_div(q ** (m // 2) + eps * q**ell, q**ell + 1)
-            closed = q ** ((m // 2) * (q**m - 3)) * ups ** (q**ell * k0) * base**k0
-        else:
-            closed = (
-                q ** (ell * k0 - m)
-                * q ** ((m // 2) * q**ell * k0)
-                * mu ** (q**ell * k0)
-                * (k0 - ups) ** k0
-            )
-        if closed != trees:
-            raise InternalCheckError("tree-count product form disagrees with spectrum form")
-    return trees
+    and of its complement,
+
+        q^(ell k - m + (m/2) q^ell k) * mu^(q^ell k) * (k - upsilon)^k."""
+    q, m, ell, eps = spec.q, spec.m, spec.ell, spec.eps
+    k, ups, mu = _core_eigenvalues(spec)
+    if spec.complemented:
+        return ((q, ell * k - m + (m // 2) * q**ell * k), (mu, q**ell * k), (k - ups, k))
+    base = exact_div(q ** (m // 2) + eps * q**ell, q**ell + 1)
+    return ((q, (m // 2) * (q**m - 3)), (ups, q**ell * k), (base, k))
+
+
+def _power_product(one, factors):
+    """The product of base^exp over the (base, exp) pairs, each base lifted
+    to the type of ``one``."""
+    out = one
+    for base, exp in factors:
+        out *= (one * base) ** exp
+    return out
+
+
+def spanning_trees(spec: GraphSpec) -> int:
+    """Spanning-tree count via the Laplacian spectrum, as an exact int (see
+    ``_tree_count``). For output, ``tree_count_text`` gives the same count
+    in decimal without converting this int."""
+    return _tree_count(spec, 1)
+
+
+def tree_count_text(spec: GraphSpec) -> str:
+    """Decimal digits of ``spanning_trees(spec)``. The count is computed in
+    exact decimal arithmetic from the start, whose str() is linear in the
+    number of digits; converting a binary int of millions of digits is not.
+    Any rounding raises ``decimal.Inexact`` (see ``arith.exact_decimal``)."""
+    with exact_decimal():
+        return str(_tree_count(spec, decimal.Decimal(1)))
 
 
 def ramanujan_by_inequality(spec: GraphSpec) -> bool:
@@ -420,5 +445,5 @@ def record_json(spec: GraphSpec) -> dict:
     except (Disconnected, DegenerateGraph):
         out["array"] = None
     out["walks"] = {str(r): int_to_str(closed_walks(spec, r)) for r in range(2, 7)}
-    out["trees"] = int_to_str(spanning_trees(spec))
+    out["trees"] = tree_count_text(spec)
     return out

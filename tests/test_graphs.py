@@ -30,6 +30,7 @@ from gpaley.graphs import (
     read_bit_dump,
     write_bit_dump,
 )
+from reference import digit_add, digit_neg
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -193,6 +194,24 @@ def test_build_refuses_an_asymmetric_connection_set(monkeypatch):
     monkeypatch.setattr(gpaley.graphs, "connection_set", dropped)
     with pytest.raises(InternalCheckError):
         build_graph(GraphSpec(3, 1, 4, 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 6, 1), GraphSpec(5, 1, 4, 1), GraphSpec(7, 1, 4, 2)],
+    ids=lambda spec: spec.label(),
+)
+def test_adjacency_is_the_difference_rule(spec):
+    # A[i, j] = 1 iff j - i is in S, by digit arithmetic, entry by entry;
+    # 729, 625 and 2401 vertices leave a last row block shorter than the rest
+    for s in (spec, spec.complement()):
+        g = build_graph(s)
+        p, n = g.field.p, g.field.n
+        idx = np.arange(g.n)
+        neg = digit_neg(idx, p, n)
+        for start in range(0, g.n, 100):
+            diff = digit_add(idx, neg[start : start + 100, None], p, n)
+            assert np.array_equal(g.adjacency[start : start + 100], g.connection.members[diff])
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
 
 import gpaley.spectra
+from gpaley.arith import int_to_str
 from gpaley.applications import ihara_zeta, is_ramanujan, waring_number
 from gpaley.errors import (
     DegenerateGraph,
@@ -23,6 +25,7 @@ from gpaley.spectra import (
     spanning_trees,
     spectrum,
     srg_params,
+    tree_count_text,
 )
 
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -339,6 +342,45 @@ def test_tree_examples():
     for spec in (GraphSpec(3, 1, 4, 1), GraphSpec(3, 1, 6, 1), GraphSpec(2, 1, 8, 2)):
         assert spanning_trees(spec) > 0
         assert spanning_trees(spec.complement()) > 0
+
+
+def test_tree_count_text_is_the_decimal_of_the_int():
+    # every proper member with q^m < 2^16 and its complement, plus a count
+    # of about 300k digits on both sides
+    specs = list(_family_specs(16, max_order=2**16 - 1))
+    assert len(specs) == 45
+    for spec in specs + [GraphSpec(2, 1, 16, 1)]:
+        for s in (spec, spec.complement()):
+            text = tree_count_text(s)
+            assert text.isdigit() and (text == "0" or text[0] != "0")
+            assert text == int_to_str(spanning_trees(s))
+
+
+def test_tree_count_is_held_to_the_hand_product_form(monkeypatch):
+    # both routes evaluate the hand product form and must refuse a count
+    # that disagrees with the spectrum product
+    stated = gpaley.spectra._hand_tree_factors
+    monkeypatch.setattr(
+        gpaley.spectra, "_hand_tree_factors", lambda spec: stated(spec) + ((2, 1),)
+    )
+    specs = [spec for spec in _family_specs(12, max_order=2**12) if not spec.is_half]
+    assert len(specs) == 15
+    for spec in specs:
+        for s in (spec, spec.complement()):
+            with pytest.raises(InternalCheckError, match="product form"):
+                spanning_trees(s)
+            with pytest.raises(InternalCheckError, match="product form"):
+                tree_count_text(s)
+
+
+def test_tree_count_text_leaves_the_decimal_context_as_it_was():
+    def state():
+        ctx = decimal.getcontext()
+        return ctx.prec, ctx.Emax, dict(ctx.traps)
+
+    before = state()
+    assert len(tree_count_text(GraphSpec(2, 1, 16, 1))) > 10**5
+    assert state() == before
 
 
 # ---------------------------------------------------------------------------
