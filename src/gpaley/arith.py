@@ -110,10 +110,14 @@ def gcd_power(q: int, m: int, ell: int) -> int:
 
 def exact_div(a: int, b: int) -> int:
     """a // b with a zero-remainder assertion. All closed forms in this
-    package divide exactly; a nonzero remainder means a formula is wrong."""
+    package divide exactly; a nonzero remainder means a formula is wrong.
+    The message names the dividend by its bit length, as a product may have
+    more digits than str() converts."""
     d, r = divmod(a, b)
     if r != 0:
-        raise InternalCheckError(f"non-exact division {a} / {b}")
+        raise InternalCheckError(
+            f"non-exact division: remainder {r} modulo {b} of a {int(a).bit_length()}-bit dividend"
+        )
     return d
 
 

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, get_field
 
-# Rows of A per block when build_graph fills A, or a walk row or the
-# translation check reads it.
+# Rows of A per block when build_graph fills A, a walk row reads it, or the
+# translation check compares it, so that temporaries stay a few MB.
 _ROW_BLOCK = 256
 
 
@@ -175,17 +175,35 @@ class CayleyGraph:
     def translation_invariant(self) -> bool:
         """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j.
         Then A is symmetric, A^t[i, j] = A^t[0, j - i] for every t, and row 0
-        of each power fixes all of it (Babai, JCTB 27, 1979). Each block of
-        rows is compared whole with its gather from row 0."""
-        fld, row = self.field, self.adjacency[0]
-        idx = np.arange(self.n, dtype=np.int64)
-        neg = fld.neg_array(idx)
-        if not np.array_equal(row[neg], row):
+        of each power fixes all of it (Babai, JCTB 27, 1979).
+
+        An index is its base-p digits, least significant first, and addition
+        is digit by digit mod p, so adding a m for m a power of p rotates the
+        column digit of weight m by a. The check descends m = N/p, ..., 1:
+        for each a in 1..p-1, rows [a m, (a + 1) m) must equal rows [0, m)
+        with that digit rotated by a, two block comparisons of views. Each
+        row but 0 is held to a row below it once, at the weight of its top
+        nonzero digit, and by induction on that digit the comparisons all
+        hold exactly when A[i, j] = A[0, j - i]. No field table is read
+        except to negate row 0, so the Zech additions of the fill are held
+        to digit arithmetic."""
+        adj, p, n = self.adjacency, self.field.p, self.n
+        row = adj[0]
+        if not np.array_equal(row[self.field.neg_array(np.arange(n))], row):
             return False
-        for start in range(0, self.n, _ROW_BLOCK):
-            shifts = fld.add_arrays(neg[start : start + _ROW_BLOCK, None], idx)
-            if not np.array_equal(self.adjacency[start : start + _ROW_BLOCK], row[shifts]):
-                return False
+        m = n // p
+        while m:
+            for a in range(1, p):
+                for start in range(0, m, _ROW_BLOCK):
+                    stop = min(start + _ROW_BLOCK, m)
+                    top = adj[start:stop].reshape(stop - start, -1, p, m)
+                    here = adj[a * m + start : a * m + stop].reshape(stop - start, -1, p, m)
+                    if not (
+                        np.array_equal(here[:, :, a:], top[:, :, : p - a])
+                        and np.array_equal(here[:, :, :a], top[:, :, p - a :])
+                    ):
+                        return False
+            m //= p
         return True
 
 

@@ -193,14 +193,15 @@ def _residues(a: np.ndarray, primes: list[int]) -> list[int]:
 
     Blocked LU over _PANEL columns at a time. Inside a panel each column,
     and then each pivot row, is brought up to date with one batched
-    matrix-vector product when it is reached, and only then reduced; after
-    the panel the trailing block gets one batched matrix product. Every
-    reduced entry lies in [0, p), so each entry is an initial residue minus
-    at most n-1 products below p^2: every value, and every partial sum in
-    any order, is an integer of magnitude below n p^2 < 2^53 and exact in
-    float64. Each prime pivots on its own: a row is swapped only in the
-    layer of the prime whose pivot is 0, and the swap negates that
-    residue."""
+    matrix-vector product when it is reached, and only then reduced by
+    ``_reduce``; after the panel the trailing block gets one batched matrix
+    product. Every reduced entry lies in [0, p), so each entry is an
+    initial residue minus at most n-1 products below p^2: every value, and
+    every partial sum in any order, is an integer of magnitude below
+    (n-1) p^2, which leaves p of room below n p^2 < 2^53: it is exact in
+    float64, and ``_reduce`` reduces it exactly. Each prime pivots on its
+    own: a row is swapped only in the layer of the prime whose pivot is 0,
+    and the swap negates that residue."""
     n = a.shape[0]
     prime = np.array(primes, dtype=np.float64)[:, None]
     m = np.remainder(a, np.array(primes, dtype=np.int64)[:, None, None]).astype(np.float64)
@@ -210,7 +211,7 @@ def _residues(a: np.ndarray, primes: list[int]) -> list[int]:
         for j in range(k0, k1):
             col = m[:, j:, j]
             col -= np.matmul(m[:, j:, k0:j], m[:, k0:j, j, None])[:, :, 0]
-            col[:] = np.remainder(col, prime)
+            _reduce(col, prime)
             for t in np.flatnonzero(col[:, 0] == 0):
                 below = np.flatnonzero(col[t])
                 if below.size:  # else det = 0 mod this prime: its pivot stays 0
@@ -218,15 +219,32 @@ def _residues(a: np.ndarray, primes: list[int]) -> list[int]:
                     m[t, [j, r]] = m[t, [r, j]]
                     det[t] = -det[t]
             pivot = col[:, 0]
-            det = det * pivot % prime[:, 0]
+            det *= pivot
+            _reduce(det, prime[:, 0])
             inverse = [pow(int(v), -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)]
             row = m[:, j, j + 1 :]
             row -= np.matmul(m[:, j, None, k0:j], m[:, k0:j, j + 1 :])[:, 0]
-            row[:] = np.remainder(row, prime)
-            col[:, 1:] = np.remainder(col[:, 1:] * np.array(inverse, dtype=np.float64)[:, None], prime)
+            _reduce(row, prime)
+            multipliers = col[:, 1:]
+            multipliers *= np.array(inverse, dtype=np.float64)[:, None]
+            _reduce(multipliers, prime)
         if k1 < n:
             m[:, k1:, k1:] -= np.matmul(m[:, k1:, k0:k1], m[:, k0:k1, k1:])
     return [int(d) for d in det]
+
+
+def _reduce(x: np.ndarray, prime: np.ndarray) -> None:
+    """x mod p in place, as x - p floor(x / p), for float64 integers x and
+    primes p broadcast against them, with |x| + p <= 2^53. The floor is
+    exact: fl(x / p) is within |x / p| 2^-53 < 1/p of x / p; an integer
+    quotient is exact, and one that is not lies at least 1/p from the
+    nearest integer, so both have the same floor. Then p floor(x / p) lies
+    in (x - p, x], and it and the difference are integers of magnitude at
+    most 2^53, also exact."""
+    quotient = x / prime
+    np.floor(quotient, out=quotient)
+    quotient *= prime
+    x -= quotient
 
 
 def _reach(g: CayleyGraph, source: int) -> tuple[np.ndarray, int]:

@@ -89,16 +89,22 @@ def evaluate_form(f, x: int) -> int:
 
 
 def translation_invariant(adj, p: int, n: int) -> bool:
-    """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j, one
-    entry at a time, with j - i taken digit by digit."""
+    """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j, a
+    few rows at a time, with j - i taken digit by digit for every entry."""
     adj = np.asarray(adj, dtype=bool)
     idx = np.arange(len(adj))
-    row, neg = adj[0].tolist(), digit_neg(idx, p, n).tolist()
-    if any(row[x] != row[neg[x]] for x in idx.tolist()):
+    row, neg = adj[0], digit_neg(idx, p, n)
+    if not np.array_equal(row[neg], row):
         return False
-    for i, a_i in enumerate(adj.tolist()):
-        # entry j of the shifted row is A[0, j - i]
-        if a_i != [row[d] for d in digit_add(idx, neg[i], p, n).tolist()]:
+    digits = _digits(idx, p, n).T.astype(np.int16)
+    for start in range(0, len(adj), 16):
+        # entry j of the shifted row i is A[0, j - i]: digit k of j - i is
+        # digit k of j plus digit k of -i, mod p
+        neg_rows = digits[:, neg[start : start + 16], None]
+        diff = np.zeros((neg_rows.shape[1], len(adj)), dtype=np.int64)
+        for k in range(n):
+            diff += ((digits[k] + neg_rows[k]) % p).astype(np.int64) * p**k
+        if not np.array_equal(adj[start : start + 16], row[diff]):
             return False
     return True
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpaley.arith import (
     divisors,
+    exact_decimal,
     exact_div,
     factorize,
     gcd_power,
@@ -101,6 +103,14 @@ def test_exact_div():
     assert exact_div(-9, 3) == -3
     with pytest.raises(InternalCheckError):
         exact_div(10, 3)
+
+
+def test_exact_div_names_a_huge_dividend_without_its_digits():
+    # 10^5000 + 1 has more digits than str() converts by default
+    with pytest.raises(InternalCheckError, match="remainder 1 modulo 10 of a 16610-bit"):
+        exact_div(10**5000 + 1, 10)
+    with exact_decimal(), pytest.raises(InternalCheckError, match="remainder 1 modulo 10 of"):
+        exact_div(decimal.Decimal(10) ** 5000 + 1, 10)
 
 
 def test_int_to_str_huge():

@@ -220,7 +220,8 @@ def test_addition_matches_the_digitwise_reference(p, s, m):
 
 
 def test_addition_broadcasts_a_row_block():
-    """The (256, 1) + (N,) shape that the translation check adds."""
+    """A (256, 1) column of row indices broadcast against a row, as
+    build_graph fills a block of rows."""
     f = get_field(3, 1, 6)
     idx = np.arange(f.order, dtype=np.int64)
     rows = idx[300:556, None]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -233,6 +234,27 @@ def test_build_graph_refuses_every_shifted_zech_entry(spec):
                 field.zech[i] = saved
     finally:
         get_field.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(3, 1, 4, 1), GraphSpec(5, 1, 4, 1), GraphSpec(7, 1, 4, 1)],
+    ids=lambda spec: spec.label(),
+)
+def test_build_graph_refuses_a_copy_of_the_field_with_one_shifted_zech_entry(monkeypatch, spec):
+    # the fill adds with the Zech table and the translation check with the
+    # base-p digits of the indices, so one wrong Zech entry cannot pass both
+    field = get_field(spec.p, spec.s, spec.m)
+    units = field.order - 1
+    entries = np.flatnonzero(field.zech >= 0)
+    for i in entries[:: len(entries) // 15][:15].tolist():
+        faulty = copy.copy(field)
+        faulty.zech = field.zech.copy()
+        faulty.zech[i] = (faulty.zech[i] + 1) % units
+        monkeypatch.setattr(gpaley.graphs, "get_field", lambda *args: faulty)
+        with pytest.raises(InternalCheckError):
+            build_graph(spec)
+    monkeypatch.undo()
+    assert build_graph(spec).translation_invariant
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import gpaley.field
 import gpaley.forms
+import gpaley.graphs
 import gpaley.oracles
 import gpaley.spectra
 from gpaley.applications import verify_waring, waring_number
@@ -39,7 +40,7 @@ from gpaley.oracles import (
     verify_a2_identity,
 )
 from gpaley.spectra import closed_walks, spanning_trees
-from reference import bareiss_determinant, translation_invariant
+from reference import bareiss_determinant, digit_add, translation_invariant
 
 
 def _two_switch(g, rows=None):
@@ -143,8 +144,10 @@ def test_kernels_refuse_a_switched_adjacency(spec):
     assert not verify_a2_identity(switched, count_srg_params(g))
 
 
+# Gamma_{4,4}(1) has s = 2 and Gamma_{2,10}(5) is the half case
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1),
-                                  GraphSpec(7, 1, 4, 2)])
+                                  GraphSpec(7, 1, 4, 2), GraphSpec(5, 1, 4, 1),
+                                  GraphSpec(2, 2, 4, 1), GraphSpec(2, 1, 10, 5)])
 @pytest.mark.parametrize("complemented", [False, True])
 def test_translation_check_matches_the_entrywise_reference(spec, complemented):
     g = build_graph(dataclasses.replace(spec, complemented=complemented))
@@ -152,10 +155,54 @@ def test_translation_check_matches_the_entrywise_reference(spec, complemented):
     assert translation_invariant(g.adjacency, spec.p, g.field.n)
 
 
+_LEVELS = [GraphSpec(2, 1, 12, 1), GraphSpec(3, 1, 6, 1), GraphSpec(7, 1, 4, 2)]
+
+
+@pytest.mark.parametrize("spec", _LEVELS, ids=lambda spec: spec.label())
+def test_translation_check_refuses_one_flipped_entry(spec):
+    # row p^t is compared at the digit of weight p^t, and row N - 1 at the
+    # top digit, in the last row block there; column 1 and column N - 1
+    # have that digit 0 and p - 1 (for t > 0), so both halves of the rotated
+    # comparison are read
+    g = build_graph(spec)
+    p, n = g.field.p, g.field.n
+    for i in [p**t for t in range(n)] + [g.n - 1]:
+        for j in (1, g.n - 1):
+            adj = g.adjacency.copy()
+            adj[i, j] = not adj[i, j]
+            assert not dataclasses.replace(g, adjacency=adj).translation_invariant, (i, j)
+            if j == 1:
+                assert not translation_invariant(adj, p, n), (i, j)
+
+
+@pytest.mark.parametrize("spec", _LEVELS, ids=lambda spec: spec.label())
+def test_translation_check_reaches_every_digit_level(spec):
+    # a single flipped row also differs from the rows it is the source of,
+    # so it can be seen at more than one digit. Flipping A[i, i + x] on every
+    # row i with digit t nonzero and i mod p^t in the last row block below
+    # p^t is the same flip on both sides of every comparison but those at
+    # digit t, in that block: only they can see it. Digit t of x, 0 or p - 1,
+    # puts the flipped column in one half of the rotated comparison or the
+    # other
+    g = build_graph(spec)
+    p, n = g.field.p, g.field.n
+    idx = np.arange(g.n)
+    for t in range(n):
+        last = (p**t - 1) // gpaley.graphs._ROW_BLOCK * gpaley.graphs._ROW_BLOCK
+        rows = idx[(idx // p**t % p != 0) & (idx % p**t >= last)]
+        for x in (0, (p - 1) * p**t):
+            adj = g.adjacency.copy()
+            cols = digit_add(rows, x, p, n)
+            adj[rows, cols] = ~adj[rows, cols]
+            assert not dataclasses.replace(g, adjacency=adj).translation_invariant, (t, x)
+            if x:
+                assert not translation_invariant(adj, p, n), (t, x)
+
+
 @pytest.mark.parametrize(
     "spec, rows",
     [
-        (GraphSpec(7, 1, 4, 2), range(2304, 2401)),  # the last, partial block of 256 rows
+        (GraphSpec(7, 1, 4, 2), range(2304, 2401)),  # the last 97 rows
         (GraphSpec(2, 1, 12, 1), range(2048, 2304)),  # a block in the middle
     ],
 )
@@ -329,6 +376,32 @@ def test_modular_determinant_above_2048_rows():
     (p,) = _primes_for(perm)
     assert n * p * p < 2**53 <= n * determinant_primes(2047, 1)[0] ** 2
     assert modular_determinant(perm) == -1
+
+
+def test_residues_reduce_exactly_just_below_2_to_the_53(monkeypatch):
+    # L U with L unit lower triangular and U upper triangular, both -1 off
+    # the diagonal: every multiplier and every entry of U is p - 1 mod p, so
+    # the unreduced entries sum to about (n - 1)(p - 1)^2, just below 2^53
+    # for the largest prime admitted at n = 2049; det(L U) = prod diag(U)
+    n = 2049
+    (p,) = determinant_primes(n, 1)
+    lower = np.tril(np.full((n, n), -1, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    diag = np.arange(n, dtype=np.int64) % 5 + 1
+    upper = np.triu(np.full((n, n), -1, dtype=np.int64), 1) + np.diag(diag)
+    reduce, largest = gpaley.oracles._reduce, []
+
+    def checked(x, prime):
+        # every reduction against the int64 remainder of the same integers
+        exact = x.astype(np.int64) % prime.astype(np.int64)
+        largest.append(np.abs(x).max(initial=0))
+        reduce(x, prime)
+        assert np.array_equal(x, exact)
+
+    monkeypatch.setattr(gpaley.oracles, "_reduce", checked)
+    # entries of L U are below n, so the float64 product is exact
+    mat = (lower.astype(np.float64) @ upper.astype(np.float64)).astype(np.int64)
+    assert gpaley.oracles._residues(mat, [p]) == [math.prod(diag.tolist()) % p]
+    assert (n - 2) * (p - 1) ** 2 < max(largest) < 2**53
 
 
 def test_bfs_diameter():
