@@ -8,7 +8,8 @@ A form of even rank r and type eps has value counts
 
 with nu(0) = q - 1 and nu(xi) = -1 otherwise, and its character sum equals
 eps * q^(m - r/2). When m_ell = m/(m,ell) is even, one rule classifies
-every form (``classify_form``): with eps = (-1)^(m_ell/2) and
+every form (``classify_logs``, for a whole array of logs at once, and
+``classify_form``, the same rule at one form): with eps = (-1)^(m_ell/2) and
 L = q^(m,ell) + 1, the form of gamma = alpha^t has rank m - 2(m,ell) and
 type -eps when t = L/2 mod L (odd q, eps = -1) or t = 0 mod L (otherwise),
 and rank m and type eps for every other gamma. Odd m_ell is outside the
@@ -18,8 +19,9 @@ Field elements are integer indices (``gpaley.field``). x -> x^(q^ell+1)
 maps F^* h-to-1 onto the nonzero (q^ell+1)-th powers S, so on F^* the form
 takes the trace values of the coset gamma S, h times each; its value
 histogram, which ``kernel_counts`` and ``exp_sum`` both read, is counted on
-those k values. The Klapper sweep of ``gpaley.oracles`` evaluates two forms
-per coset and classifies every gamma in closed form.
+those k values. The Klapper sweep of ``gpaley.oracles`` evaluates one form
+per coset, on its representative alpha^j, and classifies every gamma in
+closed form with one ``classify_logs`` call on the whole log table.
 """
 
 import math
@@ -113,24 +115,27 @@ def exp_sum(f: TraceForm, a: int = 1) -> int:
     return counts[0] - counts[1]
 
 
-def classify_form(f: TraceForm) -> FormClass:
-    """Closed-form rank/type classification, for m_ell = m/(m,ell) even.
-
-    With eps = (-1)^(m_ell/2), L = q^(m,ell) + 1 and gamma = alpha^t, the
-    form has the low rank m - 2(m,ell) and type -eps exactly when
-    t = c mod L, where c = L/2 for odd q with eps = -1 and c = 0 otherwise
-    (for even q, gamma is then a (q^ell+1)-th power); every other form has
-    rank m and type eps."""
-    q, m = f.field.params.q, f.field.params.m
-    d = math.gcd(m, f.ell)
+def classify_logs(q: int, m: int, ell: int, logs) -> tuple[np.ndarray, tuple[FormClass, FormClass]]:
+    """The closed rank/type rule of the module docstring at gamma = alpha^t,
+    for every t in ``logs`` at once (m_ell = m/(m,ell) even). Returns (low,
+    classes): low is True where t = c mod L, with c = L/2 for odd q and
+    eps = -1 and c = 0 otherwise (for even q, gamma is then a (q^ell+1)-th
+    power), and classes = (rank m and type eps, rank m - 2(m,ell) and type
+    -eps), so the class of alpha^t is classes[low]."""
+    d = math.gcd(m, ell)
     if (m // d) % 2:
         raise OutOfTheory(f"no closed classification for odd m_ell = {m // d}")
     eps = -1 if (m // d // 2) % 2 else 1
     L = q**d + 1
     c = L // 2 if q % 2 and eps == -1 else 0
-    if int(f.field.log[f.gamma]) % L == c:
-        return FormClass(m - 2 * d, -eps)
-    return FormClass(m, eps)
+    return np.asarray(logs) % L == c, (FormClass(m, eps), FormClass(m - 2 * d, -eps))
+
+
+def classify_form(f: TraceForm) -> FormClass:
+    """``classify_logs`` at the one gamma of the form."""
+    params = f.field.params
+    low, classes = classify_logs(params.q, params.m, f.ell, f.field.log[f.gamma])
+    return classes[int(low)]
 
 
 def class_from_counts(q: int, m: int, counts: dict[int, int]) -> FormClass:

@@ -339,11 +339,6 @@ def apply_affine_frobenius(
     return image
 
 
-def permutation_preserves_edges(g: CayleyGraph, perm: np.ndarray) -> bool:
-    """Exhaustive check that a vertex permutation is a graph automorphism."""
-    return np.array_equal(g.adjacency[np.ix_(perm, perm)], g.adjacency)
-
-
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------

@@ -34,14 +34,8 @@ from .errors import (
     OutOfTheory,
     UnbalancedCounts,
 )
-from .forms import TraceForm, class_from_counts, classify_form, exp_sum, kernel_counts
-from .graphs import (
-    CayleyGraph,
-    GraphSpec,
-    apply_affine_frobenius,
-    build_graph,
-    permutation_preserves_edges,
-)
+from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_counts
+from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph
 from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
 
 # Primes for the multi-modular determinant lie below this ceiling (lower
@@ -388,7 +382,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     one primal family member: parameter counting, the A^2 identity, walk
     counts, tree counts (size permitting), diameter / components, girth,
     traces of A and A^2 against the spectrum's moments, the quadratic-form
-    classification of every gamma against kernel counting on two members of
+    classification of every gamma against kernel counting on one member of
     each coset of S, Waring witnesses, the Ramanujan inequality, the coset
     decomposition of the complement, and arc-transitivity witnesses on small
     graphs. Failures are recorded, never thrown; checks left out for size
@@ -507,44 +501,38 @@ def _klapper_checks(suite, g):
     """The closed rank/type classification of every nonzero gamma against
     kernel counting. Q_{gamma c^e}(x) = Q_gamma(c x), e = q^ell + 1, so the
     histogram and character sum are constant on each coset of S = <alpha^h>.
-    The first and last member of each coset alpha^j S, alpha^j and
-    alpha^(j + N - 1 - h), go through the kernels of ``gpaley.forms``, which
-    read the k trace values of the coset (2(N - 1) entries in all), and must
-    agree; each gamma's closed class and sum type * q^(m - rank/2) are held to
-    those of its coset, log(gamma) mod h. A coset whose members disagree, or
-    whose counts fit no form, makes each of its gammas a mismatch, and the
-    sweep goes on; it reports the mismatching gammas."""
+    The representative alpha^j of each coset alpha^j S, j < h, goes through
+    the kernels of ``gpaley.forms``, which read the k trace values of the
+    coset (N - 1 entries in all). ``classify_logs`` classifies every gamma
+    with one pass over the log table, and each gamma's closed class and sum
+    type * q^(m - rank/2) are held to those counted on its coset, log(gamma)
+    mod h, by indexing a per-coset code. A coset whose counts fit no form
+    makes each of its gammas a mismatch; the sweep reports the mismatching
+    gammas in ascending order."""
     spec, fld = g.spec, g.field
-    units = spec.order - 1
-    cosets = units // g.k
+    q, m = spec.q, spec.m
     low_rank = []
 
-    def coset_class(j):
+    def counted(j):
         """(counted class, character sum) of alpha^j S, or None."""
-        forms = [TraceForm(fld, int(fld.exp[log]), spec.ell) for log in (j, j + units - cosets)]
+        form = TraceForm(fld, int(fld.exp[j]), spec.ell)
         try:
-            (counts, t_sum), last = [(kernel_counts(f), exp_sum(f)) for f in forms]
-            if (counts, t_sum) == last:
-                return class_from_counts(spec.q, spec.m, counts), t_sum
+            return class_from_counts(q, m, kernel_counts(form)), exp_sum(form)
         except (OutOfTheory, UnbalancedCounts):
-            pass
-        return None
+            return None
 
     def sweep():
-        counted = [coset_class(j) for j in range(cosets)]
-        mismatches = []
-        low = 0
-        d = math.gcd(spec.m, spec.ell)
-        for gamma in range(1, spec.order):
-            closed = classify_form(TraceForm(fld, gamma, spec.ell))
-            t_closed = closed.type_sign * spec.q ** (spec.m - closed.rank // 2)
-            coset = counted[int(fld.log[gamma]) % cosets]
-            if coset != (closed, t_closed):
-                mismatches.append(gamma)
-            if coset is not None and coset[0] == closed and closed.rank == spec.m - 2 * d:
-                low += 1
-        low_rank.append(low)
-        return mismatches
+        logs = fld.log[1:]  # of gamma = 1, ..., N - 1
+        low, classes = classify_logs(q, m, spec.ell, logs)
+        closed = [(c, c.type_sign * q ** (m - c.rank // 2)) for c in classes]
+        per_coset = [counted(j) for j in range((spec.order - 1) // g.k)]
+        # per coset: the index in classes of its counted class and sum, and
+        # of its class alone; -1 where none fits
+        pair = np.array([closed.index(c) if c in closed else -1 for c in per_coset])
+        kind = np.array([classes.index(c[0]) if c and c[0] in classes else -1 for c in per_coset])
+        coset = logs % len(per_coset)
+        low_rank.append(int(np.count_nonzero(low & (kind[coset] == 1))))
+        return (np.flatnonzero(pair[coset] != low) + 1).tolist()
 
     suite.run("klapper-vs-kernel-counts", lambda: [], sweep)
     # the count comes from the sweep above; a crashed sweep leaves None
@@ -600,8 +588,9 @@ def _coset_checks(suite, g, gbar):
 
 def _arc_transitivity_checks(suite, g):
     """Construct, for every arc (v,w), the affine map sending a fixed base
-    arc to it, and confirm it is an automorphism; also exhaustively confirm
-    the membership criterion for edge preservation on scaled maps."""
+    arc to it, and confirm it is an automorphism; also confirm, for every
+    nonzero scale a, that x -> a x preserves edges exactly when a is a
+    connection member."""
     if not suite.within("arc", g.n, ("arc-transitivity-witnesses", "edge-preservation-criterion")):
         return
     fld = g.field
@@ -625,9 +614,13 @@ def _arc_transitivity_checks(suite, g):
     suite.run("arc-transitivity-witnesses", lambda: True, witness_all_arcs)
 
     def membership_criterion():
+        # x -> a x is additive, so on a translation invariant adjacency
+        # A[a i, a j] = A[0, a (j - i)]: it preserves edges exactly when it
+        # fixes row 0
+        _require_invariance(g)
+        row = g.adjacency[0]
         for a in range(1, g.n):
-            perm = apply_affine_frobenius(g, a, 0, 0)
-            preserves = permutation_preserves_edges(g, perm)
+            preserves = np.array_equal(row[apply_affine_frobenius(g, a, 0, 0)], row)
             if preserves != bool(g.connection.members[a]):
                 return f"scale {a} violates the membership criterion"
         return True

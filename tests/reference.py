@@ -3,13 +3,15 @@
 Field addition here works on the base-p digits of the element indices,
 which are the coefficients of the residue polynomials, so it shares
 nothing with the library's XOR and Zech-logarithm kernels; the
-translation check and the trace map below are built on it. The Bareiss determinant is exact in
-Python integers and is what the multi-modular determinant is tested
-against. The power table multiplies residue polynomials in Python lists,
-one product per power, and square-and-multiply gives single powers; the
-field's exponential table is tested against both. The scalar form
-evaluation reads the library's field table one element at a time, and is
-what the forms module's whole-field pass is tested against.
+translation check and the trace map below are built on it. The
+automorphism check compares every entry of a permuted adjacency, and is
+what the oracles' row-0 edge-preservation test is held to. The Bareiss
+determinant is exact in Python integers and is what the multi-modular
+determinant is tested against. The power table multiplies residue
+polynomials in Python lists, one product per power, and square-and-multiply
+gives single powers; the field's exponential table is tested against both.
+The scalar form evaluation reads the library's field table one element at
+a time, and is what the forms module's whole-field pass is tested against.
 """
 
 import numpy as np
@@ -107,6 +109,12 @@ def translation_invariant(adj, p: int, n: int) -> bool:
         if not np.array_equal(adj[start : start + 16], row[diff]):
             return False
     return True
+
+
+def permutation_preserves_edges(g, perm) -> bool:
+    """Whether a vertex permutation is an automorphism of the graph ``g``,
+    by comparing every entry of the permuted adjacency with the original."""
+    return np.array_equal(g.adjacency[np.ix_(perm, perm)], g.adjacency)
 
 
 def bareiss_determinant(mat) -> int:

@@ -363,7 +363,7 @@ def test_criterion_3_oracle_sweep():
     """run_suite passes every check on every proper spec with q^m <= 4096:
     counted (v,k,e,d) = closed forms, A^2 identity, walks r <= 6, component
     structure, girth, rank/type classification of every gamma against kernel
-    counting per coset of S (two members each, which must agree), Waring
+    counting per coset of S (on its representative alpha^j), Waring
     witnesses, Ramanujan gap, coset decomposition, arc-transitivity."""
     failures = []
     total = 0

@@ -11,6 +11,7 @@ from gpaley.forms import (
     TraceForm,
     class_from_counts,
     classify_form,
+    classify_logs,
     exp_sum,
     kernel_counts,
 )
@@ -212,8 +213,9 @@ def test_unbalanced_counts_raised_outside_theory():
      (3, 2, 2, 1), (2, 3, 2, 1), (2, 1, 8, 2), (3, 1, 6, 1)],
 )
 def test_classification_vs_counting_sweep(p, s, m, ell):
-    """Closed classification == exhaustive reverse engineering, the sum
-    equals type * q^(m - rank/2), and the low-rank class has exactly
+    """Closed classification == exhaustive reverse engineering, for one form
+    and for the whole log table at once, the sum equals
+    type * q^(m - rank/2), and the low-rank class has exactly
     (q^m-1)/(q^ell+1) members."""
     import math
 
@@ -221,11 +223,13 @@ def test_classification_vs_counting_sweep(p, s, m, ell):
     q = p**s
     d = math.gcd(m, ell)
     low = 0
+    table_low, classes = classify_logs(q, m, ell, f.log[1:])
     for gamma in range(1, q**m):
         form = TraceForm(f, gamma, ell)
         closed = classify_form(form)
         counted = class_from_counts(q, m, kernel_counts(form))
         assert (closed.rank, closed.type_sign) == (counted.rank, counted.type_sign)
+        assert classes[int(table_low[gamma - 1])] == counted
         assert exp_sum(form) == closed.type_sign * q ** (m - closed.rank // 2)
         if closed.rank == m - 2 * d:
             low += 1

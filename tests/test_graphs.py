@@ -27,11 +27,10 @@ from gpaley.graphs import (
     is_subgraph,
     is_symmetric,
     normalize,
-    permutation_preserves_edges,
     read_bit_dump,
     write_bit_dump,
 )
-from reference import digit_add, digit_neg
+from reference import digit_add, digit_neg, permutation_preserves_edges
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 

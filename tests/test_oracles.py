@@ -22,12 +22,7 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import (
-    GraphSpec,
-    apply_affine_frobenius,
-    build_graph,
-    permutation_preserves_edges,
-)
+from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
 from gpaley.oracles import (
     bfs_eccentricity,
     count_srg_params,
@@ -40,7 +35,12 @@ from gpaley.oracles import (
     verify_a2_identity,
 )
 from gpaley.spectra import closed_walks, spanning_trees
-from reference import bareiss_determinant, digit_add, translation_invariant
+from reference import (
+    bareiss_determinant,
+    digit_add,
+    permutation_preserves_edges,
+    translation_invariant,
+)
 
 
 def _two_switch(g, rows=None):
@@ -589,51 +589,101 @@ def _coset_logs(spec):
 
 
 @pytest.mark.parametrize(
-    "spec, forms",
+    "spec, calls",
     [
         (GraphSpec(2, 1, 4, 1), 6),  # g = gcd(15, 3) = 3
         (GraphSpec(3, 1, 4, 1), 8),  # g = gcd(80, 4) = 4
         (GraphSpec(2, 1, 6, 3), 18),  # g = gcd(63, 9) = 9
-        (GraphSpec(2, 1, 2, 1), 6),  # g = 3 cosets of S = {1}: each member twice
+        (GraphSpec(2, 1, 2, 1), 6),  # g = 3 cosets of S = {1}
     ],
 )
-def test_klapper_sweep_evaluates_two_forms_per_coset(monkeypatch, spec, forms):
-    # the first and last member of each coset alpha^j S, in order of j
-    calls = []
+def test_klapper_sweep_evaluates_two_forms_per_coset(monkeypatch, spec, calls):
+    # one form per coset alpha^j S, its representative alpha^j, in order of
+    # j: kernel_counts and exp_sum are each called once on it, 2g calls in all
+    recorded = {"kernel_counts": [], "exp_sum": []}
 
-    def recording(form):
-        calls.append(form.gamma)
-        return gpaley.forms.kernel_counts(form)
+    def recording(kernel):
+        original = getattr(gpaley.forms, kernel)
 
-    monkeypatch.setattr(gpaley.oracles, "kernel_counts", recording)
+        def wrapper(form, *args):
+            recorded[kernel].append(form.gamma)
+            return original(form, *args)
+
+        return wrapper
+
+    for kernel in recorded:
+        monkeypatch.setattr(gpaley.oracles, kernel, recording(kernel))
     assert run_suite(spec).ok
     fld = get_field(spec.p, spec.s, spec.m)
-    assert len(calls) == forms
-    assert calls == [int(fld.exp[coset[t]]) for coset in _coset_logs(spec) for t in (0, -1)]
+    representatives = [int(fld.exp[coset[0]]) for coset in _coset_logs(spec)]
+    assert representatives == [int(fld.exp[j]) for j in range(calls // 2)]
+    assert recorded == {"kernel_counts": representatives, "exp_sum": representatives}
 
 
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 @pytest.mark.parametrize("kernel", sorted(_CORRUPTED_FORM_KERNELS))
 def test_klapper_sweep_names_the_coset_of_a_corrupted_last_member(monkeypatch, spec, kernel):
-    # a fault on the last member of one coset alone must name exactly the
-    # gammas of that coset; the low-rank count loses that coset's gammas
+    # a fault on the one evaluated member of a coset, its representative
+    # alpha^j, must name exactly the gammas of that coset; the low-rank count,
+    # which compares classes and not character sums, loses that coset's
+    # gammas when its counts fit no form
     fld = get_field(spec.p, spec.s, spec.m)
     low_rank = spec.m - 2 * math.gcd(spec.m, spec.ell)
     original, corrupted = getattr(gpaley.oracles, kernel), _CORRUPTED_FORM_KERNELS[kernel]
     for coset in _coset_logs(spec):
-        last = int(fld.exp[coset[-1]])
+        representative = int(fld.exp[coset[0]])
         monkeypatch.setattr(
             gpaley.oracles, kernel,
-            lambda form, *args: (corrupted if form.gamma == last else original)(form, *args),
+            lambda form, *args: (corrupted if form.gamma == representative else original)(
+                form, *args
+            ),
         )
         checks = {c.name: c for c in run_suite(spec).checks}
         assert checks["klapper-vs-kernel-counts"].observed == sorted(
             int(fld.exp[log]) for log in coset
         )
-        lost = gpaley.forms.classify_form(gpaley.forms.TraceForm(fld, last, spec.ell))
-        assert checks["klapper-low-rank-multiplicity"].passed == (lost.rank != low_rank)
+        lost = gpaley.forms.classify_form(gpaley.forms.TraceForm(fld, representative, spec.ell))
+        assert checks["klapper-low-rank-multiplicity"].passed == (
+            kernel == "exp_sum" or lost.rank != low_rank
+        )
         failed = {name for name, c in checks.items() if not c.passed}
         assert failed <= {"klapper-vs-kernel-counts", "klapper-low-rank-multiplicity"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(2, 1, 6, 3), GraphSpec(3, 1, 4, 2)],
+    ids=GraphSpec.label,
+)
+def test_klapper_sweep_applies_the_closed_rule_at_every_gamma(monkeypatch, spec):
+    # the closed class of one gamma with log >= g flipped must name exactly
+    # that gamma: the rule is read at every gamma, not once per coset
+    # representative, where a wrong modulus such as 2L would agree with it
+    fld = get_field(spec.p, spec.s, spec.m)
+    units, cosets = spec.order - 1, gcd_power(spec.q, spec.m, spec.ell)
+    rule = gpaley.forms.classify_logs
+    for flipped in (cosets, cosets + 1, units - 1):
+        def flipping(q, m, ell, logs):
+            low, classes = rule(q, m, ell, logs)
+            return low ^ (logs == flipped), classes
+
+        monkeypatch.setattr(gpaley.oracles, "classify_logs", flipping)
+        checks = {c.name: c for c in run_suite(spec).checks}
+        assert checks["klapper-vs-kernel-counts"].observed == [int(fld.exp[flipped])]
+    # the rule with modulus 2L agrees on the logs of the representatives and
+    # misses every low-rank gamma with log mod 2L >= L
+    L = spec.q ** math.gcd(spec.m, spec.ell) + 1
+    assert cosets <= L
+
+    def doubled(q, m, ell, logs):
+        low, classes = rule(q, m, ell, logs)
+        return low & (logs % (2 * L) < L), classes
+
+    monkeypatch.setattr(gpaley.oracles, "classify_logs", doubled)
+    logs = fld.log[1:]
+    missed = np.flatnonzero(rule(spec.q, spec.m, spec.ell, logs)[0] & (logs % (2 * L) >= L)) + 1
+    checks = {c.name: c for c in run_suite(spec).checks}
+    assert len(missed) and checks["klapper-vs-kernel-counts"].observed == missed.tolist()
 
 
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
@@ -660,10 +710,10 @@ def test_klapper_sweep_reads_the_built_trace_map(monkeypatch, spec):
 
 
 def test_crashed_klapper_sweep_leaves_no_multiplicity(monkeypatch):
-    def crash(form):
+    def crash(q, m, ell, logs):
         raise RuntimeError("classification crashed")
 
-    monkeypatch.setattr(gpaley.oracles, "classify_form", crash)
+    monkeypatch.setattr(gpaley.oracles, "classify_logs", crash)
     checks = {c.name: c for c in run_suite(GraphSpec(2, 1, 4, 1)).checks}
     assert checks["klapper-vs-kernel-counts"].observed == "RuntimeError: classification crashed"
     multiplicity = checks["klapper-low-rank-multiplicity"]
@@ -695,15 +745,32 @@ def _arc_checks(g):
 
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
 def test_edge_preservation_tries_every_nonzero_scale(monkeypatch, spec):
-    scales = []
+    # the check passes only if its row-0 answer is the membership of a at
+    # every scale a; the exhaustive reference must give the same answer
+    perms = []
 
-    def recording(g, perm):
-        scales.append(int(perm[1]))  # x -> a x sends 1 to a
-        return permutation_preserves_edges(g, perm)
+    def recording(g, a, b, i):
+        perms.append(apply_affine_frobenius(g, a, b, i))
+        return perms[-1]
 
-    monkeypatch.setattr(gpaley.oracles, "permutation_preserves_edges", recording)
-    assert _arc_checks(build_graph(spec))["edge-preservation-criterion"].passed
-    assert scales == list(range(1, spec.order))
+    monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", recording)
+    g = build_graph(spec)
+    assert _arc_checks(g)["edge-preservation-criterion"].passed
+    perms = perms[-(spec.order - 1) :]
+    assert [int(perm[1]) for perm in perms] == list(range(1, spec.order))  # x -> a x sends 1 to a
+    assert [permutation_preserves_edges(g, perm) for perm in perms] == [
+        bool(g.connection.members[a]) for a in range(1, spec.order)
+    ]
+
+
+@pytest.mark.parametrize("corrupt", [_flip_edge, _two_switch])
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
+def test_edge_preservation_refuses_a_graph_without_translation_invariance(spec, corrupt):
+    # the row-0 test is sound only on a translation invariant adjacency: a
+    # dropped edge, or a 2-switch that leaves row 0 as it was, must fail it
+    check = _arc_checks(corrupt(build_graph(spec)))["edge-preservation-criterion"]
+    assert not check.passed
+    assert check.observed.startswith("InternalCheckError")
 
 
 def test_edge_preservation_reads_every_scale_of_a_256_vertex_graph():
