@@ -205,7 +205,7 @@ class FieldTable:
             raise ValueError(f"alpha {self.alpha} is not a nonzero element of F_{self.p}^{self.n}")
         self._unit_order_factors = factorize(self.order - 1) if self.order > 2 else {}
         self._build_tables()
-        self._trace_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._trace_cache: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -304,15 +304,16 @@ class FieldTable:
         """-a = (-1) a, and -1 has index p - 1."""
         return self.mul_array(a, self.p - 1)
 
-    def mul_array(self, a: np.ndarray, b_index: int) -> np.ndarray:
-        """Elementwise product of an index array with one fixed element."""
-        if b_index == 0:
-            return np.zeros(np.asarray(a).shape, dtype=np.int64)
-        shift = int(self.log[b_index])
+    def mul_array(self, a: np.ndarray, b) -> np.ndarray:
+        """Elementwise product of index arrays (either may be a scalar
+        index), broadcast against each other as ``add_arrays`` does:
+        alpha^i alpha^j = alpha^(i + j)."""
         a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = a != 0
-        out[nz] = self.exp[(self.log[a[nz]] + shift) % (self.order - 1)]
+        b = np.asarray(b, dtype=np.int64)
+        # "wrap" reduces the exponents mod p^n - 1; log 0 = -1 only picks
+        # entries that the zero factors overwrite
+        out = np.asarray(np.take(self.exp, self.log[a] + self.log[b], mode="wrap"))
+        np.copyto(out, 0, where=(a == 0) | (b == 0))
         return out
 
     def pow_array(self, a: np.ndarray, e: int) -> np.ndarray:
@@ -334,26 +335,21 @@ class FieldTable:
             acc = self.add_arrays(acc, y)
         return acc
 
-    def trace_map(self, to_degree: int, from_degree: int | None = None) -> np.ndarray:
-        """Index array of the relative trace Tr_{p^from / p^to}(x) at every
-        index x, cached per (from, to). Entries are only meaningful for x in
-        the degree-``from`` subfield; elsewhere the array holds the same sum of
-        from/to Frobenius iterates. That sum is F_p-linear on all of F_{p^n},
-        so ``_linear_map`` builds it from the images of the basis indices p^i."""
+    def trace_map(self, to_degree: int) -> np.ndarray:
+        """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
+        degree t = ``to_degree`` at every index x, cached per t. The trace is
+        F_p-linear, so ``_linear_map`` builds it from the images of the basis
+        indices p^i; for t = n that is the identity."""
         t = to_degree
-        f = self.n if from_degree is None else from_degree
-        if f % t or self.n % f:
-            raise NotASubfield(f"need to | from | n, got {t} | {f} | {self.n}")
-        if (f, t) not in self._trace_cache:
-            if f == t:  # a single Frobenius iterate: the identity
-                acc = np.arange(self.order, dtype=np.int64)
-            else:
-                basis = self.p ** np.arange(self.n, dtype=np.int64)
-                acc = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, f // t).tolist())
-            if f == self.n and not np.array_equal(self.pow_array(acc, self.p**t), acc):
+        if self.n % t:
+            raise NotASubfield(f"degree {t} does not divide {self.n}")
+        if t not in self._trace_cache:
+            basis = self.p ** np.arange(self.n, dtype=np.int64)
+            acc = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
+            if not np.array_equal(self.pow_array(acc, self.p**t), acc):
                 raise NotASubfield("trace image escaped the target subfield")  # unreachable
-            self._trace_cache[(f, t)] = acc
-        return self._trace_cache[(f, t)]
+            self._trace_cache[t] = acc
+        return self._trace_cache[t]
 
     def subfield_indices(self, t: int) -> np.ndarray:
         """Sorted indices of the subfield with p^t elements."""

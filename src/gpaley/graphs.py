@@ -257,11 +257,11 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     N = spec.order
     require("graph", N, max_order)
     field = get_field(spec.p, spec.s, spec.m, max_order)
-    if not _symmetry_rule(spec):
+    primal = connection_set(replace(spec, complemented=False), field)
+    if not is_symmetric(primal):
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"
         )
-    primal = connection_set(replace(spec, complemented=False), field)
     # A gets its own zeroed pages from the OS rather than a block of malloc's
     # heap, so dropping a graph hands them back at once and the memory held
     # follows the graphs alive, not the order in which graphs were built
@@ -273,7 +273,7 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     if spec.complemented:
         np.logical_not(adj, out=adj)
         np.fill_diagonal(adj, False)
-    g = CayleyGraph(spec, field, connection_set(spec, field), adj)
+    g = CayleyGraph(spec, field, connection_set(spec, field) if spec.complemented else primal, adj)
     # a translation invariant A is symmetric with every row a shift of row 0,
     # so row 0 settles the degree and the diagonal
     if int(adj[0].sum()) != g.k or adj[0, 0] or not g.translation_invariant:
@@ -321,20 +321,20 @@ def family_lattice(m: int) -> list[list[int]]:
     return [[(1 << k) * d for d in divisors(r)] for k in range(t)]
 
 
-def apply_affine_frobenius(
-    g: CayleyGraph, a: int, b: int, i: int
-) -> np.ndarray:
+def apply_affine_frobenius(g: CayleyGraph, a: int | np.ndarray, b: int, i: int) -> np.ndarray:
     """Vertex permutation x -> a * x^(p^i) + b. Such a map preserves edges
-    exactly when a is a connection member."""
+    exactly when a is a connection member. A 1-D array of scales gives one
+    row of images per scale, a (len(a), N) table; every row is checked to
+    be a bijection with one row-wise sort."""
     fld = g.field
-    a, b = int(a), int(b)
-    if a == 0:
+    a = np.asarray(a, dtype=np.int64)
+    if (a == 0).any():
         raise ZeroScale("scale a must be nonzero")
     if not 0 <= i < fld.n:
         raise ValueError(f"Frobenius power i must satisfy 0 <= i < {fld.n}")
     idx = np.arange(g.n, dtype=np.int64)
-    image = fld.add_arrays(fld.mul_array(fld.pow_array(idx, fld.p**i), a), b)
-    if len(np.unique(image)) != g.n:
+    image = fld.add_arrays(fld.mul_array(a[..., None], fld.pow_array(idx, fld.p**i)), int(b))
+    if not (np.sort(image, axis=-1) == idx).all():
         raise InternalCheckError("affine-Frobenius map is not a bijection")
     return image
 

@@ -9,13 +9,14 @@ graph on the additive group of the field, so row 0 of A, A^2 and A^3
 ``CayleyGraph.translation_invariant`` has checked A[i, j] = A[0, j - i]
 entry by entry; the walk, srg and girth kernels read row 0, require that
 check, and sum their products in Python integers. No float enters them.
-Tree counts are Laplacian determinants computed modulo primes p with
-n p^2 < 2^53, so that the float64 elimination is exact, and lifted by the
-Chinese remainder theorem past twice the Hadamard bound, so that the lift
-is the determinant itself.
+Tree counts are Laplacian determinants computed modulo the largest primes
+p with n p^2 < 2^53 (by ``arith.is_prime``), so that the float64
+elimination is exact, and lifted by the Chinese remainder theorem past
+twice the Hadamard bound, so that the lift is the determinant itself. The
+arc-transitivity checks map all of their scales at once, with one
+``graphs.apply_affine_frobenius`` table per check.
 """
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .applications import is_ramanujan, verify_waring, waring_number
-from .arith import int_to_str
+from .arith import int_to_str, is_prime
 from .budgets import budget, require
 from .errors import (
     BudgetExceeded,
@@ -38,9 +39,6 @@ from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_
 from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph
 from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
 
-# Primes for the multi-modular determinant lie below this ceiling (lower
-# for matrices above 2047 rows, where n p^2 < 2^53 asks for it).
-_PRIME_CEILING = 2**21
 # float64 holds every integer of smaller magnitude exactly.
 _FLOAT_EXACT = 2**53
 # Columns per blocked update of the modular elimination.
@@ -123,35 +121,23 @@ def count_trees_bruteforce(g: CayleyGraph, max_order: int | None = None) -> int:
     return modular_determinant(minor)
 
 
-@functools.cache
-def _descending_primes() -> np.ndarray:
-    """Every prime below _PRIME_CEILING, largest first (sieved on first use)."""
-    flags = np.ones(_PRIME_CEILING, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(_PRIME_CEILING - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    primes = np.flatnonzero(flags)[::-1].copy()
-    primes.setflags(write=False)
-    return primes
-
-
 def determinant_primes(n: int, hadamard_sq: int) -> list[int]:
     """The primes that ``modular_determinant`` uses for an n x n matrix whose
-    Hadamard bound is sqrt(hadamard_sq): the largest primes p below
-    _PRIME_CEILING with n p^2 < 2^53, taken in descending order until their
-    product exceeds twice the bound."""
-    primes = _descending_primes()
-    # p < sqrt(2^53 / n): the bound on every unreduced entry (see _residues)
-    ceiling = math.isqrt((_FLOAT_EXACT - 1) // max(n, 1))
+    Hadamard bound is sqrt(hadamard_sq): the largest primes p with
+    n p^2 < 2^53, found by walking down from isqrt((2^53 - 1) / n) with the
+    deterministic Miller-Rabin ``arith.is_prime`` and taken in descending
+    order until their product exceeds twice the bound."""
+    # p^2 <= (2^53 - 1) / n: the bound on every unreduced entry (see _residues)
+    p = math.isqrt((_FLOAT_EXACT - 1) // max(n, 1))
     chosen, product = [], 1
-    for p in map(int, primes[int(np.searchsorted(-primes, -ceiling)) :]):
-        if product * product > 4 * hadamard_sq:
-            break
+    while product * product <= 4 * hadamard_sq:
+        while p > 1 and not is_prime(p):
+            p -= 1
+        if p < 2:
+            raise BudgetExceeded(f"too few word-size primes for a {n}x{n} determinant")
         chosen.append(p)
         product *= p
-    else:
-        raise BudgetExceeded(f"too few word-size primes for a {n}x{n} determinant")
+        p -= 1
     if any(n * p * p >= _FLOAT_EXACT for p in chosen):
         raise InternalCheckError("a prime breaks float64 exactness")
     return chosen
@@ -590,7 +576,9 @@ def _arc_transitivity_checks(suite, g):
     """Construct, for every arc (v,w), the affine map sending a fixed base
     arc to it, and confirm it is an automorphism; also confirm, for every
     nonzero scale a, that x -> a x preserves edges exactly when a is a
-    connection member."""
+    connection member. Each check maps all of its scales with one
+    ``apply_affine_frobenius`` table: the distinct witness scales, then
+    1..N-1."""
     if not suite.within("arc", g.n, ("arc-transitivity-witnesses", "edge-preservation-criterion")):
         return
     fld = g.field
@@ -607,8 +595,8 @@ def _arc_transitivity_checks(suite, g):
         at_0, at_s0 = (fld.add_arrays(fld.mul_array(scales, x), v) for x in (0, s0))
         if not (np.array_equal(at_0, v) and np.array_equal(at_s0, w)):
             return "witness map misses the target arc"
-        for a in np.unique(scales):  # a bijection exactly when x -> a x is one
-            apply_affine_frobenius(g, a, 0, 0)
+        # each witness x -> a x + v is a bijection exactly when x -> a x is one
+        apply_affine_frobenius(g, np.unique(scales), 0, 0)
         return True
 
     suite.run("arc-transitivity-witnesses", lambda: True, witness_all_arcs)
@@ -619,10 +607,11 @@ def _arc_transitivity_checks(suite, g):
         # fixes row 0
         _require_invariance(g)
         row = g.adjacency[0]
-        for a in range(1, g.n):
-            preserves = np.array_equal(row[apply_affine_frobenius(g, a, 0, 0)], row)
-            if preserves != bool(g.connection.members[a]):
-                return f"scale {a} violates the membership criterion"
+        images = apply_affine_frobenius(g, np.arange(1, g.n), 0, 0)  # row a - 1 is x -> a x
+        preserves = (row[images] == row).all(axis=1)
+        wrong = np.flatnonzero(preserves != g.connection.members[1:])
+        if wrong.size:
+            return f"scale {wrong[0] + 1} violates the membership criterion"
         return True
 
     suite.run("edge-preservation-criterion", lambda: True, membership_criterion)

@@ -360,6 +360,20 @@ def test_affine_frobenius_edge_preservation():
             assert not permutation_preserves_edges(g, perm)
 
 
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
+def test_affine_frobenius_scale_table_stacks_single_scales(spec):
+    # an array of scales gives one row per scale, each the single-scale map
+    g = build_graph(spec)
+    scales = np.arange(1, g.n)
+    for b, i in [(0, 0), (3, 1), (g.n - 1, spec.m - 1)]:
+        table = apply_affine_frobenius(g, scales, b, i)
+        assert table.shape == (g.n - 1, g.n)
+        assert np.array_equal(table, [apply_affine_frobenius(g, a, b, i) for a in scales])
+    for zero_at in (0, 5, g.n - 1):
+        with pytest.raises(ZeroScale):
+            apply_affine_frobenius(g, np.insert(scales, zero_at, 0), 0, 0)
+
+
 def test_affine_frobenius_errors():
     g = build_graph(GraphSpec(2, 1, 4, 1))
     with pytest.raises(ZeroScale):

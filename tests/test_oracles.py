@@ -301,11 +301,12 @@ def _primes_for(mat):
 
 
 def test_modular_determinant_multiple_of_the_first_prime():
-    first = determinant_primes(2, 1)[0]
-    for mat in (
-        [[first, 0], [0, 3]],  # the first column is 0 modulo the first prime
-        [[first + 1, 1], [1, 1]],  # the last pivot is 0 modulo the first prime
-        [[2, 1, 0], [1, 1, 1], [0, 1, first + 2]],  # det = first
+    # the first prime depends on the order n through n p^2 < 2^53
+    two, three = determinant_primes(2, 1)[0], determinant_primes(3, 1)[0]
+    for mat, first in (
+        ([[two, 0], [0, 3]], two),  # the first column is 0 modulo the first prime
+        ([[two + 1, 1], [1, 1]], two),  # the last pivot is 0 modulo the first prime
+        ([[2, 1, 0], [1, 1, 1], [0, 1, three + 2]], three),  # det = first
     ):
         assert _primes_for(mat)[0] == first
         assert modular_determinant(mat) == bareiss_determinant(mat)
@@ -365,8 +366,26 @@ def test_determinant_primes_keep_float64_exact(n):
     assert primes == sorted(primes, reverse=True) and len(set(primes)) == len(primes)
     # the product passes twice the Hadamard bound 2^200, and only just
     assert math.prod(primes) ** 2 > 4 * 2**400 >= math.prod(primes[:-1]) ** 2
-    if n > 2048:  # below 2^11 rows every prime is < 2^21; above, smaller ones
-        assert primes[0] < determinant_primes(2047, 1)[0]
+    # the bound alone caps the primes: the first is at most the largest p
+    # with n p^2 < 2^53 and, by Bertrand's postulate, more than half of it
+    bound = math.isqrt((2**53 - 1) // n)
+    assert bound // 2 < primes[0] <= bound
+
+
+def _trial_prime(x):
+    return x > 1 and all(x % d for d in range(2, math.isqrt(x) + 1))
+
+
+@pytest.mark.parametrize("n", [1, 255, 2047, 2049])
+def test_determinant_primes_are_the_largest_the_bound_admits(n):
+    # the first prime is the largest p <= isqrt((2^53 - 1) / n), and no
+    # prime is skipped between two chosen ones; both by trial division
+    primes = determinant_primes(n, 2**400)
+    bound = math.isqrt((2**53 - 1) // n)
+    assert all(map(_trial_prime, primes))
+    assert not any(_trial_prime(x) for x in range(primes[0] + 1, bound + 1))
+    for upper, lower in zip(primes, primes[1:]):
+        assert not any(_trial_prime(x) for x in range(lower + 1, upper))
 
 
 def test_modular_determinant_above_2048_rows():
@@ -597,7 +616,7 @@ def _coset_logs(spec):
         (GraphSpec(2, 1, 2, 1), 6),  # g = 3 cosets of S = {1}
     ],
 )
-def test_klapper_sweep_evaluates_two_forms_per_coset(monkeypatch, spec, calls):
+def test_klapper_sweep_evaluates_one_form_per_coset(monkeypatch, spec, calls):
     # one form per coset alpha^j S, its representative alpha^j, in order of
     # j: kernel_counts and exp_sum are each called once on it, 2g calls in all
     recorded = {"kernel_counts": [], "exp_sum": []}
@@ -622,7 +641,7 @@ def test_klapper_sweep_evaluates_two_forms_per_coset(monkeypatch, spec, calls):
 
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 @pytest.mark.parametrize("kernel", sorted(_CORRUPTED_FORM_KERNELS))
-def test_klapper_sweep_names_the_coset_of_a_corrupted_last_member(monkeypatch, spec, kernel):
+def test_klapper_sweep_names_the_coset_of_a_corrupted_representative(monkeypatch, spec, kernel):
     # a fault on the one evaluated member of a coset, its representative
     # alpha^j, must name exactly the gammas of that coset; the low-rank count,
     # which compares classes and not character sums, loses that coset's
@@ -697,7 +716,7 @@ def test_klapper_sweep_reads_the_built_trace_map(monkeypatch, spec):
         y = int(fld.exp[coset[-1]])
         corrupted = built.copy()
         corrupted[y] = next(v for v in values if v != built[y])
-        monkeypatch.setitem(fld._trace_cache, (fld.n, spec.s), corrupted)
+        monkeypatch.setitem(fld._trace_cache, spec.s, corrupted)
         checks = {c.name: c for c in run_suite(spec).checks}
         assert checks["klapper-vs-kernel-counts"].observed == sorted(
             int(fld.exp[log]) for log in coset
@@ -721,19 +740,20 @@ def test_crashed_klapper_sweep_leaves_no_multiplicity(monkeypatch):
 
 
 def test_arc_witnesses_check_each_scale_once(monkeypatch):
-    # Gamma_{2,4}(1) has 80 arcs but 5 scales, one per connection member;
-    # the edge-preservation criterion then tries the scales 1..15
+    # Gamma_{2,4}(1) has 80 arcs but 5 scales, one per connection member,
+    # mapped in one table; the edge-preservation criterion then maps the
+    # scales 1..15 in a second
     calls = []
 
     def recording(g, a, b, i):
-        calls.append((int(a), b, i))
+        calls.append((np.asarray(a).tolist(), b, i))
         return apply_affine_frobenius(g, a, b, i)
 
     monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", recording)
     spec = GraphSpec(2, 1, 4, 1)
     assert run_suite(spec).ok
     members = np.flatnonzero(build_graph(spec).connection.members).tolist()
-    assert calls == [(a, 0, 0) for a in members] + [(a, 0, 0) for a in range(1, 16)]
+    assert calls == [(members, 0, 0), (list(range(1, 16)), 0, 0)]
 
 
 def _arc_checks(g):
@@ -747,16 +767,16 @@ def _arc_checks(g):
 def test_edge_preservation_tries_every_nonzero_scale(monkeypatch, spec):
     # the check passes only if its row-0 answer is the membership of a at
     # every scale a; the exhaustive reference must give the same answer
-    perms = []
+    tables = []
 
     def recording(g, a, b, i):
-        perms.append(apply_affine_frobenius(g, a, b, i))
-        return perms[-1]
+        tables.append(apply_affine_frobenius(g, a, b, i))
+        return tables[-1]
 
     monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", recording)
     g = build_graph(spec)
     assert _arc_checks(g)["edge-preservation-criterion"].passed
-    perms = perms[-(spec.order - 1) :]
+    perms = list(tables[-1])  # the criterion's one table, a row per scale
     assert [int(perm[1]) for perm in perms] == list(range(1, spec.order))  # x -> a x sends 1 to a
     assert [permutation_preserves_edges(g, perm) for perm in perms] == [
         bool(g.connection.members[a]) for a in range(1, spec.order)
