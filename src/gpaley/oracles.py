@@ -12,9 +12,13 @@ check, and sum their products in Python integers. No float enters them.
 Tree counts are Laplacian determinants computed modulo the largest primes
 p with n p^2 < 2^53 (by ``arith.is_prime``), so that the float64
 elimination is exact, and lifted by the Chinese remainder theorem past
-twice the Hadamard bound, so that the lift is the determinant itself. The
-arc-transitivity checks map all of their scales at once, with one
-``graphs.apply_affine_frobenius`` table per check.
+twice the Hadamard bound, so that the lift is the determinant itself. A
+stack of primes is eliminated at once: the Laplacian, whose entries are
+all below the smallest prime, is broadcast into it as float64; each panel
+of columns is worked in a contiguous transposed buffer; and the pivots are
+multiplied once, at the end. The arc-transitivity checks map all of their
+scales at once, with one ``graphs.apply_affine_frobenius`` table per
+check.
 """
 
 import math
@@ -43,7 +47,8 @@ from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, s
 _FLOAT_EXACT = 2**53
 # Columns per blocked update of the modular elimination.
 _PANEL = 32
-# float64 entries in one (primes, n, n) elimination stack (8 MB).
+# float64 entries in one (primes, n, n) elimination stack (8 MB), and up to
+# 1/8 more when a short last stack joins the one before it.
 _STACK_ENTRIES = 2**20
 
 
@@ -151,7 +156,8 @@ def modular_determinant(mat) -> int:
     the primes of ``determinant_primes`` multiply to M > 2H, so the
     symmetric residue of det modulo M is det itself: the result is certain,
     not probabilistic. The residues come from ``_residues``, a stack of
-    primes at a time."""
+    primes at a time; a last stack of at most 1/8 of a stack's primes joins
+    the one before it rather than paying a column loop of its own."""
     a = np.asarray(mat, dtype=np.int64)
     n, cols = a.shape
     if n != cols:
@@ -159,9 +165,11 @@ def modular_determinant(mat) -> int:
     hadamard_sq = math.prod(sum(x * x for x in row) for row in a.tolist())
     primes = determinant_primes(n, hadamard_sq)
     chunk = max(1, _STACK_ENTRIES // max(n * n, 1))
+    stacks = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
+    if len(stacks) > 1 and len(stacks[-1]) <= chunk // 8:
+        stacks[-2:] = [stacks[-2] + stacks[-1]]
     value, modulus = 0, 1
-    for start in range(0, len(primes), chunk):
-        batch = primes[start : start + chunk]
+    for batch in stacks:
         for r, p in zip(_residues(a, batch), batch):
             value += modulus * ((r - value) * pow(modulus, -1, p) % p)
             modulus *= p
@@ -171,46 +179,67 @@ def modular_determinant(mat) -> int:
 def _residues(a: np.ndarray, primes: list[int]) -> list[int]:
     """det(a) modulo each prime, from one float64 (primes, n, n) stack.
 
-    Blocked LU over _PANEL columns at a time. Inside a panel each column,
-    and then each pivot row, is brought up to date with one batched
-    matrix-vector product when it is reached, and only then reduced by
-    ``_reduce``; after the panel the trailing block gets one batched matrix
-    product. Every reduced entry lies in [0, p), so each entry is an
-    initial residue minus at most n-1 products below p^2: every value, and
-    every partial sum in any order, is an integer of magnitude below
-    (n-1) p^2, which leaves p of room below n p^2 < 2^53: it is exact in
-    float64, and ``_reduce`` reduces it exactly. Each prime pivots on its
-    own: a row is swapped only in the layer of the prime whose pivot is 0,
-    and the swap negates that residue."""
+    The stack starts as ``a`` itself, broadcast to every prime, when each
+    |a_ij| is below the smallest prime (always so for a Laplacian), and as
+    the int64 remainders otherwise; either way every initial entry lies in
+    (-p, p). Blocked LU over _PANEL columns at a time: each panel's columns
+    are copied, transposed, into one contiguous (primes, width, n - k0)
+    buffer, so that inside the panel each column is brought up to date with
+    one batched product on a contiguous row when it is reached, and only
+    then reduced by ``_reduce`` and scaled into multipliers; each pivot row
+    is updated on the rows of the stack; after the panel the trailing block
+    gets one batched matrix product, reading the multipliers through the
+    buffer's transposed view. Every reduced entry lies in [0, p), so each
+    entry is an initial value in (-p, p) minus at most n-1 products below
+    p^2: every value, and every partial sum in any order, is an integer of
+    magnitude below p + (n-1) p^2 <= n p^2 < 2^53, exact in float64, and
+    ``_reduce`` reduces it exactly. Each prime pivots on its own: a row is
+    swapped, in the buffer and the stack, only in the layer of the prime
+    whose pivot is 0, and the swap negates that residue. The pivots are
+    kept in a (primes, n) array and multiplied, in Python integers, once at
+    the end."""
     n = a.shape[0]
     prime = np.array(primes, dtype=np.float64)[:, None]
-    m = np.remainder(a, np.array(primes, dtype=np.int64)[:, None, None]).astype(np.float64)
-    det = np.ones(len(primes))
+    if np.abs(a).max(initial=0) < min(primes):
+        m = np.empty((len(primes), n, n))
+        m[:] = a
+    else:
+        m = np.remainder(a, np.array(primes, dtype=np.int64)[:, None, None]).astype(np.float64)
+    pivots = np.empty((len(primes), n))
+    signs = [1] * len(primes)
     for k0 in range(0, n, _PANEL):
         k1 = min(k0 + _PANEL, n)
-        for j in range(k0, k1):
-            col = m[:, j:, j]
-            col -= np.matmul(m[:, j:, k0:j], m[:, k0:j, j, None])[:, :, 0]
+        # panel[:, c, i] is m[:, k0 + i, k0 + c]: column k0 + c as a row
+        panel = m[:, k0:, k0:k1].transpose(0, 2, 1).copy()
+        for c in range(k1 - k0):
+            j = k0 + c
+            col = panel[:, c, c:]
+            col -= np.matmul(m[:, None, k0:j, j], panel[:, :c, c:])[:, 0]
             _reduce(col, prime)
-            for t in np.flatnonzero(col[:, 0] == 0):
-                below = np.flatnonzero(col[t])
-                if below.size:  # else det = 0 mod this prime: its pivot stays 0
-                    r = j + int(below[0])
-                    m[t, [j, r]] = m[t, [r, j]]
-                    det[t] = -det[t]
             pivot = col[:, 0]
-            det *= pivot
-            _reduce(det, prime[:, 0])
+            if not pivot.all():
+                for t in np.flatnonzero(pivot == 0):
+                    below = np.flatnonzero(col[t])
+                    if below.size:  # else det = 0 mod this prime: its pivot stays 0
+                        r = j + int(below[0])
+                        panel[t, :, [c, r - k0]] = panel[t, :, [r - k0, c]]
+                        m[t, [j, r]] = m[t, [r, j]]
+                        signs[t] = -signs[t]
+            pivots[:, j] = pivot
             inverse = [pow(int(v), -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)]
             row = m[:, j, j + 1 :]
-            row -= np.matmul(m[:, j, None, k0:j], m[:, k0:j, j + 1 :])[:, 0]
+            row -= np.matmul(panel[:, None, :c, c], m[:, k0:j, j + 1 :])[:, 0]
             _reduce(row, prime)
             multipliers = col[:, 1:]
             multipliers *= np.array(inverse, dtype=np.float64)[:, None]
             _reduce(multipliers, prime)
         if k1 < n:
-            m[:, k1:, k1:] -= np.matmul(m[:, k1:, k0:k1], m[:, k0:k1, k1:])
-    return [int(d) for d in det]
+            lower = panel[:, :, k1 - k0 :].transpose(0, 2, 1)
+            m[:, k1:, k1:] -= np.matmul(lower, m[:, k0:k1, k1:])
+    return [
+        sign * math.prod(row) % p
+        for row, sign, p in zip(pivots.astype(np.int64).tolist(), signs, primes)
+    ]
 
 
 def _reduce(x: np.ndarray, prime: np.ndarray) -> None:

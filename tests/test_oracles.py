@@ -423,6 +423,63 @@ def test_residues_reduce_exactly_just_below_2_to_the_53(monkeypatch):
     assert (n - 2) * (p - 1) ** 2 < max(largest) < 2**53
 
 
+@pytest.mark.parametrize("n", [33, 64, 70, 97])
+def test_residues_swap_zero_pivots_in_every_panel(n):
+    # modulo primes this small most columns meet a zero pivot in some layer,
+    # in every panel of 32 columns and at every offset inside it
+    primes = [2, 3, 5, 7, 11, 13]
+    mat = np.random.default_rng(n).integers(-3, 4, (n, n))
+    det = bareiss_determinant(mat)
+    assert gpaley.oracles._residues(mat, primes) == [det % p for p in primes]
+    mat[-1] = mat[3] - 2 * mat[n // 2]  # singular: every layer ends on a zero pivot
+    assert gpaley.oracles._residues(mat, primes) == [0] * len(primes)
+
+
+def _tree_minor(spec):
+    g = build_graph(spec)
+    lap = np.diag(g.degrees.astype(np.int64)) - g.adjacency.astype(np.int64)
+    return lap[1:, 1:]
+
+
+def test_residues_keep_the_layers_of_a_stack_independent():
+    minor = _tree_minor(GraphSpec(2, 2, 4, 1))
+    primes = _primes_for(minor)[:16]
+    assert gpaley.oracles._residues(minor, primes) == [
+        gpaley.oracles._residues(minor, [p])[0] for p in primes
+    ]
+
+
+@pytest.mark.parametrize("corner", [0, 2**53 + 1])
+def test_residues_reduce_entries_at_or_above_the_smallest_prime(corner):
+    # entries of magnitude p_min + 1 (and one that float64 cannot hold) are
+    # reduced in int64 before the float64 stack is built; reducing them
+    # first, one prime at a time, must agree
+    primes = determinant_primes(6, 2**400)[:4]
+    signs = np.random.default_rng(3).choice([-1, 1], (6, 6))
+    mat = signs * (min(primes) + 1)
+    mat[np.diag_indices(6)] += np.arange(6)  # a nonzero determinant
+    mat[0, 0] += corner
+    det = bareiss_determinant(mat)
+    assert det != 0
+    assert gpaley.oracles._residues(mat, primes) == [det % p for p in primes]
+    assert [gpaley.oracles._residues(mat % p, [p])[0] for p in primes] == [det % p for p in primes]
+
+
+def test_modular_determinant_folds_a_short_last_stack_into_the_one_before(monkeypatch):
+    # Gamma_{4,4}(1): 65 primes for its 255 x 255 minor, 16 to a stack; the
+    # 65th joins the fourth stack rather than running alone
+    minor = _tree_minor(GraphSpec(2, 2, 4, 1))
+    residues, sizes = gpaley.oracles._residues, []
+
+    def recorded(a, primes):
+        sizes.append(len(primes))
+        return residues(a, primes)
+
+    monkeypatch.setattr(gpaley.oracles, "_residues", recorded)
+    assert modular_determinant(minor) == spanning_trees(GraphSpec(2, 2, 4, 1))
+    assert sizes == [16, 16, 16, 17]
+
+
 def test_bfs_diameter():
     assert bfs_eccentricity(build_graph(GraphSpec(2, 1, 4, 1))) == 2
     assert bfs_eccentricity(build_graph(GraphSpec(2, 1, 3, 1))) == 1  # complete graph
