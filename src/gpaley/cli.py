@@ -9,9 +9,9 @@ Specs are addressed with --p --s --m --ell, plus --complement on the verbs
 whose output depends on it. JSON output is the machine-stable schema: field
 names fixed, big integers always emitted as decimal strings (53-bit-safe for
 downstream consumers).
-Exit status: 0 success, 1 verification failure or library error, 2 usage
-error (a malformed flag, a flag the verb does not offer, or a bad
---p/--s/--m/--ell/--r/--tmax value).
+Exit status: 0 success, 1 verification failure, library error or an --out
+that cannot be written, 2 usage error (a malformed flag, a flag the verb
+does not offer, or a bad --p/--s/--m/--ell/--r/--tmax value).
 """
 
 import argparse
@@ -241,7 +241,7 @@ def dispatch(argv=None) -> int:
         out = verb.run(args, subject)
         if out is not None:
             _emit(args, out if isinstance(out, str) else json.dumps(out, indent=2))
-    except (GPaleyError, ValueError) as exc:
+    except (GPaleyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 1 if isinstance(out, dict) and out.get("ok") is False else 0

@@ -203,7 +203,6 @@ class FieldTable:
             )
         if not 0 < self.alpha < self.order:
             raise ValueError(f"alpha {self.alpha} is not a nonzero element of F_{self.p}^{self.n}")
-        self._unit_order_factors = factorize(self.order - 1) if self.order > 2 else {}
         self._build_tables()
         self._trace_cache: dict[int, np.ndarray] = {}
 
@@ -406,7 +405,7 @@ def element_order(fld: FieldTable, x: int) -> int:
     order = fld.order - 1
     if order == 1:
         return 1
-    for r in fld._unit_order_factors:
+    for r in factorize(order):
         while order % r == 0 and fld.pow(x, order // r) == 1:
             order //= r
     return order

@@ -325,11 +325,20 @@ def apply_affine_frobenius(g: CayleyGraph, a: int | np.ndarray, b: int, i: int) 
     """Vertex permutation x -> a * x^(p^i) + b. Such a map preserves edges
     exactly when a is a connection member. A 1-D array of scales gives one
     row of images per scale, a (len(a), N) table; every row is checked to
-    be a bijection with one row-wise sort."""
+    be a bijection with one row-wise sort. A scale outside [1, N) or a
+    shift outside [0, N) is not a field element and raises ValueError."""
     fld = g.field
-    a = np.asarray(a, dtype=np.int64)
+    try:
+        a = np.asarray(a, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"scale {a} is not a field element in [1, {g.n})") from None
     if (a == 0).any():
         raise ZeroScale("scale a must be nonzero")
+    outside = a[(a < 0) | (a >= g.n)]
+    if outside.size:
+        raise ValueError(f"scale {int(outside[0])} is not a field element in [1, {g.n})")
+    if not 0 <= b < g.n:
+        raise ValueError(f"shift {b} is not a field element in [0, {g.n})")
     if not 0 <= i < fld.n:
         raise ValueError(f"Frobenius power i must satisfy 0 <= i < {fld.n}")
     idx = np.arange(g.n, dtype=np.int64)

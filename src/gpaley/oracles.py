@@ -400,9 +400,11 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     classification of every gamma against kernel counting on one member of
     each coset of S, Waring witnesses, the Ramanujan inequality, the coset
     decomposition of the complement, and arc-transitivity witnesses on small
-    graphs. Failures are recorded, never thrown; checks left out for size
-    are listed in the report's ``skipped``, and the seconds of the two graph
-    builds in its ``build_seconds``."""
+    graphs. The report lists the structure checks, the primal graph's
+    ``_side_checks``, the complement's, then the rest. Failures are
+    recorded, never thrown; checks left out for size are listed in the
+    report's ``skipped``, and the seconds of the two graph builds in its
+    ``build_seconds``."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     spectrum(spec)  # refuses a spec outside the family before any graph is built
     suite = _Suite(spec)
@@ -415,12 +417,8 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
 
     _structure_checks(suite, g, gbar)
-    if not spec.is_degenerate:
-        _srg_checks(suite, g, gbar)
-    _walk_checks(suite, g, gbar)
-    _tree_checks(suite, g, gbar)
-    _metric_checks(suite, g, gbar)
-    _moment_checks(suite, g, gbar)
+    _side_checks(suite, "primal", g)
+    _side_checks(suite, "complement", gbar)
     _klapper_checks(suite, g)
     _waring_checks(suite, g, max_order)
     _ramanujan_checks(suite, spec)
@@ -439,77 +437,59 @@ def _structure_checks(suite, g, gbar):
     )
 
 
-def _srg_checks(suite, g, gbar):
-    for name, graph in (("primal", g), ("complement", gbar)):
+def _side_checks(suite, side, graph):
+    """Every check held on one of the two graphs, named ``<check>-<side>``,
+    each beside the rule that decides whether it applies. (2,2,1) is not
+    strongly regular, so it has no srg counts or A^2 identity, and no girth;
+    the primal graph of ell = m/2 is q^(m/2) disjoint cliques, held to its
+    components in place of a diameter and given no girth. The moments are
+    the closed spectrum's (v, sum lambda, sum lambda^2) against the counted
+    order, trace(A) and trace(A^2)."""
+    spec = graph.spec
+    if not spec.is_degenerate:
         def params():
-            return srg_params(graph.spec).params()
+            return srg_params(spec).params()
 
-        suite.run(f"srg-counts-{name}", params, lambda: count_srg_params(graph))
-        suite.run(f"a2-identity-{name}", lambda: True, lambda: verify_a2_identity(graph, params()))
-
-
-def _walk_checks(suite, g, gbar):
-    for name, graph in (("primal", g), ("complement", gbar)):
+        suite.run(f"srg-counts-{side}", params, lambda: count_srg_params(graph))
+        suite.run(f"a2-identity-{side}", lambda: True, lambda: verify_a2_identity(graph, params()))
+    suite.run(
+        f"walks-2..6-{side}",
+        lambda: tuple(closed_walks(spec, r) for r in range(2, 7)),
+        lambda: tuple(count_walks_bruteforce(graph, r) for r in range(2, 7)),
+    )
+    if suite.within("tree", graph.n, (f"trees-{side}",)):
         suite.run(
-            f"walks-2..6-{name}",
-            lambda: tuple(closed_walks(graph.spec, r) for r in range(2, 7)),
-            lambda: tuple(count_walks_bruteforce(graph, r) for r in range(2, 7)),
+            f"trees-{side}", lambda: spanning_trees(spec), lambda: count_trees_bruteforce(graph)
         )
-
-
-def _tree_checks(suite, g, gbar):
-    if not suite.within("tree", g.n, ("trees-primal", "trees-complement")):
-        return
-    for name, graph in (("primal", g), ("complement", gbar)):
-        suite.run(
-            f"trees-{name}",
-            lambda: spanning_trees(graph.spec),
-            lambda: count_trees_bruteforce(graph),
-        )
-
-
-def _metric_checks(suite, g, gbar):
-    spec = g.spec
-    if spec.is_half:
+    if spec.is_half and not spec.complemented:
         root = spec.q ** (spec.m // 2)
 
         def components():
             try:
-                bfs_eccentricity(g)
+                bfs_eccentricity(graph)
                 return None
             except DisconnectedComponentsFound as exc:
                 return (len(exc.sizes), sorted(set(exc.sizes)))
 
         suite.run("half-case-components", lambda: (root, [root]), components)
-        suite.run("diameter-complement", lambda: 2, lambda: bfs_eccentricity(gbar))
     else:
-        suite.run("diameter-primal", lambda: 2, lambda: bfs_eccentricity(g))
-        suite.run("diameter-complement", lambda: 2, lambda: bfs_eccentricity(gbar))
-    if not spec.is_degenerate:
-        pairs = [("complement", gbar)]
-        if not spec.is_half:
-            pairs.insert(0, ("primal", g))
-        for name, graph in pairs:
+        suite.run(f"diameter-{side}", lambda: 2, lambda: bfs_eccentricity(graph))
+        if not spec.is_degenerate:
             suite.run(
-                f"girth-{name}",
-                lambda: invariant_bounds(graph.spec).girth,
+                f"girth-{side}",
+                lambda: invariant_bounds(spec).girth,
                 lambda: girth_bruteforce(graph),
             )
 
+    def moments():
+        sp = spectrum(spec)
+        return sp.v, sp.moment(1), sp.moment(2)
 
-def _moment_checks(suite, g, gbar):
-    """The closed spectrum's (v, sum lambda, sum lambda^2) against the
-    counted order, trace(A) and trace(A^2)."""
-    for name, graph in (("primal", g), ("complement", gbar)):
-        def moments():
-            sp = spectrum(graph.spec)
-            return sp.v, sp.moment(1), sp.moment(2)
-
-        suite.run(
-            f"spectrum-moments-{name}",
-            moments,
-            lambda: (graph.n, count_walks_bruteforce(graph, 1), count_walks_bruteforce(graph, 2)),
-        )
+    suite.run(
+        f"spectrum-moments-{side}",
+        moments,
+        lambda: (graph.n, count_walks_bruteforce(graph, 1), count_walks_bruteforce(graph, 2)),
+    )
 
 
 def _klapper_checks(suite, g):

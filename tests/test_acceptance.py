@@ -17,10 +17,12 @@ the library). Each ``*_published_*`` test asserts that
 Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+import importlib.util
 import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -359,13 +361,32 @@ def _sweep_specs(limit=4096):
             m += 1
 
 
+# (2,2,1) is not strongly regular and has a disconnected primal graph: no
+# srg, girth, Waring or Ramanujan checks, which expected_check_names omits
+_DEGENERATE_CHECK_NAMES = {
+    "regular-degree", "complement-degree", "connection-cardinality",
+    "walks-2..6-primal", "trees-primal", "half-case-components", "spectrum-moments-primal",
+    "walks-2..6-complement", "trees-complement", "diameter-complement",
+    "spectrum-moments-complement", "klapper-vs-kernel-counts",
+    "klapper-low-rank-multiplicity", "coset-decomposition", "arc-transitivity-witnesses",
+    "edge-preservation-criterion",
+}
+
+
 def test_criterion_3_oracle_sweep():
     """run_suite passes every check on every proper spec with q^m <= 4096:
     counted (v,k,e,d) = closed forms, A^2 identity, walks r <= 6, component
     structure, girth, rank/type classification of every gamma against kernel
     counting per coset of S (on its representative alpha^j), Waring
-    witnesses, Ramanujan gap, coset decomposition, arc-transitivity."""
-    failures = []
+    witnesses, Ramanujan gap, coset decomposition, arc-transitivity. Each
+    report names every check once, the names the benchmark expects."""
+    # loaded from its file under its own name, so that bench/checks.py
+    # neither shadows nor is shadowed by a module of the tests
+    path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    module_spec = importlib.util.spec_from_file_location("bench_checks", path)
+    bench_checks = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench_checks)
+    failures, misnamed = [], []
     total = 0
     for spec in _sweep_specs():
         t0 = time.perf_counter()
@@ -375,9 +396,17 @@ def test_criterion_3_oracle_sweep():
         print(f"  sweep {spec.label():20s} {time.perf_counter() - t0:7.2f}s {status}")
         if not report.ok:
             failures.append((spec.label(), [c.name for c in report.failures()]))
-    _announce("3 (oracle sweep)", not failures, f"{total} specs")
+        names = [c.name for c in report.checks]
+        expected = (
+            _DEGENERATE_CHECK_NAMES if spec.is_degenerate
+            else bench_checks.expected_check_names(spec.q, spec.m, spec.ell)
+        )
+        if len(names) != len(set(names)) or set(names) != expected:
+            misnamed.append((spec.label(), sorted(names), sorted(expected)))
+    _announce("3 (oracle sweep)", not failures and not misnamed, f"{total} specs")
     assert total == 34  # 14 over q=2, 5 each over q in {3,4}, 3 each over {5,7,8}, 1 over 9
     assert not failures, failures
+    assert not misnamed, misnamed
 
 
 # ---------------------------------------------------------------------------

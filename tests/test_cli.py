@@ -123,6 +123,20 @@ def test_domain_error_exit_1(capsys):
     assert code == 1  # not a proper family member
 
 
+@pytest.mark.parametrize("argv", [
+    ("srg", "--p", "2", "--m", "4", "--ell", "1"),
+    ("export", "--p", "2", "--m", "4", "--ell", "1", "--kind", "bits"),
+], ids=["srg", "export-bits"])
+def test_an_unwritable_out_exits_1(argv, tmp_path, capsys):
+    # the directory does not exist: an error line and exit 1, not a traceback
+    path = tmp_path / "missing" / "x.json"
+    code = dispatch([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert not path.parent.exists()
+
+
 def test_export_round_trip(tmp_path, capsys):
     path = tmp_path / "clebsch.bits"
     code, _ = _run(capsys, "export", "--p", "2", "--m", "4", "--ell", "1",

@@ -382,6 +382,25 @@ def test_affine_frobenius_errors():
         apply_affine_frobenius(g, 1, 0, 7)
 
 
+@pytest.mark.parametrize(
+    "scale", [-1, 16, 2**70, np.array([1, 2, -1]), np.array([3, 16, 5])],
+    ids=["-1", "16", "2^70", "array-with--1", "array-with-16"],
+)
+def test_affine_frobenius_refuses_a_scale_outside_the_field(scale):
+    # -1 must not wrap to the log of the last element, nor 16 index past it
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    with pytest.raises(ValueError, match=rf"scale (-1|16|{2**70}) is not a field element"):
+        apply_affine_frobenius(g, scale, 0, 0)
+
+
+@pytest.mark.parametrize("shift", [-2, 16, 99])
+def test_affine_frobenius_refuses_a_shift_outside_the_field(shift):
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    for scale in (1, np.arange(1, 16)):
+        with pytest.raises(ValueError, match=rf"shift {shift} is not a field element"):
+            apply_affine_frobenius(g, scale, shift, 0)
+
+
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------

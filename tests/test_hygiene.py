@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,3 +161,14 @@ def test_every_public_function_has_a_caller_or_a_reason():
         and not any(fn.name in r for node, r in zip(bodies, reads) if node is not fn)
     }
     assert sorted(uncalled) == sorted(NO_SRC_CALLER)
+
+
+def test_the_benchmark_checks_pass_their_selftest():
+    # bench/selftest.py holds the benchmark's output checks to the program's
+    # real outputs; a report shape or check name they would refuse fails here
+    repo = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(repo / "bench" / "selftest.py")],
+        cwd=repo, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

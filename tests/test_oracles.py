@@ -572,8 +572,8 @@ def test_a_closed_form_that_raises_fails_its_check_and_the_suite_goes_on(monkeyp
     assert len(report.checks) == 25
     failed = [c.name for c in report.failures()]
     assert failed == [
-        "srg-counts-primal", "a2-identity-primal", "srg-counts-complement",
-        "a2-identity-complement", "girth-primal", "girth-complement",
+        "srg-counts-primal", "a2-identity-primal", "girth-primal",
+        "srg-counts-complement", "a2-identity-complement", "girth-complement",
     ]
     assert all(c.expected.startswith("InternalCheckError: ")
                for c in report.failures() if c.name.startswith("srg-counts"))
