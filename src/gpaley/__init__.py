@@ -5,7 +5,6 @@ from .arith import gcd_power
 from .field import (
     FieldParams,
     FieldTable,
-    element_order,
     get_field,
     trace,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "spectra",
     "FieldParams",
     "FieldTable",
-    "element_order",
     "get_field",
     "trace",
     "gcd_power",

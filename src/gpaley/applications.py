@@ -64,14 +64,13 @@ def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertif
     certificate carries none and no field table is built."""
     if spec.complemented:
         raise NotApplicable("Waring certification concerns the primal power graph")
-    q = spec.q
-    k_exp = q**spec.ell + 1
+    k_exp = spec.q**spec.ell + 1
     N = spec.order
     if spec.is_half:
         raise NotApplicable("ell = m/2: the powers span a proper subfield only")
-    if spec.m_ell % 2 == 1:
-        if q % 2 == 0:
-            return WaringCertificate(k_exp, N, 1, _witnesses(spec, 1, max_order))
+    if spec.tag == "complete":
+        return WaringCertificate(k_exp, N, 1, _witnesses(spec, 1, max_order))
+    if spec.tag == "paley":
         raise NotApplicable("odd q with m_ell odd is the classic Paley regime")
     if not spec.is_proper:
         raise NotInFamily(f"{spec.label()} is not a proper family member")

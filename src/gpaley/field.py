@@ -10,10 +10,10 @@ subfield occupies indices 0..p-1.
 Multiplication adds logarithms. Addition is the XOR of the indices for
 p = 2 and one Zech-logarithm lookup for odd p (Lidl and Niederreiter,
 Finite Fields, 2.4); negation is the product by -1, the index p - 1. The
-scalar ``add`` and ``neg`` call the whole-array kernels; ``mul``, ``inv``
-and ``pow`` read the exp and log tables directly. The exp table is filled
-by baby-step/giant-step (Shanks, 1971), and the Zech table is built on
-first read, so a p = 2 field never builds it.
+scalar ``add``, ``neg``, ``mul`` and ``pow`` are the whole-array kernels
+at one index; ``inv`` reads the exp and log tables directly. The exp table
+is filled by baby-step/giant-step (Shanks, 1971), and the Zech table is
+built on first read, so a p = 2 field never builds it.
 
 ``get_field`` is the one constructor: it picks the modulus and the
 generator alpha by a deterministic rule, so every table is reproducible
@@ -261,9 +261,7 @@ class FieldTable:
         return int(self.neg_array(a))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.order - 1)])
+        return int(self.mul_array(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -271,13 +269,7 @@ class FieldTable:
         return int(self.exp[(-int(self.log[a])) % (self.order - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroElement("zero to a negative power")
-            return 0
-        return int(self.exp[(int(self.log[a]) * e) % (self.order - 1)])
+        return int(self.pow_array(a, e))
 
     # -- vectorized arithmetic on index arrays ------------------------------
 
@@ -316,12 +308,15 @@ class FieldTable:
         return out
 
     def pow_array(self, a: np.ndarray, e: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
+        """Elementwise a^e: alpha^i to the e is alpha^(i e mod p^n - 1), so e
+        is reduced first; 0^0 = 1, 0^e = 0 for e > 0, and a zero base with
+        e < 0 raises ZeroElement."""
+        a, units = np.asarray(a, dtype=np.int64), self.order - 1
         nz = a != 0
-        out[nz] = self.exp[(self.log[a[nz]] * e) % (self.order - 1)]
-        if e == 0:
-            out[~nz] = 1
+        if e < 0 and not nz.all():
+            raise ZeroElement("zero to a negative power")
+        out = np.full(a.shape, int(e == 0), dtype=np.int64)
+        out[nz] = self.exp[self.log[a[nz]] * (e % units) % units]
         return out
 
     # -- traces and subfields ------------------------------------------------
@@ -340,8 +335,7 @@ class FieldTable:
         F_p-linear, so ``_linear_map`` builds it from the images of the basis
         indices p^i; for t = n that is the identity."""
         t = to_degree
-        if self.n % t:
-            raise NotASubfield(f"degree {t} does not divide {self.n}")
+        self._require_subfield(t)
         if t not in self._trace_cache:
             basis = self.p ** np.arange(self.n, dtype=np.int64)
             acc = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
@@ -352,8 +346,7 @@ class FieldTable:
 
     def subfield_indices(self, t: int) -> np.ndarray:
         """Sorted indices of the subfield with p^t elements."""
-        if self.n % t:
-            raise NotASubfield(f"degree {t} does not divide {self.n}")
+        self._require_subfield(t)
         size = self.p**t
         if size == self.order:
             return np.arange(self.order, dtype=np.int64)
@@ -361,8 +354,10 @@ class FieldTable:
         members = self.exp[:: step][: size - 1]
         return np.sort(np.concatenate(([0], members)))
 
-    def in_subfield(self, a: int, t: int) -> bool:
-        return self.pow(a, self.p**t) == a
+    def _require_subfield(self, t: int) -> None:
+        """Subfields of F_{p^n} have the degrees t >= 1 that divide n."""
+        if t < 1 or self.n % t:
+            raise NotASubfield(f"degree {t} does not divide {self.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +384,7 @@ def _find_primitive(modulus: list[int], params: FieldParams) -> int:
 def trace(fld: FieldTable, x: int, from_degree: int, to_degree: int) -> int:
     """Relative trace sum_{i<r} x^(p^(t*i)) with r = from/to (degrees over
     the prime field). x must lie in the subfield of size p^from."""
-    if from_degree % to_degree or fld.n % from_degree:
+    if min(to_degree, from_degree) < 1 or from_degree % to_degree or fld.n % from_degree:
         raise NotASubfield(
             f"need to | from | n, got to={to_degree}, from={from_degree}, n={fld.n}"
         )
@@ -397,18 +392,6 @@ def trace(fld: FieldTable, x: int, from_degree: int, to_degree: int) -> int:
         raise NotASubfield(f"element {x} not in the degree-{from_degree} subfield")
     return int(fld._frobenius_sum(x, to_degree, from_degree // to_degree))
 
-
-def element_order(fld: FieldTable, x: int) -> int:
-    """Multiplicative order, by stripping prime factors from p^n - 1."""
-    if x == 0:
-        raise ZeroElement("zero has no multiplicative order")
-    order = fld.order - 1
-    if order == 1:
-        return 1
-    for r in factorize(order):
-        while order % r == 0 and fld.pow(x, order // r) == 1:
-            order //= r
-    return order
 
 
 def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTable:
@@ -456,30 +439,6 @@ def field_to_dict(fld: FieldTable) -> dict:
     }
 
 
-def field_from_dict(d: dict) -> FieldTable:
-    """The canonical table of (p, s, m); the recorded modulus and alpha must
-    be the canonical ones, since every table is reproducible from (p, s, m)."""
-    fld = get_field(int(d["p"]), int(d["s"]), int(d["m"]))
-    modulus, alpha = tuple(int(c) for c in d["modulus"]), int(d["alpha"])
-    if (modulus, alpha) != (fld.modulus, fld.alpha):
-        raise ValueError(
-            f"modulus {list(modulus)} with alpha {alpha} is not the canonical "
-            f"F_{fld.p}^{fld.n}: modulus {list(fld.modulus)}, alpha {fld.alpha}"
-        )
-    return fld
-
-
 def element_to_string(fld: FieldTable, x: int) -> str:
     """Little-endian base-p digit string; comma-separated when p > 10."""
     return ("" if fld.p <= 10 else ",").join(str(d) for d in _index_digits(x, fld.p, fld.n))
-
-
-def element_from_string(fld: FieldTable, s: str) -> int:
-    """Inverse of element_to_string, split by the same p > 10 rule."""
-    digits = s.split(",") if fld.p > 10 else list(s)
-    if len(digits) != fld.n or not all(d.isdecimal() and int(d) < fld.p for d in digits):
-        raise ValueError(f"bad digit string {s!r} for F_{fld.p}^{fld.n}")
-    idx = 0
-    for d in reversed(digits):
-        idx = idx * fld.p + int(d)
-    return idx

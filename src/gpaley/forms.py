@@ -95,21 +95,19 @@ def kernel_counts(f: TraceForm) -> dict[int, int]:
     return dict(f.histogram)
 
 
-def exp_sum(f: TraceForm, a: int = 1) -> int:
-    """The character sum sum_x zeta_p^(Tr_{q/p}(a Q(x))), evaluated exactly
+def exp_sum(f: TraceForm) -> int:
+    """The character sum sum_x zeta_p^(Tr_{q/p}(Q(x))), evaluated exactly
     as an integer: tally the residue-class counts N_c over the q histogram
     entries and return N_0 - N_1, after insisting the counts are constant
     over c != 0 (they are whenever the sum is a rational integer of the
-    even-rank shape; anything else is out of theory, not coerced)."""
+    even-rank shape; anything else is out of theory, not coerced). Q scaled
+    by a unit a of F_q gives the same sum, as an even-rank form takes every
+    nonzero value equally often and a permutes the nonzero values."""
     fld = f.field
-    if a == 0:
-        raise ZeroElement("a must be a unit of the small field")
-    if not fld.in_subfield(a, fld.params.s):
-        raise ValueError("a must lie in the q-element subfield")
     # Tr_{q/p} on the q values summed; prime-subfield elements are indices 0..p-1
     counts = [0] * fld.p
     for xi, count in f.histogram.items():
-        counts[trace(fld, fld.mul(xi, a), fld.params.s, 1)] += count
+        counts[trace(fld, xi, fld.params.s, 1)] += count
     if len(set(counts[1:])) > 1:
         raise UnbalancedCounts(f"residue counts {counts} not constant off zero")
     return counts[0] - counts[1]

@@ -1,6 +1,6 @@
 """Connection sets S_{q,m}(ell), Cayley graph materialization, the family
-G_{q,m}, spec-level subgraph/equality tests, normalization, the lattice of
-family members, and affine-Frobenius automorphisms.
+G_{q,m}, the spec-level subgraph test, normalization, the lattice of
+family members, affine-Frobenius automorphisms, and export.
 
 A spec (q, m, ell) with q = p^s describes the Cayley graph on the additive
 group of F_{q^m} whose connection set is the multiplicative subgroup of
@@ -10,6 +10,7 @@ nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 import json
 import math
 import mmap
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -90,12 +91,6 @@ class GraphSpec:
         if self.m_ell % 2:
             raise NotInFamily(f"eps undefined for odd m_ell = {self.m_ell}")
         return -1 if (self.m_ell // 2) % 2 else 1
-
-    def reduce(self) -> "GraphSpec":
-        """Same graph with ell replaced by gcd(m, ell) (valid when m_ell even)."""
-        if self.m_ell % 2:
-            return self
-        return replace(self, ell=math.gcd(self.m, self.ell))
 
     def complement(self) -> "GraphSpec":
         return replace(self, complemented=not self.complemented)
@@ -321,24 +316,31 @@ def family_lattice(m: int) -> list[list[int]]:
     return [[(1 << k) * d for d in divisors(r)] for k in range(t)]
 
 
+def _field_indices(x, what: str, n: int) -> np.ndarray:
+    """x, an integer or an array of integers, as int64 indices. A value that
+    is not an integer in [0, n), such as a float or an integer past int64,
+    is not a field element and raises ValueError naming it."""
+    values = np.asarray(x)
+    if values.dtype.kind in "iu":
+        bad = values[(values < 0) | (values >= n)].tolist()
+    else:
+        bad = [v for v in values.flat if not isinstance(v, numbers.Integral) or not 0 <= v < n]
+    if bad:
+        raise ValueError(f"{what} {bad[0]} is not a field element in [0, {n})")
+    return values.astype(np.int64)
+
+
 def apply_affine_frobenius(g: CayleyGraph, a: int | np.ndarray, b: int, i: int) -> np.ndarray:
     """Vertex permutation x -> a * x^(p^i) + b. Such a map preserves edges
     exactly when a is a connection member. A 1-D array of scales gives one
     row of images per scale, a (len(a), N) table; every row is checked to
-    be a bijection with one row-wise sort. A scale outside [1, N) or a
-    shift outside [0, N) is not a field element and raises ValueError."""
+    be a bijection with one row-wise sort. A scale or shift that is not an
+    integer in [0, N) is not a field element and raises ValueError; a zero
+    scale raises ZeroScale."""
     fld = g.field
-    try:
-        a = np.asarray(a, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"scale {a} is not a field element in [1, {g.n})") from None
+    a, b = _field_indices(a, "scale", g.n), int(_field_indices(b, "shift", g.n))
     if (a == 0).any():
         raise ZeroScale("scale a must be nonzero")
-    outside = a[(a < 0) | (a >= g.n)]
-    if outside.size:
-        raise ValueError(f"scale {int(outside[0])} is not a field element in [1, {g.n})")
-    if not 0 <= b < g.n:
-        raise ValueError(f"shift {b} is not a field element in [0, {g.n})")
     if not 0 <= i < fld.n:
         raise ValueError(f"Frobenius power i must satisfy 0 <= i < {fld.n}")
     idx = np.arange(g.n, dtype=np.int64)
@@ -349,7 +351,7 @@ def apply_affine_frobenius(g: CayleyGraph, a: int | np.ndarray, b: int, i: int) 
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 def _edges(g: CayleyGraph) -> list[tuple[int, int]]:
@@ -369,26 +371,12 @@ def dimacs_lines(g: CayleyGraph) -> list[str]:
     return [f"p edge {g.n} {len(edges)}"] + [f"e {i + 1} {j + 1}" for i, j in edges]
 
 
-def bit_dump_header(g: CayleyGraph) -> dict:
-    return {**g.spec.to_json(), "n": g.n, "k": g.k}
-
-
 def write_bit_dump(g: CayleyGraph, path: str) -> None:
-    """JSON header line, then the adjacency rows packed row-major into
-    little-endian bytes (bit j of byte b is column 8b + j)."""
+    """JSON header line (the spec's JSON plus n and k), then the adjacency
+    rows packed row-major into little-endian bytes (bit j of byte b is
+    column 8b + j)."""
+    header = {**g.spec.to_json(), "n": g.n, "k": g.k}
     packed = np.packbits(g.adjacency, axis=1, bitorder="little")
     with open(path, "wb") as fh:
-        fh.write((json.dumps(bit_dump_header(g), sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         fh.write(packed.tobytes())
-
-
-def read_bit_dump(path: str) -> tuple[dict, np.ndarray]:
-    """Inverse of write_bit_dump; returns (header, bool adjacency)."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    n = int(header["n"])
-    row_bytes = (n + 7) // 8
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, row_bytes)
-    adj = np.unpackbits(packed, axis=1, bitorder="little")[:, :n].astype(bool)
-    return header, adj

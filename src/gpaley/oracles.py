@@ -114,13 +114,13 @@ def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
     return g.n * sum(x * y for x, y in zip(left, right))
 
 
-def count_trees_bruteforce(g: CayleyGraph, max_order: int | None = None) -> int:
+def count_trees_bruteforce(g: CayleyGraph) -> int:
     """Any cofactor of the Laplacian ``diag(g.degrees) - A``, by the exact
     multi-modular determinant. The only oracle with a budget of its own
-    (``tree``, refused by ``budgets.require`` above ``max_order`` or its
-    default): the elimination is cubic, once per prime, where the others
-    read row 0 in O(N^2)."""
-    require("tree", g.n, max_order)
+    (``tree``, refused by ``budgets.require`` above ``GPG_MAX_ORDER`` or
+    its default): the elimination is cubic, once per prime, where the
+    others read row 0 in O(N^2)."""
+    require("tree", g.n)
     lap = np.diag(g.degrees.astype(np.int64)) - g.adjacency.astype(np.int64)
     minor = lap[1:, 1:]
     return modular_determinant(minor)

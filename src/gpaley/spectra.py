@@ -78,12 +78,6 @@ class Spectrum:
     def moment(self, r: int) -> int:
         return sum(mult * lam**r for lam, mult in self.pairs)
 
-    def multiplicity(self, lam: int) -> int:
-        for ev, mult in self.pairs:
-            if ev == lam:
-                return mult
-        return 0
-
     def second_largest(self) -> int:
         return self.pairs[1][0]
 

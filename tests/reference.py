@@ -10,9 +10,15 @@ determinant is exact in Python integers and is what the multi-modular
 determinant is tested against. The power table multiplies residue
 polynomials in Python lists, one product per power, and square-and-multiply
 gives single powers; the field's exponential table is tested against both.
+The multiplicative order takes those single powers at the divisors of
+p^n - 1, so a primitivity test shares no table with the field it tests.
 The scalar form evaluation reads the library's field table one element at
 a time, and is what the forms module's whole-field pass is tested against.
+The bit-dump reader decodes the file that ``gpaley export --kind bits``
+writes, so the export is held to the adjacency it came from.
 """
+
+import json
 
 import numpy as np
 
@@ -83,6 +89,16 @@ def power(p: int, n: int, modulus, alpha: int, e: int) -> int:
     return sum(c * p**j for j, c in enumerate(cur))
 
 
+def element_order(fld, x: int) -> int:
+    """Multiplicative order of the nonzero index x in the field table
+    ``fld``: the least d | p^n - 1 with x^d = 1, each power by ``power``."""
+    units = fld.order - 1
+    return next(
+        d for d in range(1, units + 1)
+        if units % d == 0 and power(fld.p, fld.n, fld.modulus, x, d) == 1
+    )
+
+
 def evaluate_form(f, x: int) -> int:
     """Q(x) = Tr(gamma x^(q^ell + 1)) of the trace form ``f`` at one index,
     landing in the q-element subfield."""
@@ -115,6 +131,17 @@ def permutation_preserves_edges(g, perm) -> bool:
     """Whether a vertex permutation is an automorphism of the graph ``g``,
     by comparing every entry of the permuted adjacency with the original."""
     return np.array_equal(g.adjacency[np.ix_(perm, perm)], g.adjacency)
+
+
+def read_bit_dump(path: str) -> tuple[dict, np.ndarray]:
+    """(header, bool adjacency) of a bit dump: a JSON header line, then the
+    rows packed row-major, bit j of byte b being column 8b + j."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode())
+        raw = fh.read()
+    n = int(header["n"])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, (n + 7) // 8)
+    return header, np.unpackbits(packed, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
 def bareiss_determinant(mat) -> int:

@@ -5,7 +5,7 @@ from gpaley.cli import dispatch
 from gpaley.errors import BudgetExceeded
 from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, build_graph
-from gpaley.oracles import count_trees_bruteforce
+from gpaley.oracles import count_trees_bruteforce, run_suite
 
 
 def test_defaults(monkeypatch):
@@ -63,13 +63,13 @@ def test_non_integer_environment_is_named(monkeypatch, capsys):
 
 
 def test_explicit_zero_refuses_every_size():
-    g = build_graph(GraphSpec(2, 1, 2, 1))
+    # every entry that takes max_order refuses the smallest size at 0
     with pytest.raises(BudgetExceeded):
         get_field(2, 1, 1, max_order=0)
     with pytest.raises(BudgetExceeded):
         build_graph(GraphSpec(2, 1, 2, 1), max_order=0)
     with pytest.raises(BudgetExceeded):
-        count_trees_bruteforce(g, max_order=0)
+        run_suite(GraphSpec(2, 1, 2, 1), max_order=0)
 
 
 def test_environment_caps_the_oracles(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 import gpaley.cli
 from gpaley.cli import dispatch
-from gpaley.graphs import GraphSpec, build_graph, read_bit_dump
+from gpaley.graphs import GraphSpec, build_graph
+from reference import read_bit_dump
 
 
 def _run(capsys, *argv):

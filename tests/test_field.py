@@ -8,16 +8,20 @@ from gpaley.errors import BudgetExceeded, CompositeP, NotASubfield, ZeroElement
 from gpaley.field import (
     FieldParams,
     FieldTable,
-    element_from_string,
-    element_order,
     element_to_string,
-    field_from_dict,
     field_to_dict,
     get_field,
     trace,
 )
 from gpaley.graphs import GraphSpec, build_graph
-from reference import digit_add, digit_neg, frobenius_trace_map, power, power_table
+from reference import (
+    digit_add,
+    digit_neg,
+    element_order,
+    frobenius_trace_map,
+    power,
+    power_table,
+)
 
 
 def test_build_f16():
@@ -68,6 +72,25 @@ def test_trace_examples():
     assert trace(f81, 1, 4, 1) == 1  # 4 mod 3
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: trace(f, 1, 4, 0),
+        lambda f: trace(f, 1, 0, 1),
+        lambda f: f.trace_map(0),
+        lambda f: f.trace_map(-2),
+        lambda f: f.subfield_indices(0),
+        lambda f: f.subfield_indices(-4),
+    ],
+    ids=["trace-to-0", "trace-from-0", "trace_map-0", "trace_map--2", "subfield_indices-0",
+         "subfield_indices--4"],
+)
+def test_a_degree_below_one_is_not_a_subfield(call):
+    # F_16 has subfields of degree 1, 2 and 4 only; 0 must not divide by zero
+    with pytest.raises(NotASubfield):
+        call(get_field(2, 1, 4))
+
+
 def test_trace_subfield_and_errors():
     f = get_field(2, 2, 4)
     with pytest.raises(NotASubfield):
@@ -113,15 +136,6 @@ def test_trace_map_matches_the_frobenius_reference(p, s, m):
                 int(reference[x]) == trace(fld, x, f, t)
                 for x in fld.subfield_indices(f).tolist()
             )
-
-
-def test_element_order_examples():
-    f = get_field(2, 1, 4)
-    assert element_order(f, 1) == 1
-    assert element_order(f, f.alpha) == 15
-    assert element_order(f, f.pow(f.alpha, 5)) == 3  # 15 / gcd(15, 5)
-    with pytest.raises(ZeroElement):
-        element_order(f, 0)
 
 
 def test_frobenius_additive():
@@ -184,14 +198,24 @@ def test_arithmetic_axioms_sampled():
 
 
 def test_vector_ops_match_scalar():
-    # the whole-array products and powers against the scalar ones; addition
-    # and negation are held to the digit-wise reference below instead, since
-    # the scalar add and neg call the array kernels
+    # the whole-array products and powers against the scalar ones, which are
+    # the same kernels at one index; addition and negation are held to the
+    # digit-wise reference below, and negative powers to square-and-multiply
     f = get_field(3, 1, 3)
     idx = np.arange(f.order, dtype=np.int64)
-    powed = f.pow_array(idx, 4)
-    for x in range(f.order):
-        assert int(powed[x]) == f.pow(x, 4)
+    for e in [4, 0, -1, -5]:
+        base = idx if e >= 0 else idx[1:]
+        powed = f.pow_array(base, e)
+        for i, x in enumerate(base.tolist()):
+            assert int(powed[i]) == f.pow(x, e)
+    for x in range(1, f.order):
+        assert f.pow(x, -1) == f.inv(x) == power(3, 3, f.modulus, x, f.order - 2)
+        assert f.pow(x, -5) == power(3, 3, f.modulus, x, -5 % (f.order - 1))
+    # zero to a negative power has no value, at one index or in an array
+    with pytest.raises(ZeroElement):
+        f.pow(0, -1)
+    with pytest.raises(ZeroElement):
+        f.pow_array(np.array([0, 1, 2]), -1)
     for b in [0, 1, 5, 20]:
         prod = f.mul_array(idx, b)
         for x in range(f.order):
@@ -235,38 +259,24 @@ def test_addition_broadcasts_a_row_block():
 
 
 def test_serialization_round_trip():
+    # the record's modulus and generator rebuild the very tables
     f = get_field(3, 1, 4)
     d = field_to_dict(f)
-    g = field_from_dict(d)
-    assert g.modulus == f.modulus and g.alpha == f.alpha
+    assert d == {"p": 3, "s": 1, "m": 4, "modulus": list(f.modulus), "alpha": f.alpha}
+    g = FieldTable(FieldParams(d["p"], d["s"], d["m"]), d["modulus"], d["alpha"])
     assert np.array_equal(g.exp, f.exp)
-    s = element_to_string(f, 37)
-    assert element_from_string(f, s) == 37
-    assert s == "1011"  # 37 = 1 + 0*3 + 1*9 + 1*27, little-endian digits
+    assert element_to_string(f, 37) == "1011"  # 37 = 1 + 0*3 + 1*9 + 1*27, little-endian
 
 
 @pytest.mark.parametrize("p, s, m", [(13, 1, 1), (11, 1, 2), (3, 1, 4)])
 def test_element_strings_round_trip(p, s, m):
-    # p > 10 writes comma-separated digits, F_13's index 12 as "12"
+    # p > 10 writes comma-separated digits, F_13's index 12 as "12"; the n
+    # digits read back little-endian give the index
     f = get_field(p, s, m)
     for x in range(f.order):
-        assert element_from_string(f, element_to_string(f, x)) == x
-    with pytest.raises(ValueError):
-        element_from_string(f, "")
-
-
-@pytest.mark.parametrize(
-    "modulus, alpha",
-    [
-        ([2, 1, 2], 3),  # not monic; the arithmetic would reduce by x^2 + x + 2
-        ([1, 0, 2], 4),  # the canonical x^2 + 1 with leading coefficient 2
-        ([1, 2, 0, 1], 4),  # degree 3, the modulus of F_27
-        ([1, 0, 1], 3),  # x has order 4 modulo x^2 + 1, not 8
-    ],
-)
-def test_field_from_dict_rejects_a_noncanonical_field(modulus, alpha):
-    with pytest.raises(ValueError, match=r"F_3\^2"):
-        field_from_dict({"p": 3, "s": 1, "m": 2, "modulus": modulus, "alpha": alpha})
+        text = element_to_string(f, x)
+        digits = [int(d) for d in (text.split(",") if p > 10 else text)]
+        assert len(digits) == f.n and sum(d * p**i for i, d in enumerate(digits)) == x
 
 
 @pytest.mark.parametrize(

