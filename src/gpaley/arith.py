@@ -1,5 +1,6 @@
-"""Integer helpers: primality, factoring, exact division, the exact
-decimal context and decimal text of large integers, and the gcd of
+"""Integer helpers: primality, factoring, exact division, equality of
+power products without evaluating them, the exact decimal context and
+decimal text of large integers, and the gcd of
 q^m - 1 with q^ell + 1 that drives the whole family case analysis."""
 
 import contextlib
@@ -119,6 +120,62 @@ def exact_div(a: int, b: int) -> int:
             f"non-exact division: remainder {r} modulo {b} of a {int(a).bit_length()}-bit dividend"
         )
     return d
+
+
+def same_product(left, right) -> bool:
+    """Whether the products of base^exp over two lists of (base, exp)
+    pairs, with integer bases and exponents >= 0, are equal, decided
+    without evaluating either. A zero factor must meet a zero factor, the
+    exponents on negative bases must agree mod 2, and the exponent vectors
+    over the coprime basis of the absolute bases must be equal. Pairwise
+    coprime integers above 1 are multiplicatively independent, as a prime
+    dividing one divides no other, so the vectors agree exactly when the
+    absolute products do."""
+    sides = [[(base, exp) for base, exp in pairs if exp] for pairs in (left, right)]
+    zero = [any(base == 0 for base, _ in pairs) for pairs in sides]
+    if any(zero):
+        return zero[0] == zero[1]
+    sign = [sum(exp for base, exp in pairs if base < 0) % 2 for pairs in sides]
+    if sign[0] != sign[1]:
+        return False
+    basis = _coprime_basis(abs(base) for pairs in sides for base, _ in pairs)
+    return _exponents(sides[0], basis) == _exponents(sides[1], basis)
+
+
+def _coprime_basis(values) -> list[int]:
+    """Pairwise coprime integers above 1 of which every value is a product:
+    while two members share a factor g, x and y are replaced by x/g, y/g
+    and g, and 1s are dropped. Each split divides the product of all
+    members by g > 1, so the splitting ends (Bernstein, "Factoring into
+    coprimes in essentially linear time", J. Algorithms 54, 2005, gives
+    the fast version; these lists are short)."""
+    todo = [x for x in values if x > 1]
+    basis: list[int] = []
+    while todo:
+        x = todo.pop()
+        for i, y in enumerate(basis):
+            g = math.gcd(x, y)
+            if g > 1:
+                del basis[i]
+                todo.extend(z for z in (x // g, y // g, g) if z > 1)
+                break
+        else:
+            basis.append(x)
+    return basis
+
+
+def _exponents(pairs, basis: list[int]) -> list[int]:
+    """The exponent of each basis member in the product of |base|^exp."""
+    out = [0] * len(basis)
+    for base, exp in pairs:
+        rest = abs(base)
+        for i, c in enumerate(basis):
+            while rest % c == 0:
+                rest //= c
+                out[i] += exp
+        if rest != 1:
+            raise InternalCheckError(f"{abs(base)} is not a product over the coprime basis")
+    return out
 
 
 @contextlib.contextmanager

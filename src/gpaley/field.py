@@ -254,22 +254,30 @@ class FieldTable:
 
     # -- scalar arithmetic on indices ---------------------------------------
 
+    def _index(self, a: int) -> int:
+        """a, refused with ValueError unless it is an element index in
+        [0, p^n): the table lookups would wrap a negative index to the last
+        elements. The array kernels leave this check to their callers."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"{a} is not an element index of F_{self.p}^{self.n}")
+        return a
+
     def add(self, a: int, b: int) -> int:
-        return int(self.add_arrays(a, b))
+        return int(self.add_arrays(self._index(a), self._index(b)))
 
     def neg(self, a: int) -> int:
-        return int(self.neg_array(a))
+        return int(self.neg_array(self._index(a)))
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_array(a, b))
+        return int(self.mul_array(self._index(a), self._index(b)))
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._index(a) == 0:
             raise ZeroElement("zero has no inverse")
         return int(self.exp[(-int(self.log[a])) % (self.order - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        return int(self.pow_array(a, e))
+        return int(self.pow_array(self._index(a), e))
 
     # -- vectorized arithmetic on index arrays ------------------------------
 

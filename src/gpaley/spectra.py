@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import exact_decimal, exact_div, int_to_str
+from .arith import exact_decimal, exact_div, int_to_str, same_product
 from .errors import (
     DegenerateGraph,
     Disconnected,
@@ -289,18 +289,18 @@ def closed_walks(spec: GraphSpec, r: int) -> int:
 
 def _tree_count(spec: GraphSpec, one):
     """The spanning-tree count as a number of the type of ``one``: the
-    product of (k - lambda) over nontrivial eigenvalues, divided by the
-    vertex count. Zero for the disconnected ell = m/2 primal graphs. For
-    connected non-half members the hand product form is evaluated as well;
-    the two must agree."""
+    product of (k - lambda)^mult over nontrivial eigenvalues, divided
+    exactly by the vertex count v. Zero for the disconnected ell = m/2
+    primal graphs. For connected non-half members the hand product form
+    times v must equal the spectrum product; ``arith.same_product`` decides
+    that on exponents over a coprime basis, so the count is evaluated once."""
     if spec.is_half and not spec.complemented:
         return 0 * one
     sp = spectrum(spec)
-    laplacian = ((sp.k - lam, mult) for lam, mult in sp.nontrivial())
-    trees = exact_div(_power_product(one, laplacian), sp.v)
-    if not spec.is_half and _power_product(one, _hand_tree_factors(spec)) != trees:
+    laplacian = tuple((sp.k - lam, mult) for lam, mult in sp.nontrivial())
+    if not spec.is_half and not same_product(laplacian, _hand_tree_factors(spec) + ((sp.v, 1),)):
         raise InternalCheckError("tree-count product form disagrees with spectrum form")
-    return trees
+    return exact_div(_power_product(one, laplacian), sp.v)
 
 
 def _hand_tree_factors(spec: GraphSpec) -> tuple[tuple[int, int], ...]:
@@ -322,11 +322,15 @@ def _hand_tree_factors(spec: GraphSpec) -> tuple[tuple[int, int], ...]:
 
 def _power_product(one, factors):
     """The product of base^exp over the (base, exp) pairs, each base lifted
-    to the type of ``one``."""
-    out = one
+    to the type of ``one``, with one large power: with g the gcd of the
+    exponents, prod base^(exp/g) is formed and raised to g. Over the
+    Laplacian spectrum g is k off ell = m/2 and q^(m/2) - 1 for the half
+    complement, so the inner product stays small."""
+    g = math.gcd(*(exp for _, exp in factors))
+    inner = one
     for base, exp in factors:
-        out *= (one * base) ** exp
-    return out
+        inner *= (one * base) ** (exp // g)
+    return inner**g
 
 
 def spanning_trees(spec: GraphSpec) -> int:
@@ -340,7 +344,10 @@ def tree_count_text(spec: GraphSpec) -> str:
     """Decimal digits of ``spanning_trees(spec)``. The count is computed in
     exact decimal arithmetic from the start, whose str() is linear in the
     number of digits; converting a binary int of millions of digits is not.
-    Any rounding raises ``decimal.Inexact`` (see ``arith.exact_decimal``)."""
+    It is one ``_power_product`` of the Laplacian spectrum, one exact
+    division by v and one str(); the hand product form is checked on
+    exponents, never evaluated. Any rounding raises ``decimal.Inexact``
+    (see ``arith.exact_decimal``)."""
     with exact_decimal():
         return str(_tree_count(spec, decimal.Decimal(1)))
 

@@ -13,6 +13,7 @@ from gpaley.arith import (
     gcd_power,
     int_to_str,
     is_prime,
+    same_product,
     v2,
 )
 from gpaley.errors import BudgetExceeded, InternalCheckError
@@ -140,3 +141,47 @@ def test_int_to_str_equals_str():
 @given(st.integers(min_value=-(2**40000), max_value=2**40000))
 def test_int_to_str_property(n):
     assert int_to_str(n) == _str_unlimited(n)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([(4, 3)], [(2, 6)]),
+        ([(12, 2)], [(4, 1), (36, 1)]),
+        ([(-2, 2)], [(4, 1)]),
+        ([], [(7, 0)]),
+        ([(0, 2), (5, 1)], [(0, 1)]),
+        ([(6, 4), (10, 2)], [(2, 6), (3, 4), (5, 2)]),
+    ],
+)
+def test_same_product_holds_equal_products_written_differently(left, right):
+    assert math.prod(b**e for b, e in left) == math.prod(b**e for b, e in right)
+    assert same_product(left, right) and same_product(right, left)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([(4, 3)], [(4, 3), (2, 1)]),
+        ([(-2, 3)], [(2, 3)]),
+        ([(2, 3), (3, 5)], [(2, 5), (3, 3)]),
+        ([(0, 1)], [(5, 2)]),
+        ([(0, 1)], []),
+        ([(12, 1)], [(18, 1)]),
+    ],
+)
+def test_same_product_refuses_unequal_products(left, right):
+    assert math.prod(b**e for b, e in left) != math.prod(b**e for b, e in right)
+    assert not same_product(left, right) and not same_product(right, left)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 6)), max_size=5),
+    st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 6)), max_size=5),
+)
+def test_same_product_property(left, right):
+    value = lambda pairs: math.prod(b**e for b, e in pairs)
+    assert same_product(left, right) == (value(left) == value(right))
+    if value(left):
+        assert same_product(left, left + [(value(right), 1)]) == (value(right) == 1)

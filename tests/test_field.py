@@ -197,6 +197,21 @@ def test_arithmetic_axioms_sampled():
             assert f.add(x, y) == f.add(y, x)
 
 
+@pytest.mark.parametrize("bad", [-1, -15, 16])
+def test_scalar_ops_refuse_an_index_outside_the_field(bad):
+    # a negative index used to wrap to the last elements (mul(-1, 1) gave
+    # 15 and inv(-1) gave 8 on F_16) and 16 raised IndexError
+    f = get_field(2, 1, 4)
+    calls = [
+        lambda: f.add(bad, 0), lambda: f.add(0, bad), lambda: f.neg(bad),
+        lambda: f.mul(bad, 1), lambda: f.mul(1, bad), lambda: f.inv(bad),
+        lambda: f.pow(bad, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not an element index"):
+            call()
+
+
 def test_vector_ops_match_scalar():
     # the whole-array products and powers against the scalar ones, which are
     # the same kernels at one index; addition and negation are held to the

@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 from fractions import Fraction
 
@@ -356,21 +357,86 @@ def test_tree_count_text_is_the_decimal_of_the_int():
             assert text == int_to_str(spanning_trees(s))
 
 
+def _swap_last_exponents(factors):
+    *head, (a, i), (b, j) = factors
+    return (*head, (a, j), (b, i))
+
+
+def _split_first_factor(factors):
+    (q, e), *tail = factors
+    return ((q, e - 1), (q, 1), *tail)
+
+
 def test_tree_count_is_held_to_the_hand_product_form(monkeypatch):
-    # both routes evaluate the hand product form and must refuse a count
-    # that disagrees with the spectrum product
+    # both routes hold the hand product form to the spectrum product and
+    # must refuse a count that disagrees with it: one with an extra factor
+    # 2, and one with the exponents of its last two factors swapped
     stated = gpaley.spectra._hand_tree_factors
-    monkeypatch.setattr(
-        gpaley.spectra, "_hand_tree_factors", lambda spec: stated(spec) + ((2, 1),)
-    )
     specs = [spec for spec in _family_specs(12, max_order=2**12) if not spec.is_half]
     assert len(specs) == 15
-    for spec in specs:
+    for corrupt in (lambda f: f + ((2, 1),), _swap_last_exponents):
+        monkeypatch.setattr(
+            gpaley.spectra, "_hand_tree_factors", lambda spec: corrupt(stated(spec))
+        )
+        for spec in specs:
+            for s in (spec, spec.complement()):
+                with pytest.raises(InternalCheckError, match="product form"):
+                    spanning_trees(s)
+                with pytest.raises(InternalCheckError, match="product form"):
+                    tree_count_text(s)
+
+
+def test_tree_count_passes_a_value_preserving_rewrite_of_the_hand_form(monkeypatch):
+    # (q, e) split into (q, e-1), (q, 1) is the same product written
+    # differently, so the check must still pass with the same count
+    specs = [spec for spec in _family_specs(12, max_order=2**12) if not spec.is_half]
+    specs = [s for spec in specs for s in (spec, spec.complement())]
+    expected = [spanning_trees(s) for s in specs]
+    stated = gpaley.spectra._hand_tree_factors
+    monkeypatch.setattr(
+        gpaley.spectra, "_hand_tree_factors", lambda spec: _split_first_factor(stated(spec))
+    )
+    assert [spanning_trees(s) for s in specs] == expected
+    assert [tree_count_text(s) for s in specs] == [int_to_str(n) for n in expected]
+
+
+# sha256 prefixes of tree_count_text, each count 246k to 304k digits long
+PINNED_TREE_TEXT = {
+    GraphSpec(3, 1, 10, 1): "226ac08a595c26fe",
+    GraphSpec(3, 1, 10, 1, True): "2a35d3232f937bbd",
+    GraphSpec(3, 1, 10, 5, True): "03f91d724b472473",
+    GraphSpec(2, 1, 16, 1): "d978062ba1613c55",
+    GraphSpec(2, 1, 16, 1, True): "4e6ea0973fb084de",
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_TREE_TEXT, ids=lambda s: s.label())
+def test_tree_count_text_is_pinned(spec):
+    text = tree_count_text(spec)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_TREE_TEXT[spec]
+
+
+def test_each_tree_count_is_one_power_product(monkeypatch):
+    # the count is evaluated once per call: the hand form is checked on
+    # exponents and never evaluated as a second number
+    calls = []
+    evaluate = gpaley.spectra._power_product
+
+    def counted(one, factors):
+        calls.append(type(one))
+        return evaluate(one, factors)
+
+    monkeypatch.setattr(gpaley.spectra, "_power_product", counted)
+    for spec in (GraphSpec(3, 1, 4, 1), GraphSpec(2, 1, 8, 2), GraphSpec(3, 1, 4, 2)):
         for s in (spec, spec.complement()):
-            with pytest.raises(InternalCheckError, match="product form"):
-                spanning_trees(s)
-            with pytest.raises(InternalCheckError, match="product form"):
-                tree_count_text(s)
+            if s.is_half and not s.complemented:
+                continue
+            calls.clear()
+            spanning_trees(s)
+            assert calls == [int]
+            calls.clear()
+            tree_count_text(s)
+            assert calls == [decimal.Decimal]
 
 
 def test_tree_count_text_leaves_the_decimal_context_as_it_was():
