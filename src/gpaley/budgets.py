@@ -17,7 +17,7 @@ from .errors import BudgetExceeded
 DEFAULTS = {
     "table": 2**22,  # log/exp/Zech tables
     "graph": 2**13,  # dense adjacency matrices
-    "tree": 512,  # exact determinants (multi-modular, a pass per prime)
+    "tree": 512,  # Kirchhoff tree counts over counted character sums, O(N k n)
     "coset": 1024,  # coset decomposition of the complement's edges
     "arc": 256,  # affine witnesses for every arc
 }

@@ -11,7 +11,8 @@ names fixed, big integers always emitted as decimal strings (53-bit-safe for
 downstream consumers).
 Exit status: 0 success, 1 verification failure, library error or an --out
 that cannot be written, 2 usage error (a malformed flag, a flag the verb
-does not offer, or a bad --p/--s/--m/--ell/--r/--tmax value).
+does not offer, or a bad --p/--s/--m/--ell/--r/--tmax value or a negative
+--max-order).
 """
 
 import argparse
@@ -212,6 +213,8 @@ def _subject(args, verb: Verb):
     for rejects, message in verb.checks:
         if rejects(args):
             raise ValueError(message)
+    if verb.budgeted and args.max_order is not None and args.max_order < 0:
+        raise ValueError(f"--max-order must be 0 or more, not {args.max_order}")
     if verb.reads is FieldParams:
         return FieldParams(args.p, args.s, args.m)
     if verb.reads is GraphSpec:

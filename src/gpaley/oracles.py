@@ -2,23 +2,18 @@
 materialized graphs: the trust anchor of the package.
 
 Nothing here consults the closed-form spectra module for its own answers;
-counting runs on adjacency matrices and exact determinants, and only at the
-end are the numbers compared against the formulas. Every graph is a Cayley
-graph on the additive group of the field, so row 0 of A, A^2 and A^3
-(``CayleyGraph.walk_rows``, exact int64 counts) fixes those powers once
+counting runs on adjacency matrices, and only at the end are the numbers
+compared against the formulas. Every graph is a Cayley graph on the additive
+group of the field, so row 0 of A, A^2 and A^3 (``CayleyGraph.walk_rows``,
+exact int64 counts) fixes those powers once
 ``CayleyGraph.translation_invariant`` has checked A[i, j] = A[0, j - i]
-entry by entry; the walk, srg and girth kernels read row 0, require that
-check, and sum their products in Python integers. No float enters them.
-Tree counts are Laplacian determinants computed modulo the largest primes
-p with n p^2 < 2^53 (by ``arith.is_prime``), so that the float64
-elimination is exact, and lifted by the Chinese remainder theorem past
-twice the Hadamard bound, so that the lift is the determinant itself. A
-stack of primes is eliminated at once: the Laplacian, whose entries are
-all below the smallest prime, is broadcast into it as float64; each panel
-of columns is worked in a contiguous transposed buffer; and the pivots are
-multiplied once, at the end. The arc-transitivity checks map all of their
-scales at once, with one ``graphs.apply_affine_frobenius`` table per
-check.
+entry by entry; the walk, srg, girth and tree kernels read row 0, require
+that check, and sum their products in Python integers. No float enters
+them. Tree counts are Kirchhoff's product over the eigenvalues of A, each a
+character sum over row 0 that ``count_eigenvalues`` counts by residue: an
+eigenvalue that is not an integer is refused, never rounded. The
+arc-transitivity checks map all of their scales at once, with one
+``graphs.apply_affine_frobenius`` table per check.
 """
 
 import math
@@ -28,10 +23,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .applications import is_ramanujan, verify_waring, waring_number
-from .arith import int_to_str, is_prime
+from .arith import exact_div, int_to_str
 from .budgets import budget, require
 from .errors import (
-    BudgetExceeded,
     DisconnectedComponentsFound,
     InternalCheckError,
     NotApplicable,
@@ -43,22 +37,14 @@ from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_
 from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph
 from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
 
-# float64 holds every integer of smaller magnitude exactly.
-_FLOAT_EXACT = 2**53
-# Columns per blocked update of the modular elimination.
-_PANEL = 32
-# float64 entries in one (primes, n, n) elimination stack (8 MB), and up to
-# 1/8 more when a short last stack joins the one before it.
-_STACK_ENTRIES = 2**20
-
 
 # ---------------------------------------------------------------------------
 # raw counting kernels
 # ---------------------------------------------------------------------------
 
 def _require_invariance(g: CayleyGraph) -> None:
-    """Row 0 of A, A^2, A^3 fixes those powers only on a translation
-    invariant adjacency; any other raises."""
+    """Row 0 of A, A^2, A^3 fixes those powers, and row 0 of A the
+    spectrum, only on a translation invariant adjacency; any other raises."""
     if not g.translation_invariant:
         raise InternalCheckError(f"{g.spec.label()}: adjacency is not translation invariant")
 
@@ -114,146 +100,38 @@ def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
     return g.n * sum(x * y for x, y in zip(left, right))
 
 
+def count_eigenvalues(g: CayleyGraph) -> np.ndarray:
+    """lambda_a = sum over s in S of omega^(a . s), omega = exp(2 pi i / p),
+    for every index a, indexed by a: the eigenvalues of A, with S row 0 of
+    its translation invariant adjacency (Babai, JCTB 27, 1979); any other
+    adjacency raises. An index is its base-p digit vector, and N_r(a) counts
+    the s in S with a . s = r mod p. As 1, omega, ..., omega^(p-2) are
+    linearly independent over Q, lambda_a is an integer exactly when
+    N_1(a) = ... = N_(p-1)(a), and then lambda_a = N_0(a) - N_1(a); other
+    counts raise InternalCheckError. No field table is read."""
+    _require_invariance(g)
+    p, n = g.field.p, g.field.n
+    digits = np.arange(g.n)[:, None] // p ** np.arange(n) % p
+    dots = digits @ digits[g.adjacency[0]].T % p
+    counts = np.stack([np.count_nonzero(dots == r, axis=1) for r in range(p)])
+    unbalanced = np.flatnonzero((counts[1:] != counts[1]).any(axis=0))
+    if unbalanced.size:
+        a = int(unbalanced[0])
+        raise InternalCheckError(
+            f"{g.spec.label()}: character {a} has residue counts {counts[:, a].tolist()}, "
+            "so its eigenvalue is not an integer"
+        )
+    return counts[0] - counts[1]
+
+
 def count_trees_bruteforce(g: CayleyGraph) -> int:
-    """Any cofactor of the Laplacian ``diag(g.degrees) - A``, by the exact
-    multi-modular determinant. The only oracle with a budget of its own
-    (``tree``, refused by ``budgets.require`` above ``GPG_MAX_ORDER`` or
-    its default): the elimination is cubic, once per prime, where the
-    others read row 0 in O(N^2)."""
+    """Kirchhoff's count prod over a != 0 of (lambda_0 - lambda_a) / N, on
+    the integers of ``count_eigenvalues``; lambda_0 = |S| is every degree.
+    The only oracle with a budget of its own (``tree``, refused by
+    ``budgets.require`` above ``GPG_MAX_ORDER`` or its default)."""
     require("tree", g.n)
-    lap = np.diag(g.degrees.astype(np.int64)) - g.adjacency.astype(np.int64)
-    minor = lap[1:, 1:]
-    return modular_determinant(minor)
-
-
-def determinant_primes(n: int, hadamard_sq: int) -> list[int]:
-    """The primes that ``modular_determinant`` uses for an n x n matrix whose
-    Hadamard bound is sqrt(hadamard_sq): the largest primes p with
-    n p^2 < 2^53, found by walking down from isqrt((2^53 - 1) / n) with the
-    deterministic Miller-Rabin ``arith.is_prime`` and taken in descending
-    order until their product exceeds twice the bound."""
-    # p^2 <= (2^53 - 1) / n: the bound on every unreduced entry (see _residues)
-    p = math.isqrt((_FLOAT_EXACT - 1) // max(n, 1))
-    chosen, product = [], 1
-    while product * product <= 4 * hadamard_sq:
-        while p > 1 and not is_prime(p):
-            p -= 1
-        if p < 2:
-            raise BudgetExceeded(f"too few word-size primes for a {n}x{n} determinant")
-        chosen.append(p)
-        product *= p
-        p -= 1
-    if any(n * p * p >= _FLOAT_EXACT for p in chosen):
-        raise InternalCheckError("a prime breaks float64 exactness")
-    return chosen
-
-
-def modular_determinant(mat) -> int:
-    """Exact determinant of a square int64 matrix by elimination modulo
-    primes and Chinese remaindering.
-
-    With H the Hadamard bound (the product of the row norms, |det| <= H),
-    the primes of ``determinant_primes`` multiply to M > 2H, so the
-    symmetric residue of det modulo M is det itself: the result is certain,
-    not probabilistic. The residues come from ``_residues``, a stack of
-    primes at a time; a last stack of at most 1/8 of a stack's primes joins
-    the one before it rather than paying a column loop of its own."""
-    a = np.asarray(mat, dtype=np.int64)
-    n, cols = a.shape
-    if n != cols:
-        raise ValueError(f"determinant of a non-square {n}x{cols} matrix")
-    hadamard_sq = math.prod(sum(x * x for x in row) for row in a.tolist())
-    primes = determinant_primes(n, hadamard_sq)
-    chunk = max(1, _STACK_ENTRIES // max(n * n, 1))
-    stacks = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
-    if len(stacks) > 1 and len(stacks[-1]) <= chunk // 8:
-        stacks[-2:] = [stacks[-2] + stacks[-1]]
-    value, modulus = 0, 1
-    for batch in stacks:
-        for r, p in zip(_residues(a, batch), batch):
-            value += modulus * ((r - value) * pow(modulus, -1, p) % p)
-            modulus *= p
-    return value - modulus if 2 * value > modulus else value
-
-
-def _residues(a: np.ndarray, primes: list[int]) -> list[int]:
-    """det(a) modulo each prime, from one float64 (primes, n, n) stack.
-
-    The stack starts as ``a`` itself, broadcast to every prime, when each
-    |a_ij| is below the smallest prime (always so for a Laplacian), and as
-    the int64 remainders otherwise; either way every initial entry lies in
-    (-p, p). Blocked LU over _PANEL columns at a time: each panel's columns
-    are copied, transposed, into one contiguous (primes, width, n - k0)
-    buffer, so that inside the panel each column is brought up to date with
-    one batched product on a contiguous row when it is reached, and only
-    then reduced by ``_reduce`` and scaled into multipliers; each pivot row
-    is updated on the rows of the stack; after the panel the trailing block
-    gets one batched matrix product, reading the multipliers through the
-    buffer's transposed view. Every reduced entry lies in [0, p), so each
-    entry is an initial value in (-p, p) minus at most n-1 products below
-    p^2: every value, and every partial sum in any order, is an integer of
-    magnitude below p + (n-1) p^2 <= n p^2 < 2^53, exact in float64, and
-    ``_reduce`` reduces it exactly. Each prime pivots on its own: a row is
-    swapped, in the buffer and the stack, only in the layer of the prime
-    whose pivot is 0, and the swap negates that residue. The pivots are
-    kept in a (primes, n) array and multiplied, in Python integers, once at
-    the end."""
-    n = a.shape[0]
-    prime = np.array(primes, dtype=np.float64)[:, None]
-    if np.abs(a).max(initial=0) < min(primes):
-        m = np.empty((len(primes), n, n))
-        m[:] = a
-    else:
-        m = np.remainder(a, np.array(primes, dtype=np.int64)[:, None, None]).astype(np.float64)
-    pivots = np.empty((len(primes), n))
-    signs = [1] * len(primes)
-    for k0 in range(0, n, _PANEL):
-        k1 = min(k0 + _PANEL, n)
-        # panel[:, c, i] is m[:, k0 + i, k0 + c]: column k0 + c as a row
-        panel = m[:, k0:, k0:k1].transpose(0, 2, 1).copy()
-        for c in range(k1 - k0):
-            j = k0 + c
-            col = panel[:, c, c:]
-            col -= np.matmul(m[:, None, k0:j, j], panel[:, :c, c:])[:, 0]
-            _reduce(col, prime)
-            pivot = col[:, 0]
-            if not pivot.all():
-                for t in np.flatnonzero(pivot == 0):
-                    below = np.flatnonzero(col[t])
-                    if below.size:  # else det = 0 mod this prime: its pivot stays 0
-                        r = j + int(below[0])
-                        panel[t, :, [c, r - k0]] = panel[t, :, [r - k0, c]]
-                        m[t, [j, r]] = m[t, [r, j]]
-                        signs[t] = -signs[t]
-            pivots[:, j] = pivot
-            inverse = [pow(int(v), -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)]
-            row = m[:, j, j + 1 :]
-            row -= np.matmul(panel[:, None, :c, c], m[:, k0:j, j + 1 :])[:, 0]
-            _reduce(row, prime)
-            multipliers = col[:, 1:]
-            multipliers *= np.array(inverse, dtype=np.float64)[:, None]
-            _reduce(multipliers, prime)
-        if k1 < n:
-            lower = panel[:, :, k1 - k0 :].transpose(0, 2, 1)
-            m[:, k1:, k1:] -= np.matmul(lower, m[:, k0:k1, k1:])
-    return [
-        sign * math.prod(row) % p
-        for row, sign, p in zip(pivots.astype(np.int64).tolist(), signs, primes)
-    ]
-
-
-def _reduce(x: np.ndarray, prime: np.ndarray) -> None:
-    """x mod p in place, as x - p floor(x / p), for float64 integers x and
-    primes p broadcast against them, with |x| + p <= 2^53. The floor is
-    exact: fl(x / p) is within |x / p| 2^-53 < 1/p of x / p; an integer
-    quotient is exact, and one that is not lies at least 1/p from the
-    nearest integer, so both have the same floor. Then p floor(x / p) lies
-    in (x - p, x], and it and the difference are integers of magnitude at
-    most 2^53, also exact."""
-    quotient = x / prime
-    np.floor(quotient, out=quotient)
-    quotient *= prime
-    x -= quotient
+    top, *rest = count_eigenvalues(g).tolist()
+    return exact_div(math.prod(top - lam for lam in rest), g.n)
 
 
 def _reach(g: CayleyGraph, source: int) -> tuple[np.ndarray, int]:

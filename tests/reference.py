@@ -6,10 +6,11 @@ nothing with the library's XOR and Zech-logarithm kernels; the
 translation check and the trace map below are built on it. The
 automorphism check compares every entry of a permuted adjacency, and is
 what the oracles' row-0 edge-preservation test is held to. The Bareiss
-determinant is exact in Python integers and is what the multi-modular
-determinant is tested against. The power table multiplies residue
-polynomials in Python lists, one product per power, and square-and-multiply
-gives single powers; the field's exponential table is tested against both.
+determinant is exact in Python integers; on the reduced Laplacian it is
+what the tree count over the counted eigenvalues is tested against. The
+power table multiplies residue polynomials in Python lists, one product
+per power, and square-and-multiply gives single powers; the field's
+exponential table is tested against both.
 The multiplicative order takes those single powers at the divisors of
 p^n - 1, so a primitivity test shares no table with the field it tests.
 The scalar form evaluation reads the library's field table one element at

@@ -34,7 +34,7 @@ from gpaley.applications import (
     waring_number,
     zeta_json,
 )
-from gpaley.errors import NotStronglyRegular
+from gpaley.errors import InternalCheckError, NotStronglyRegular
 from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, build_graph, enumerate_family, is_subgraph
 from gpaley.oracles import (
@@ -414,24 +414,25 @@ def test_criterion_3_oracle_sweep():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_trees_consistent():
-    """Primal count is exactly 2^31 by both the closed form and the exact
-    determinant; complement closed form and determinant agree exactly."""
+    """Primal count is exactly 2^31 by both the closed form and Kirchhoff's
+    product over the counted eigenvalues; complement closed form and counted
+    product agree exactly."""
     t0 = time.perf_counter()
     spec = GraphSpec(2, 1, 4, 1)
     g = build_graph(spec)
     gbar = build_graph(spec.complement())
     closed_primal = spanning_trees(spec)
     closed_comp = spanning_trees(spec.complement())
-    det_primal = count_trees_bruteforce(g)
-    det_comp = count_trees_bruteforce(gbar)
+    counted_primal = count_trees_bruteforce(g)
+    counted_comp = count_trees_bruteforce(gbar)
     elapsed = time.perf_counter() - t0
     ok = (
-        closed_primal == det_primal == 2**31
-        and closed_comp == det_comp == 2**31 * 3**10
+        closed_primal == counted_primal == 2**31
+        and closed_comp == counted_comp == 2**31 * 3**10
     )
     _announce("4 (trees, both paths)", ok, f"[{elapsed:.3f}s]")
-    assert closed_primal == 2147483648 == det_primal
-    assert closed_comp == det_comp == 126806761930752  # = 2^31 * 3^10
+    assert closed_primal == 2147483648 == counted_primal
+    assert closed_comp == counted_comp == 126806761930752  # = 2^31 * 3^10
     assert elapsed < 1.0
 
 
@@ -441,12 +442,13 @@ def test_criterion_4_trees_published_complement_value():
     An erratum: the Kirchhoff product over the printed complement spectrum
     ((10,1),(2,5),(-2,10)) is 8^5 * 12^10 / 16 = 2^31 * 3^10 =
     126806761930752, while 472392 = 2^3 * 3^10. The closed form and the
-    Bareiss determinant both give the corrected value."""
+    Kirchhoff product over the counted eigenvalues both give the corrected
+    value."""
     spec = GraphSpec(2, 1, 4, 1, True)
     closed = spanning_trees(spec)
-    det = count_trees_bruteforce(build_graph(spec))
+    counted = count_trees_bruteforce(build_graph(spec))
     pinned = _check_published(
-        spec, {"trees": PUBLISHED_TREES_CLEBSCH_COMPLEMENT}, {"trees": closed}, {"trees": det}
+        spec, {"trees": PUBLISHED_TREES_CLEBSCH_COMPLEMENT}, {"trees": closed}, {"trees": counted}
     )
     assert pinned == {"trees"}
     _announce("4 (published trees)", True, f"{len(pinned)} erratum pinned")
@@ -638,5 +640,6 @@ def test_criterion_9_falsification_controls():
     x, y = bad[target]
     bad[target] = (x, (y + 3) % 16 or 2)
     assert not verify_waring(dataclasses.replace(cert, witnesses=bad), g.field)
-    assert count_trees_bruteforce(corrupted) != 2**31
+    with pytest.raises(InternalCheckError):
+        count_trees_bruteforce(corrupted)
     _announce("9 (falsification controls)", True)

@@ -311,6 +311,20 @@ def test_max_order_takes_effect(verb, capsys):
     assert _run(capsys, verb, *spec, "--max-order", "16")[0] == 0
 
 
+@pytest.mark.parametrize("verb", ["field", "graph", "waring", "export", "verify"])
+def test_a_negative_max_order_is_a_usage_error(verb, capsys):
+    # a negative budget is refused by name; 0 is a budget that refuses every size
+    spec = ["--p", "2", "--m", "4"] + (["--ell", "1"] if verb != "field" else [])
+    assert dispatch([verb, *spec, "--max-order", "-5"]) == 2
+    assert capsys.readouterr().err == "usage error: --max-order must be 0 or more, not -5\n"
+    code = dispatch([verb, *spec, "--max-order", "0"])
+    out, err = capsys.readouterr()
+    if verb == "waring":  # the witness search is capped, not refused
+        assert code == 0 and json.loads(out)["witnessed"] is False
+    else:
+        assert code == 1 and "exceeds the" in err
+
+
 def test_max_order_caps_waring_witnesses(capsys):
     spec = ["--p", "2", "--m", "4", "--ell", "1"]
     for max_order, witnessed in (("8", False), ("16", True)):

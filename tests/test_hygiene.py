@@ -96,10 +96,10 @@ def _sites(predicate) -> set[tuple[str, str | None]]:
 
 
 def test_budget_refusals_come_from_require():
-    # every size refusal goes through budgets.require; the other two
-    # BudgetExceeded raises refuse work that no size budget describes
+    # every size refusal goes through budgets.require; the other
+    # BudgetExceeded raise refuses work that no size budget describes
     sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "BudgetExceeded")
-    allowed = {("arith.py", "factorize"), ("oracles.py", "determinant_primes")}
+    allowed = {("arith.py", "factorize")}
     assert sorted(s for s in sites if s[0] != "budgets.py" and s not in allowed) == []
 
 

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import gpaley.field
 import gpaley.forms
@@ -25,12 +24,11 @@ from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
 from gpaley.oracles import (
     bfs_eccentricity,
+    count_eigenvalues,
     count_srg_params,
     count_trees_bruteforce,
     count_walks_bruteforce,
-    determinant_primes,
     girth_bruteforce,
-    modular_determinant,
     run_suite,
     verify_a2_identity,
 )
@@ -38,6 +36,7 @@ from gpaley.spectra import closed_walks, spanning_trees
 from reference import (
     bareiss_determinant,
     digit_add,
+    digit_neg,
     permutation_preserves_edges,
     translation_invariant,
 )
@@ -141,6 +140,10 @@ def test_kernels_refuse_a_switched_adjacency(spec):
             count_walks_bruteforce(switched, r)
     with pytest.raises(InternalCheckError):
         girth_bruteforce(switched)
+    with pytest.raises(InternalCheckError):
+        count_eigenvalues(switched)
+    with pytest.raises(InternalCheckError):
+        count_trees_bruteforce(switched)
     assert not verify_a2_identity(switched, count_srg_params(g))
 
 
@@ -258,7 +261,8 @@ def test_tree_counts():
     assert count_trees_bruteforce(gbar) == 2**31 * 3**10
     assert count_trees_bruteforce(build_graph(GraphSpec(2, 1, 4, 2))) == 0
     assert count_trees_bruteforce(gbar) == spanning_trees(GraphSpec(2, 1, 4, 1, True))
-    assert count_trees_bruteforce(_flip_edge(gbar)) != 2**31 * 3**10
+    with pytest.raises(InternalCheckError):
+        count_trees_bruteforce(_flip_edge(gbar))
 
 
 def test_tree_budget():
@@ -277,207 +281,45 @@ def test_bareiss_known_determinants():
     assert bareiss_determinant(lap[1:, 1:]) == n ** (n - 2)
 
 
-@st.composite
-def _integer_matrices(draw):
-    n = draw(st.integers(0, 7))
-    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
-                         min_size=n, max_size=n))
-    mat = np.array(rows, dtype=np.int64).reshape(n, n)
-    if n >= 2 and draw(st.booleans()):
-        # singular: a row equal to a combination of two others
-        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-        mat[i] = mat[j] - draw(st.integers(-3, 3)) * mat[k]
-    return mat
+# one spec for each p = 2, 3, 5, 7, at most 81 vertices; Gamma_{5,2}(1) and
+# Gamma_{7,2}(1) are half members, q disjoint cliques with no spanning tree
+_COUNTED = [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(5, 1, 2, 1),
+            GraphSpec(7, 1, 2, 1)]
 
 
-@given(_integer_matrices())
-def test_modular_determinant_matches_bareiss(mat):
-    assert modular_determinant(mat) == bareiss_determinant(mat)
+@pytest.mark.parametrize("spec", _COUNTED, ids=GraphSpec.label)
+@pytest.mark.parametrize("complemented", [False, True])
+def test_counted_spectrum_and_tree_count_match_the_dense_references(spec, complemented):
+    g = build_graph(dataclasses.replace(spec, complemented=complemented))
+    adj = g.adjacency.astype(np.int64)
+    eigs = np.linalg.eigvalsh(adj.astype(np.float64))
+    assert np.abs(eigs - np.rint(eigs)).max() < 1e-8
+    counted = count_eigenvalues(g)
+    assert counted[0] == g.k
+    assert sorted(counted.tolist()) == np.rint(eigs).astype(np.int64).tolist()
+    lap = np.diag(adj.sum(axis=1)) - adj
+    trees = count_trees_bruteforce(g)
+    assert trees == bareiss_determinant(lap[1:, 1:])
+    assert (trees == 0) == (spec.is_half and not complemented)
 
 
-def _primes_for(mat):
-    mat = np.asarray(mat)
-    return determinant_primes(len(mat), math.prod(int(r @ r) for r in mat))
-
-
-def test_modular_determinant_multiple_of_the_first_prime():
-    # the first prime depends on the order n through n p^2 < 2^53
-    two, three = determinant_primes(2, 1)[0], determinant_primes(3, 1)[0]
-    for mat, first in (
-        ([[two, 0], [0, 3]], two),  # the first column is 0 modulo the first prime
-        ([[two + 1, 1], [1, 1]], two),  # the last pivot is 0 modulo the first prime
-        ([[2, 1, 0], [1, 1, 1], [0, 1, three + 2]], three),  # det = first
-    ):
-        assert _primes_for(mat)[0] == first
-        assert modular_determinant(mat) == bareiss_determinant(mat)
-        assert modular_determinant(mat) % first == 0
-
-
-def test_modular_determinant_swaps_for_one_prime_only():
-    # the first pivot is 0 modulo the first prime only, so that layer alone
-    # swaps rows 0 and 1; the same swap in the second layer would bring up a
-    # pivot that is 0 there
-    first, second = determinant_primes(3, 2**100)[:2]
-    mat = np.array([[first, 1, 2], [second, 1, 0], [3, 0, 5]])
-    det = 5 * first - 5 * second - 6
-    assert _primes_for(mat)[:2] == [first, second]
-    assert gpaley.oracles._residues(mat, [first, second]) == [det % first, det % second]
-    assert modular_determinant(mat) == bareiss_determinant(mat) == det
-
-
-def test_modular_determinant_at_the_hadamard_bound():
-    # the 16 x 16 Sylvester-Hadamard matrix: |det| = 16^8 = 2^32 is exactly
-    # the Hadamard bound, the extreme that the lift past twice it must cover
-    h = np.array([[1]])
-    for _ in range(4):
-        h = np.block([[h, h], [h, -h]])
-    assert modular_determinant(h) == bareiss_determinant(h)
-    assert abs(modular_determinant(h)) == 2**32
-    negated = h.copy()
-    negated[5] *= -1
-    assert modular_determinant(negated) == -modular_determinant(h)
-    assert modular_determinant(h[[1, 0] + list(range(2, 16))]) == -modular_determinant(h)
-
-
-def test_modular_determinant_known_values():
-    assert modular_determinant(np.zeros((0, 0), dtype=np.int64)) == 1
-    assert modular_determinant(np.zeros((3, 3), dtype=np.int64)) == 0
-    assert modular_determinant([[-7]]) == -7
-    n = 40  # Cayley: K_n has n^(n-2) spanning trees
-    lap = n * np.eye(n, dtype=np.int64) - 1
-    assert modular_determinant(lap[1:, 1:]) == n ** (n - 2)
-    # det(L U) = prod diag(U), with a Hadamard bound far above it, so the
-    # primes fill several (primes, n, n) stacks
-    rng = np.random.default_rng(7)
-    n = 128
-    lower = np.tril(rng.integers(-3, 4, (n, n)), -1) + np.eye(n, dtype=np.int64)
-    upper = np.triu(rng.integers(-2**20, 2**20, (n, n)), 1) + np.diag(rng.integers(1, 2**20, n))
-    mat = lower @ upper
-    assert len(_primes_for(mat)) > gpaley.oracles._STACK_ENTRIES // n**2
-    assert modular_determinant(mat) == np.prod([int(x) for x in np.diag(upper)], dtype=object)
-    with pytest.raises(ValueError):
-        modular_determinant(np.ones((2, 3), dtype=np.int64))
-
-
-@pytest.mark.parametrize("n", [1, 255, 2047, 2048, 2049, 4096, 10**5])
-def test_determinant_primes_keep_float64_exact(n):
-    primes = determinant_primes(n, 2**400)
-    assert all(n * p * p < 2**53 for p in primes)
-    assert primes == sorted(primes, reverse=True) and len(set(primes)) == len(primes)
-    # the product passes twice the Hadamard bound 2^200, and only just
-    assert math.prod(primes) ** 2 > 4 * 2**400 >= math.prod(primes[:-1]) ** 2
-    # the bound alone caps the primes: the first is at most the largest p
-    # with n p^2 < 2^53 and, by Bertrand's postulate, more than half of it
-    bound = math.isqrt((2**53 - 1) // n)
-    assert bound // 2 < primes[0] <= bound
-
-
-def _trial_prime(x):
-    return x > 1 and all(x % d for d in range(2, math.isqrt(x) + 1))
-
-
-@pytest.mark.parametrize("n", [1, 255, 2047, 2049])
-def test_determinant_primes_are_the_largest_the_bound_admits(n):
-    # the first prime is the largest p <= isqrt((2^53 - 1) / n), and no
-    # prime is skipped between two chosen ones; both by trial division
-    primes = determinant_primes(n, 2**400)
-    bound = math.isqrt((2**53 - 1) // n)
-    assert all(map(_trial_prime, primes))
-    assert not any(_trial_prime(x) for x in range(primes[0] + 1, bound + 1))
-    for upper, lower in zip(primes, primes[1:]):
-        assert not any(_trial_prime(x) for x in range(lower + 1, upper))
-
-
-def test_modular_determinant_above_2048_rows():
-    # a row swap of the identity: one prime, with n p^2 < 2^53 for n = 2049
-    n = 2049
-    perm = np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
-    (p,) = _primes_for(perm)
-    assert n * p * p < 2**53 <= n * determinant_primes(2047, 1)[0] ** 2
-    assert modular_determinant(perm) == -1
-
-
-def test_residues_reduce_exactly_just_below_2_to_the_53(monkeypatch):
-    # L U with L unit lower triangular and U upper triangular, both -1 off
-    # the diagonal: every multiplier and every entry of U is p - 1 mod p, so
-    # the unreduced entries sum to about (n - 1)(p - 1)^2, just below 2^53
-    # for the largest prime admitted at n = 2049; det(L U) = prod diag(U)
-    n = 2049
-    (p,) = determinant_primes(n, 1)
-    lower = np.tril(np.full((n, n), -1, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
-    diag = np.arange(n, dtype=np.int64) % 5 + 1
-    upper = np.triu(np.full((n, n), -1, dtype=np.int64), 1) + np.diag(diag)
-    reduce, largest = gpaley.oracles._reduce, []
-
-    def checked(x, prime):
-        # every reduction against the int64 remainder of the same integers
-        exact = x.astype(np.int64) % prime.astype(np.int64)
-        largest.append(np.abs(x).max(initial=0))
-        reduce(x, prime)
-        assert np.array_equal(x, exact)
-
-    monkeypatch.setattr(gpaley.oracles, "_reduce", checked)
-    # entries of L U are below n, so the float64 product is exact
-    mat = (lower.astype(np.float64) @ upper.astype(np.float64)).astype(np.int64)
-    assert gpaley.oracles._residues(mat, [p]) == [math.prod(diag.tolist()) % p]
-    assert (n - 2) * (p - 1) ** 2 < max(largest) < 2**53
-
-
-@pytest.mark.parametrize("n", [33, 64, 70, 97])
-def test_residues_swap_zero_pivots_in_every_panel(n):
-    # modulo primes this small most columns meet a zero pivot in some layer,
-    # in every panel of 32 columns and at every offset inside it
-    primes = [2, 3, 5, 7, 11, 13]
-    mat = np.random.default_rng(n).integers(-3, 4, (n, n))
-    det = bareiss_determinant(mat)
-    assert gpaley.oracles._residues(mat, primes) == [det % p for p in primes]
-    mat[-1] = mat[3] - 2 * mat[n // 2]  # singular: every layer ends on a zero pivot
-    assert gpaley.oracles._residues(mat, primes) == [0] * len(primes)
-
-
-def _tree_minor(spec):
-    g = build_graph(spec)
-    lap = np.diag(g.degrees.astype(np.int64)) - g.adjacency.astype(np.int64)
-    return lap[1:, 1:]
-
-
-def test_residues_keep_the_layers_of_a_stack_independent():
-    minor = _tree_minor(GraphSpec(2, 2, 4, 1))
-    primes = _primes_for(minor)[:16]
-    assert gpaley.oracles._residues(minor, primes) == [
-        gpaley.oracles._residues(minor, [p])[0] for p in primes
-    ]
-
-
-@pytest.mark.parametrize("corner", [0, 2**53 + 1])
-def test_residues_reduce_entries_at_or_above_the_smallest_prime(corner):
-    # entries of magnitude p_min + 1 (and one that float64 cannot hold) are
-    # reduced in int64 before the float64 stack is built; reducing them
-    # first, one prime at a time, must agree
-    primes = determinant_primes(6, 2**400)[:4]
-    signs = np.random.default_rng(3).choice([-1, 1], (6, 6))
-    mat = signs * (min(primes) + 1)
-    mat[np.diag_indices(6)] += np.arange(6)  # a nonzero determinant
-    mat[0, 0] += corner
-    det = bareiss_determinant(mat)
-    assert det != 0
-    assert gpaley.oracles._residues(mat, primes) == [det % p for p in primes]
-    assert [gpaley.oracles._residues(mat % p, [p])[0] for p in primes] == [det % p for p in primes]
-
-
-def test_modular_determinant_folds_a_short_last_stack_into_the_one_before(monkeypatch):
-    # Gamma_{4,4}(1): 65 primes for its 255 x 255 minor, 16 to a stack; the
-    # 65th joins the fourth stack rather than running alone
-    minor = _tree_minor(GraphSpec(2, 2, 4, 1))
-    residues, sizes = gpaley.oracles._residues, []
-
-    def recorded(a, primes):
-        sizes.append(len(primes))
-        return residues(a, primes)
-
-    monkeypatch.setattr(gpaley.oracles, "_residues", recorded)
-    assert modular_determinant(minor) == spanning_trees(GraphSpec(2, 2, 4, 1))
-    assert sizes == [16, 16, 16, 17]
+def test_an_eigenvalue_that_is_not_an_integer_is_refused():
+    # the Cayley graph on F_25 with row 0 {1, -1}: five disjoint 5-cycles,
+    # translation invariant, with eigenvalues 2 cos(2 pi a / 5)
+    g = build_graph(GraphSpec(5, 1, 2, 1))
+    idx = np.arange(g.n)
+    row = np.isin(idx, [1, 4])
+    adj = row[digit_add(idx[None, :], digit_neg(idx[:, None], 5, 2), 5, 2)]
+    cycles = dataclasses.replace(g, adjacency=adj)
+    assert cycles.translation_invariant
+    eigs = np.linalg.eigvalsh(adj.astype(np.float64))
+    cosines = 2 * np.cos(2 * np.pi * np.arange(5) / 5)
+    assert np.allclose(np.sort(eigs), np.sort(np.repeat(cosines, 5)))
+    with pytest.raises(InternalCheckError, match="^Gamma.*: character 1 has residue counts "
+                       r"\[0, 1, 0, 0, 1\], so its eigenvalue is not an integer$"):
+        count_eigenvalues(cycles)
+    with pytest.raises(InternalCheckError):
+        count_trees_bruteforce(cycles)
 
 
 def test_bfs_diameter():
@@ -613,7 +455,8 @@ def test_a_flipped_copy_counts_its_own_degrees():
     flipped = _flip_edge(g)
     assert flipped.degrees.tolist().count(9) == 2 and flipped.degrees.sum() == 16 * 10 - 2
     assert (g.degrees == 10).all()
-    assert count_trees_bruteforce(flipped) != 2**31 * 3**10
+    with pytest.raises(InternalCheckError):
+        count_trees_bruteforce(flipped)
 
 
 def test_run_suite_checks_reach_the_kernels(monkeypatch):
