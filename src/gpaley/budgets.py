@@ -27,7 +27,8 @@ _RAISABLE = ("table", "graph")
 
 def budget(kind: str, explicit: int | None = None) -> int:
     """The size limit of ``kind`` (a key of ``DEFAULTS``). A
-    ``GPG_MAX_ORDER`` that is not an integer raises ValueError."""
+    ``GPG_MAX_ORDER`` that is not an integer, or is negative, raises
+    ValueError."""
     default = DEFAULTS[kind]
     if explicit is not None:
         return explicit
@@ -38,6 +39,8 @@ def budget(kind: str, explicit: int | None = None) -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"GPG_MAX_ORDER={raw!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"GPG_MAX_ORDER={raw!r} is negative")
     return value if kind in _RAISABLE else min(value, default)
 
 

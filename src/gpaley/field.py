@@ -20,6 +20,7 @@ generator alpha by a deterministic rule, so every table is reproducible
 from (p, s, m) alone, and memoizes one table per (p, s, m).
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -318,7 +319,10 @@ class FieldTable:
     def pow_array(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a^e: alpha^i to the e is alpha^(i e mod p^n - 1), so e
         is reduced first; 0^0 = 1, 0^e = 0 for e > 0, and a zero base with
-        e < 0 raises ZeroElement."""
+        e < 0 raises ZeroElement. An e that is not an integer, or is a bool,
+        raises ValueError."""
+        if isinstance(e, bool) or not isinstance(e, numbers.Integral):
+            raise ValueError(f"exponent {e} is not an integer")
         a, units = np.asarray(a, dtype=np.int64), self.order - 1
         nz = a != 0
         if e < 0 and not nz.all():

@@ -335,14 +335,15 @@ def apply_affine_frobenius(g: CayleyGraph, a: int | np.ndarray, b: int, i: int) 
     exactly when a is a connection member. A 1-D array of scales gives one
     row of images per scale, a (len(a), N) table; every row is checked to
     be a bijection with one row-wise sort. A scale or shift that is not an
-    integer in [0, N) is not a field element and raises ValueError; a zero
+    integer in [0, N) is not a field element and raises ValueError, as
+    does a power i that is not an integer (or is a bool) in [0, n); a zero
     scale raises ZeroScale."""
     fld = g.field
     a, b = _field_indices(a, "scale", g.n), int(_field_indices(b, "shift", g.n))
     if (a == 0).any():
         raise ZeroScale("scale a must be nonzero")
-    if not 0 <= i < fld.n:
-        raise ValueError(f"Frobenius power i must satisfy 0 <= i < {fld.n}")
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < fld.n:
+        raise ValueError(f"Frobenius power i = {i} is not an integer in [0, {fld.n})")
     idx = np.arange(g.n, dtype=np.int64)
     image = fld.add_arrays(fld.mul_array(a[..., None], fld.pow_array(idx, fld.p**i)), int(b))
     if not (np.sort(image, axis=-1) == idx).all():

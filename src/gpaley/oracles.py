@@ -35,7 +35,7 @@ from .errors import (
 )
 from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_counts
 from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph
-from .spectra import closed_walks, invariant_bounds, spanning_trees, spectrum, srg_params
+from .spectra import closed_walks, spanning_trees, spectrum, srg_params
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def _side_checks(suite, side, graph):
         if not spec.is_degenerate:
             suite.run(
                 f"girth-{side}",
-                lambda: invariant_bounds(spec).girth,
+                lambda: srg_params(spec).girth,
                 lambda: girth_bruteforce(graph),
             )
 

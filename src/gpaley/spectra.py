@@ -1,6 +1,6 @@
 """Closed-form spectra, strongly-regular parameters, intersection arrays,
-Latin-square classification, walk/tree counts and invariant bounds for the
-family graphs and their complements.
+Latin-square classification and walk/tree counts for the family graphs and
+their complements.
 
 Everything here is exact arithmetic on the spec (q, m, ell): integers,
 and for the decimal text of a tree count, decimals with every rounding
@@ -13,7 +13,6 @@ formula is wrong.
 import decimal
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import exact_decimal, exact_div, int_to_str, same_product
 from .errors import (
@@ -78,9 +77,6 @@ class Spectrum:
     def moment(self, r: int) -> int:
         return sum(mult * lam**r for lam, mult in self.pairs)
 
-    def second_largest(self) -> int:
-        return self.pairs[1][0]
-
     def smallest(self) -> int:
         return self.pairs[-1][0]
 
@@ -114,27 +110,16 @@ class SrgRecord:
     conference: bool
     latin_square: tuple[int, int] | None
     ramanujan: bool
-    vertex_connectivity: int
 
     def params(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.e, self.d)
 
-
-@dataclass(frozen=True)
-class InvariantBounds:
-    diameter: int
-    girth: int
-    clique_upper: Fraction
-    clique_exact: int | None
-    independence_upper: Fraction
-    independence_exact: int | None
-    chromatic_lower: Fraction
-    chromatic_exact: int | None
-    isoperimetric_lower: Fraction
-    isoperimetric_upper_sq: int  # exact square of the upper bound
-    isoperimetric_upper_floor: int
-    algebraic_connectivity: int  # second-largest adjacency eigenvalue
-    laplacian_gap: int  # k minus the above
+    @property
+    def girth(self) -> int:
+        """3 when adjacent vertices have a common neighbour (e > 0), else 4:
+        two vertices at distance 2 have d common neighbours, and d = 1 would
+        make a Moore graph, which no member is."""
+        return 3 if self.e > 0 else 4
 
 
 def spectrum(spec: GraphSpec) -> Spectrum:
@@ -232,7 +217,6 @@ def srg_params(spec: GraphSpec) -> SrgRecord:
         conference=conference,
         latin_square=latin_square_class(spec),
         ramanujan=ramanujan_by_inequality(spec) if connected else False,
-        vertex_connectivity=k if connected else 0,
     )
 
 
@@ -360,64 +344,6 @@ def ramanujan_by_inequality(spec: GraphSpec) -> bool:
     sp = spectrum(spec)
     lam = max(abs(l) for l, _ in sp.nontrivial())
     return lam * lam <= 4 * (sp.k - 1)
-
-
-def invariant_bounds(spec: GraphSpec) -> InvariantBounds:
-    """Diameter, girth, clique/independence/chromatic data, isoperimetric
-    interval and the algebraic-connectivity eigenvalue.
-
-    Girth is 3 when adjacent vertices have a common neighbour (srg e > 0),
-    else 4: the diameter is 2, so two vertices at distance 2 have d common
-    neighbours, and d = 1 (a Moore graph) occurs in no member. For
-    m_ell/2 odd, clique = independence = chromatic = q^(m/2) exactly;
-    otherwise only the eigenvalue bounds are available. Isoperimetric
-    bounds are kept exact: the lower bound as a rational, the upper bound
-    as its exact square plus the floor of its square root."""
-    _require_proper(spec)
-    if spec.is_half and not spec.complemented:
-        raise Disconnected("invariants target connected members")
-    if spec.is_degenerate:
-        raise DegenerateGraph("(2,2,1) is excluded from the invariant table")
-    q, m, ell = spec.q, spec.m, spec.ell
-    half_odd = spec.eps == -1
-    sp = spectrum(spec)
-    k = sp.k
-    girth = 3 if srg_params(spec).e > 0 else 4
-    root = q ** (m // 2)
-    if half_odd:
-        cl_up = ind_up = chrom_low = Fraction(root)
-        cl_ex = ind_ex = chrom_ex = root
-    else:
-        cl_ex = ind_ex = chrom_ex = None
-        hi = q ** (m // 2 + ell)
-        lo = q ** (m // 2 - ell)
-        if not spec.complemented:
-            cl_up = Fraction(q**m + hi, hi + 1)
-            ind_up = Fraction(q**m + lo, lo + 1)
-            chrom_low = Fraction((q**m - 1) * (lo + 1), q**m + lo)
-        else:
-            cl_up = Fraction(q**m + lo, lo + 1)
-            ind_up = Fraction(q**m + hi, hi + 1)
-            chrom_low = Fraction((q**m - 1) * (hi + 1), q**m + hi)
-    lam2 = sp.second_largest()
-    theta2 = k - lam2
-    iso_lower = Fraction(theta2, 2)
-    iso_upper_sq = theta2 * (2 * k - theta2)  # = k^2 - lam2^2
-    return InvariantBounds(
-        diameter=2,
-        girth=girth,
-        clique_upper=cl_up,
-        clique_exact=cl_ex,
-        independence_upper=ind_up,
-        independence_exact=ind_ex,
-        chromatic_lower=chrom_low,
-        chromatic_exact=chrom_ex,
-        isoperimetric_lower=iso_lower,
-        isoperimetric_upper_sq=iso_upper_sq,
-        isoperimetric_upper_floor=math.isqrt(iso_upper_sq),
-        algebraic_connectivity=lam2,
-        laplacian_gap=theta2,
-    )
 
 
 def record_json(spec: GraphSpec) -> dict:

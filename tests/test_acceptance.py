@@ -470,10 +470,8 @@ def test_criterion_5_triangles_girth_consistent():
     _announce("5 (triangles/girth, both paths)", ok)
     assert w3 == w3_brute == 0
     assert w3c == w3c_brute == 960  # 160 triangles
-    from gpaley.spectra import invariant_bounds
-
-    assert invariant_bounds(spec).girth == 4
-    assert invariant_bounds(spec.complement()).girth == 3
+    assert srg_params(spec).girth == 4
+    assert srg_params(spec.complement()).girth == 3
 
 
 def test_criterion_5_published_complement_walks():

@@ -62,6 +62,15 @@ def test_non_integer_environment_is_named(monkeypatch, capsys):
     assert "GPG_MAX_ORDER='abc' is not an integer" in capsys.readouterr().err
 
 
+def test_negative_environment_is_named(monkeypatch, capsys):
+    # -1 used to refuse every size, where --max-order -1 is a usage error
+    monkeypatch.setenv("GPG_MAX_ORDER", "-1")
+    with pytest.raises(ValueError, match="^GPG_MAX_ORDER='-1' is negative$"):
+        budget("graph")
+    assert dispatch(["graph", "--p", "2", "--m", "4", "--ell", "1"]) == 1
+    assert "GPG_MAX_ORDER='-1' is negative" in capsys.readouterr().err
+
+
 def test_explicit_zero_refuses_every_size():
     # every entry that takes max_order refuses the smallest size at 0
     with pytest.raises(BudgetExceeded):

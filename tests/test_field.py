@@ -212,6 +212,18 @@ def test_scalar_ops_refuse_an_index_outside_the_field(bad):
             call()
 
 
+@pytest.mark.parametrize("e", [2.0, 0.5, np.float64(3.0), True, False])
+def test_pow_refuses_an_exponent_that_is_not_an_integer(e):
+    # a float exponent used to raise numpy's IndexError, and a bool was
+    # taken as 1 or 0
+    f = get_field(2, 1, 4)
+    for call in (lambda: f.pow(3, e), lambda: f.pow_array(np.arange(16), e)):
+        with pytest.raises(ValueError, match=f"^exponent {e} is not an integer$"):
+            call()
+    for n in (np.int64(5), np.int32(-3), np.uint8(5)):
+        assert f.pow(3, n) == f.pow(3, int(n))
+
+
 def test_vector_ops_match_scalar():
     # the whole-array products and powers against the scalar ones, which are
     # the same kernels at one index; addition and negation are held to the

@@ -380,6 +380,15 @@ def test_affine_frobenius_errors():
         apply_affine_frobenius(g, 1, 0, 7)
 
 
+@pytest.mark.parametrize("i", [0.5, 1.0, np.float64(1.0), True, False],
+                         ids=["0.5", "1.0", "float64-1.0", "True", "False"])
+def test_affine_frobenius_refuses_a_power_that_is_not_an_integer(i):
+    # 0.5 and 1.0 used to raise numpy's IndexError, and True was taken as 1
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    with pytest.raises(ValueError, match=rf"^Frobenius power i = {i} is not an integer in \[0, 4\)$"):
+        apply_affine_frobenius(g, 3, 0, i)
+
+
 @pytest.mark.parametrize(
     "scale",
     [-1, 16, 2**70, np.array([1, 2, -1]), np.array([3, 16, 5]), 2.7, np.array([1, 2.5])],
@@ -407,6 +416,8 @@ def test_affine_frobenius_takes_python_and_numpy_integers():
     for scale, shift in [(np.int64(3), np.int64(5)), (np.int32(3), np.uint8(5)),
                          (np.array(3), 5), (np.array([3], dtype=np.uint16), 5)]:
         assert np.array_equal(apply_affine_frobenius(g, scale, shift, 1).reshape(-1), expected)
+    for i in (np.int64(1), np.uint8(1)):
+        assert np.array_equal(apply_affine_frobenius(g, 3, 5, i), expected)
 
 
 # ---------------------------------------------------------------------------

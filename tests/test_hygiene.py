@@ -190,6 +190,33 @@ def test_every_public_method_and_property_has_a_reader_or_a_reason():
     assert sorted(unread) == sorted(NO_SRC_READER)
 
 
+# Annotated class fields that nothing in src/ reads, each with its reason.
+NO_FIELD_READER: dict[str, str] = {}
+
+
+def test_every_dataclass_field_has_a_reader_or_a_reason():
+    # a field that src/ only ever sets, by a keyword at construction or by
+    # an assignment, carries a value that no code looks at: it is listed
+    # above with its reason, or dead
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    read = {
+        n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    }
+    assert sorted(unread) == sorted(NO_FIELD_READER)
+
+
 def test_the_benchmark_checks_pass_their_selftest():
     # bench/selftest.py holds the benchmark's output checks to the program's
     # real outputs; a report shape or check name they would refuse fails here

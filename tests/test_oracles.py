@@ -32,7 +32,7 @@ from gpaley.oracles import (
     run_suite,
     verify_a2_identity,
 )
-from gpaley.spectra import closed_walks, spanning_trees
+from gpaley.spectra import closed_walks, spanning_trees, srg_params
 from reference import (
     bareiss_determinant,
     digit_add,
@@ -334,6 +334,19 @@ def test_girth():
     assert girth_bruteforce(build_graph(GraphSpec(2, 1, 4, 1))) == 4
     assert girth_bruteforce(build_graph(GraphSpec(2, 1, 4, 1, True))) == 3
     assert girth_bruteforce(build_graph(GraphSpec(3, 1, 4, 1))) == 3
+
+
+@pytest.mark.parametrize("spec, girth", [
+    (GraphSpec(2, 1, 4, 2), 3),  # four disjoint K_4
+    (GraphSpec(2, 1, 4, 2, True), 3),
+    (GraphSpec(3, 1, 2, 1), 3),  # three disjoint K_3
+    (GraphSpec(3, 1, 2, 1, True), 3),
+    (GraphSpec(2, 1, 2, 1, True), 4),  # the 4-cycle
+], ids=lambda x: x.label() if isinstance(x, GraphSpec) else str(x))
+def test_closed_girth_equals_the_counted_girth_on_the_half_members(spec, girth):
+    # ell = m/2: disjoint cliques and their complete multipartite complements,
+    # down to the 4-cycle, the complement of the degenerate (2,2,1)
+    assert srg_params(spec).girth == girth_bruteforce(build_graph(spec)) == girth
 
 
 def test_waring_witness_falsification():

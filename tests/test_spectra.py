@@ -1,7 +1,5 @@
 import decimal
 import hashlib
-import math
-from fractions import Fraction
 
 import pytest
 
@@ -20,7 +18,6 @@ from gpaley.spectra import (
     closed_walks,
     eigenvalue_relations_check,
     intersection_array,
-    invariant_bounds,
     latin_square_class,
     ramanujan_by_inequality,
     spanning_trees,
@@ -133,43 +130,44 @@ _GUARD_CALLS = {
     "spectrum": lambda s: spectrum(s).pairs,
     "srg_params": lambda s: srg_params(s).params(),
     "intersection_array": lambda s: intersection_array(s).as_tuple(),
-    "invariant_bounds": lambda s: (lambda b: (b.girth, b.clique_exact))(invariant_bounds(s)),
+    "girth": lambda s: srg_params(s).girth,
     "ramanujan_by_inequality": ramanujan_by_inequality,
     "is_ramanujan": is_ramanujan,
     "ihara_zeta": lambda s: ihara_zeta(s).square_factor_exponent,
     "waring_number": lambda s: waring_number(s, max_order=0).g,
 }
-_CONNECTED_ONLY = ("intersection_array", "invariant_bounds", "ramanujan_by_inequality",
-                   "is_ramanujan", "ihara_zeta")
-_NOT_PROPER = dict.fromkeys(("spectrum", "srg_params") + _CONNECTED_ONLY, NotInFamily)
+_CONNECTED_ONLY = ("intersection_array", "ramanujan_by_inequality", "is_ramanujan", "ihara_zeta")
+_NOT_PROPER = dict.fromkeys(("spectrum", "srg_params", "girth") + _CONNECTED_ONLY, NotInFamily)
 _HALF_PRIMAL = dict.fromkeys(_CONNECTED_ONLY, Disconnected)
 _GUARD_TABLE = [
     # not proper (m_ell = 3), and ell = 0; both are complete Waring cases
     (GraphSpec(2, 1, 3, 1), {**_NOT_PROPER, "waring_number": 1}),
     (GraphSpec(2, 1, 4, 0), {**_NOT_PROPER, "waring_number": 1}),
     (GraphSpec(2, 1, 4, 2), {**_HALF_PRIMAL, "spectrum": ((3, 4), (-1, 12)),
-                             "srg_params": (16, 3, 2, 0), "waring_number": NotApplicable}),
+                             "srg_params": (16, 3, 2, 0), "girth": 3,
+                             "waring_number": NotApplicable}),
     (GraphSpec(2, 1, 4, 2, True), {
         "spectrum": ((12, 1), (0, 12), (-4, 3)), "srg_params": (16, 12, 8, 12),
-        "intersection_array": (12, 3, 1, 12), "invariant_bounds": (3, 4),
+        "intersection_array": (12, 3, 1, 12), "girth": 3,
         "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 80,
         "waring_number": NotApplicable}),
     (GraphSpec(2, 1, 2, 1), {**_HALF_PRIMAL, "spectrum": ((1, 2), (-1, 2)),
-                             "srg_params": DegenerateGraph, "ihara_zeta": DegenerateGraph,
+                             "srg_params": DegenerateGraph, "girth": DegenerateGraph,
+                             "ihara_zeta": DegenerateGraph,
                              "waring_number": NotApplicable}),
     (GraphSpec(2, 1, 2, 1, True), {
         "spectrum": ((2, 1), (0, 2), (-2, 1)), "srg_params": (4, 2, 0, 2),
-        "intersection_array": (2, 1, 1, 2), "invariant_bounds": DegenerateGraph,
+        "intersection_array": (2, 1, 1, 2), "girth": 4,
         "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": DegenerateGraph,
         "waring_number": NotApplicable}),
     (GraphSpec(2, 1, 4, 1), {
         "spectrum": ((5, 1), (1, 10), (-3, 5)), "srg_params": (16, 5, 0, 2),
-        "intersection_array": (5, 4, 1, 2), "invariant_bounds": (4, None),
+        "intersection_array": (5, 4, 1, 2), "girth": 4,
         "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 24,
         "waring_number": 2}),
     (GraphSpec(2, 1, 4, 1, True), {
         "spectrum": ((10, 1), (2, 5), (-2, 10)), "srg_params": (16, 10, 6, 6),
-        "intersection_array": (10, 3, 1, 6), "invariant_bounds": (3, None),
+        "intersection_array": (10, 3, 1, 6), "girth": 3,
         "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 64,
         "waring_number": NotApplicable}),
 ]
@@ -213,10 +211,6 @@ def test_srg_identity_and_flags_family_wide():
             assert (rec.v - rec.k - 1) * rec.d == rec.k * (rec.k - rec.e - 1)
             assert rec.conference is False  # ell >= 1 throughout the family
             assert rec.primitive == (not s.is_half)
-            if not s.is_half or s.complemented:
-                assert rec.vertex_connectivity == rec.k
-            else:
-                assert rec.vertex_connectivity == 0
 
 
 def test_complement_involution():
@@ -450,40 +444,10 @@ def test_tree_count_text_leaves_the_decimal_context_as_it_was():
 
 
 # ---------------------------------------------------------------------------
-# invariant bounds
+# girth
 # ---------------------------------------------------------------------------
 
-def test_invariant_bounds_examples():
-    ib = invariant_bounds(GraphSpec(3, 1, 4, 1))
-    assert ib.clique_upper == Fraction(108, 28)
-    assert math.floor(ib.clique_upper) == 3
-    assert ib.clique_exact is None
-    assert ib.diameter == 2 and ib.girth == 3
-
-    ib = invariant_bounds(GraphSpec(2, 1, 6, 1))
-    assert ib.clique_exact == ib.independence_exact == ib.chromatic_exact == 8
-
-    assert invariant_bounds(GraphSpec(2, 1, 4, 1)).girth == 4
-    assert invariant_bounds(GraphSpec(2, 1, 4, 1, True)).girth == 3
-
-
-def test_invariant_bounds_isoperimetric_and_connectivity():
-    for spec in _family_specs(12, max_order=1 << 24):
-        if spec.is_half or (spec.q, spec.m, spec.ell) == (2, 2, 1):
-            continue
-        for s in (spec, spec.complement()):
-            ib = invariant_bounds(s)
-            sp = spectrum(s)
-            assert ib.algebraic_connectivity == sp.second_largest()
-            assert ib.laplacian_gap == sp.k - sp.second_largest()
-            assert ib.isoperimetric_lower == Fraction(ib.laplacian_gap, 2)
-            assert ib.isoperimetric_upper_sq == sp.k**2 - sp.second_largest() ** 2
-            assert ib.isoperimetric_lower**2 <= ib.isoperimetric_upper_sq
-            assert ib.isoperimetric_upper_floor**2 <= ib.isoperimetric_upper_sq
-
-
-def test_invariant_bounds_errors():
-    with pytest.raises(Disconnected):
-        invariant_bounds(GraphSpec(2, 1, 4, 2))
-    with pytest.raises(DegenerateGraph):
-        invariant_bounds(GraphSpec(2, 1, 2, 1, True))
+def test_girth_examples():
+    assert srg_params(GraphSpec(3, 1, 4, 1)).girth == 3
+    assert srg_params(GraphSpec(2, 1, 4, 1)).girth == 4
+    assert srg_params(GraphSpec(2, 1, 4, 1, True)).girth == 3
