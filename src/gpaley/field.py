@@ -256,10 +256,11 @@ class FieldTable:
     # -- scalar arithmetic on indices ---------------------------------------
 
     def _index(self, a: int) -> int:
-        """a, refused with ValueError unless it is an element index in
-        [0, p^n): the table lookups would wrap a negative index to the last
-        elements. The array kernels leave this check to their callers."""
-        if not 0 <= a < self.order:
+        """a, refused with ValueError unless it is an integer (not a bool)
+        in [0, p^n): the table lookups would wrap a negative index to the
+        last elements and truncate a float. The array kernels leave this
+        check to their callers."""
+        if isinstance(a, bool) or not isinstance(a, numbers.Integral) or not 0 <= a < self.order:
             raise ValueError(f"{a} is not an element index of F_{self.p}^{self.n}")
         return a
 

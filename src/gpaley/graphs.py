@@ -28,7 +28,7 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, get_field
 
-# Rows of A per block when build_graph fills A, a walk row reads it, or the
+# Rows of A per block when _fill fills A, a walk row reads it, or the
 # translation check compares it, so that temporaries stay a few MB.
 _ROW_BLOCK = 256
 
@@ -146,15 +146,21 @@ class CayleyGraph:
     # a new object with nothing cached.
     @cached_property
     def degrees(self) -> np.ndarray:
-        """The row sums of A: every vertex's degree."""
-        return self.adjacency.sum(axis=1)
+        """The row sums of A: every vertex's degree, as int64. The bool rows
+        are counted as bytes in the narrowest unsigned type that holds n, the
+        largest a row sum can be."""
+        counts = self.adjacency.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.n))
+        return counts.astype(np.int64)
 
     @cached_property
     def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row 0 of A, A^2 and A^3 as int64: each row is the previous one
         times A, that is, the rows of A counted a block at a time and
         weighted by the previous row's entry. A^t[0, x] counts the t-walks
-        from 0 to x, at most k^(t-1)."""
+        from 0 to x, at most k^(t-1). A block of at most _ROW_BLOCK = 256
+        rows is counted as bytes in uint16, which holds its column sums, and
+        widened to int64 before the weight multiplies it: uint16 times a
+        Python int stays uint16 and would wrap."""
         rows = [self.adjacency[0].astype(np.int64)]
         for _ in range(2):
             prev, nxt = rows[-1], np.zeros(self.n, dtype=np.int64)
@@ -162,7 +168,8 @@ class CayleyGraph:
                 members = np.flatnonzero(prev == weight)
                 for start in range(0, len(members), _ROW_BLOCK):
                     block = self.adjacency[members[start : start + _ROW_BLOCK]]
-                    nxt += weight * block.sum(axis=0, dtype=np.int64)
+                    counts = block.view(np.uint8).sum(axis=0, dtype=np.uint16)
+                    nxt += weight * counts.astype(np.int64)
             rows.append(nxt)
         return tuple(rows)
 
@@ -244,10 +251,11 @@ def _symmetry_rule(spec: GraphSpec) -> bool:
 
 def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     """Materialize the adjacency matrix: i ~ j iff element_j - element_i is a
-    connection member (complemented specs take the complement of the rows
-    and clear the diagonal). ``max_order`` caps the graph, then its field
-    table (see ``budgets.require``). Rejects directed cases instead of
-    symmetrizing; the result has passed its translation check.
+    connection member. A complemented spec fills the primal graph's
+    adjacency and negates it in place (see ``complement_graph``).
+    ``max_order`` caps the graph, then its field table (see
+    ``budgets.require``). Rejects directed cases instead of symmetrizing;
+    the result has passed its translation check.
     """
     N = spec.order
     require("graph", N, max_order)
@@ -257,20 +265,53 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"
         )
-    # A gets its own zeroed pages from the OS rather than a block of malloc's
-    # heap, so dropping a graph hands them back at once and the memory held
-    # follows the graphs alive, not the order in which graphs were built
-    adj = np.frombuffer(mmap.mmap(-1, N * N), dtype=bool).reshape(N, N)
-    members = np.flatnonzero(primal.members)
+    adj = _fill(field, primal)
+    if spec.complemented:
+        _negate(adj, out=adj)
+    return _certified(spec, field, adj)
+
+
+def complement_graph(g: CayleyGraph) -> CayleyGraph:
+    """The complement of g: its adjacency negated into fresh pages, with the
+    diagonal cleared, and certified as ``build_graph`` certifies a graph it
+    fills. It equals ``build_graph(g.spec.complement())`` without a second
+    fill; a g that is not a Cayley graph makes a complement that fails its
+    translation check and raises InternalCheckError."""
+    return _certified(g.spec.complement(), g.field, _negate(g.adjacency, out=_pages(g.n)))
+
+
+def _pages(n: int) -> np.ndarray:
+    """A zeroed (n, n) bool array on its own pages from the OS rather than a
+    block of malloc's heap, so dropping a graph hands them back at once and
+    the memory held follows the graphs alive, not the order in which graphs
+    were built."""
+    return np.frombuffer(mmap.mmap(-1, n * n), dtype=bool).reshape(n, n)
+
+
+def _fill(field: FieldTable, primal: ConnectionSet) -> np.ndarray:
+    """A[i, j] = True iff element_j - element_i is a member of ``primal``,
+    scattered _ROW_BLOCK rows at a time through the flat indices i N + j."""
+    N = field.order
+    adj = _pages(N)
+    flat, members = adj.reshape(-1), np.flatnonzero(primal.members)
     for start in range(0, N, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, N), dtype=np.int64)[:, None]
-        adj[rows, field.add_arrays(rows, members)] = True
-    if spec.complemented:
-        np.logical_not(adj, out=adj)
-        np.fill_diagonal(adj, False)
-    g = CayleyGraph(spec, field, connection_set(spec, field) if spec.complemented else primal, adj)
-    # a translation invariant A is symmetric with every row a shift of row 0,
-    # so row 0 settles the degree and the diagonal
+        flat[rows * N + field.add_arrays(rows, members)] = True
+    return adj
+
+
+def _negate(adj: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The complement's adjacency: not A, with the diagonal cleared."""
+    np.logical_not(adj, out=out)
+    np.fill_diagonal(out, False)
+    return out
+
+
+def _certified(spec: GraphSpec, field: FieldTable, adj: np.ndarray) -> CayleyGraph:
+    """The graph of spec on adj, after the checks every graph passes: a
+    translation invariant A is symmetric with every row a shift of row 0,
+    so row 0 settles the degree and the diagonal."""
+    g = CayleyGraph(spec, field, connection_set(spec, field), adj)
     if int(adj[0].sum()) != g.k or adj[0, 0] or not g.translation_invariant:
         raise InternalCheckError("adjacency is not a loop-free Cayley graph of the expected degree")
     return g

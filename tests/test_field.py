@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,10 +198,14 @@ def test_arithmetic_axioms_sampled():
             assert f.add(x, y) == f.add(y, x)
 
 
-@pytest.mark.parametrize("bad", [-1, -15, 16])
+@pytest.mark.parametrize(
+    "bad", [-1, -15, 16, 2.5, 2.7, 1.0, 2.0, np.float64(3.0), True, False, np.bool_(True)]
+)
 def test_scalar_ops_refuse_an_index_outside_the_field(bad):
     # a negative index used to wrap to the last elements (mul(-1, 1) gave
-    # 15 and inv(-1) gave 8 on F_16) and 16 raised IndexError
+    # 15 and inv(-1) gave 8 on F_16) and 16 raised IndexError; a float was
+    # truncated (mul(2.5, 3) gave 6, neg(1.0) gave 1) or raised IndexError
+    # (inv(2.7)) or TypeError (add(2.0, 1)), and True was taken as 1
     f = get_field(2, 1, 4)
     calls = [
         lambda: f.add(bad, 0), lambda: f.add(0, bad), lambda: f.neg(bad),
@@ -208,8 +213,19 @@ def test_scalar_ops_refuse_an_index_outside_the_field(bad):
         lambda: f.pow(bad, 1),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="not an element index"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))} is not an element index"):
             call()
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4), (3, 1, 2)], ids=str)
+def test_scalar_ops_take_python_and_numpy_integers(params):
+    # add(2.5, 1) on F_9 used to return 0, the sum of 2 and 1
+    f = get_field(*params)
+    for a, b in [(np.int64(2), np.uint8(1)), (np.int32(2), 1), (2, np.uint64(1))]:
+        assert (f.add(a, b), f.mul(a, b), f.neg(a), f.inv(a), f.pow(a, 3)) == (
+            f.add(2, 1), f.mul(2, 1), f.neg(2), f.inv(2), f.pow(2, 3))
+    with pytest.raises(ValueError, match="^2.5 is not an element index"):
+        f.add(2.5, 1)
 
 
 @pytest.mark.parametrize("e", [2.0, 0.5, np.float64(3.0), True, False])

@@ -19,6 +19,7 @@ from gpaley.graphs import (
     GraphSpec,
     apply_affine_frobenius,
     build_graph,
+    complement_graph,
     connection_set,
     dimacs_lines,
     edge_list_lines,
@@ -166,6 +167,55 @@ def test_complement_build():
         adj = graph.adjacency
         assert adj.dtype == bool and adj.shape == (16, 16)
         assert adj.flags.c_contiguous and adj.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 2), GraphSpec(2, 1, 10, 5),
+     GraphSpec(2, 1, 2, 1)],
+    ids=GraphSpec.label,
+)
+def test_derived_complement_is_the_filled_complement(spec):
+    g = build_graph(spec)
+    primal = g.adjacency.tobytes()
+    gbar = complement_graph(g)
+    filled = build_graph(spec.complement())
+    assert (gbar.spec, gbar.k) == (filled.spec, filled.k)
+    assert gbar.adjacency.tobytes() == filled.adjacency.tobytes()
+    # the primal graph is read, not negated in place
+    assert g.adjacency.tobytes() == primal and not np.shares_memory(g.adjacency, gbar.adjacency)
+    assert complement_graph(gbar).adjacency.tobytes() == primal
+
+
+def test_walk_rows_of_a_derived_complement_are_exact():
+    # co-Gamma_{2,12}(1): k = 2730, so a weight of row 1 times a block's
+    # count of up to 256 rows passes 2^16; for p = 2, x - s = x XOR s and
+    # A^t[0, x] = sum over s in S of A^(t-1)[0, x XOR s]
+    gbar = complement_graph(build_graph(GraphSpec(2, 1, 12, 1)))
+    idx, members = np.arange(gbar.n), np.flatnonzero(gbar.connection.members)
+    rows = [gbar.connection.members.astype(np.int64)]
+    for _ in range(2):
+        nxt = np.zeros(gbar.n, dtype=np.int64)
+        for s in members:
+            nxt += rows[-1][idx ^ s]
+        rows.append(nxt)
+    assert rows[2].max() * 256 > 2**16
+    for row, counted in zip(gbar.walk_rows, rows):
+        assert row.dtype == np.int64 and np.array_equal(row, counted)
+
+
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1, True), GraphSpec(2, 1, 8, 1, True)],
+    ids=GraphSpec.label,
+)
+def test_degrees_are_exact_int64(spec):
+    # rows are counted in the narrowest type that holds n: uint8 for 16 and
+    # 81 vertices, uint16 for 256, where a full row of 256 would wrap uint8
+    g = build_graph(spec)
+    full = dataclasses.replace(g, adjacency=np.ones((g.n, g.n), dtype=bool))
+    for graph, degree in ((g, g.k), (full, g.n)):
+        assert graph.degrees.dtype == np.int64
+        assert graph.degrees.tolist() == [degree] * g.n
 
 
 def test_directed_rejected():

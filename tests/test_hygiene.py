@@ -104,14 +104,19 @@ def test_budget_refusals_come_from_require():
 
 
 def _is_adjacency_sum(call: ast.Call) -> bool:
-    """``<x>.adjacency.sum(...)``, with or without ``axis``."""
+    """``<x>.adjacency.sum(...)`` or ``<x>.adjacency.view(...).sum(...)``,
+    with or without ``axis``."""
     func = call.func
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr == "sum"
-        and isinstance(func.value, ast.Attribute)
-        and func.value.attr == "adjacency"
-    )
+    if not (isinstance(func, ast.Attribute) and func.attr == "sum"):
+        return False
+    summed = func.value
+    if (
+        isinstance(summed, ast.Call)
+        and isinstance(summed.func, ast.Attribute)
+        and summed.func.attr == "view"
+    ):
+        summed = summed.func.value
+    return isinstance(summed, ast.Attribute) and summed.attr == "adjacency"
 
 
 def test_degrees_are_counted_once():

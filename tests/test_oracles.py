@@ -21,7 +21,7 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
+from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph, complement_graph
 from gpaley.oracles import (
     bfs_eccentricity,
     count_eigenvalues,
@@ -63,6 +63,23 @@ def _flip_edge(g):
     i, j = map(int, np.argwhere(adj)[0])
     adj[i, j] = adj[j, i] = False
     return dataclasses.replace(g, adjacency=adj)
+
+
+def _corrupt(monkeypatch, primal=lambda g: g, complement=lambda gbar: gbar):
+    """Make run_suite run its own build_graph and complement_graph, then see
+    primal(g) in place of the graph g it filled and complement(gbar) in
+    place of the complement gbar derived from g itself, not from primal(g):
+    each side is corrupted alone."""
+    filled = []
+
+    def build(spec, *args, **kwargs):
+        filled.append(build_graph(spec, *args, **kwargs))
+        return primal(filled[-1])
+
+    monkeypatch.setattr(gpaley.oracles, "build_graph", build)
+    monkeypatch.setattr(
+        gpaley.oracles, "complement_graph", lambda g: complement(complement_graph(filled[-1]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +236,31 @@ def test_translation_check_reads_every_row_block(spec, rows):
 
 @pytest.mark.parametrize("spec", _SWITCHED)
 def test_run_suite_fails_a_switched_adjacency(monkeypatch, spec):
-    def switched(spec, *args, **kwargs):
-        g = build_graph(spec, *args, **kwargs)
-        return g if spec.complemented else _two_switch(g)
-
-    monkeypatch.setattr(gpaley.oracles, "build_graph", switched)
+    _corrupt(monkeypatch, primal=_two_switch)
     failed = {c.name for c in run_suite(spec).failures()}
     assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
             "girth-primal"} <= failed
     assert "srg-counts-complement" not in failed
 
 
-def test_coset_decomposition_needs_an_invariant_complement(monkeypatch):
-    def switched(spec, *args, **kwargs):
-        g = build_graph(spec, *args, **kwargs)
-        return _two_switch(g) if spec.complemented else g
+@pytest.mark.parametrize("spec", _SWITCHED)
+def test_a_switched_primal_has_no_certified_complement(spec):
+    # the switch keeps row 0 of the complement, so only its own translation
+    # check can refuse it
+    with pytest.raises(InternalCheckError):
+        complement_graph(_two_switch(build_graph(spec)))
 
-    monkeypatch.setattr(gpaley.oracles, "build_graph", switched)
+
+@pytest.mark.parametrize("spec", _SWITCHED)
+def test_run_suite_fills_one_graph_per_spec(monkeypatch, spec):
+    # the complement is derived from the primal fill, not filled again
+    fill, fills = gpaley.graphs._fill, []
+    monkeypatch.setattr(gpaley.graphs, "_fill", lambda *args: fills.append(args) or fill(*args))
+    assert run_suite(spec).ok and len(fills) == 1
+
+
+def test_coset_decomposition_needs_an_invariant_complement(monkeypatch):
+    _corrupt(monkeypatch, complement=_two_switch)
     checks = {c.name: c for c in run_suite(GraphSpec(3, 1, 4, 1)).checks}
     assert checks["coset-decomposition"].observed == (True, False)
     assert checks["srg-counts-primal"].passed
@@ -474,11 +499,7 @@ def test_a_flipped_copy_counts_its_own_degrees():
 
 def test_run_suite_checks_reach_the_kernels(monkeypatch):
     # a primal graph with one edge dropped must fail every dense check on it
-    def corrupted(spec, *args, **kwargs):
-        g = build_graph(spec, *args, **kwargs)
-        return g if spec.complemented else _flip_edge(g)
-
-    monkeypatch.setattr(gpaley.oracles, "build_graph", corrupted)
+    _corrupt(monkeypatch, primal=_flip_edge)
     report = run_suite(GraphSpec(2, 1, 4, 1))
     failed = {c.name for c in report.failures()}
     assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
