@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import gpaley.cli
 from gpaley.cli import dispatch
-from gpaley.graphs import GraphSpec, build_graph
+from gpaley.graphs import GraphSpec, build_graph, enumerate_family
 from reference import read_bit_dump
 
 
@@ -399,3 +400,27 @@ def test_parser_is_built_once_across_calls(monkeypatch, capsys):
         assert gpaley.cli.build_parser() is not gpaley.cli.build_parser()
     finally:
         gpaley.cli._parser.cache_clear()
+
+
+# sha256 of repr([(argv, exit code, stdout, stderr)]) over the closed-form
+# verbs, primal and --complement, on every proper member with q^m < 2^16:
+# 45 members, among them the ell = m/2 members and (2,2,1)
+GOLDEN_CLOSED_FORM_DIGEST = "c31918b482b6c39e0e9036fb7a5bebad094dd6199418a88ae01e8989f5c4962a"
+
+
+def test_closed_form_verbs_are_byte_stable(capsys):
+    runs = []
+    for p, s in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        for m in range(2, 17):
+            if (p**s) ** m >= 2**16:
+                continue
+            for spec in enumerate_family(p, s, m):
+                for verb in ("spectrum", "srg", "trees", "zeta", "ramanujan"):
+                    for complement in ([], ["--complement"]):
+                        argv = [verb, "--p", str(p), "--s", str(s), "--m", str(m),
+                                "--ell", str(spec.ell), *complement]
+                        code = dispatch(argv)
+                        captured = capsys.readouterr()
+                        runs.append((argv, code, captured.out, captured.err))
+    assert len(runs) == 450
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == GOLDEN_CLOSED_FORM_DIGEST
