@@ -7,6 +7,7 @@ import contextlib
 import decimal
 import functools
 import math
+import numbers
 
 from .errors import BudgetExceeded, InternalCheckError
 
@@ -18,6 +19,17 @@ _FACTOR_BIT_LIMIT = 40
 # Integers up to this many bits (about 600 digits) have fewer digits than
 # any setting of sys.set_int_max_str_digits allows, so str() converts them.
 _STR_BITS = 2000
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as a Python int, refused with ValueError naming it unless
+    it is an integer, Python or numpy; a bool is refused too, though Python
+    counts it as one. A float such as 2.0 would pass every range check and
+    then leak into labels, orders and JSON, and a numpy integer would
+    overflow in powers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def is_prime(n: int) -> bool:

@@ -12,6 +12,7 @@ refuses a size.
 
 import os
 
+from .arith import require_int
 from .errors import BudgetExceeded
 
 DEFAULTS = {
@@ -26,11 +27,14 @@ _RAISABLE = ("table", "graph")
 
 
 def budget(kind: str, explicit: int | None = None) -> int:
-    """The size limit of ``kind`` (a key of ``DEFAULTS``). A
-    ``GPG_MAX_ORDER`` that is not an integer, or is negative, raises
-    ValueError."""
+    """The size limit of ``kind`` (a key of ``DEFAULTS``). An explicit
+    value or a ``GPG_MAX_ORDER`` that is not an integer, or is negative,
+    raises ValueError."""
     default = DEFAULTS[kind]
     if explicit is not None:
+        require_int(explicit, f"the {kind} budget")
+        if explicit < 0:
+            raise ValueError(f"the {kind} budget must be 0 or more, not {explicit}")
         return explicit
     raw = os.environ.get("GPG_MAX_ORDER")
     if not raw:

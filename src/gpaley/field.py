@@ -27,7 +27,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, require_int
 from .budgets import require
 from .errors import CompositeP, NotASubfield, ZeroElement
 
@@ -154,6 +154,8 @@ class FieldParams:
     m: int
 
     def __post_init__(self):
+        for name in ("p", "s", "m"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not is_prime(self.p):
             raise CompositeP(f"p = {self.p} is not prime")
         if self.s < 1 or self.m < 1:

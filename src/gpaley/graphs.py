@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import divisors, gcd_power, is_prime, v2
+from .arith import divisors, gcd_power, is_prime, require_int, v2
 from .budgets import require
 from .errors import (
     DirectedUnsupported,
@@ -44,6 +44,8 @@ class GraphSpec:
     complemented: bool = False
 
     def __post_init__(self):
+        for name in ("p", "s", "m", "ell"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.s < 1 or self.m < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .applications import is_ramanujan, verify_waring, waring_number
-from .arith import exact_div, int_to_str
+from .arith import exact_div, int_to_str, require_int
 from .budgets import budget, require
 from .errors import (
     DisconnectedComponentsFound,
@@ -90,6 +90,7 @@ def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
     translation invariant adjacency every diagonal entry of A^r equals
     A^r[0, 0] = <row 0 of A^a, row 0 of A^b> with a + b = r, summed in
     Python integers."""
+    require_int(r, "walk length r")
     if not 1 <= r <= 6:
         raise ValueError("supported walk lengths are 1..6")
     if r == 1:
@@ -301,7 +302,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     _side_checks(suite, "complement", gbar)
     _klapper_checks(suite, g)
     _waring_checks(suite, g, max_order)
-    _ramanujan_checks(suite, spec)
+    _ramanujan_checks(suite, g, gbar)
     _coset_checks(suite, g, gbar)
     _arc_transitivity_checks(suite, g)
     return suite.report
@@ -429,13 +430,34 @@ def _waring_checks(suite, g, max_order):
     )
 
 
-def _ramanujan_checks(suite, spec):
+def count_ramanujan(g: CayleyGraph) -> bool:
+    """Whether the counted srg (v, k, e, d) of ``count_srg_params`` has
+    max(|r|, |s|)^2 <= 4(k-1), with r, s the nontrivial eigenvalues: the
+    roots of x^2 - (e-d) x - (k-d) (Brouwer and Haemers, Spectra of Graphs,
+    9.1). A discriminant that is not a square has no integer roots and
+    raises."""
+    _, k, e, d = count_srg_params(g)
+    disc = (e - d) ** 2 + 4 * (k - d)
+    root = math.isqrt(disc)
+    if root * root != disc:
+        raise InternalCheckError(f"{g.spec.label()}: discriminant {disc} is not a square")
+    r, s = (e - d + root) // 2, (e - d - root) // 2
+    return max(abs(r), abs(s)) ** 2 <= 4 * (k - 1)
+
+
+def _ramanujan_checks(suite, g, gbar):
+    """``is_ramanujan`` of each connected side against the decision counted
+    on its graph. The primal graph of ell = m/2 is disconnected, and (2,2,1)
+    has no srg counts."""
+    spec = g.spec
     if not spec.is_half:
-        suite.run(
-            "ramanujan-double-path", lambda: True, lambda: is_ramanujan(spec) in (True, False)
-        )
+        suite.run("ramanujan-double-path", lambda: is_ramanujan(spec), lambda: count_ramanujan(g))
     if not spec.is_degenerate:
-        suite.run("ramanujan-complement", lambda: True, lambda: is_ramanujan(spec.complement()))
+        suite.run(
+            "ramanujan-complement",
+            lambda: is_ramanujan(gbar.spec),
+            lambda: count_ramanujan(gbar),
+        )
 
 
 def _coset_checks(suite, g, gbar):

@@ -2,6 +2,9 @@
 Latin-square classification and walk/tree counts for the family graphs and
 their complements.
 
+Each spectrum is stated once, for every proper member, ell = m/2
+included; a complement's is derived from its primal's.
+
 Everything here is exact arithmetic on the spec (q, m, ell): integers,
 and for the decimal text of a tree count, decimals with every rounding
 trapped. No field or adjacency matrix is ever materialized, so these
@@ -14,7 +17,7 @@ import decimal
 import math
 from dataclasses import dataclass
 
-from .arith import exact_decimal, exact_div, int_to_str, same_product
+from .arith import exact_decimal, exact_div, int_to_str, require_int, same_product
 from .errors import (
     DegenerateGraph,
     Disconnected,
@@ -32,7 +35,7 @@ def _require_proper(spec: GraphSpec) -> None:
 
 
 def _core_eigenvalues(spec: GraphSpec) -> tuple[int, int, int]:
-    """(k, upsilon, mu) of the primal graph, ell != m/2."""
+    """(k, upsilon, mu) of the primal graph; at ell = m/2, mu = k."""
     q, m, ell, eps = spec.q, spec.m, spec.ell, spec.eps
     k = exact_div(q**m - 1, q**ell + 1)
     ups = exact_div(eps * q ** (m // 2) - 1, q**ell + 1)
@@ -41,7 +44,7 @@ def _core_eigenvalues(spec: GraphSpec) -> tuple[int, int, int]:
 
 
 def _core_e_d(spec: GraphSpec) -> tuple[int, int]:
-    """(e, d) of the primal graph, ell != m/2:
+    """(e, d) of the primal graph:
 
       e = (q^m - eps q^(m/2+ell)(q^ell-1) - 3 q^ell - 2) / (q^ell+1)^2
       d = (q^m + eps q^(m/2)(q^ell-1) - q^ell) / (q^ell+1)^2"""
@@ -125,30 +128,24 @@ class SrgRecord:
 def spectrum(spec: GraphSpec) -> Spectrum:
     """Exact spectrum of a proper family graph or its complement.
 
-    Primal, ell != m/2: k = (q^m-1)/(q^ell+1) once,
+    Primal: the Gauss periods of a uniform cyclotomy (Baumert, Mills and
+    Ward, J. Number Theory 14, 1982), k = (q^m-1)/(q^ell+1) once,
     upsilon = (eps q^(m/2) - 1)/(q^ell+1) with multiplicity q^ell k,
     mu = (-eps q^(m/2+ell) - 1)/(q^ell+1) with multiplicity k,
-    where eps = (-1)^(m_ell/2). Complements swap to -1-upsilon / -1-mu with
-    the same multiplicity pairing. ell = m/2 degenerates to disjoint cliques
-    (complement: complete multipartite)."""
+    where eps = (-1)^(m_ell/2). At ell = m/2, mu = k merges with k: the
+    graph is q^(m/2) disjoint cliques. A complement has N-1-k once and
+    -1-lambda over the primal's nontrivial eigenvalues, the entries after
+    k's own (Brouwer and Haemers, Spectra of Graphs, 1.3.2)."""
     _require_proper(spec)
-    q, m, ell = spec.q, spec.m, spec.ell
-    N = spec.order
-    if spec.is_half:
-        root = q ** (m // 2)
-        if not spec.complemented:
-            pairs = [(root - 1, root), (-1, root * (root - 1))]
-        else:
-            pairs = [(root * (root - 1), 1), (0, root * (root - 1)), (-root, root - 1)]
-        return Spectrum(tuple(pairs))
     k, ups, mu = _core_eigenvalues(spec)
-    if not spec.complemented:
-        entries = [(k, 1), (ups, q**ell * k), (mu, k)]
-    else:
-        entries = [(q**ell * k, 1), (-1 - ups, q**ell * k), (-1 - mu, k)]
-    entries.sort(key=lambda t: -t[0])
-    sp = Spectrum(tuple(entries))
-    if sp.v != N:
+    entries = [(k, 1), (ups, spec.q**spec.ell * k), (mu, k)]
+    if spec.complemented:
+        entries = [(spec.order - 1 - k, 1)] + [(-1 - lam, mult) for lam, mult in entries[1:]]
+    mults: dict[int, int] = {}
+    for lam, mult in entries:
+        mults[lam] = mults.get(lam, 0) + mult
+    sp = Spectrum(tuple(sorted(mults.items(), reverse=True)))
+    if sp.v != spec.order:
         raise InternalCheckError("multiplicities do not sum to q^m")
     return sp
 
@@ -158,8 +155,6 @@ def eigenvalue_relations_check(spec: GraphSpec) -> list[str]:
     eigenvalues together; returns the list of falsified relation names
     (empty when everything holds)."""
     _require_proper(spec)
-    if spec.is_half:
-        raise Disconnected("relations are for connected members (ell != m/2)")
     q, ell, eps = spec.q, spec.ell, spec.eps
     k, ups, mu = _core_eigenvalues(spec)
     kbar, upsbar, mubar = q**ell * k, -1 - ups, -1 - mu
@@ -186,9 +181,9 @@ def srg_params(spec: GraphSpec) -> SrgRecord:
 
     (v, k) and the nontrivial eigenvalues r > s are read off the spectrum,
     and e = k + r + s + rs, d = k + rs (Brouwer and Haemers, Spectra of
-    Graphs, 9.1). Off ell = m/2 that pair is held to the stated form: e and
-    d as in ``_core_e_d`` for the primal graph, and ebar = v-2-2k+d,
-    dbar = v-2k+e from the primal's k, e, d for the complement. The (2,2,1)
+    Graphs, 9.1), and held to the stated form: e and d as in ``_core_e_d``
+    for the primal graph, and ebar = v-2-2k+d, dbar = v-2k+e from the
+    primal's k, e, d for the complement, ell = m/2 included. The (2,2,1)
     tuple (4,1,0,0) is rejected as meaningless."""
     sp = spectrum(spec)
     if spec.is_degenerate and not spec.complemented:
@@ -196,13 +191,12 @@ def srg_params(spec: GraphSpec) -> SrgRecord:
     v, k = sp.v, sp.k
     r, s = sp.nontrivial()[0][0], sp.smallest()
     e, d = k + r + s + r * s, k + r * s
-    if not spec.is_half:
-        e0, d0 = _core_e_d(spec)
-        if spec.complemented:
-            k0 = _core_eigenvalues(spec)[0]
-            e0, d0 = v - 2 - 2 * k0 + d0, v - 2 * k0 + e0
-        if (e, d) != (e0, d0):
-            raise InternalCheckError("srg (e, d) from the spectrum disagree with the stated form")
+    e0, d0 = _core_e_d(spec)
+    if spec.complemented:
+        k0 = _core_eigenvalues(spec)[0]
+        e0, d0 = v - 2 - 2 * k0 + d0, v - 2 * k0 + e0
+    if (e, d) != (e0, d0):
+        raise InternalCheckError("srg (e, d) from the spectrum disagree with the stated form")
     if (v - k - 1) * d != k * (k - e - 1):
         raise InternalCheckError("srg identity (v-k-1)d = k(k-e-1) violated")
     conference = 2 * k + (v - 1) * (e - d) == 0
@@ -223,19 +217,15 @@ def srg_params(spec: GraphSpec) -> SrgRecord:
 def intersection_array(spec: GraphSpec) -> IntersectionArray:
     """Distance-regular intersection array {b0, b1; c1, c2}.
 
-    Primal: {k, k-e-1; 1, d} with k-e-1 = q^ell * d. Complement:
-    {kbar, kbar-ebar-1; 1, dbar}, i.e. {q^ell k, k-d; 1, v-2k+e}."""
+    Primal: {k, k-e-1; 1, d}, held to k-e-1 = q^ell * d. Complement:
+    {kbar, kbar-ebar-1; 1, dbar}, i.e. {q^ell k, k-d; 1, v-2k+e} by the
+    complement rule that ``srg_params`` holds."""
     if spec.is_half and not spec.complemented:
         raise Disconnected("ell = m/2 graphs are disconnected")
     rec = srg_params(spec)
     arr = IntersectionArray(rec.k, rec.k - rec.e - 1, 1, rec.d)
-    if not spec.is_half:
-        prim = srg_params(GraphSpec(spec.p, spec.s, spec.m, spec.ell))
-        if spec.complemented:
-            if arr.b1 != prim.k - prim.d:
-                raise InternalCheckError("complement b1 != k - d")
-        elif arr.b1 != spec.q**spec.ell * prim.d:
-            raise InternalCheckError("primal b1 != q^ell * d")
+    if not spec.complemented and arr.b1 != spec.q**spec.ell * rec.d:
+        raise InternalCheckError("primal b1 != q^ell * d")
     return arr
 
 
@@ -251,8 +241,6 @@ def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
         return None
     k, ups, mu = _core_eigenvalues(spec)
     s, u = ups, mu - ups
-    if k != -s * (u - 1):
-        raise InternalCheckError("Latin-square degree check failed")
     e, d = _core_e_d(spec)
     if (u * u, -s * (u - 1), s * s + 3 * s + u, s * (s + 1)) != (spec.order, k, e, d):
         raise InternalCheckError("PL parameter tuple mismatch")
@@ -262,6 +250,7 @@ def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
 def closed_walks(spec: GraphSpec, r: int) -> int:
     """Number of closed r-walks: the r-th spectral moment. Always divisible
     by the regularity degree (the graphs are walk-regular)."""
+    require_int(r, "walk length r")
     if r < 1:
         raise ValueError("walk length must be positive")
     sp = spectrum(spec)
@@ -274,26 +263,24 @@ def closed_walks(spec: GraphSpec, r: int) -> int:
 def _tree_count(spec: GraphSpec, one):
     """The spanning-tree count as a number of the type of ``one``: the
     product of (k - lambda)^mult over nontrivial eigenvalues, divided
-    exactly by the vertex count v. Zero for the disconnected ell = m/2
-    primal graphs. For connected non-half members the hand product form
-    times v must equal the spectrum product; ``arith.same_product`` decides
-    that on exponents over a coprime basis, so the count is evaluated once."""
-    if spec.is_half and not spec.complemented:
-        return 0 * one
+    exactly by the vertex count v (zero on the disconnected ell = m/2
+    primal graphs). The hand product form times v must equal the spectrum
+    product; ``arith.same_product`` decides that on exponents over a
+    coprime basis, so the count is evaluated once."""
     sp = spectrum(spec)
     laplacian = tuple((sp.k - lam, mult) for lam, mult in sp.nontrivial())
-    if not spec.is_half and not same_product(laplacian, _hand_tree_factors(spec) + ((sp.v, 1),)):
+    if not same_product(laplacian, _hand_tree_factors(spec) + ((sp.v, 1),)):
         raise InternalCheckError("tree-count product form disagrees with spectrum form")
     return exact_div(_power_product(one, laplacian), sp.v)
 
 
 def _hand_tree_factors(spec: GraphSpec) -> tuple[tuple[int, int], ...]:
     """(base, exponent) pairs of the hand product form of the tree count of
-    a connected non-half member,
+    a proper member,
 
         q^((m/2)(q^m-3)) * upsilon^(q^ell k) * ((q^(m/2)+eps q^ell)/(q^ell+1))^k
 
-    and of its complement,
+    whose last base is 0 at ell = m/2, and of its complement,
 
         q^(ell k - m + (m/2) q^ell k) * mu^(q^ell k) * (k - upsilon)^k."""
     q, m, ell, eps = spec.q, spec.m, spec.ell, spec.eps
@@ -308,8 +295,10 @@ def _power_product(one, factors):
     """The product of base^exp over the (base, exp) pairs, each base lifted
     to the type of ``one``, with one large power: with g the gcd of the
     exponents, prod base^(exp/g) is formed and raised to g. Over the
-    Laplacian spectrum g is k off ell = m/2 and q^(m/2) - 1 for the half
-    complement, so the inner product stays small."""
+    Laplacian spectrum g is the primal degree k, so the inner product stays
+    small, and a zero base gives 0 at once."""
+    if any(base == 0 for base, _ in factors):
+        return 0 * one
     g = math.gcd(*(exp for _, exp in factors))
     inner = one
     for base, exp in factors:

@@ -606,8 +606,7 @@ def test_criterion_9_property_suites():
                     if (sp_.q, sp_.m, sp_.ell, sp_.complemented) != (2, 2, 1, False):
                         rec = srg_params(sp_)
                         assert (rec.v - rec.k - 1) * rec.d == rec.k * (rec.k - rec.e - 1)
-                if not spec.is_half:
-                    assert eigenvalue_relations_check(spec) == []
+                assert eigenvalue_relations_check(spec) == []
                 checked += 1
             for a in fam:
                 for b in fam:

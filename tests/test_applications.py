@@ -278,7 +278,8 @@ def test_zeta_sanity_invariants():
         sp_k = z.factors[0][0]
         edges = n * sp_k // 2
         assert z.square_factor_exponent == edges - n
-        assert z.total_degree() == 2 * edges
+        # the reciprocal zeta has degree 2(E - n) + 2 * sum of the exponents = 2E
+        assert 2 * z.square_factor_exponent + 2 * sum(e for _, e in z.factors) == 2 * edges
         # u = 0 plugs to 1 in every factor by construction
         payload = zeta_json(z)
         assert payload["square_exp"] == str(edges - n)

@@ -71,6 +71,20 @@ def test_negative_environment_is_named(monkeypatch, capsys):
     assert "GPG_MAX_ORDER='-1' is negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "explicit, message",
+    [(2.5, "must be an integer, not 2.5"), (True, "must be an integer, not True"),
+     (-3, "must be 0 or more, not -3")],
+)
+def test_an_explicit_budget_that_is_not_a_size_is_refused(explicit, message):
+    # as GPG_MAX_ORDER is: 2.5 used to be a limit, and -3 refused every size
+    for kind in DEFAULTS:
+        with pytest.raises(ValueError, match=f"^the {kind} budget {message}$"):
+            require(kind, 16, explicit)
+    with pytest.raises(ValueError):
+        build_graph(GraphSpec(2, 1, 4, 1), max_order=-3)
+
+
 def test_explicit_zero_refuses_every_size():
     # every entry that takes max_order refuses the smallest size at 0
     with pytest.raises(BudgetExceeded):

@@ -52,6 +52,21 @@ def test_composite_p_rejected():
         FieldParams(6, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "args, name, bad",
+    [((2, True, 4), "s", "True"), ((3, 1, 2.0), "m", "2.0"), ((2.0, 1, 4), "p", "2.0"),
+     ((4.0, 1, 2), "p", "4.0")],
+)
+def test_field_params_refuse_a_parameter_that_is_not_an_integer(args, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(bad)}$"):
+        FieldParams(*args)
+
+
+def test_field_params_take_numpy_integers():
+    params = FieldParams(np.int64(3), np.int32(1), np.int64(2))
+    assert params == FieldParams(3, 1, 2) and type(params.m) is int
+
+
 def test_budget():
     with pytest.raises(BudgetExceeded):
         get_field(2, 1, 30)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gpaley.graphs import (
     normalize,
     write_bit_dump,
 )
+from gpaley.spectra import record_json
 from reference import digit_add, digit_neg, permutation_preserves_edges, read_bit_dump
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -314,6 +316,28 @@ def test_enumerate_family_examples():
     assert [s.ell for s in enumerate_family(2, 1, 30)] == [1, 3, 5, 15]
     assert enumerate_family(5, 1, 7) == []
     assert [s.ell for s in enumerate_family(2, 1, 2)] == [1]
+
+
+@pytest.mark.parametrize(
+    "args, name, bad",
+    [((2.0, 1, 4, 1), "p", "2.0"), ((2, 1.0, 4, 1), "s", "1.0"), ((2, 1, 4.0, 1), "m", "4.0"),
+     ((2, 1, 4, True), "ell", "True"), ((2, True, 4, 1), "s", "True"),
+     ((2, 1, 4, np.float64(1)), "ell", repr(np.float64(1)))],
+)
+def test_spec_refuses_a_parameter_that_is_not_an_integer(args, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(bad)}$"):
+        GraphSpec(*args)
+
+
+def test_spec_takes_python_and_numpy_integers():
+    # numpy integers are stored as Python ints: the record used to fail on
+    # np.int64 eigenvalues, and q^m to wrap around past int64
+    spec = GraphSpec(np.int64(2), np.int32(1), np.int64(4), np.uint8(1))
+    assert spec == GraphSpec(2, 1, 4, 1) and spec.label() == "Gamma_{2,4}(1)"
+    assert record_json(spec) == record_json(GraphSpec(2, 1, 4, 1))
+    assert GraphSpec(np.int64(2), 1, np.int64(70), 1).order == 2**70
+    with pytest.raises(ValueError, match="^p = 4 is not prime$"):
+        GraphSpec(4, 1, 2, 1)
 
 
 def test_spec_tags():

@@ -25,6 +25,7 @@ from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph, comple
 from gpaley.oracles import (
     bfs_eccentricity,
     count_eigenvalues,
+    count_ramanujan,
     count_srg_params,
     count_trees_bruteforce,
     count_walks_bruteforce,
@@ -137,6 +138,48 @@ def test_walk_counts_detect_corruption():
     g = build_graph(GraphSpec(2, 1, 4, 1, True))
     with pytest.raises(InternalCheckError):
         count_walks_bruteforce(_flip_edge(g), 2)
+
+
+@pytest.mark.parametrize("r", [2.0, True, 2.5])
+def test_walk_counts_refuse_a_length_that_is_not_an_integer(r):
+    # True used to count the closed 1-walks
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    with pytest.raises(ValueError, match=f"^walk length r must be an integer, not {r}$"):
+        count_walks_bruteforce(g, r)
+
+
+def test_counted_ramanujan_decisions():
+    # 3^2 <= 4*4 on Gamma_{2,4}(1); 21^2 > 4*103 on Gamma_{5,4}(1), whose
+    # nontrivial eigenvalues are 4 and -21 with degree 104
+    for spec, decision in [(GraphSpec(2, 1, 4, 1), True), (GraphSpec(5, 1, 4, 1), False)]:
+        g = build_graph(spec)
+        assert count_ramanujan(g) is decision
+        assert count_ramanujan(complement_graph(g)) is True
+
+
+def test_counted_ramanujan_refuses_a_discriminant_that_is_not_a_square(monkeypatch):
+    # (e - d)^2 + 4(k - d) = 1 + 16 = 17: the counted tuple has no integer eigenvalues
+    monkeypatch.setattr(gpaley.oracles, "count_srg_params", lambda g: (16, 5, 0, 1))
+    with pytest.raises(InternalCheckError, match="discriminant 17 is not a square"):
+        count_ramanujan(build_graph(GraphSpec(2, 1, 4, 1)))
+
+
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(5, 1, 4, 1), GraphSpec(2, 1, 4, 2)], ids=GraphSpec.label
+)
+def test_a_negated_ramanujan_classification_fails_its_counted_checks(monkeypatch, spec):
+    # each Ramanujan check holds is_ramanujan to the decision counted on its
+    # graph: negated, both fail, and the counted side still reads the truth
+    real = gpaley.oracles.is_ramanujan
+    monkeypatch.setattr(gpaley.oracles, "is_ramanujan", lambda s: not real(s))
+    report = run_suite(spec)
+    sides = {"ramanujan-complement": spec.complement()}
+    if not spec.is_half:  # the primal graph of ell = m/2 is disconnected
+        sides["ramanujan-double-path"] = spec
+    assert {c.name for c in report.failures()} == sides.keys()
+    for check in report.failures():
+        truth = real(sides[check.name])
+        assert (check.expected, check.observed) == (not truth, truth)
 
 
 _SWITCHED = [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)]

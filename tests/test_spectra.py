@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 import gpaley.spectra
-from gpaley.arith import int_to_str
+from gpaley.arith import int_to_str, is_prime
 from gpaley.applications import ihara_zeta, is_ramanujan, waring_number
 from gpaley.errors import (
     DegenerateGraph,
@@ -71,10 +71,27 @@ def test_half_case_spectra():
     assert spc.pairs == ((6, 1), (0, 6), (-3, 2))
 
 
+def test_half_case_spectra_are_disjoint_cliques_and_complete_multipartite():
+    # at ell = m/2 the Gauss-period formula and the complement rule give
+    # u = q^(m/2) disjoint K_u and the complete u-partite graph K_{u x u}
+    half = [
+        GraphSpec(p, s, 2 * t, t)
+        for p in range(2, 2**10 + 1)
+        if is_prime(p)
+        for s in range(1, 11)
+        for t in range(1, 11)
+        if p ** (s * t) <= 2**10
+    ]
+    assert len(half) == 236 and all(spec.is_half for spec in half)
+    for spec in half:
+        u = spec.q ** spec.ell
+        assert spectrum(spec).pairs == ((u - 1, u), (-1, u * (u - 1)))
+        assert spectrum(spec.complement()).pairs == ((u * (u - 1), 1), (0, u * (u - 1)), (-u, u - 1))
+
+
 def test_eigenvalue_relations():
     for spec in _family_specs(16):
-        if not spec.is_half:
-            assert eigenvalue_relations_check(spec) == []
+        assert eigenvalue_relations_check(spec) == []
 
 
 def test_relations_worked_values():
@@ -194,10 +211,12 @@ def test_srg_params_are_held_to_the_stated_form(monkeypatch):
         return e + 1, d
 
     monkeypatch.setattr(gpaley.spectra, "_core_e_d", shifted)
-    specs = [spec for spec in _family_specs(12, max_order=2**12) if not spec.is_half]
-    assert len(specs) == 15
+    specs = list(_family_specs(12, max_order=2**12))
+    assert len(specs) == 34  # 19 of them with ell = m/2
     for spec in specs:
-        for s in (spec, spec.complement()):
+        # the (2,2,1) primal has no srg parameters to hold
+        sides = [spec.complement()] if spec.is_degenerate else [spec, spec.complement()]
+        for s in sides:
             with pytest.raises(InternalCheckError):
                 srg_params(s)
 
@@ -320,6 +339,13 @@ def test_walk_examples():
         assert closed_walks(spec, 2) == spec.order * spectrum(spec).k
 
 
+@pytest.mark.parametrize("r", [2.0, True, 2.5])
+def test_walk_length_must_be_an_integer(r):
+    # 2.0 used to give the float 80.0 and True the r = 1 count 0
+    with pytest.raises(ValueError, match=f"^walk length r must be an integer, not {r}$"):
+        closed_walks(GraphSpec(2, 1, 4, 1), r)
+
+
 def test_walk_divisibility():
     for spec in _family_specs(12, max_order=1 << 24):
         for s in (spec, spec.complement()):
@@ -332,6 +358,9 @@ def test_tree_examples():
     assert spanning_trees(GraphSpec(2, 1, 4, 1)) == 2**31
     assert spanning_trees(GraphSpec(2, 1, 4, 1, True)) == 2**31 * 3**10
     assert spanning_trees(GraphSpec(2, 1, 4, 2)) == 0
+    # 2^30 disjoint cliques: zero without forming a power of 2^30 factors
+    assert spanning_trees(GraphSpec(2, 1, 60, 30)) == 0
+    assert tree_count_text(GraphSpec(2, 1, 60, 30)) == "0"
     assert spanning_trees(GraphSpec(2, 1, 4, 2, True)) == 4**4 * 12**12
     # spectrum-product and hand product forms agree internally; call a few more
     for spec in (GraphSpec(3, 1, 4, 1), GraphSpec(3, 1, 6, 1), GraphSpec(2, 1, 8, 2)):
@@ -364,16 +393,19 @@ def _split_first_factor(factors):
 def test_tree_count_is_held_to_the_hand_product_form(monkeypatch):
     # both routes hold the hand product form to the spectrum product and
     # must refuse a count that disagrees with it: one with an extra factor
-    # 2, and one with the exponents of its last two factors swapped
+    # 2, and one with the exponents of its last two factors swapped. On an
+    # ell = m/2 primal graph the hand form has a zero base, so a corrupted
+    # form is still zero and equal to the count; its complement is held
     stated = gpaley.spectra._hand_tree_factors
-    specs = [spec for spec in _family_specs(12, max_order=2**12) if not spec.is_half]
-    assert len(specs) == 15
+    specs = list(_family_specs(12, max_order=2**12))
+    assert len(specs) == 34
     for corrupt in (lambda f: f + ((2, 1),), _swap_last_exponents):
         monkeypatch.setattr(
             gpaley.spectra, "_hand_tree_factors", lambda spec: corrupt(stated(spec))
         )
         for spec in specs:
-            for s in (spec, spec.complement()):
+            sides = [spec.complement()] if spec.is_half else [spec, spec.complement()]
+            for s in sides:
                 with pytest.raises(InternalCheckError, match="product form"):
                     spanning_trees(s)
                 with pytest.raises(InternalCheckError, match="product form"):
@@ -423,8 +455,6 @@ def test_each_tree_count_is_one_power_product(monkeypatch):
     monkeypatch.setattr(gpaley.spectra, "_power_product", counted)
     for spec in (GraphSpec(3, 1, 4, 1), GraphSpec(2, 1, 8, 2), GraphSpec(3, 1, 4, 2)):
         for s in (spec, spec.complement()):
-            if s.is_half and not s.complemented:
-                continue
             calls.clear()
             spanning_trees(s)
             assert calls == [int]
