@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import int_to_str
+from .arith import int_to_str, require_int
 from .budgets import budget
 from .errors import (
     DegenerateGraph,
@@ -16,7 +16,7 @@ from .errors import (
 )
 from .field import FieldTable, get_field
 from .graphs import GraphSpec, connection_set
-from .spectra import Spectrum, SrgRecord, ramanujan_by_inequality, spectrum, srg_params
+from .spectra import Spectrum, SrgRecord, spectrum, srg_params
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,15 @@ def verify_waring(cert: WaringCertificate, field: FieldTable) -> bool:
 def is_ramanujan(spec: GraphSpec) -> bool:
     """Ramanujan certification, computed twice and compared.
 
-    Path one is the exact squared comparison max|lambda|^2 <= 4(k-1). Path
-    two is the closed classification: after rewriting in the canonical
-    power-1 presentation (q, m, ell) -> (q^ell, m/ell, 1), primal members
-    are Ramanujan exactly for base in {2, 3, 4} (the degree is then
-    automatically >= 4); complements are always Ramanujan. The two paths
-    disagreeing is a fatal error."""
-    by_gap = ramanujan_by_inequality(spec)
+    Path one is ``Spectrum.ramanujan``, the exact squared comparison
+    max|lambda|^2 <= 4(k-1). Path two is the closed classification: after
+    rewriting in the canonical power-1 presentation (q, m, ell) ->
+    (q^ell, m/ell, 1), primal members are Ramanujan exactly for base in
+    {2, 3, 4} (the degree is then automatically >= 4); complements are
+    always Ramanujan. The two paths disagreeing is a fatal error."""
+    if not spec.connected:
+        raise Disconnected("Ramanujan condition needs a connected graph")
+    by_gap = spectrum(spec).ramanujan()
     if spec.complemented:
         if not by_gap:
             raise InternalCheckError(f"complement {spec.label()} failed the gap bound")
@@ -155,6 +157,8 @@ def family_table(q: int, t_max: int) -> list[tuple[GraphSpec, SrgRecord, Spectru
     over F_2, F_3, F_4: primal and complement of (q, 2t, 1) for t = 2..t_max.
     Each srg tuple is re-derived from the t-parameterized family formulas
     and compared; a mismatch is fatal."""
+    require_int(q, "q")
+    require_int(t_max, "t_max")
     if q not in (2, 3, 4):
         raise NotInFamily("the infinite Ramanujan families live over F_2, F_3, F_4")
     p, s = (2, 1) if q == 2 else ((3, 1) if q == 3 else (2, 2))
@@ -200,7 +204,7 @@ def ihara_zeta(spec: GraphSpec) -> ZetaFactorization:
     member with ell != m/2, every complement except the (2,2,1) square."""
     if spec.is_degenerate:
         raise DegenerateGraph("(2,2,1) and its 4-cycle complement are excluded")
-    if spec.is_half and not spec.complemented:
+    if not spec.connected:
         raise Disconnected("Ihara zeta here targets connected graphs")
     sp = spectrum(spec)
     n, k = sp.v, sp.k

@@ -371,6 +371,7 @@ class FieldTable:
 
     def _require_subfield(self, t: int) -> None:
         """Subfields of F_{p^n} have the degrees t >= 1 that divide n."""
+        require_int(t, "subfield degree")
         if t < 1 or self.n % t:
             raise NotASubfield(f"degree {t} does not divide {self.n}")
 
@@ -399,6 +400,8 @@ def _find_primitive(modulus: list[int], params: FieldParams) -> int:
 def trace(fld: FieldTable, x: int, from_degree: int, to_degree: int) -> int:
     """Relative trace sum_{i<r} x^(p^(t*i)) with r = from/to (degrees over
     the prime field). x must lie in the subfield of size p^from."""
+    require_int(from_degree, "from_degree")
+    require_int(to_degree, "to_degree")
     if min(to_degree, from_degree) < 1 or from_degree % to_degree or fld.n % from_degree:
         raise NotASubfield(
             f"need to | from | n, got to={to_degree}, from={from_degree}, n={fld.n}"

@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .arith import require_int
 from .errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
 from .field import FieldTable, trace
 
@@ -43,6 +44,8 @@ class TraceForm:
     ell: int
 
     def __post_init__(self):
+        for name in ("gamma", "ell"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.gamma == 0:
             raise ZeroElement("gamma must be nonzero")
         if not 0 < self.gamma < self.field.order:

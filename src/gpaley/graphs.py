@@ -82,6 +82,12 @@ class GraphSpec:
         return self.is_proper and 2 * self.ell == self.m
 
     @property
+    def connected(self) -> bool:
+        """False only for the ell = m/2 primal graph, which is q^(m/2)
+        disjoint cliques; its complement is complete multipartite."""
+        return self.complemented or not self.is_half
+
+    @property
     def is_degenerate(self) -> bool:
         """The (2, 2, 1) member: two disjoint edges, whose complement is the
         4-cycle."""

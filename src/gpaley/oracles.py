@@ -342,7 +342,7 @@ def _side_checks(suite, side, graph):
         suite.run(
             f"trees-{side}", lambda: spanning_trees(spec), lambda: count_trees_bruteforce(graph)
         )
-    if spec.is_half and not spec.complemented:
+    if not spec.connected:
         root = spec.q ** (spec.m // 2)
 
         def components():
@@ -450,7 +450,7 @@ def _ramanujan_checks(suite, g, gbar):
     on its graph. The primal graph of ell = m/2 is disconnected, and (2,2,1)
     has no srg counts."""
     spec = g.spec
-    if not spec.is_half:
+    if spec.connected:
         suite.run("ramanujan-double-path", lambda: is_ramanujan(spec), lambda: count_ramanujan(g))
     if not spec.is_degenerate:
         suite.run(

@@ -78,7 +78,12 @@ class Spectrum:
         return self.pairs[0][0]
 
     def moment(self, r: int) -> int:
-        return sum(mult * lam**r for lam, mult in self.pairs)
+        """sum mult * lambda^r: v at r = 0, and for r >= 1 the closed r-walks,
+        held to divisibility by k (the graphs are walk-regular)."""
+        w = sum(mult * lam**r for lam, mult in self.pairs)
+        if r >= 1 and w % self.k:
+            raise InternalCheckError("walk count not divisible by the degree")
+        return w
 
     def smallest(self) -> int:
         return self.pairs[-1][0]
@@ -91,16 +96,11 @@ class Spectrum:
             out.insert(0, (top, mult - 1))
         return tuple(out)
 
-
-@dataclass(frozen=True)
-class IntersectionArray:
-    b0: int
-    b1: int
-    c1: int
-    c2: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.b0, self.b1, self.c1, self.c2)
+    def ramanujan(self) -> bool:
+        """lambda(G) <= 2 sqrt(k-1), decided by the exact squared comparison
+        max|lambda|^2 <= 4(k-1) over the nontrivial eigenvalues."""
+        lam = max(abs(l) for l, _ in self.nontrivial())
+        return lam * lam <= 4 * (self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -150,32 +150,6 @@ def spectrum(spec: GraphSpec) -> Spectrum:
     return sp
 
 
-def eigenvalue_relations_check(spec: GraphSpec) -> list[str]:
-    """Re-derive the arithmetic identities tying the primal and complement
-    eigenvalues together; returns the list of falsified relation names
-    (empty when everything holds)."""
-    _require_proper(spec)
-    q, ell, eps = spec.q, spec.ell, spec.eps
-    k, ups, mu = _core_eigenvalues(spec)
-    kbar, upsbar, mubar = q**ell * k, -1 - ups, -1 - mu
-    failures = []
-    if k != (eps * q ** (spec.m // 2) + 1) * ups:
-        failures.append("k = (eps*q^(m/2)+1)*upsilon")
-    if -(q**ell) * ups != mu + 1:
-        failures.append("-q^ell*upsilon = mu+1")
-    if math.gcd(abs(ups), abs(mu)) != 1:
-        failures.append("gcd(upsilon, mu) = 1")
-    if kbar != q**ell * k:
-        failures.append("kbar = q^ell*k")
-    if mubar != q**ell * ups:
-        failures.append("mubar = q^ell*upsilon")
-    if (upsbar + 1) * q**ell != mu + 1:
-        failures.append("upsbar+1 = (mu+1)/q^ell")
-    if ups + upsbar != -1 or mu + mubar != -1:
-        failures.append("complement involution lambda + lambdabar = -1")
-    return failures
-
-
 def srg_params(spec: GraphSpec) -> SrgRecord:
     """Strongly-regular parameters (v, k, e, d) plus derived flags.
 
@@ -200,33 +174,32 @@ def srg_params(spec: GraphSpec) -> SrgRecord:
     if (v - k - 1) * d != k * (k - e - 1):
         raise InternalCheckError("srg identity (v-k-1)d = k(k-e-1) violated")
     conference = 2 * k + (v - 1) * (e - d) == 0
-    primitive = not spec.is_half
-    connected = spec.complemented or not spec.is_half
     return SrgRecord(
         v=v,
         k=k,
         e=e,
         d=d,
-        primitive=primitive,
+        primitive=not spec.is_half,
         conference=conference,
         latin_square=latin_square_class(spec),
-        ramanujan=ramanujan_by_inequality(spec) if connected else False,
+        ramanujan=spec.connected and sp.ramanujan(),
     )
 
 
-def intersection_array(spec: GraphSpec) -> IntersectionArray:
-    """Distance-regular intersection array {b0, b1; c1, c2}.
+def intersection_array(spec: GraphSpec) -> tuple[int, int, int, int]:
+    """Distance-regular intersection array {b0, b1; c1, c2} as the tuple
+    (b0, b1, c1, c2).
 
     Primal: {k, k-e-1; 1, d}, held to k-e-1 = q^ell * d. Complement:
     {kbar, kbar-ebar-1; 1, dbar}, i.e. {q^ell k, k-d; 1, v-2k+e} by the
     complement rule that ``srg_params`` holds."""
-    if spec.is_half and not spec.complemented:
+    if not spec.connected:
         raise Disconnected("ell = m/2 graphs are disconnected")
     rec = srg_params(spec)
-    arr = IntersectionArray(rec.k, rec.k - rec.e - 1, 1, rec.d)
-    if not spec.complemented and arr.b1 != spec.q**spec.ell * rec.d:
+    b1 = rec.k - rec.e - 1
+    if not spec.complemented and b1 != spec.q**spec.ell * rec.d:
         raise InternalCheckError("primal b1 != q^ell * d")
-    return arr
+    return (rec.k, b1, 1, rec.d)
 
 
 def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
@@ -235,9 +208,7 @@ def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
     When m_ell/2 is odd the graph has the PL parameter shape with
     s = upsilon and u = mu - upsilon (= q^(m/2)): the srg tuple equals
     (u^2, -s(u-1), s^2+3s+u, s(s+1)). Returns (s, u), else None."""
-    if spec.complemented or not spec.is_proper or spec.is_half:
-        return None
-    if spec.eps == 1:
+    if spec.complemented or not spec.is_proper or not spec.connected or spec.eps == 1:
         return None
     k, ups, mu = _core_eigenvalues(spec)
     s, u = ups, mu - ups
@@ -248,16 +219,12 @@ def latin_square_class(spec: GraphSpec) -> tuple[int, int] | None:
 
 
 def closed_walks(spec: GraphSpec, r: int) -> int:
-    """Number of closed r-walks: the r-th spectral moment. Always divisible
-    by the regularity degree (the graphs are walk-regular)."""
+    """Number of closed r-walks: the r-th spectral moment, which
+    ``Spectrum.moment`` holds to divisibility by the degree."""
     require_int(r, "walk length r")
     if r < 1:
         raise ValueError("walk length must be positive")
-    sp = spectrum(spec)
-    w = sp.moment(r)
-    if w % sp.k:
-        raise InternalCheckError("walk count not divisible by the degree")
-    return w
+    return spectrum(spec).moment(r)
 
 
 def _tree_count(spec: GraphSpec, one):
@@ -325,16 +292,6 @@ def tree_count_text(spec: GraphSpec) -> str:
         return str(_tree_count(spec, decimal.Decimal(1)))
 
 
-def ramanujan_by_inequality(spec: GraphSpec) -> bool:
-    """lambda(G) <= 2 sqrt(k-1), decided by the exact squared comparison
-    max(|lambda|)^2 <= 4(k-1) over nontrivial eigenvalues."""
-    if spec.is_half and not spec.complemented:
-        raise Disconnected("Ramanujan condition needs a connected graph")
-    sp = spectrum(spec)
-    lam = max(abs(l) for l, _ in sp.nontrivial())
-    return lam * lam <= 4 * (sp.k - 1)
-
-
 def record_json(spec: GraphSpec) -> dict:
     """The stable JSON record for a spec: spectrum, srg tuple, intersection
     array, flags, triangle walks and tree count (big integers as decimal
@@ -357,9 +314,9 @@ def record_json(spec: GraphSpec) -> dict:
         out["srg"] = None
         out["flags"] = None
     try:
-        out["array"] = [int_to_str(x) for x in intersection_array(spec).as_tuple()]
+        out["array"] = [int_to_str(x) for x in intersection_array(spec)]
     except (Disconnected, DegenerateGraph):
         out["array"] = None
-    out["walks"] = {str(r): int_to_str(closed_walks(spec, r)) for r in range(2, 7)}
+    out["walks"] = {str(r): int_to_str(sp.moment(r)) for r in range(2, 7)}
     out["trees"] = tree_count_text(spec)
     return out

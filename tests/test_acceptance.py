@@ -46,7 +46,6 @@ from gpaley.oracles import (
 )
 from gpaley.spectra import (
     closed_walks,
-    eigenvalue_relations_check,
     intersection_array,
     spanning_trees,
     spectrum,
@@ -303,9 +302,8 @@ def _worked_rows():
     for (ell, comp) in [(1, False), (3, False), (1, True), (3, True)]:
         spec = GraphSpec(2, 1, 12, ell, comp)
         rec = srg_params(spec)
-        arr = intersection_array(spec)
         eigs = {lam for lam, _ in spectrum(spec).pairs}
-        yield (ell, comp), rec.params(), arr.as_tuple(), eigs
+        yield (ell, comp), rec.params(), intersection_array(spec), eigs
 
 
 def test_criterion_2_worked_example_consistent():
@@ -606,7 +604,6 @@ def test_criterion_9_property_suites():
                     if (sp_.q, sp_.m, sp_.ell, sp_.complemented) != (2, 2, 1, False):
                         rec = srg_params(sp_)
                         assert (rec.v - rec.k - 1) * rec.d == rec.k * (rec.k - rec.e - 1)
-                assert eigenvalue_relations_check(spec) == []
                 checked += 1
             for a in fam:
                 for b in fam:

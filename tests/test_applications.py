@@ -218,6 +218,15 @@ def test_family_table_rejects_other_bases():
         family_table(5, 3)
 
 
+@pytest.mark.parametrize(
+    "q, t_max, name, bad", [(2, True, "t_max", "True"), (2, 4.0, "t_max", "4.0"), (3.0, 4, "q", "3.0")]
+)
+def test_family_table_refuses_a_parameter_that_is_not_an_integer(q, t_max, name, bad):
+    # t_max = True used to give no rows, and q = 3.0 passed as q = 3
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {bad}$"):
+        family_table(q, t_max)
+
+
 # ---------------------------------------------------------------------------
 # Ihara zeta
 # ---------------------------------------------------------------------------

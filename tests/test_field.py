@@ -243,6 +243,27 @@ def test_scalar_ops_take_python_and_numpy_integers(params):
         f.add(2.5, 1)
 
 
+@pytest.mark.parametrize("t", [True, 2.0])
+def test_subfield_degree_must_be_an_integer(t):
+    # True acted as degree 1, and 2.0 failed with a bare TypeError
+    f = get_field(2, 1, 4)
+    for call in (f.subfield_indices, f.trace_map):
+        with pytest.raises(ValueError, match=f"^subfield degree must be an integer, not {t}$"):
+            call(t)
+
+
+@pytest.mark.parametrize(
+    "from_degree, to_degree, name, bad",
+    [(8, True, "to_degree", "True"), (True, 1, "from_degree", "True"),
+     (8, 2.0, "to_degree", "2.0"), (8.0, 2, "from_degree", "8.0")],
+)
+def test_trace_refuses_a_degree_that_is_not_an_integer(from_degree, to_degree, name, bad):
+    # trace(f, 5, 8, True) used to return 0, the trace to degree 1
+    f = get_field(2, 1, 8)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(bad)}$"):
+        trace(f, 5, from_degree, to_degree)
+
+
 @pytest.mark.parametrize("e", [2.0, 0.5, np.float64(3.0), True, False])
 def test_pow_refuses_an_exponent_that_is_not_an_integer(e):
     # a float exponent used to raise numpy's IndexError, and a bool was

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,25 @@ def test_gamma_outside_the_field_rejected(gamma):
     f = get_field(2, 1, 4)
     with pytest.raises(ValueError, match="not an element index"):
         TraceForm(f, gamma, 1)
+
+
+@pytest.mark.parametrize(
+    "gamma, ell, name, bad",
+    [(1, True, "ell", "True"), (True, 1, "gamma", "True"), (3, 1.0, "ell", "1.0"),
+     (3.0, 1, "gamma", "3.0")],
+)
+def test_trace_form_refuses_a_parameter_that_is_not_an_integer(gamma, ell, name, bad):
+    # ell = True used to compute as ell = 1, and gamma = True or ell = 1.0
+    # failed later with a bare TypeError in kernel_counts or classify_form
+    f = get_field(2, 1, 4)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(bad)}$"):
+        TraceForm(f, gamma, ell)
+
+
+def test_trace_form_takes_numpy_integers():
+    form = TraceForm(get_field(2, 1, 4), np.int64(3), np.int32(1))
+    assert (type(form.gamma), type(form.ell)) == (int, int)
+    assert kernel_counts(form) == kernel_counts(TraceForm(get_field(2, 1, 4), 3, 1))
 
 
 def test_homogeneity_over_small_field():

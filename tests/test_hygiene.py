@@ -125,6 +125,27 @@ def test_degrees_are_counted_once():
     assert _sites(_is_adjacency_sum) == {("graphs.py", "degrees")}
 
 
+def _connectivity_rules() -> set[tuple[str, str | None]]:
+    """(module, enclosing function) of every boolean expression in src/
+    that reads both ``is_half`` and ``complemented``."""
+    def visit(node, owner, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name, name)
+                continue
+            if isinstance(child, ast.BoolOp) and {"is_half", "complemented"} <= _reads(child):
+                yield name, owner
+            yield from visit(child, owner, name)
+
+    return {site for path in MODULES for site in visit(ast.parse(path.read_text()), None, path.name)}
+
+
+def test_connectivity_is_stated_once():
+    # the ell = m/2 primal is the one disconnected graph; every other test
+    # of connectivity reads GraphSpec.connected
+    assert _connectivity_rules() == {("graphs.py", "connected")}
+
+
 def test_field_tables_are_built_in_one_place():
     # get_field, through its memo, is the one constructor of a field
     sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "FieldTable")
@@ -134,7 +155,6 @@ def test_field_tables_are_built_in_one_place():
 # Public functions that nothing else in src/ reads, each with its reason.
 NO_SRC_CALLER = {
     "classify_form": "the per-gamma closed rule, run by the forms-large-field benchmark",
-    "eigenvalue_relations_check": "the eigenvalue identities, read by tests until a spectrum check",
     "enumerate_family": "the proper members of a family, until a tower-inclusion check",
     "family_lattice": "the family's divisibility lattice, until a tower-inclusion check",
     "is_subgraph": "the spec-level subgraph test, until a tower-inclusion check",

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+import gpaley.applications
 import gpaley.spectra
 from gpaley.arith import int_to_str, is_prime
 from gpaley.applications import ihara_zeta, is_ramanujan, waring_number
@@ -16,10 +17,9 @@ from gpaley.errors import (
 from gpaley.graphs import GraphSpec, enumerate_family, is_subgraph
 from gpaley.spectra import (
     closed_walks,
-    eigenvalue_relations_check,
     intersection_array,
     latin_square_class,
-    ramanujan_by_inequality,
+    record_json,
     spanning_trees,
     spectrum,
     srg_params,
@@ -89,9 +89,44 @@ def test_half_case_spectra_are_disjoint_cliques_and_complete_multipartite():
         assert spectrum(spec.complement()).pairs == ((u * (u - 1), 1), (0, u * (u - 1)), (-u, u - 1))
 
 
-def test_eigenvalue_relations():
-    for spec in _family_specs(16):
-        assert eigenvalue_relations_check(spec) == []
+@pytest.mark.parametrize("shift", [(0, 1, 0), (0, 0, 1)], ids=["upsilon", "mu"])
+def test_spectrum_refuses_shifted_core_eigenvalues(monkeypatch, shift):
+    # -q^ell upsilon = mu + 1 is the first moment, so an upsilon or a mu off
+    # by one must fail the moment checks of every spectrum, primal or
+    # complement, ell = m/2 included
+    stated = gpaley.spectra._core_eigenvalues
+    monkeypatch.setattr(
+        gpaley.spectra,
+        "_core_eigenvalues",
+        lambda spec: tuple(x + dx for x, dx in zip(stated(spec), shift)),
+    )
+    specs = list(_family_specs(16, max_order=2**16))
+    assert len(specs) == 52
+    for spec in specs:
+        for s in (spec, spec.complement()):
+            with pytest.raises(InternalCheckError):
+                spectrum(s)
+
+
+def test_each_record_reads_few_spectra(monkeypatch):
+    # each rule reads the spectrum its caller already holds: record_json
+    # evaluates one for itself, one per srg record (two: srg_params and
+    # intersection_array) and one for the tree count; srg_params and
+    # is_ramanujan one each
+    calls = []
+    evaluate = gpaley.spectra.spectrum
+
+    def counted(spec):
+        calls.append(spec)
+        return evaluate(spec)
+
+    for module in (gpaley.spectra, gpaley.applications):
+        monkeypatch.setattr(module, "spectrum", counted)
+    spec = GraphSpec(2, 1, 12, 1)
+    for call, most in ((record_json, 4), (srg_params, 1), (is_ramanujan, 1)):
+        calls.clear()
+        call(spec)
+        assert len(calls) <= most, call.__name__
 
 
 def test_relations_worked_values():
@@ -146,14 +181,13 @@ def test_srg_half_cases():
 _GUARD_CALLS = {
     "spectrum": lambda s: spectrum(s).pairs,
     "srg_params": lambda s: srg_params(s).params(),
-    "intersection_array": lambda s: intersection_array(s).as_tuple(),
+    "intersection_array": intersection_array,
     "girth": lambda s: srg_params(s).girth,
-    "ramanujan_by_inequality": ramanujan_by_inequality,
     "is_ramanujan": is_ramanujan,
     "ihara_zeta": lambda s: ihara_zeta(s).square_factor_exponent,
     "waring_number": lambda s: waring_number(s, max_order=0).g,
 }
-_CONNECTED_ONLY = ("intersection_array", "ramanujan_by_inequality", "is_ramanujan", "ihara_zeta")
+_CONNECTED_ONLY = ("intersection_array", "is_ramanujan", "ihara_zeta")
 _NOT_PROPER = dict.fromkeys(("spectrum", "srg_params", "girth") + _CONNECTED_ONLY, NotInFamily)
 _HALF_PRIMAL = dict.fromkeys(_CONNECTED_ONLY, Disconnected)
 _GUARD_TABLE = [
@@ -166,7 +200,7 @@ _GUARD_TABLE = [
     (GraphSpec(2, 1, 4, 2, True), {
         "spectrum": ((12, 1), (0, 12), (-4, 3)), "srg_params": (16, 12, 8, 12),
         "intersection_array": (12, 3, 1, 12), "girth": 3,
-        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 80,
+        "is_ramanujan": True, "ihara_zeta": 80,
         "waring_number": NotApplicable}),
     (GraphSpec(2, 1, 2, 1), {**_HALF_PRIMAL, "spectrum": ((1, 2), (-1, 2)),
                              "srg_params": DegenerateGraph, "girth": DegenerateGraph,
@@ -175,17 +209,17 @@ _GUARD_TABLE = [
     (GraphSpec(2, 1, 2, 1, True), {
         "spectrum": ((2, 1), (0, 2), (-2, 1)), "srg_params": (4, 2, 0, 2),
         "intersection_array": (2, 1, 1, 2), "girth": 4,
-        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": DegenerateGraph,
+        "is_ramanujan": True, "ihara_zeta": DegenerateGraph,
         "waring_number": NotApplicable}),
     (GraphSpec(2, 1, 4, 1), {
         "spectrum": ((5, 1), (1, 10), (-3, 5)), "srg_params": (16, 5, 0, 2),
         "intersection_array": (5, 4, 1, 2), "girth": 4,
-        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 24,
+        "is_ramanujan": True, "ihara_zeta": 24,
         "waring_number": 2}),
     (GraphSpec(2, 1, 4, 1, True), {
         "spectrum": ((10, 1), (2, 5), (-2, 10)), "srg_params": (16, 10, 6, 6),
         "intersection_array": (10, 3, 1, 6), "girth": 3,
-        "ramanujan_by_inequality": True, "is_ramanujan": True, "ihara_zeta": 64,
+        "is_ramanujan": True, "ihara_zeta": 64,
         "waring_number": NotApplicable}),
 ]
 
@@ -283,17 +317,17 @@ def test_subgraph_divisibility():
 # ---------------------------------------------------------------------------
 
 def test_intersection_array_examples():
-    assert intersection_array(GraphSpec(2, 1, 12, 1)).as_tuple() == (1365, 924, 1, 462)
-    assert intersection_array(GraphSpec(2, 1, 12, 3)).as_tuple() == (455, 448, 1, 56)
-    assert intersection_array(GraphSpec(2, 1, 12, 1, True)).as_tuple() == (2730, 903, 1, 1806)
-    assert intersection_array(GraphSpec(2, 1, 12, 3, True)).as_tuple() == (3640, 399, 1, 3192)
+    assert intersection_array(GraphSpec(2, 1, 12, 1)) == (1365, 924, 1, 462)
+    assert intersection_array(GraphSpec(2, 1, 12, 3)) == (455, 448, 1, 56)
+    assert intersection_array(GraphSpec(2, 1, 12, 1, True)) == (2730, 903, 1, 1806)
+    assert intersection_array(GraphSpec(2, 1, 12, 3, True)) == (3640, 399, 1, 3192)
 
 
 def test_intersection_array_disconnected():
     with pytest.raises(Disconnected):
         intersection_array(GraphSpec(2, 1, 4, 2))
     # complete multipartite complement is fine
-    assert intersection_array(GraphSpec(2, 1, 4, 2, True)).as_tuple() == (12, 3, 1, 12)
+    assert intersection_array(GraphSpec(2, 1, 4, 2, True)) == (12, 3, 1, 12)
 
 
 def test_primal_b1_identity_family_wide():
@@ -301,9 +335,9 @@ def test_primal_b1_identity_family_wide():
         if spec.is_half:
             continue
         rec = srg_params(spec)
-        arr = intersection_array(spec)
-        assert arr.as_tuple() == (rec.k, rec.k - rec.e - 1, 1, rec.d)
-        assert arr.b1 == spec.q**spec.ell * rec.d
+        b0, b1, c1, c2 = intersection_array(spec)
+        assert (b0, b1, c1, c2) == (rec.k, rec.k - rec.e - 1, 1, rec.d)
+        assert b1 == spec.q**spec.ell * rec.d
 
 
 # ---------------------------------------------------------------------------
