@@ -121,23 +121,30 @@ def _linear_map(p: int, n: int, images: list[int]) -> np.ndarray:
     index p^i to images[i] (Lidl and Niederreiter, Finite Fields, 2.3).
     Block [d p^i, (d+1) p^i) is block d - 1 plus images[i], added without a
     field table: XOR for p = 2, else in rows of base-p digits sized for the
-    sum of two."""
+    sum of two. A digit row is kept only at the positions some image uses,
+    so a trace onto F_p fills one row, and the index is put back together
+    by Horner over those rows, one power of p per gap."""
     if p == 2:
         out = np.zeros(2**n, dtype=np.int64)
         for i, image in enumerate(images):
             np.bitwise_xor(out[: 1 << i], image, out=out[1 << i : 2 << i])
         return out
-    digits = np.zeros((n, p**n), dtype=np.min_scalar_type(2 * p))
-    for i, image in enumerate(images):
-        size, image_digits = p**i, np.array(_index_digits(image, p, n), dtype=digits.dtype)
+    dtype = np.min_scalar_type(2 * p)
+    image_digits = np.array([_index_digits(image, p, n) for image in images], dtype=dtype)
+    used = np.flatnonzero(image_digits.any(axis=0))
+    digits = np.zeros((len(used), p**n), dtype=dtype)
+    for i, image in enumerate(image_digits[:, used]):
+        size = p**i
         for d in range(1, p):
             block = digits[:, d * size : (d + 1) * size]
-            np.add(digits[:, (d - 1) * size : d * size], image_digits[:, None], out=block)
+            np.add(digits[:, (d - 1) * size : d * size], image[:, None], out=block)
             np.remainder(block, p, out=block)
     out = np.zeros(p**n, dtype=np.int64)
-    for row in digits[::-1]:
-        out *= p
+    # highest used position first; each gap to the next lower one is p^gap
+    for row, gap in zip(digits[::-1], np.diff(used, prepend=0)[::-1].tolist()):
         out += row
+        if gap:
+            out *= p**gap
     return out
 
 
@@ -348,14 +355,18 @@ class FieldTable:
         """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
         degree t = ``to_degree`` at every index x, cached per t. The trace is
         F_p-linear, so ``_linear_map`` builds it from the images of the basis
-        indices p^i; for t = n that is the identity."""
+        indices p^i; for t = n that is the identity. Every index is held to
+        the subfield by one gather from a membership mask of
+        ``subfield_indices(t)``: x^(p^t) = x exactly on F_{p^t}."""
         t = to_degree
         self._require_subfield(t)
         if t not in self._trace_cache:
             basis = self.p ** np.arange(self.n, dtype=np.int64)
             acc = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
-            if not np.array_equal(self.pow_array(acc, self.p**t), acc):
-                raise NotASubfield("trace image escaped the target subfield")  # unreachable
+            inside = np.zeros(self.order, dtype=bool)
+            inside[self.subfield_indices(t)] = True
+            if not inside[acc].all():
+                raise NotASubfield("trace image escaped the target subfield")
             self._trace_cache[t] = acc
         return self._trace_cache[t]
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import gpaley.field
 from gpaley.errors import BudgetExceeded, CompositeP, NotASubfield, ZeroElement
 from gpaley.field import (
     FieldParams,
@@ -152,6 +153,46 @@ def test_trace_map_matches_the_frobenius_reference(p, s, m):
                 int(reference[x]) == trace(fld, x, f, t)
                 for x in fld.subfield_indices(f).tolist()
             )
+
+
+@pytest.mark.parametrize("p,s,m,t", [(2, 1, 4, 1), (2, 1, 4, 2), (3, 1, 4, 1), (5, 1, 2, 1)])
+def test_trace_map_refuses_an_image_outside_the_subfield(monkeypatch, p, s, m, t):
+    # a builder that moves one entry of the map off F_{p^t} is refused
+    g = get_field(p, s, m)
+    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace map built yet
+    outside = min(set(range(fld.order)) - set(fld.subfield_indices(t).tolist()))
+    real = gpaley.field._linear_map
+
+    def moved(p, n, images):
+        out = real(p, n, images)
+        out[fld.order // 3] = outside
+        return out
+
+    monkeypatch.setattr(gpaley.field, "_linear_map", moved)
+    with pytest.raises(NotASubfield, match="^trace image escaped the target subfield$"):
+        fld.trace_map(t)
+    assert t not in fld._trace_cache
+
+
+@pytest.mark.parametrize("used", ["every", "lowest", "gapped", "none"])
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 3), (131, 2)])
+def test_linear_map_is_the_digit_dot_product(p, n, used):
+    # each index x = sum x_i p^i goes to sum x_i images[i], digit by digit
+    # mod p; the images use only the digit positions named by ``used``, and
+    # at p = 131 two digits sum past 255
+    rng = np.random.default_rng(p * n)
+    positions = {"every": list(range(n)), "lowest": [0], "gapped": [0, 2] if n > 2 else [1],
+                 "none": []}[used]
+    image_digits = np.zeros((n, n), dtype=np.int64)
+    image_digits[:, positions] = rng.integers(0, p, (n, len(positions)))
+    image_digits[0, positions] = p - 1  # every listed position is used
+    weights = p ** np.arange(n, dtype=np.int64)
+    images = (image_digits @ weights).tolist()
+    x_digits = np.arange(p**n, dtype=np.int64)[:, None] // weights % p
+    expected = (x_digits @ image_digits % p) @ weights
+    out = gpaley.field._linear_map(p, n, images)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, expected)
 
 
 def test_frobenius_additive():

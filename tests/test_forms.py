@@ -102,21 +102,21 @@ def test_histogram_is_the_bincount_of_the_form_values(p, s, m, ell):
 
 
 def test_each_form_is_evaluated_once(monkeypatch):
-    f = get_field(2, 1, 4)
-    exp_sum(TraceForm(f, 1, 1))  # builds the field's trace maps
-    calls = []
-    real = gpaley.forms._unit_values
-    monkeypatch.setattr(gpaley.forms, "_unit_values", lambda form: calls.append(form) or real(form))
-
     real_pow = FieldTable.pow_array
 
     def no_power_map(fld, a, e):
-        # the scalar pow is this kernel at one index
-        if np.size(a) > 1:
-            raise AssertionError("a form rebuilt a whole-field power map")
+        # the scalar pow is this kernel at one index, and the trace map
+        # raises its n basis images; a whole-field power map has p^n
+        if np.size(a) > fld.n:
+            raise AssertionError("a form built a whole-field power map")
         return real_pow(fld, a, e)
 
     monkeypatch.setattr(FieldTable, "pow_array", no_power_map)
+    g = get_field(2, 1, 4)
+    f = FieldTable(g.params, g.modulus, g.alpha)  # no trace map built yet
+    calls = []
+    real = gpaley.forms._unit_values
+    monkeypatch.setattr(gpaley.forms, "_unit_values", lambda form: calls.append(form) or real(form))
     form = TraceForm(f, 3, 1)
     counts = kernel_counts(form)
     counts[0] += 1  # the caller's copy, not the form's histogram

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gpaley.applications
 import gpaley.field
 import gpaley.forms
 import gpaley.graphs
@@ -502,6 +503,35 @@ def test_a_closed_form_that_raises_fails_its_check_and_the_suite_goes_on(monkeyp
     ]
     assert all(c.expected.startswith("InternalCheckError: ")
                for c in report.failures() if c.name.startswith("srg-counts"))
+
+
+def test_run_suite_reads_few_spectra(monkeypatch):
+    # the walks and moments checks of each side read one spectrum
+    calls = []
+    evaluate = gpaley.spectra.spectrum
+
+    def counted(spec):
+        calls.append(spec)
+        return evaluate(spec)
+
+    for module in (gpaley.spectra, gpaley.applications, gpaley.oracles):
+        monkeypatch.setattr(module, "spectrum", counted)
+    assert run_suite(GraphSpec(2, 1, 8, 1)).ok
+    assert len(calls) <= 14
+
+
+def test_a_raising_side_spectrum_fails_the_walks_and_moments_checks(monkeypatch):
+    g = build_graph(GraphSpec(2, 1, 4, 1))
+    suite = gpaley.oracles._Suite(g.spec)
+
+    def raising(spec):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(gpaley.oracles, "spectrum", raising)
+    gpaley.oracles._side_checks(suite, "primal", g)
+    failed = {c.name: c.expected for c in suite.report.failures()}
+    assert failed == {"walks-2..6-primal": "InternalCheckError: planted",
+                      "spectrum-moments-primal": "InternalCheckError: planted"}
 
 
 def test_run_suite_refuses_a_spec_outside_the_family():
