@@ -28,8 +28,8 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, get_field
 
-# Rows of A per block when _fill fills A, a walk row reads it, or the
-# translation check compares it, so that temporaries stay a few MB.
+# Rows of A per block when _fill fills A or the translation check compares
+# it, so that temporaries stay a few MB.
 _ROW_BLOCK = 256
 
 
@@ -161,25 +161,50 @@ class CayleyGraph:
         return counts.astype(np.int64)
 
     @cached_property
-    def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row 0 of A, A^2 and A^3 as int64: each row is the previous one
-        times A, that is, the rows of A counted a block at a time and
-        weighted by the previous row's entry. A^t[0, x] counts the t-walks
-        from 0 to x, at most k^(t-1). A block of at most _ROW_BLOCK = 256
-        rows is counted as bytes in uint16, which holds its column sums, and
-        widened to int64 before the weight multiplies it: uint16 times a
-        Python int stays uint16 and would wrap."""
-        rows = [self.adjacency[0].astype(np.int64)]
-        for _ in range(2):
-            prev, nxt = rows[-1], np.zeros(self.n, dtype=np.int64)
-            for weight in np.unique(prev[prev != 0]).tolist():
-                members = np.flatnonzero(prev == weight)
-                for start in range(0, len(members), _ROW_BLOCK):
-                    block = self.adjacency[members[start : start + _ROW_BLOCK]]
-                    counts = block.view(np.uint8).sum(axis=0, dtype=np.uint16)
-                    nxt += weight * counts.astype(np.int64)
-            rows.append(nxt)
-        return tuple(rows)
+    def eigenvalues(self) -> np.ndarray:
+        """The character sums over row 0, as int64 indexed by character a:
+        the eigenvalues of A when A is translation invariant (Babai, JCTB 27,
+        1979), with lambda_0 = |row 0|."""
+        return self._character_sums(self.adjacency[0])
+
+    @cached_property
+    def square_row(self) -> np.ndarray:
+        """Row 0 of A^2 when A is translation invariant: the character sums of
+        lambda^2 (lambda_(-a) = lambda_a) over N, the division checked exact."""
+        sums = self._character_sums(self.eigenvalues**2)
+        if (sums % self.n).any():
+            raise InternalCheckError(f"{self.spec.label()}: N does not divide a sum of lambda^2")
+        return sums // self.n
+
+    def _character_sums(self, weights: np.ndarray) -> np.ndarray:
+        """sum over x of weights[x] omega^(a . x), omega = exp(2 pi i / p), for
+        every index a, an index being its base-p digit vector. The residue
+        counts c[r, a] (the weights over a . x = r mod p) are a transform in
+        Z[C_p], one digit at a time (Good, J. R. Stat. Soc. B 20, 1958;
+        Walsh-Hadamard for p = 2): O(n p^2 N) work, no temporary above p N
+        entries. As 1, omega, ..., omega^(p-2) are independent over Q, a sum
+        is an integer exactly when c[1, a] = ... = c[p-1, a], and is then
+        c[0, a] - c[1, a]; other counts raise InternalCheckError. A count is
+        at most sum |weights|, k for row 0 and N k for lambda^2: int64 is exact."""
+        p, r = self.field.p, np.arange(self.field.p)
+        counts = np.zeros((p, self.n), dtype=np.int64)
+        counts[0] = weights
+        for j in range(self.field.n):
+            # axes: residue, digits above j, digit j, digits below j; digit j
+            # of x gives way to a_j: c[r, .., a_j, ..] sums c[r - a_j x_j, .., x_j, ..]
+            digits = counts.reshape(p, -1, p, p**j)
+            step = np.repeat(digits[:, :, :1], p, axis=2)  # x_j = 0
+            for x in range(1, p):
+                step += digits[(r[:, None] - x * r) % p, :, x].transpose(0, 2, 1, 3)
+            counts = step.reshape(p, self.n)
+        unbalanced = np.flatnonzero((counts[1:] != counts[1]).any(axis=0))
+        if unbalanced.size:
+            a = int(unbalanced[0])
+            raise InternalCheckError(
+                f"{self.spec.label()}: character {a} has residue counts "
+                f"{counts[:, a].tolist()}, so its eigenvalue is not an integer"
+            )
+        return counts[0] - counts[1]
 
     @cached_property
     def translation_invariant(self) -> bool:
@@ -332,8 +357,9 @@ def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:
 
 
 def is_subgraph(a: GraphSpec, b: GraphSpec) -> bool:
-    """Spec-level test that graph a embeds in graph b (same base field q):
-    m_a | m_b and ell_b | ell_a with an odd quotient."""
+    """Spec-level test that graph a is a subgraph of graph b, not necessarily
+    induced (same base field q): m_a | m_b and ell_b | ell_a with an odd
+    quotient. Gamma_{2,2}(1) is one of Gamma_{2,6}(1), where F_4 spans K_4."""
     if (a.p, a.s) != (b.p, b.s):
         raise MixedBase("subgraph test needs equal base fields; normalize first")
     if not (a.is_proper and b.is_proper):

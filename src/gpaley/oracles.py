@@ -4,15 +4,15 @@ materialized graphs: the trust anchor of the package.
 Nothing here consults the closed-form spectra module for its own answers;
 counting runs on adjacency matrices, and only at the end are the numbers
 compared against the formulas. Every graph is a Cayley graph on the additive
-group of the field, so row 0 of A, A^2 and A^3 (``CayleyGraph.walk_rows``,
-exact int64 counts) fixes those powers once
-``CayleyGraph.translation_invariant`` has checked A[i, j] = A[0, j - i]
-entry by entry; the walk, srg, girth and tree kernels read row 0, require
-that check, and sum their products in Python integers. No float enters
-them. Tree counts are Kirchhoff's product over the eigenvalues of A, each a
-character sum over row 0 that ``count_eigenvalues`` counts by residue: an
-eigenvalue that is not an integer is refused, never rounded. The
-arc-transitivity checks map all of their scales at once, with one
+group of the field, so once ``CayleyGraph.translation_invariant`` has
+checked A[i, j] = A[0, j - i] entry by entry, row 0 fixes A, and its
+eigenvalues are the character sums over row 0, counted by one exact
+transform cached per graph (``CayleyGraph.eigenvalues``); one that is not
+an integer is refused, never rounded. The walk, srg, girth, tree and
+Ramanujan kernels require that check and read the transform: trace(A^r)
+is the sum of lambda^r, row 0 of A^2 the transform of lambda^2 over N
+(``CayleyGraph.square_row``). No float enters them. The arc-transitivity
+checks map all of their scales at once, with one
 ``graphs.apply_affine_frobenius`` table per check.
 """
 
@@ -44,8 +44,8 @@ from .spectra import spanning_trees, spectrum, srg_params
 # ---------------------------------------------------------------------------
 
 def _require_invariance(g: CayleyGraph) -> None:
-    """Row 0 of A, A^2, A^3 fixes those powers, and row 0 of A the
-    spectrum, only on a translation invariant adjacency; any other raises."""
+    """Row 0 of A fixes A, and so its spectrum and every power, only on a
+    translation invariant adjacency; any other raises."""
     if not g.translation_invariant:
         raise InternalCheckError(f"{g.spec.label()}: adjacency is not translation invariant")
 
@@ -54,14 +54,15 @@ def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
     """(v, k, e, d) by exhaustive common-neighbor counting.
 
     e is the common count of 0 with its neighbors, d with its non-neighbors
-    other than 0; non-constant counts falsify strong regularity and raise.
-    Translation invariance then carries row 0 to every pair, and an adjacency
-    without it raises InternalCheckError."""
+    other than 0, read off row 0 of A^2; non-constant counts falsify strong
+    regularity and raise. Translation invariance carries row 0 to every
+    pair, and an adjacency without it raises InternalCheckError."""
     n, adj, deg = g.n, g.adjacency, g.degrees
     if not (deg == deg[0]).all():
         raise NotStronglyRegular("graph is not regular")
     k = int(deg[0])
-    common = g.walk_rows[1]
+    _require_invariance(g)
+    common = g.square_row
     others = ~adj[0]
     others[0] = False
     adjacent, non_adjacent = np.unique(common[adj[0]]), np.unique(common[others])
@@ -70,7 +71,6 @@ def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
             f"common-neighbor counts not constant: adjacent {adjacent.tolist()}, "
             f"non-adjacent {non_adjacent.tolist()}"
         )
-    _require_invariance(g)
     e = int(adjacent[0]) if k else 0
     d = int(non_adjacent[0]) if others.any() else 0
     return (n, k, e, d)
@@ -79,58 +79,35 @@ def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
 def verify_a2_identity(g: CayleyGraph, params: tuple[int, int, int, int]) -> bool:
     """Check A^2 = (e-d) A + (k-d) I + d J entrywise: on row 0 (entry (0, x)
     of A^2 is the common-neighbor count of 0 and x), and on every other row
-    through translation invariance."""
+    through translation invariance, read before row 0 is transformed."""
     v, k, e, d = params
     expected = np.where(g.adjacency[0], e, d)
     expected[0] += k - d
-    return v == g.n and np.array_equal(g.walk_rows[1], expected) and g.translation_invariant
+    return v == g.n and g.translation_invariant and np.array_equal(g.square_row, expected)
 
 
 def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
-    """trace(A^r) for r <= 6. r = 1 is read off the diagonal; above, on a
-    translation invariant adjacency every diagonal entry of A^r equals
-    A^r[0, 0] = <row 0 of A^a, row 0 of A^b> with a + b = r, summed in
-    Python integers."""
+    """trace(A^r) for r >= 1: sum mult * lambda^r over the distinct counted
+    eigenvalues, in Python integers."""
     require_int(r, "walk length r")
-    if not 1 <= r <= 6:
-        raise ValueError("supported walk lengths are 1..6")
-    if r == 1:
-        return int(np.count_nonzero(g.adjacency.diagonal()))
-    _require_invariance(g)
-    a = r // 2  # walk_rows[t - 1] is row 0 of A^t
-    left, right = g.walk_rows[a - 1].tolist(), g.walk_rows[r - a - 1].tolist()
-    return g.n * sum(x * y for x, y in zip(left, right))
+    if r < 1:
+        raise ValueError(f"walk length r must be at least 1, not {r}")
+    lams, mults = np.unique(count_eigenvalues(g), return_counts=True)
+    return sum(mult * lam**r for lam, mult in zip(lams.tolist(), mults.tolist()))
 
 
 def count_eigenvalues(g: CayleyGraph) -> np.ndarray:
-    """lambda_a = sum over s in S of omega^(a . s), omega = exp(2 pi i / p),
-    for every index a, indexed by a: the eigenvalues of A, with S row 0 of
-    its translation invariant adjacency (Babai, JCTB 27, 1979); any other
-    adjacency raises. An index is its base-p digit vector, and N_r(a) counts
-    the s in S with a . s = r mod p. As 1, omega, ..., omega^(p-2) are
-    linearly independent over Q, lambda_a is an integer exactly when
-    N_1(a) = ... = N_(p-1)(a), and then lambda_a = N_0(a) - N_1(a); other
-    counts raise InternalCheckError. No field table is read."""
+    """``CayleyGraph.eigenvalues`` of a translation invariant adjacency; any
+    other adjacency raises, as does an eigenvalue that is not an integer."""
     _require_invariance(g)
-    p, n = g.field.p, g.field.n
-    digits = np.arange(g.n)[:, None] // p ** np.arange(n) % p
-    dots = digits @ digits[g.adjacency[0]].T % p
-    counts = np.stack([np.count_nonzero(dots == r, axis=1) for r in range(p)])
-    unbalanced = np.flatnonzero((counts[1:] != counts[1]).any(axis=0))
-    if unbalanced.size:
-        a = int(unbalanced[0])
-        raise InternalCheckError(
-            f"{g.spec.label()}: character {a} has residue counts {counts[:, a].tolist()}, "
-            "so its eigenvalue is not an integer"
-        )
-    return counts[0] - counts[1]
+    return g.eigenvalues
 
 
 def count_trees_bruteforce(g: CayleyGraph) -> int:
     """Kirchhoff's count prod over a != 0 of (lambda_0 - lambda_a) / N, on
     the integers of ``count_eigenvalues``; lambda_0 = |S| is every degree.
-    The only oracle with a budget of its own (``tree``, refused by
-    ``budgets.require`` above ``GPG_MAX_ORDER`` or its default)."""
+    Like the coset and arc checks, refused above a budget of its own
+    (``tree``; see ``budgets.DEFAULTS``)."""
     require("tree", g.n)
     top, *rest = count_eigenvalues(g).tolist()
     return exact_div(math.prod(top - lam for lam in rest), g.n)
@@ -431,18 +408,11 @@ def _waring_checks(suite, g, max_order):
 
 
 def count_ramanujan(g: CayleyGraph) -> bool:
-    """Whether the counted srg (v, k, e, d) of ``count_srg_params`` has
-    max(|r|, |s|)^2 <= 4(k-1), with r, s the nontrivial eigenvalues: the
-    roots of x^2 - (e-d) x - (k-d) (Brouwer and Haemers, Spectra of Graphs,
-    9.1). A discriminant that is not a square has no integer roots and
-    raises."""
-    _, k, e, d = count_srg_params(g)
-    disc = (e - d) ** 2 + 4 * (k - d)
-    root = math.isqrt(disc)
-    if root * root != disc:
-        raise InternalCheckError(f"{g.spec.label()}: discriminant {disc} is not a square")
-    r, s = (e - d + root) // 2, (e - d - root) // 2
-    return max(abs(r), abs(s)) ** 2 <= 4 * (k - 1)
+    """Whether max over a != 0 of lambda_a^2 <= 4(k-1) on the counted
+    eigenvalues, k = lambda_0 (Lubotzky, Phillips and Sarnak, Combinatorica
+    8, 1988), in Python integers."""
+    k, *rest = count_eigenvalues(g).tolist()
+    return max(lam * lam for lam in rest) <= 4 * (k - 1)
 
 
 def _ramanujan_checks(suite, g, gbar):

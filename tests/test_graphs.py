@@ -190,9 +190,10 @@ def test_derived_complement_is_the_filled_complement(spec):
 
 
 def test_walk_rows_of_a_derived_complement_are_exact():
-    # co-Gamma_{2,12}(1): k = 2730, so a weight of row 1 times a block's
-    # count of up to 256 rows passes 2^16; for p = 2, x - s = x XOR s and
-    # A^t[0, x] = sum over s in S of A^(t-1)[0, x XOR s]
+    # co-Gamma_{2,12}(1), k = 2730: for p = 2, x - s = x XOR s and
+    # A^t[0, x] = sum over s in S of A^(t-1)[0, x XOR s]. Row 0 of A^2 is
+    # the transform of lambda^2 over N, and the transform of lambda^3 is N
+    # times row 0 of A^3, whose entries pass 2^34
     gbar = complement_graph(build_graph(GraphSpec(2, 1, 12, 1)))
     idx, members = np.arange(gbar.n), np.flatnonzero(gbar.connection.members)
     rows = [gbar.connection.members.astype(np.int64)]
@@ -201,9 +202,9 @@ def test_walk_rows_of_a_derived_complement_are_exact():
         for s in members:
             nxt += rows[-1][idx ^ s]
         rows.append(nxt)
-    assert rows[2].max() * 256 > 2**16
-    for row, counted in zip(gbar.walk_rows, rows):
-        assert row.dtype == np.int64 and np.array_equal(row, counted)
+    assert gbar.square_row.dtype == np.int64 and np.array_equal(gbar.square_row, rows[1])
+    cubes = gbar._character_sums(gbar.eigenvalues**3)
+    assert cubes.max() > 2**34 and np.array_equal(cubes, gbar.n * rows[2])
 
 
 @pytest.mark.parametrize(
@@ -366,6 +367,17 @@ def test_is_subgraph():
         is_subgraph(GraphSpec(2, 1, 12, 1), GraphSpec(3, 1, 12, 1))
     with pytest.raises(NotInFamily):
         is_subgraph(GraphSpec(2, 1, 12, 4), q12(1))
+
+
+def test_is_subgraph_is_not_induced():
+    # Gamma_{2,2}(1) is two edges on F_4; in Gamma_{2,6}(1) the subfield F_4
+    # spans a 4-clique, so every graph on F_4 is a subgraph there, and this
+    # one is not an induced subgraph
+    assert is_subgraph(GraphSpec(2, 1, 2, 1), GraphSpec(2, 1, 6, 1))
+    big = build_graph(GraphSpec(2, 1, 6, 1))
+    f4 = big.field.subfield_indices(2)
+    assert np.count_nonzero(np.triu(big.adjacency[np.ix_(f4, f4)], 1)) == 6
+    assert np.count_nonzero(np.triu(build_graph(GraphSpec(2, 1, 2, 1)).adjacency, 1)) == 2
 
 
 def test_subgraph_containment_bruteforce():

@@ -125,6 +125,16 @@ def test_degrees_are_counted_once():
     assert _sites(_is_adjacency_sum) == {("graphs.py", "degrees")}
 
 
+def test_spectra_are_counted_by_one_transform():
+    # every eigenvalue, walk, srg, tree and Ramanujan count reads the
+    # character transform through the graph's cached eigenvalues and row 0
+    # of A^2, and nothing else calls it
+    sites = _sites(
+        lambda c: isinstance(c.func, ast.Attribute) and c.func.attr == "_character_sums"
+    )
+    assert sites == {("graphs.py", "eigenvalues"), ("graphs.py", "square_row")}
+
+
 def _connectivity_rules() -> set[tuple[str, str | None]]:
     """(module, enclosing function) of every boolean expression in src/
     that reads both ``is_half`` and ``complemented``."""

@@ -98,14 +98,21 @@ def test_count_srg_rejects_non_srg():
     g = build_graph(GraphSpec(2, 1, 4, 1))
     with pytest.raises(NotStronglyRegular):
         count_srg_params(_flip_edge(g))
-    # regular, but with common-neighbor counts 1 and 0 over non-adjacent pairs
+    # the 16-cycle is regular but no Cayley graph of F_16: row 0 does not fix it
     cycle = np.roll(np.eye(16, dtype=bool), 1, axis=1)
-    with pytest.raises(NotStronglyRegular, match="not constant"):
+    with pytest.raises(InternalCheckError, match="not translation invariant"):
         count_srg_params(dataclasses.replace(g, adjacency=cycle | cycle.T))
+    # the 4-cube, the Cayley graph of F_16 on {1, 2, 4, 8}, is: its
+    # non-adjacent pairs have 2 common neighbors at distance 2, 0 above
+    idx = np.arange(16)
+    cube = np.isin(idx[:, None] ^ idx, [1, 2, 4, 8])
+    counts = r"not constant: adjacent \[0\], non-adjacent \[0, 2\]"
+    with pytest.raises(NotStronglyRegular, match=counts):
+        count_srg_params(dataclasses.replace(g, adjacency=cube))
 
 
 def test_count_srg_sees_a_replaced_adjacency():
-    # the walk rows are cached per graph object: a one-edge-dropped copy made
+    # the transform is cached per graph object: a one-edge-dropped copy made
     # after the cache was filled must be counted afresh
     g = build_graph(GraphSpec(2, 1, 4, 1))
     assert count_srg_params(g) == (16, 5, 0, 2)
@@ -129,9 +136,11 @@ def test_walk_counts():
     assert count_walks_bruteforce(gbar, 3) == 960
     g81 = build_graph(GraphSpec(3, 1, 4, 1))
     assert count_walks_bruteforce(g81, 2) == 81 * 20
-    for r in range(2, 7):
+    for r in range(1, 11):
         assert count_walks_bruteforce(g, r) == closed_walks(GraphSpec(2, 1, 4, 1), r)
         assert count_walks_bruteforce(gbar, r) == closed_walks(GraphSpec(2, 1, 4, 1, True), r)
+    with pytest.raises(ValueError, match="^walk length r must be at least 1, not 0$"):
+        count_walks_bruteforce(g, 0)
 
 
 def test_walk_counts_detect_corruption():
@@ -158,11 +167,25 @@ def test_counted_ramanujan_decisions():
         assert count_ramanujan(complement_graph(g)) is True
 
 
-def test_counted_ramanujan_refuses_a_discriminant_that_is_not_a_square(monkeypatch):
-    # (e - d)^2 + 4(k - d) = 1 + 16 = 17: the counted tuple has no integer eigenvalues
-    monkeypatch.setattr(gpaley.oracles, "count_srg_params", lambda g: (16, 5, 0, 1))
-    with pytest.raises(InternalCheckError, match="discriminant 17 is not a square"):
-        count_ramanujan(build_graph(GraphSpec(2, 1, 4, 1)))
+def test_a_shifted_eigenvalue_fails_every_check_that_reads_the_transform(monkeypatch):
+    # lambda_1 + 9 on each side of Gamma_{2,4}(1): 10^2 > 4 * 4 and
+    # 7^2 > 4 * 9 break both Ramanujan decisions, and an odd change to the
+    # sum of lambda^2 leaves row 0 of A^2 no exact quotient by 16. The
+    # complement still has closed 3-walks, so its girth still reads 3
+    real = gpaley.graphs.CayleyGraph.eigenvalues.func
+
+    def shifted(g):
+        lams = real(g).copy()
+        lams[1] += 9
+        return lams
+
+    monkeypatch.setattr(gpaley.graphs.CayleyGraph, "eigenvalues", property(shifted))
+    report = run_suite(GraphSpec(2, 1, 4, 1))
+    reading = {"srg-counts", "a2-identity", "walks-2..6", "trees", "girth", "spectrum-moments"}
+    assert {c.name for c in report.failures()} == {
+        f"{check}-{side}" for check in reading for side in ("primal", "complement")
+    } - {"girth-complement"} | {"ramanujan-double-path", "ramanujan-complement"}
+    assert len(report.checks) == 25
 
 
 @pytest.mark.parametrize(
@@ -190,8 +213,12 @@ _SWITCHED = [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)]
 def test_kernels_refuse_a_switched_adjacency(spec):
     g = build_graph(spec)
     switched = _two_switch(g)
+    # the degrees, row 0 of A^2 and row 0, which the transform reads, are
+    # those of g
     assert (switched.adjacency.sum(axis=1) == g.k).all()
-    assert np.array_equal(switched.walk_rows[1], g.walk_rows[1])
+    dense = switched.adjacency.astype(np.int64)
+    assert np.array_equal((dense @ dense)[0], g.square_row)
+    assert np.array_equal(switched.eigenvalues, g.eigenvalues)
     assert not switched.translation_invariant
     assert not translation_invariant(switched.adjacency, spec.p, g.field.n)
     with pytest.raises(InternalCheckError):
@@ -205,6 +232,8 @@ def test_kernels_refuse_a_switched_adjacency(spec):
         count_eigenvalues(switched)
     with pytest.raises(InternalCheckError):
         count_trees_bruteforce(switched)
+    with pytest.raises(InternalCheckError):
+        count_ramanujan(switched)
     assert not verify_a2_identity(switched, count_srg_params(g))
 
 
@@ -310,17 +339,25 @@ def test_coset_decomposition_needs_an_invariant_complement(monkeypatch):
     assert checks["srg-counts-primal"].passed
 
 
+# Gamma_{5,2}(1) and Gamma_{7,2}(1) are half members
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1),
-                                  GraphSpec(2, 2, 4, 1)])
+                                  GraphSpec(2, 2, 4, 1), GraphSpec(5, 1, 2, 1),
+                                  GraphSpec(7, 1, 2, 1)])
 @pytest.mark.parametrize("complemented", [False, True])
 def test_walk_rows_match_the_dense_powers(spec, complemented):
+    # the transform against dense int64 powers: the eigenvalues of A, row 0
+    # of A^2 and trace(A^r) for r = 1..8 (entries of A^r are at most
+    # k^(r-1), so every trace is below N k^7 < 2^62)
     g = build_graph(dataclasses.replace(spec, complemented=complemented))
     a = g.adjacency.astype(np.int64)
-    square = a @ a
-    assert g.translation_invariant
-    for row, power in zip(g.walk_rows, (a, square, square @ a)):
-        assert row.dtype == np.int64
-        assert np.array_equal(row, power[0])
+    eigs = np.linalg.eigvalsh(a.astype(np.float64))
+    assert np.abs(eigs - np.rint(eigs)).max() < 1e-8
+    assert sorted(count_eigenvalues(g).tolist()) == np.rint(eigs).astype(np.int64).tolist()
+    assert g.square_row.dtype == np.int64 and np.array_equal(g.square_row, (a @ a)[0])
+    power = np.eye(g.n, dtype=np.int64)
+    for r in range(1, 9):
+        power = power @ a
+        assert count_walks_bruteforce(g, r) == int(np.trace(power)), r
 
 
 def test_tree_counts():
