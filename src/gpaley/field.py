@@ -13,7 +13,10 @@ Finite Fields, 2.4); negation is the product by -1, the index p - 1. The
 scalar ``add``, ``neg``, ``mul`` and ``pow`` are the whole-array kernels
 at one index; ``inv`` reads the exp and log tables directly. The exp table
 is filled by baby-step/giant-step (Shanks, 1971), and the Zech table is
-built on first read, so a p = 2 field never builds it.
+built on first read, which only odd-p addition makes: traces are F_p-linear
+maps on base-p digit vectors, read off the log and exp tables, so neither a
+p = 2 field nor a trace builds it. Each trace map has a log-order twin,
+``trace_sequence``, that the trace-form counts read as strided views.
 
 ``get_field`` is the one constructor: it picks the modulus and the
 generator alpha by a deterministic rule, so every table is reproducible
@@ -215,6 +218,8 @@ class FieldTable:
             raise ValueError(f"alpha {self.alpha} is not a nonzero element of F_{self.p}^{self.n}")
         self._build_tables()
         self._trace_cache: dict[int, np.ndarray] = {}
+        self._sequence_cache: dict[int, np.ndarray] = {}
+        self._frobenius_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -344,19 +349,30 @@ class FieldTable:
     # -- traces and subfields ------------------------------------------------
 
     def _frobenius_sum(self, a, t: int, r: int) -> np.ndarray:
-        """sum_{j<r} a^(p^(t j)) for an index or index array a."""
-        acc = y = np.asarray(a, dtype=np.int64)
-        for _ in range(r - 1):
-            y = self.pow_array(y, self.p**t)
-            acc = self.add_arrays(acc, y)
-        return acc
+        """sum_{j<r} a^(p^(t j)) for an index or index array a; r = 1 returns
+        a unchanged. The sum is F_p-linear: the base-p digit vector of a
+        times the F_p matrix sum_{j<r} F^j mod p, F that of x -> x^(p^t),
+        cached per (t, r). Row i of F^j is the digit vector of
+        (p^i)^(p^(t j)); all r are read with one gather from exp at
+        log(p^i) p^(t j) mod p^n - 1, so no Zech table is read."""
+        a = np.asarray(a, dtype=np.int64)
+        if r == 1:
+            return a
+        p, units = self.p, self.order - 1
+        weights = p ** np.arange(self.n, dtype=np.int64)
+        if (t, r) not in self._frobenius_cache:
+            steps = np.array([pow(p, t * j, units) for j in range(r)], dtype=np.int64)
+            images = self.exp[np.outer(steps, self.log[weights]) % units]
+            self._frobenius_cache[t, r] = (images[..., None] // weights % p).sum(axis=0) % p
+        return a[..., None] // weights % p @ self._frobenius_cache[t, r] % p @ weights
 
     def trace_map(self, to_degree: int) -> np.ndarray:
         """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
         degree t = ``to_degree`` at every index x, cached per t. The trace is
         F_p-linear, so ``_linear_map`` builds it from the images of the basis
-        indices p^i; for t = n that is the identity. Every index is held to
-        the subfield by one gather from a membership mask of
+        indices p^i, which ``_frobenius_sum`` gives by one product of digit
+        matrices; for t = n that is the identity. Every index is held to the
+        subfield by one gather from a membership mask of
         ``subfield_indices(t)``: x^(p^t) = x exactly on F_{p^t}."""
         t = to_degree
         self._require_subfield(t)
@@ -369,6 +385,26 @@ class FieldTable:
                 raise NotASubfield("trace image escaped the target subfield")
             self._trace_cache[t] = acc
         return self._trace_cache[t]
+
+    def trace_sequence(self, t: int) -> np.ndarray:
+        """The trace onto the subfield of degree t in log order, cached per t:
+        entry i < p^n - 1 is the position of Tr_{p^n / p^t}(alpha^i) in
+        ``subfield_indices(t)``, in the narrowest unsigned dtype that holds
+        p^t. This is the m-sequence of alpha (Golomb, Shift Register
+        Sequences, 1967), and the trace on a coset alpha^j <alpha^h> is its
+        h-decimation from j, a strided view (Klapper, Des. Codes Cryptogr.
+        11, 1997). Built as position[trace_map(t)][exp], where position
+        sends every index outside the subfield to the sentinel p^t, so the
+        random reads hit a table of one byte per element for p^t < 256."""
+        self._require_subfield(t)
+        if t not in self._sequence_cache:
+            members = self.subfield_indices(t)
+            size = len(members)
+            dtype = np.min_scalar_type(size)
+            position = np.full(self.order, size, dtype=dtype)
+            position[members] = np.arange(size, dtype=dtype)
+            self._sequence_cache[t] = position[self.trace_map(t)][self.exp]
+        return self._sequence_cache[t]
 
     def subfield_indices(self, t: int) -> np.ndarray:
         """Sorted indices of the subfield with p^t elements."""

@@ -17,11 +17,16 @@ classification and is reported as such rather than guessed at.
 
 Field elements are integer indices (``gpaley.field``). x -> x^(q^ell+1)
 maps F^* h-to-1 onto the nonzero (q^ell+1)-th powers S, so on F^* the form
-takes the trace values of the coset gamma S, h times each; its value
-histogram, which ``kernel_counts`` and ``exp_sum`` both read, is counted on
-those k values. The Klapper sweep of ``gpaley.oracles`` evaluates one form
-per coset, on its representative alpha^j, and classifies every gamma in
-closed form with one ``classify_logs`` call on the whole log table.
+takes the trace values of the coset gamma S, h times each. In log order the
+trace values Tr(alpha^i) are the m-sequence of alpha (Golomb, Shift Register
+Sequences, 1967) and the coset alpha^j S is its h-decimation from j
+(Klapper, Des. Codes Cryptogr. 11, 1997): the field's ``trace_sequence``
+sliced [j::h], a strided view with no gather. The value histogram, which
+``kernel_counts`` and ``exp_sum`` both read, is one q + 1 bin count of
+those k positions, the last bin the sentinel of a value outside F_q. The
+Klapper sweep of ``gpaley.oracles`` evaluates one form per coset, on its
+representative alpha^j, and classifies every gamma in closed form with one
+``classify_logs`` call on the whole log table.
 """
 
 import math
@@ -57,16 +62,18 @@ class TraceForm:
     def histogram(self) -> dict[int, int]:
         """{value index: count} of Q over the field, one entry per element of
         the q-element subfield: h counts per value on gamma S, and Q(0) = 0.
-        Computed at most once per form object."""
-        fld = self.field
-        values, on_coset = fld.subfield_indices(fld.params.s), _unit_values(self)
-        counts = np.bincount(on_coset, minlength=int(values[-1]) + 1)
-        counts *= (fld.order - 1) // len(on_coset)  # h = (N - 1)/k
-        counts[0] += 1  # Q(0) = 0
-        out = {int(x): int(counts[x]) for x in values}
-        if sum(out.values()) != fld.order:
+        The positions of the coset's values are counted in q + 1 bins; the
+        last, the trace sequence's sentinel, must stay empty. Computed at
+        most once per form object."""
+        fld, q = self.field, self.field.params.q
+        on_coset = _unit_values(self)
+        counts = np.bincount(on_coset, minlength=q + 1)
+        if counts[q]:
             raise InternalCheckError("form took a value outside the subfield")
-        return out
+        counts *= (fld.order - 1) // len(on_coset)  # h = (N - 1)/k
+        counts[0] += 1  # Q(0) = 0, and 0 is the first subfield index
+        values = fld.subfield_indices(fld.params.s).tolist()
+        return dict(zip(values, counts[:q].tolist()))
 
     @property
     def exponent(self) -> int:
@@ -87,10 +94,12 @@ class FormClass:
 
 def _unit_values(f: TraceForm) -> np.ndarray:
     """Tr_{q^m/q} at the k members of gamma S = alpha^(log gamma mod h) S,
-    h = gcd(e, N - 1), in log order: a strided view of exp, then one gather."""
+    h = gcd(e, N - 1), in log order, as positions in the q-element subfield:
+    the h-decimation of the field's trace sequence, a strided view with no
+    gather."""
     fld = f.field
     h = math.gcd(f.exponent, fld.order - 1)
-    return fld.trace_map(fld.params.s)[fld.exp[int(fld.log[f.gamma]) % h :: h]]
+    return fld.trace_sequence(fld.params.s)[int(fld.log[f.gamma]) % h :: h]
 
 
 def kernel_counts(f: TraceForm) -> dict[int, int]:

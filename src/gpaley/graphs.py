@@ -182,14 +182,25 @@ class CayleyGraph:
         counts c[r, a] (the weights over a . x = r mod p) are a transform in
         Z[C_p], one digit at a time (Good, J. R. Stat. Soc. B 20, 1958;
         Walsh-Hadamard for p = 2): O(n p^2 N) work, no temporary above p N
-        entries. As 1, omega, ..., omega^(p-2) are independent over Q, a sum
-        is an integer exactly when c[1, a] = ... = c[p-1, a], and is then
-        c[0, a] - c[1, a]; other counts raise InternalCheckError. A count is
-        at most sum |weights|, k for row 0 and N k for lambda^2: int64 is exact."""
+        entries. Before the lowest digit only residue 0 is nonzero, so that
+        step is a scatter: c[a_0 x_0, .., a_0] = weights[.., x_0], the
+        residues a_0 x_0 distinct for a_0 != 0. As 1, omega, ...,
+        omega^(p-2) are independent over Q, a sum is an integer exactly when
+        c[1, a] = ... = c[p-1, a], and is then c[0, a] - c[1, a]; other
+        counts raise InternalCheckError. A count is at most sum |weights|, k
+        for row 0 and N k for lambda^2, so the counts are int32 where that
+        bound fits and int64 otherwise; the sums are returned as int64."""
         p, r = self.field.p, np.arange(self.field.p)
-        counts = np.zeros((p, self.n), dtype=np.int64)
-        counts[0] = weights
-        for j in range(self.field.n):
+        bound = int(np.abs(weights).sum())
+        dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+        lowest = weights.reshape(-1, p)  # axes: digits above 0, digit 0
+        counts = np.zeros((p, self.n // p, p), dtype=dtype)
+        counts[0, :, 0] = lowest.sum(axis=1)  # a_0 = 0: every x_0 to residue 0
+        counts[0, :, 1:] = lowest[:, :1]  # x_0 = 0
+        for a in range(1, p):
+            counts[:, :, a][a * r[1:] % p] = lowest[:, 1:].T
+        counts = counts.reshape(p, self.n)
+        for j in range(1, self.field.n):
             # axes: residue, digits above j, digit j, digits below j; digit j
             # of x gives way to a_j: c[r, .., a_j, ..] sums c[r - a_j x_j, .., x_j, ..]
             digits = counts.reshape(p, -1, p, p**j)
@@ -204,7 +215,7 @@ class CayleyGraph:
                 f"{self.spec.label()}: character {a} has residue counts "
                 f"{counts[:, a].tolist()}, so its eigenvalue is not an integer"
             )
-        return counts[0] - counts[1]
+        return (counts[0] - counts[1]).astype(np.int64)
 
     @cached_property
     def translation_invariant(self) -> bool:

@@ -17,7 +17,9 @@ the library). Each ``*_published_*`` test asserts that
 Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+import hashlib
 import importlib.util
+import json
 import math
 import time
 from collections.abc import Callable
@@ -377,19 +379,22 @@ def test_criterion_3_oracle_sweep():
     structure, girth, rank/type classification of every gamma against kernel
     counting per coset of S (on its representative alpha^j), Waring
     witnesses, Ramanujan gap, coset decomposition, arc-transitivity. Each
-    report names every check once, the names the benchmark expects."""
+    report names every check once, the names the benchmark expects, and the
+    sha256 of every (label, [(check name, passed)], skipped) is pinned."""
     # loaded from its file under its own name, so that bench/checks.py
     # neither shadows nor is shadowed by a module of the tests
     path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
     module_spec = importlib.util.spec_from_file_location("bench_checks", path)
     bench_checks = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(bench_checks)
-    failures, misnamed = [], []
+    failures, misnamed, outcomes = [], [], []
     total = 0
     for spec in _sweep_specs():
         t0 = time.perf_counter()
         report = run_suite(spec)
         total += 1
+        outcomes.append((spec.label(), [(c.name, c.passed) for c in report.checks],
+                         report.skipped))
         status = "ok" if report.ok else "FAIL"
         print(f"  sweep {spec.label():20s} {time.perf_counter() - t0:7.2f}s {status}")
         if not report.ok:
@@ -405,6 +410,9 @@ def test_criterion_3_oracle_sweep():
     assert total == 34  # 14 over q=2, 5 each over q in {3,4}, 3 each over {5,7,8}, 1 over 9
     assert not failures, failures
     assert not misnamed, misnamed
+    # every label, check name and pass flag, and every skip, in sweep order
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "330590f110b1d1cb36e3c5e73fd1205c68c89eaf3db72e5cc83496921c4ad6ea"
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,31 @@ def test_trace_map_refuses_an_image_outside_the_subfield(monkeypatch, p, s, m, t
     assert t not in fld._trace_cache
 
 
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 8)])
+def test_trace_sequence_is_the_reference_trace_in_log_order(p, s, m):
+    # entry i is the position of Tr(alpha^i) among the subfield indices, in
+    # the narrowest unsigned dtype that holds p^t, for every t | n
+    fld = get_field(p, s, m)
+    for t in (t for t in range(1, fld.n + 1) if fld.n % t == 0):
+        reference = frobenius_trace_map(fld, t, fld.n)[fld.exp]
+        sequence = fld.trace_sequence(t)
+        assert sequence.dtype == np.min_scalar_type(p**t)
+        assert np.array_equal(sequence, np.searchsorted(fld.subfield_indices(t), reference))
+
+
+def test_trace_sequence_widens_for_the_sentinel():
+    # 256 subfield values fit a byte, their sentinel 256 does not
+    g = get_field(2, 1, 16)
+    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace map built yet
+    corrupted = fld.trace_map(8).copy()
+    corrupted[fld.alpha] = min(set(range(fld.order)) - set(fld.subfield_indices(8).tolist()))
+    fld._trace_cache[8] = corrupted
+    sequence = fld.trace_sequence(8)
+    assert sequence.dtype == np.uint16
+    assert sequence[1] == 256
+    assert np.array_equal(np.unique(np.delete(sequence, 1)), np.arange(256))
+
+
 @pytest.mark.parametrize("used", ["every", "lowest", "gapped", "none"])
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 3), (131, 2)])
 def test_linear_map_is_the_digit_dot_product(p, n, used):
@@ -217,13 +242,15 @@ def test_zech_round_trip():
 
 def test_zech_is_built_only_when_read():
     # p = 2 adds by XOR, so its Zech table is never built; odd p builds it at
-    # the first addition and keeps it
+    # the first addition and keeps it, and traces, digit-matrix products,
+    # read no Zech table
     get_field.cache_clear()
     f = get_field(2, 1, 6)
     f.mul(3, 5), f.pow(3, 7), f.add_arrays(np.arange(64), 9), f.trace_map(1)
     assert build_graph(GraphSpec(2, 1, 6, 1)).field is f
     assert "zech" not in vars(f)
     g = get_field(3, 1, 4)
+    g.trace_map(1), g.trace_sequence(2), trace(g, 5, 4, 1), trace(g, 1, 4, 2)
     assert "zech" not in vars(g)
     g.add(1, 1)
     zech = vars(g)["zech"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gpaley.forms
-from gpaley.errors import OutOfTheory, UnbalancedCounts, ZeroElement
+from gpaley.errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
 from gpaley.field import FieldTable, get_field
 from gpaley.forms import (
     TraceForm,
@@ -93,7 +93,7 @@ def test_histogram_is_the_bincount_of_the_form_values(p, s, m, ell):
     for gamma in range(1, f.order):
         form = TraceForm(f, gamma, ell)
         pointwise = [evaluate_form(form, x) for x in range(f.order)]
-        unit_values = gpaley.forms._unit_values(form).tolist()
+        unit_values = values[gpaley.forms._unit_values(form)].tolist()
         assert unit_values == tr[f.exp[f.log[gamma] % h :: h]].tolist()
         assert sorted(unit_values * h) == sorted(pointwise[1:])
         counts = np.bincount(pointwise, minlength=f.order)
@@ -154,14 +154,43 @@ def test_character_sums_are_gauss_periods(p, s, m, ell):
 
 
 def test_exp_sum_builds_no_small_field_trace_map():
-    # Tr_{q/p} is read on the q summed values, not as a whole-field array
+    # Tr_{q/p} is read on the q summed values, through an n x n digit matrix,
+    # not as a whole-field array
     get_field.cache_clear()
     f = get_field(2, 2, 4)  # q = 4, m = 4
     try:
         exp_sum(TraceForm(f, 1, 1))
         assert list(f._trace_cache) == [2]
+        assert list(f._sequence_cache) == [2]
+        assert set(f._frobenius_cache) == {(2, 4), (1, 2)}  # Tr to F_4, Tr_{4/2}
+        assert all(m.shape == (f.n, f.n) for m in f._frobenius_cache.values())
     finally:
         get_field.cache_clear()
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 4), (5, 1, 4), (3, 2, 2)])
+def test_a_forms_round_builds_no_zech_table(p, s, m):
+    # the traces are digit-matrix products and the forms read the trace
+    # sequence, so no addition table is built on an odd-p field
+    g = get_field(p, s, m)
+    f = FieldTable(g.params, g.modulus, g.alpha)
+    for gamma in range(1, f.order, max(1, f.order // 20)):
+        form = TraceForm(f, gamma, 1)
+        classify_form(form), kernel_counts(form), exp_sum(form)
+    assert "zech" not in vars(f)
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 4), (2, 2, 4)])
+def test_a_trace_map_entry_outside_the_subfield_fails_the_histogram(p, s, m):
+    # the trace sequence sends it to the sentinel bin, which must stay empty
+    g = get_field(p, s, m)
+    f = FieldTable(g.params, g.modulus, g.alpha)
+    corrupted = f.trace_map(s).copy()
+    corrupted[f.alpha] = min(set(range(f.order)) - set(f.subfield_indices(s).tolist()))
+    f._trace_cache[s] = corrupted
+    assert f.trace_sequence(s)[1] == p**s
+    with pytest.raises(InternalCheckError, match="form took a value outside the subfield"):
+        TraceForm(f, f.alpha, 1).histogram
 
 
 def test_kernel_matches_balanced_formula_f16():

@@ -208,6 +208,28 @@ def test_walk_rows_of_a_derived_complement_are_exact():
 
 
 @pytest.mark.parametrize(
+    "spec", [GraphSpec(31, 1, 2, 1), GraphSpec(13, 1, 2, 1, True), GraphSpec(5, 1, 4, 1)],
+    ids=GraphSpec.label,
+)
+def test_character_sums_are_the_direct_sums_at_every_index(spec):
+    # c[r, a] = sum of weights[x] over a . x = r mod p, counted on the N x N
+    # table of digit dot products; the sum at a is c[0, a] - c[1, a]
+    g = build_graph(spec)
+    p = spec.p
+    digits = np.arange(g.n)[:, None] // p ** np.arange(g.field.n) % p
+    dots = digits @ digits.T % p
+
+    def direct(weights):
+        counts = np.stack([np.where(dots == r, weights, 0).sum(axis=1) for r in range(p)])
+        assert (counts[1:] == counts[1]).all()
+        return counts[0] - counts[1]
+
+    assert g.eigenvalues.dtype == np.int64
+    assert np.array_equal(g.eigenvalues, direct(g.adjacency[0].astype(np.int64)))
+    assert np.array_equal(g.square_row * g.n, direct(g.eigenvalues**2))
+
+
+@pytest.mark.parametrize(
     "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1, True), GraphSpec(2, 1, 8, 1, True)],
     ids=GraphSpec.label,
 )

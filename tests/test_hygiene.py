@@ -135,6 +135,15 @@ def test_spectra_are_counted_by_one_transform():
     assert sites == {("graphs.py", "eigenvalues"), ("graphs.py", "square_row")}
 
 
+def test_the_trace_sequence_has_one_reader():
+    # every trace-form count reads its coset as a strided view of the
+    # log-order trace table, and nothing else reads that table
+    sites = _sites(
+        lambda c: isinstance(c.func, ast.Attribute) and c.func.attr == "trace_sequence"
+    )
+    assert sites == {("forms.py", "_unit_values")}
+
+
 def _connectivity_rules() -> set[tuple[str, str | None]]:
     """(module, enclosing function) of every boolean expression in src/
     that reads both ``is_half`` and ``complemented``."""

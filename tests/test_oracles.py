@@ -753,16 +753,16 @@ def test_klapper_sweep_applies_the_closed_rule_at_every_gamma(monkeypatch, spec)
 
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 def test_klapper_sweep_reads_the_built_trace_map(monkeypatch, spec):
-    # Q_gamma reads the trace map at gamma x^(q^ell+1) only, on the coset
-    # gamma S; one wrong entry at y must name exactly the gammas of y's coset
+    # Q_gamma reads the log-order trace table at log(gamma x^(q^ell+1)) only,
+    # on the coset gamma S; one wrong entry at log y must name exactly the
+    # gammas of y's coset
     fld = get_field(spec.p, spec.s, spec.m)
-    built = fld.trace_map(spec.s)
-    values = fld.subfield_indices(spec.s).tolist()
+    built = fld.trace_sequence(spec.s)
     for coset in _coset_logs(spec):
-        y = int(fld.exp[coset[-1]])
+        log_y = coset[-1]
         corrupted = built.copy()
-        corrupted[y] = next(v for v in values if v != built[y])
-        monkeypatch.setitem(fld._trace_cache, spec.s, corrupted)
+        corrupted[log_y] = (built[log_y] + 1) % spec.q
+        monkeypatch.setitem(fld._sequence_cache, spec.s, corrupted)
         checks = {c.name: c for c in run_suite(spec).checks}
         assert checks["klapper-vs-kernel-counts"].observed == sorted(
             int(fld.exp[log]) for log in coset
