@@ -15,14 +15,18 @@ at one index; ``inv`` reads the exp and log tables directly. The exp table
 is filled by baby-step/giant-step (Shanks, 1971), and the Zech table is
 built on first read, which only odd-p addition makes: traces are F_p-linear
 maps on base-p digit vectors, read off the log and exp tables, so neither a
-p = 2 field nor a trace builds it. Each trace map has a log-order twin,
-``trace_sequence``, that the trace-form counts read as strided views.
+p = 2 field nor a trace builds it. A trace map is built on each call; its
+log-order twin, ``trace_sequence``, is kept, one byte per element, and the
+trace-form counts read it as strided views.
 
 ``get_field`` is the one constructor: it picks the modulus and the
-generator alpha by a deterministic rule, so every table is reproducible
-from (p, s, m) alone, and memoizes one table per (p, s, m).
+generator alpha from (p, n) alone by a deterministic rule, so every table
+is reproducible, and it memoizes one table per (p, n). Each (p, s, m) with
+s m = n gets its own memoized view of that table, which carries its own
+params and shares the exp, log and Zech tables and the per-degree caches.
 """
 
+import copy
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -198,7 +202,8 @@ class FieldTable:
     of x -> alpha x; ``_linear_map`` builds the giant map x -> alpha^B x
     once, from the products alpha^B x^i mod the modulus, and each block
     exp[jB:(j+1)B] is its gather at block j - 1. log inverts exp; zech is
-    built on first read.
+    built on first read. ``get_field`` hands out views of a table: shallow
+    copies with their own params that share its arrays and caches.
     """
 
     def __init__(self, params: FieldParams, modulus: tuple[int, ...], alpha: int):
@@ -217,7 +222,7 @@ class FieldTable:
         if not 0 < self.alpha < self.order:
             raise ValueError(f"alpha {self.alpha} is not a nonzero element of F_{self.p}^{self.n}")
         self._build_tables()
-        self._trace_cache: dict[int, np.ndarray] = {}
+        self._root: FieldTable | None = None  # on a view, the table it shares
         self._sequence_cache: dict[int, np.ndarray] = {}
         self._frobenius_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -263,7 +268,10 @@ class FieldTable:
         """zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0; built on
         first read, which only odd-p addition makes. Adding one steps the
         lowest base-p digit cyclically, so in rows of p consecutive indices
-        log(x + 1) is the row of log(x) rotated by one."""
+        log(x + 1) is the row of log(x) rotated by one. A view reads the
+        Zech table of the table it shares, so each (p, n) builds one."""
+        if self._root is not None:
+            return self._root.zech
         log_plus_one = np.roll(self.log.reshape(-1, self.p), -1, axis=1).ravel()
         return log_plus_one[self.exp]
 
@@ -368,34 +376,33 @@ class FieldTable:
 
     def trace_map(self, to_degree: int) -> np.ndarray:
         """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
-        degree t = ``to_degree`` at every index x, cached per t. The trace is
-        F_p-linear, so ``_linear_map`` builds it from the images of the basis
-        indices p^i, which ``_frobenius_sum`` gives by one product of digit
-        matrices; for t = n that is the identity. Every index is held to the
-        subfield by one gather from a membership mask of
+        degree t = ``to_degree`` at every index x, built on each call. The
+        trace is F_p-linear, so ``_linear_map`` builds it from the images of
+        the basis indices p^i, which ``_frobenius_sum`` gives by one product
+        of digit matrices; for t = n that is the identity. Every index is
+        held to the subfield by one gather from a membership mask of
         ``subfield_indices(t)``: x^(p^t) = x exactly on F_{p^t}."""
         t = to_degree
         self._require_subfield(t)
-        if t not in self._trace_cache:
-            basis = self.p ** np.arange(self.n, dtype=np.int64)
-            acc = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
-            inside = np.zeros(self.order, dtype=bool)
-            inside[self.subfield_indices(t)] = True
-            if not inside[acc].all():
-                raise NotASubfield("trace image escaped the target subfield")
-            self._trace_cache[t] = acc
-        return self._trace_cache[t]
+        basis = self.p ** np.arange(self.n, dtype=np.int64)
+        out = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.subfield_indices(t)] = True
+        if not inside[out].all():
+            raise NotASubfield("trace image escaped the target subfield")
+        return out
 
     def trace_sequence(self, t: int) -> np.ndarray:
-        """The trace onto the subfield of degree t in log order, cached per t:
-        entry i < p^n - 1 is the position of Tr_{p^n / p^t}(alpha^i) in
-        ``subfield_indices(t)``, in the narrowest unsigned dtype that holds
-        p^t. This is the m-sequence of alpha (Golomb, Shift Register
-        Sequences, 1967), and the trace on a coset alpha^j <alpha^h> is its
-        h-decimation from j, a strided view (Klapper, Des. Codes Cryptogr.
-        11, 1997). Built as position[trace_map(t)][exp], where position
-        sends every index outside the subfield to the sentinel p^t, so the
-        random reads hit a table of one byte per element for p^t < 256."""
+        """The trace onto the subfield of degree t in log order, cached per t
+        and shared by every view of the table: entry i < p^n - 1 is the
+        position of Tr_{p^n / p^t}(alpha^i) in ``subfield_indices(t)``, in
+        the narrowest unsigned dtype that holds p^t. This is the m-sequence
+        of alpha (Golomb, Shift Register Sequences, 1967), and the trace on a
+        coset alpha^j <alpha^h> is its h-decimation from j, a strided view
+        (Klapper, Des. Codes Cryptogr. 11, 1997). Built as
+        position[trace_map(t)][exp], where position sends every index outside
+        the subfield to the sentinel p^t, so the random reads hit a table of
+        one byte per element for p^t < 256; the int64 trace map is dropped."""
         self._require_subfield(t)
         if t not in self._sequence_cache:
             members = self.subfield_indices(t)
@@ -462,21 +469,22 @@ def trace(fld: FieldTable, x: int, from_degree: int, to_degree: int) -> int:
 def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTable:
     """The canonical table-backed realization of F_{p^(s*m)}, memoized.
 
-    The modulus is the least monic irreducible of degree n in the base-p
-    ordering of its non-leading coefficients; alpha is the least-index
-    primitive element. Both searches are deterministic, so serialized
-    artifacts are stable across runs. Every call applies the ``table`` cap
-    resolved from ``max_order``; the memo holds one table per (p, s, m)
-    whatever cap admitted it, since tables are immutable and sharing them
-    is safe."""
+    The modulus is the least monic irreducible of degree n = s m in the
+    base-p ordering of its non-leading coefficients; alpha is the
+    least-index primitive element. Both searches are deterministic and read
+    (p, n) alone, so serialized artifacts are stable across runs. Every call
+    applies the ``table`` cap resolved from ``max_order``. The memo holds
+    one table per (p, n) whatever cap admitted it, and one view of it per
+    (p, s, m) with its own params; the per-degree caches it shares are
+    keyed by absolute degrees, and tables are immutable."""
     params = FieldParams(p, s, m)
     require("table", params.order, max_order)
-    return _memoized_field(params)
+    return _memoized_field(params, _memoized_table(params.p, params.n))
 
 
 @lru_cache(maxsize=32)
-def _memoized_field(params: FieldParams) -> FieldTable:
-    p, n = params.p, params.n
+def _memoized_table(p: int, n: int) -> FieldTable:
+    params = FieldParams(p, 1, n)
     for c in range(params.order):
         modulus = _index_digits(c, p, n) + [1]
         # a zero constant term makes x a factor
@@ -486,8 +494,23 @@ def _memoized_field(params: FieldParams) -> FieldTable:
     raise CompositeP(f"no irreducible of degree {n} over F_{p}")
 
 
-# empties the memo, e.g. to time cold builds
-get_field.cache_clear = _memoized_field.cache_clear
+@lru_cache(maxsize=32)
+def _memoized_field(params: FieldParams, table: FieldTable) -> FieldTable:
+    """``table`` named by ``params``: a shallow copy that shares its arrays
+    and caches. Keyed by the table too, so every view handed out shares the
+    table that ``_memoized_table`` holds."""
+    view = copy.copy(table)
+    view.params, view._root = params, table
+    return view
+
+
+def _clear_memos() -> None:
+    """Empties both memos, e.g. to time cold builds."""
+    _memoized_field.cache_clear()
+    _memoized_table.cache_clear()
+
+
+get_field.cache_clear = _clear_memos
 
 
 # ---------------------------------------------------------------------------

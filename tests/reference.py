@@ -14,12 +14,14 @@ exponential table is tested against both.
 The multiplicative order takes those single powers at the divisors of
 p^n - 1, so a primitivity test shares no table with the field it tests.
 The scalar form evaluation reads the library's field table one element at
-a time, and is what the forms module's whole-field pass is tested against.
+a time, with the trace map above, and is what the forms module's
+whole-field pass is tested against.
 The bit-dump reader decodes the file that ``gpaley export --kind bits``
 writes, so the export is held to the adjacency it came from.
 """
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,11 +102,17 @@ def element_order(fld, x: int) -> int:
     )
 
 
+@lru_cache(maxsize=4)
+def _trace_to_q(fld) -> np.ndarray:
+    return frobenius_trace_map(fld, fld.params.s, fld.n)
+
+
 def evaluate_form(f, x: int) -> int:
     """Q(x) = Tr(gamma x^(q^ell + 1)) of the trace form ``f`` at one index,
-    landing in the q-element subfield."""
+    landing in the q-element subfield; the trace is ``frobenius_trace_map``,
+    built once per field table."""
     fld = f.field
-    return int(fld.trace_map(fld.params.s)[fld.mul(f.gamma, fld.pow(x, f.exponent))])
+    return int(_trace_to_q(fld)[fld.mul(f.gamma, fld.pow(x, f.exponent))])
 
 
 def translation_invariant(adj, p: int, n: int) -> bool:

@@ -98,7 +98,7 @@ def test_waring_without_witnesses_builds_no_table():
     get_field.cache_clear()
     cert = waring_number(GraphSpec(2, 1, 4, 1), max_order=0)
     assert cert.g == 2 and cert.witnesses is None
-    assert gpaley.field._memoized_field.cache_info().currsize == 0
+    assert gpaley.field._memoized_table.cache_info().currsize == 0
 
 
 def test_verify_waring_refuses_a_certificate_without_witnesses():

@@ -96,6 +96,20 @@ def test_field_verb(capsys):
     assert payload["alpha"] == 2
 
 
+def test_field_verb_names_one_field_over_either_subfield(capsys):
+    # F_256 over F_2 and over F_4 prints one modulus and alpha, each with its
+    # own s and m
+    payloads = []
+    for s, m in ((1, 8), (2, 4)):
+        code, out = _run(capsys, "field", "--p", "2", "--s", str(s), "--m", str(m))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload.pop("s"), payload.pop("m")) == (s, m)
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert set(payloads[0]) == {"p", "modulus", "alpha", "alpha_digits"}
+
+
 def test_verify_exit_codes(capsys):
     code, out = _run(capsys, "verify", "--p", "2", "--m", "4", "--ell", "1")
     assert code == 0

@@ -15,7 +15,7 @@ from gpaley.field import (
     get_field,
     trace,
 )
-from gpaley.graphs import GraphSpec, build_graph
+from gpaley.graphs import GraphSpec, build_graph, connection_set
 from reference import (
     digit_add,
     digit_neg,
@@ -171,7 +171,10 @@ def test_trace_map_refuses_an_image_outside_the_subfield(monkeypatch, p, s, m, t
     monkeypatch.setattr(gpaley.field, "_linear_map", moved)
     with pytest.raises(NotASubfield, match="^trace image escaped the target subfield$"):
         fld.trace_map(t)
-    assert t not in fld._trace_cache
+    # nothing refused is kept: the log-order sequence refuses the same map
+    with pytest.raises(NotASubfield, match="^trace image escaped the target subfield$"):
+        fld.trace_sequence(t)
+    assert t not in fld._sequence_cache
 
 
 @pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 8)])
@@ -186,13 +189,13 @@ def test_trace_sequence_is_the_reference_trace_in_log_order(p, s, m):
         assert np.array_equal(sequence, np.searchsorted(fld.subfield_indices(t), reference))
 
 
-def test_trace_sequence_widens_for_the_sentinel():
+def test_trace_sequence_widens_for_the_sentinel(monkeypatch):
     # 256 subfield values fit a byte, their sentinel 256 does not
     g = get_field(2, 1, 16)
-    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace map built yet
-    corrupted = fld.trace_map(8).copy()
+    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace sequence built yet
+    corrupted = fld.trace_map(8)
     corrupted[fld.alpha] = min(set(range(fld.order)) - set(fld.subfield_indices(8).tolist()))
-    fld._trace_cache[8] = corrupted
+    monkeypatch.setattr(fld, "trace_map", lambda t: corrupted)
     sequence = fld.trace_sequence(8)
     assert sequence.dtype == np.uint16
     assert sequence[1] == 256
@@ -256,6 +259,38 @@ def test_zech_is_built_only_when_read():
     zech = vars(g)["zech"]
     g.add(5, 7), g.add_arrays(np.arange(81), 2)
     assert g.zech is zech
+
+
+def test_every_name_of_a_field_shares_its_table():
+    # F_256 over F_2 and over F_4 is one field: one exp and log table and one
+    # trace sequence per degree, under two params that the spec guard reads
+    get_field.cache_clear()
+    a, b = get_field(2, 1, 8), get_field(2, 2, 4)
+    assert a is get_field(2, 1, 8) and b is get_field(2, 2, 4) and a is not b
+    assert np.shares_memory(a.exp, b.exp) and np.shares_memory(a.log, b.log)
+    assert (a.params, b.params) == (FieldParams(2, 1, 8), FieldParams(2, 2, 4))
+    assert (field_to_dict(a)["s"], field_to_dict(b)["s"]) == (1, 2)
+    connection_set(GraphSpec(2, 2, 4, 1), b)
+    with pytest.raises(ValueError, match="^field does not match spec$"):
+        connection_set(GraphSpec(2, 2, 4, 1), a)
+    assert b.trace_sequence(2) is a.trace_sequence(2)
+    get_field.cache_clear()
+    for old, new in ((a, get_field(2, 1, 8)), (b, get_field(2, 2, 4))):
+        assert new is not old and not np.shares_memory(new.exp, old.exp)
+    get_field.cache_clear()
+
+
+def test_two_names_of_one_odd_field_build_one_zech_table():
+    # F_81 over F_3 and over F_9: the first addition through either name
+    # builds the Zech table, and the other name reads that same array
+    get_field.cache_clear()
+    a, b = get_field(3, 1, 4), get_field(3, 2, 2)
+    b.add(1, 2)
+    assert a.zech is b.zech
+    c, d = get_field(5, 1, 2), get_field(5, 2, 1)
+    c.add(1, 2)
+    assert d.zech is c.zech
+    get_field.cache_clear()
 
 
 def test_exp_log_inverse():

@@ -153,14 +153,16 @@ def test_character_sums_are_gauss_periods(p, s, m, ell):
     assert complement == dict(spectrum(spec.complement()).pairs)
 
 
-def test_exp_sum_builds_no_small_field_trace_map():
+def test_exp_sum_builds_no_small_field_trace_map(monkeypatch):
     # Tr_{q/p} is read on the q summed values, through an n x n digit matrix,
     # not as a whole-field array
     get_field.cache_clear()
     f = get_field(2, 2, 4)  # q = 4, m = 4
+    degrees, real = [], f.trace_map
+    monkeypatch.setattr(f, "trace_map", lambda t: degrees.append(t) or real(t))
     try:
         exp_sum(TraceForm(f, 1, 1))
-        assert list(f._trace_cache) == [2]
+        assert degrees == [2]
         assert list(f._sequence_cache) == [2]
         assert set(f._frobenius_cache) == {(2, 4), (1, 2)}  # Tr to F_4, Tr_{4/2}
         assert all(m.shape == (f.n, f.n) for m in f._frobenius_cache.values())
@@ -180,14 +182,35 @@ def test_a_forms_round_builds_no_zech_table(p, s, m):
     assert "zech" not in vars(f)
 
 
+def test_a_forms_round_keeps_no_whole_field_trace_map():
+    # the trace sequence is kept, one byte per element; the int64 trace map
+    # it was built from is not, so exp and log are the only int64 arrays of
+    # field length that the table holds
+    get_field.cache_clear()
+    f = get_field(2, 1, 8)
+    for ell in (1, 2):
+        for gamma in range(1, f.order, 5):
+            form = TraceForm(f, gamma, ell)
+            classify_form(form), kernel_counts(form), exp_sum(form)
+    held = []
+    for value in vars(f).values():
+        held += value.values() if isinstance(value, dict) else [value]
+        held += vars(value).values() if isinstance(value, FieldTable) else []
+    large = {id(a) for a in held if isinstance(a, np.ndarray)
+             and a.dtype == np.int64 and a.size >= f.order - 1}
+    assert large == {id(f.exp), id(f.log)}
+    assert f.trace_sequence(1).dtype == np.uint8
+    get_field.cache_clear()
+
+
 @pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 4), (2, 2, 4)])
-def test_a_trace_map_entry_outside_the_subfield_fails_the_histogram(p, s, m):
+def test_a_trace_map_entry_outside_the_subfield_fails_the_histogram(monkeypatch, p, s, m):
     # the trace sequence sends it to the sentinel bin, which must stay empty
     g = get_field(p, s, m)
     f = FieldTable(g.params, g.modulus, g.alpha)
-    corrupted = f.trace_map(s).copy()
+    corrupted = f.trace_map(s)
     corrupted[f.alpha] = min(set(range(f.order)) - set(f.subfield_indices(s).tolist()))
-    f._trace_cache[s] = corrupted
+    monkeypatch.setattr(f, "trace_map", lambda t: corrupted)
     assert f.trace_sequence(s)[1] == p**s
     with pytest.raises(InternalCheckError, match="form took a value outside the subfield"):
         TraceForm(f, f.alpha, 1).histogram

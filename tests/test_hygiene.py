@@ -166,9 +166,10 @@ def test_connectivity_is_stated_once():
 
 
 def test_field_tables_are_built_in_one_place():
-    # get_field, through its memo, is the one constructor of a field
+    # get_field, through its memo of one table per (p, n), is the one
+    # constructor of a field; its views are copies
     sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "FieldTable")
-    assert sites == {("field.py", "_memoized_field")}
+    assert sites == {("field.py", "_memoized_table")}
 
 
 # Public functions that nothing else in src/ reads, each with its reason.

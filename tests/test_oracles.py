@@ -904,7 +904,7 @@ def test_run_suite_explicit_cap_admits_a_cold_field(monkeypatch):
     assert report.ok, [c.name for c in report.failures()]
     # one memoized table for F_16 whatever cap admitted it, and the cap
     # applies on every call, memoized or not
-    assert gpaley.field._memoized_field.cache_info().currsize == 1
+    assert gpaley.field._memoized_table.cache_info().currsize == 1
     with pytest.raises(BudgetExceeded):
         get_field(2, 1, 4)
     monkeypatch.delenv("GPG_MAX_ORDER")
