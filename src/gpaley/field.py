@@ -5,7 +5,11 @@ F_p, n = s*m; the intermediate field F_q is recovered as the fixed field of
 the s-fold Frobenius. An element is a plain integer index in [0, p^n):
 the base-p digits of the index are the coefficients of the residue
 polynomial (little-endian). Index 0 is zero, index 1 is one, and the prime
-subfield occupies indices 0..p-1.
+subfield occupies indices 0..p-1. All F_p-linear algebra is done on one
+representation, digit vectors and n x n matrices over F_p: the companion
+matrix of v -> x v mod the modulus, the matrix of v -> a v built from it,
+and their powers by square-and-multiply. The modulus and alpha are found,
+and the exp table is filled, with these matrices alone.
 
 Multiplication adds logarithms. Addition is the XOR of the indices for
 p = 2 and one Zech-logarithm lookup for odd p (Lidl and Niederreiter,
@@ -39,88 +43,69 @@ from .budgets import require
 from .errors import CompositeP, NotASubfield, ZeroElement
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (little-endian coefficient lists)
+# F_p-linear algebra on base-p digit vectors and n x n matrices over F_p
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _digits(a, p: int, n: int) -> np.ndarray:
+    """Little-endian base-p digits of an index or index array, on a new last
+    axis: the coefficients of the residue polynomial."""
+    return np.asarray(a, dtype=np.int64)[..., None] // p ** np.arange(n, dtype=np.int64) % p
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    n = len(mod) - 1
-    # reduce by the monic modulus
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - c * mod[j]) % p
-    del out[n:]
-    out.extend([0] * (n - len(out)))
-    return out
+def _companion(modulus, p: int) -> np.ndarray:
+    """Matrix of v -> x v mod the monic ``modulus`` on digit vectors: x^i
+    goes to x^(i+1), and x^(n-1) to x^n = -(f_0 + ... + f_(n-1) x^(n-1))."""
+    n = len(modulus) - 1
+    c = np.eye(n, k=-1, dtype=np.int64)
+    c[:, -1] = -np.asarray(modulus[:n], dtype=np.int64) % p
+    return c
 
 
-def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    n = len(mod) - 1
-    result = [1] + [0] * (n - 1)
-    base = list(a)
+def _times(companion: np.ndarray, a, p: int) -> np.ndarray:
+    """Matrix of v -> a v for the digit vector a: column i is the digit
+    vector of a x^i, the companion times column i - 1."""
+    columns = [np.asarray(a, dtype=np.int64)]
+    for _ in range(1, len(companion)):
+        columns.append(companion @ columns[-1] % p)
+    return np.stack(columns, axis=1)
+
+
+def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p by square-and-multiply. Entries stay below p, so every
+    entry of a product stays below n p^2 < 2^63 for any field that fits a
+    table."""
+    out = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            out = out @ m % p
+        m = m @ m % p
         e >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p) if p > 2 else 1
-        b_m = [(c * inv) % p for c in b]
-        # a mod b_m
-        r = list(a)
-        while len(r) >= len(b_m) and _poly_trim(r):
-            d = len(r) - len(b_m)
-            c = r[-1]
-            for j, bj in enumerate(b_m):
-                r[d + j] = (r[d + j] - c * bj) % p
-            _poly_trim(r)
-        a, b = b, r
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f of degree n is irreducible iff x^(p^n) = x mod f and
-    x^(p^(n/r)) - x is coprime to f for every prime r | n."""
+def _is_irreducible(f, p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980): monic f of degree n is
+    irreducible iff x^(p^n) = x mod f and x^(p^(n/r)) - x is coprime to f
+    for every prime r | n. Once x^(p^n) = x, f divides x^(p^n) - x, the
+    product of the monic irreducibles of degrees dividing n (Lidl and
+    Niederreiter, Finite Fields, Thm 3.20), so f is squarefree and
+    F_p[x]/(f) is a product of fields F_(p^d) with d | n. Each unit group
+    has order p^d - 1 dividing p^n - 1, and a non-unit has a zero
+    component, so v = x^(p^(n/r)) - x is coprime to f exactly when
+    v^(p^n - 1) = 1: one ``_matpow`` of the matrix of v -> v w."""
     n = len(f) - 1
-    x = [0, 1] if n > 1 else [0]
     if n == 1:
         return True
-    xq = _poly_powmod([0, 1], p**n, f, p)
-    if _poly_trim([(xq[i] - x[i]) % p if i < len(x) else xq[i] for i in range(n)]):
+    c = _companion(f, p)
+    x = c[:, 0]  # x times 1
+    if not np.array_equal(_matpow(c, p**n, p)[:, 0], x):
         return False
+    one = np.eye(n, dtype=np.int64)
     for r in factorize(n):
-        xr = _poly_powmod([0, 1], p ** (n // r), f, p)
-        diff = [(xr[i] - (1 if i == 1 else 0)) % p for i in range(n)]
-        g = _poly_gcd(f, diff, p)
-        if len(g) - 1 != 0:
+        v = (_matpow(c, p ** (n // r), p)[:, 0] - x) % p
+        if not np.array_equal(_matpow(_times(c, v, p), p**n - 1, p), one):
             return False
     return True
-
-
-def _index_digits(idx: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        idx, d = divmod(idx, p)
-        out.append(d)
-    return out
 
 
 def _linear_map(p: int, n: int, images: list[int]) -> np.ndarray:
@@ -137,7 +122,7 @@ def _linear_map(p: int, n: int, images: list[int]) -> np.ndarray:
             np.bitwise_xor(out[: 1 << i], image, out=out[1 << i : 2 << i])
         return out
     dtype = np.min_scalar_type(2 * p)
-    image_digits = np.array([_index_digits(image, p, n) for image in images], dtype=dtype)
+    image_digits = _digits(images, p, n).astype(dtype)
     used = np.flatnonzero(image_digits.any(axis=0))
     digits = np.zeros((len(used), p**n), dtype=dtype)
     for i, image in enumerate(image_digits[:, used]):
@@ -197,13 +182,10 @@ class FieldTable:
     addition is XOR for p = 2 and one Zech lookup for odd p; negation
     multiplies by -1.
 
-    exp is filled by baby-step/giant-step with B = isqrt(p^n - 1): the
-    baby steps exp[:B] are B small products of digit vectors by the matrix
-    of x -> alpha x; ``_linear_map`` builds the giant map x -> alpha^B x
-    once, from the products alpha^B x^i mod the modulus, and each block
-    exp[jB:(j+1)B] is its gather at block j - 1. log inverts exp; zech is
-    built on first read. ``get_field`` hands out views of a table: shallow
-    copies with their own params that share its arrays and caches.
+    exp is filled by ``_build_tables``, baby-step/giant-step on digit
+    matrices; log inverts exp, and zech is built on first read.
+    ``get_field`` hands out views of a table: shallow copies with their own
+    params that share its arrays and caches.
     """
 
     def __init__(self, params: FieldParams, modulus: tuple[int, ...], alpha: int):
@@ -229,25 +211,26 @@ class FieldTable:
     # -- construction -------------------------------------------------------
 
     def _build_tables(self):
+        """exp and log by baby-step/giant-step with B = isqrt(p^n - 1). The
+        baby steps exp[:B] are B products of digit vectors by the matrix of
+        v -> alpha v, ``_times`` of the companion matrix. Column i of that
+        matrix to the B-th power is the digit vector of alpha^B x^i, so read
+        as indices its columns are the basis images from which
+        ``_linear_map`` builds the giant map v -> alpha^B v once; each block
+        exp[jB:(j+1)B] is its gather at block j - 1."""
         p, n, N = self.p, self.n, self.order
         units, baby = N - 1, isqrt(N - 1)
-        alpha_poly, mod = _index_digits(self.alpha, p, n), list(self.modulus)
         weights = p ** np.arange(n, dtype=np.int64)
-
-        def basis_images(a: list[int]) -> np.ndarray:
-            """Digit rows of a x^i mod the modulus, i < n: the map x -> a x."""
-            return np.array([_poly_mulmod(a, [0] * i + [1], mod, p) for i in range(n)])
-
         exp = np.empty(units, dtype=np.int64)
         # baby steps: the digits of alpha^i, i < B, one small product each
-        step, digits = basis_images(alpha_poly).T, np.zeros((baby, n), dtype=np.int64)
+        step = _times(_companion(self.modulus, p), _digits(self.alpha, p, n), p)
+        digits = np.zeros((baby, n), dtype=np.int64)
         digits[0, 0] = 1
         for i in range(1, baby):
             digits[i] = step @ digits[i - 1] % p
         exp[:baby] = digits @ weights
-        # giant steps: block j is the map x -> alpha^B x gathered at block j - 1
-        giant_poly = _poly_powmod(alpha_poly, baby, mod, p)
-        giant = _linear_map(p, n, (basis_images(giant_poly) @ weights).tolist())
+        # giant steps: block j is the map v -> alpha^B v gathered at block j - 1
+        giant = _linear_map(p, n, (weights @ _matpow(step, baby, p)).tolist())
         for start in range(baby, units, baby):
             block = exp[start : start + baby]
             np.take(giant, exp[start - baby : start - baby + len(block)], out=block)
@@ -371,8 +354,8 @@ class FieldTable:
         if (t, r) not in self._frobenius_cache:
             steps = np.array([pow(p, t * j, units) for j in range(r)], dtype=np.int64)
             images = self.exp[np.outer(steps, self.log[weights]) % units]
-            self._frobenius_cache[t, r] = (images[..., None] // weights % p).sum(axis=0) % p
-        return a[..., None] // weights % p @ self._frobenius_cache[t, r] % p @ weights
+            self._frobenius_cache[t, r] = _digits(images, p, self.n).sum(axis=0) % p
+        return _digits(a, p, self.n) @ self._frobenius_cache[t, r] % p @ weights
 
     def trace_map(self, to_degree: int) -> np.ndarray:
         """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
@@ -434,19 +417,17 @@ class FieldTable:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _find_primitive(modulus: list[int], params: FieldParams) -> int:
+def _find_primitive(modulus, params: FieldParams) -> int:
+    """The least index a >= 2 whose power a^((p^n - 1)/r) is not one for
+    any prime r | p^n - 1, each power a matrix power of v -> a v."""
     p, n, N = params.p, params.n, params.order
     if N == 2:
         return 1
-    units = N - 1
+    units, c, one = N - 1, _companion(modulus, p), np.eye(n, dtype=np.int64)
     primes = list(factorize(units))
     for idx in range(2, N):
-        cand = _index_digits(idx, p, n)
-        for r in primes:
-            e = _poly_powmod(cand, units // r, modulus, p)
-            if _poly_trim(list(e)) == [1]:
-                break
-        else:
+        times = _times(c, _digits(idx, p, n), p)
+        if not any(np.array_equal(_matpow(times, units // r, p), one) for r in primes):
             return idx
     raise CompositeP("no primitive element found")  # unreachable
 
@@ -486,7 +467,7 @@ def get_field(p: int, s: int, m: int, max_order: int | None = None) -> FieldTabl
 def _memoized_table(p: int, n: int) -> FieldTable:
     params = FieldParams(p, 1, n)
     for c in range(params.order):
-        modulus = _index_digits(c, p, n) + [1]
+        modulus = _digits(c, p, n).tolist() + [1]
         # a zero constant term makes x a factor
         if (n == 1 or modulus[0]) and _is_irreducible(modulus, p):
             return FieldTable(params, tuple(modulus), _find_primitive(modulus, params))
@@ -529,4 +510,4 @@ def field_to_dict(fld: FieldTable) -> dict:
 
 def element_to_string(fld: FieldTable, x: int) -> str:
     """Little-endian base-p digit string; comma-separated when p > 10."""
-    return ("" if fld.p <= 10 else ",").join(str(d) for d in _index_digits(x, fld.p, fld.n))
+    return ("" if fld.p <= 10 else ",").join(str(d) for d in _digits(x, fld.p, fld.n).tolist())

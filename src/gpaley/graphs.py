@@ -35,7 +35,8 @@ _ROW_BLOCK = 256
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """The triple (q, m, ell) with q = p^s, plus a complement flag."""
+    """The triple (q, m, ell) with q = p^s, plus a complement flag, which
+    must be a bool, Python or numpy, and is stored as a Python bool."""
 
     p: int
     s: int
@@ -46,6 +47,9 @@ class GraphSpec:
     def __post_init__(self):
         for name in ("p", "s", "m", "ell"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        if not isinstance(self.complemented, (bool, np.bool_)):
+            raise ValueError(f"complemented must be a bool, not {self.complemented!r}")
+        object.__setattr__(self, "complemented", bool(self.complemented))
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.s < 1 or self.m < 1:
@@ -370,11 +374,17 @@ def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:
 def is_subgraph(a: GraphSpec, b: GraphSpec) -> bool:
     """Spec-level test that graph a is a subgraph of graph b, not necessarily
     induced (same base field q): m_a | m_b and ell_b | ell_a with an odd
-    quotient. Gamma_{2,2}(1) is one of Gamma_{2,6}(1), where F_4 spans K_4."""
+    quotient. Gamma_{2,2}(1) is one of Gamma_{2,6}(1), where F_4 spans K_4.
+    The rule is for primal graphs only, so a complemented spec is refused
+    with NotInFamily, as a spec that is not proper is: F_4^* lies inside the
+    connection set of Gamma_{2,6}(1), so co-Gamma_{2,6}(1) keeps no edge of
+    co-Gamma_{2,2}(1)."""
     if (a.p, a.s) != (b.p, b.s):
         raise MixedBase("subgraph test needs equal base fields; normalize first")
     if not (a.is_proper and b.is_proper):
         raise NotInFamily("subgraph test is for proper specs")
+    if a.complemented or b.complemented:
+        raise NotInFamily("subgraph test is for primal specs, not complements")
     if b.m % a.m:
         return False
     if a.ell % b.ell:

@@ -10,7 +10,9 @@ determinant is exact in Python integers; on the reduced Laplacian it is
 what the tree count over the counted eigenvalues is tested against. The
 power table multiplies residue polynomials in Python lists, one product
 per power, and square-and-multiply gives single powers; the field's
-exponential table is tested against both.
+exponential table is tested against both. The library multiplies by
+matrices over F_p on digit vectors and keeps no list polynomials, so the
+two share no arithmetic.
 The multiplicative order takes those single powers at the divisors of
 p^n - 1, so a primitivity test shares no table with the field it tests.
 The scalar form evaluation reads the library's field table one element at

@@ -563,6 +563,44 @@ def test_large_tables_are_reproducible(p, s, m, digests):
     get_field.cache_clear()
 
 
+def _mobius(n: int) -> int:
+    sign, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return sign
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)])
+def test_irreducibility_test_accepts_gauss_count(p, top):
+    # of the p^n monic candidates of degree n, exactly
+    # (1/n) sum_{d | n} mu(d) p^(n/d) are irreducible
+    for n in range(1, top + 1):
+        accepted = sum(
+            gpaley.field._is_irreducible([c // p**i % p for i in range(n)] + [1], p)
+            for c in range(p**n)
+        )
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert accepted * n == sum(_mobius(d) * p ** (n // d) for d in divisors), n
+
+
+@pytest.mark.parametrize(
+    "p, s, m", [(2, 1, 1), (2, 1, 4), (2, 1, 8), (2, 2, 3), (3, 1, 4), (5, 1, 3), (7, 1, 2),
+                (89, 1, 1), (89, 1, 2)],
+)
+def test_alpha_is_the_least_primitive_index(p, s, m):
+    # every smaller nonzero index has a smaller multiplicative order, each
+    # order taken by the reference's list-polynomial powers
+    f = get_field(p, s, m)
+    units = f.order - 1
+    assert element_order(f, f.alpha) == units
+    assert all(element_order(f, x) < units for x in range(1, f.alpha))
+
+
 def test_modulus_is_minimal_irreducible():
     # every smaller monic candidate of degree 4 over F_2 must be reducible:
     # scan indices below the chosen one and factor-check by root/gcd brute force

@@ -363,6 +363,20 @@ def test_spec_takes_python_and_numpy_integers():
         GraphSpec(4, 1, 2, 1)
 
 
+@pytest.mark.parametrize("bad", ["yes", None, 1, 0, 1.0, np.int64(1), "False"])
+def test_spec_refuses_a_complement_flag_that_is_not_a_bool(bad):
+    with pytest.raises(ValueError, match=f"^complemented must be a bool, not {re.escape(repr(bad))}$"):
+        GraphSpec(2, 1, 4, 1, bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_spec_stores_the_complement_flag_as_a_python_bool(flag):
+    spec = GraphSpec(2, 1, 4, 1, flag)
+    assert type(spec.complemented) is bool and spec == GraphSpec(2, 1, 4, 1, bool(flag))
+    assert type(spec.to_json()["complemented"]) is bool
+    assert spec.connected is True
+
+
 def test_spec_tags():
     assert GraphSpec(2, 1, 3, 1).tag == "complete"
     assert GraphSpec(3, 1, 3, 1).tag == "paley"
@@ -400,6 +414,24 @@ def test_is_subgraph_is_not_induced():
     f4 = big.field.subfield_indices(2)
     assert np.count_nonzero(np.triu(big.adjacency[np.ix_(f4, f4)], 1)) == 6
     assert np.count_nonzero(np.triu(build_graph(GraphSpec(2, 1, 2, 1)).adjacency, 1)) == 2
+
+
+def test_is_subgraph_refuses_a_complemented_spec():
+    # F_4^* lies inside the connection set of Gamma_{2,6}(1), so the
+    # connection set of co-Gamma_{2,6}(1) holds no element of F_4^* and no
+    # edge of co-Gamma_{2,2}(1), the 4-cycle, survives on F_4: the primal
+    # rule would answer True for a pair that is no subgraph
+    big = get_field(2, 1, 6)
+    f4_units = big.subfield_indices(2)[1:]
+    assert connection_set(GraphSpec(2, 1, 6, 1), big).members[f4_units].all()
+    assert not connection_set(GraphSpec(2, 1, 6, 1, True), big).members[f4_units].any()
+    assert connection_set(GraphSpec(2, 1, 2, 1, True), get_field(2, 1, 2)).cardinality == 2
+    small, large = GraphSpec(2, 1, 2, 1), GraphSpec(2, 1, 6, 1)
+    for a, b in [(small.complement(), large.complement()), (small.complement(), large),
+                 (small, large.complement())]:
+        with pytest.raises(NotInFamily, match="primal"):
+            is_subgraph(a, b)
+    assert is_subgraph(small, large)
 
 
 def test_subgraph_containment_bruteforce():

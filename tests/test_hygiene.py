@@ -172,6 +172,20 @@ def test_field_tables_are_built_in_one_place():
     assert sites == {("field.py", "_memoized_table")}
 
 
+def test_field_arithmetic_is_on_digit_matrices():
+    # F_p-linear algebra is done on base-p digit vectors and n x n matrices
+    # in field.py alone; no coefficient-list polynomial helper comes back
+    sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "_matpow")
+    assert sites and {module for module, _ in sites} == {"field.py"}
+    defined = {
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_poly_")
+    }
+    assert sorted(defined) == []
+
+
 # Public functions that nothing else in src/ reads, each with its reason.
 NO_SRC_CALLER = {
     "classify_form": "the per-gamma closed rule, run by the forms-large-field benchmark",
