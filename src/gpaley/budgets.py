@@ -17,7 +17,7 @@ from .errors import BudgetExceeded
 
 DEFAULTS = {
     "table": 2**22,  # log/exp/Zech tables
-    "graph": 2**13,  # dense adjacency matrices
+    "graph": 2**13,  # adjacency matrices, one bit per entry
     # Kirchhoff tree counts; the cap stays only because bench/checks.py's
     # expected_check_names pins trees-* to 512 vertices or fewer, so
     # deleting it is a change to the benchmark

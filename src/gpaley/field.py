@@ -48,7 +48,11 @@ from .errors import CompositeP, NotASubfield, ZeroElement
 
 def _digits(a, p: int, n: int) -> np.ndarray:
     """Little-endian base-p digits of an index or index array, on a new last
-    axis: the coefficients of the residue polynomial."""
+    axis: the coefficients of the residue polynomial. The weights p^i are
+    int64, so a size whose top weight p^(n-1) passes int64 is refused with a
+    ValueError rather than read through a wrapped weight."""
+    if p ** (n - 1) >= 2**63:
+        raise ValueError(f"digits of F_{{{p}^{n}}}: the weight {p}^{n - 1} does not fit in int64")
     return np.asarray(a, dtype=np.int64)[..., None] // p ** np.arange(n, dtype=np.int64) % p
 
 

@@ -5,6 +5,10 @@ family members, affine-Frobenius automorphisms, and export.
 A spec (q, m, ell) with q = p^s describes the Cayley graph on the additive
 group of F_{q^m} whose connection set is the multiplicative subgroup of
 nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
+
+A graph holds its adjacency once, as packed bits in the layout of the
+bit-dump export (see ``CayleyGraph``), and every kernel here and in
+``gpaley.oracles`` reads those bytes, unpacking only the rows it reads.
 """
 
 import json
@@ -28,9 +32,11 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, get_field
 
-# Rows of A per block when _fill fills A or the translation check compares
-# it, so that temporaries stay a few MB.
+# Rows of A per block when _fill fills A, the translation check compares it
+# or the degrees are counted, so that temporaries stay a few MB.
 _ROW_BLOCK = 256
+# The number of set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -141,14 +147,18 @@ class ConnectionSet:
 
 @dataclass(frozen=True)
 class CayleyGraph:
+    """A Cayley graph on the additive group of its field. ``bits`` is its
+    adjacency, row i packed little-endian into ceil(n/8) bytes: A[i, j] is
+    bit j % 8 of byte j // 8, and the pad bits past column n - 1 are 0."""
+
     spec: GraphSpec
     field: FieldTable
     connection: ConnectionSet
-    adjacency: np.ndarray  # bool, (n, n)
+    bits: np.ndarray  # uint8, (n, ceil(n/8))
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.bits.shape[0]
 
     @property
     def k(self) -> int:
@@ -157,19 +167,48 @@ class CayleyGraph:
     # Each computed at most once per graph object; dataclasses.replace builds
     # a new object with nothing cached.
     @cached_property
+    def adjacency(self) -> np.ndarray:
+        """A as an (n, n) bool matrix, unpacked from ``bits`` on the first
+        read: n^2 bytes, for export and small graphs only."""
+        return self._unpack(self.bits)
+
+    @cached_property
+    def row0(self) -> np.ndarray:
+        """Row 0 of A: on a translation invariant A it fixes every other row."""
+        return self._unpack(self.bits[0])
+
+    def neighbors(self, vertices: np.ndarray) -> np.ndarray:
+        """The vertices adjacent to at least one of ``vertices``, a bool mask,
+        as a bool mask: the OR of their packed rows, unpacked once."""
+        return self._unpack(np.bitwise_or.reduce(self.bits[vertices], axis=0))
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Packed rows, such as a block of ``bits``, as read-only bool, the
+        pad bits dropped."""
+        out = np.unpackbits(packed, axis=-1, count=self.n, bitorder="little").view(bool)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """The row sums of A: every vertex's degree, as int64. The bool rows
-        are counted as bytes in the narrowest unsigned type that holds n, the
-        largest a row sum can be."""
-        counts = self.adjacency.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.n))
-        return counts.astype(np.int64)
+        """The row sums of A: every vertex's degree, as int64. Each row's
+        bytes are popcounted by table, _ROW_BLOCK rows at a time (``take``
+        widens its indices to intp), and summed in the narrowest unsigned
+        type that holds n, the largest a row sum can be; a pad bit set is
+        counted."""
+        dtype = np.min_scalar_type(self.n)
+        counts = [
+            np.take(_POPCOUNT, self.bits[start : start + _ROW_BLOCK]).sum(axis=1, dtype=dtype)
+            for start in range(0, self.n, _ROW_BLOCK)
+        ]
+        return np.concatenate(counts).astype(np.int64)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The character sums over row 0, as int64 indexed by character a:
         the eigenvalues of A when A is translation invariant (Babai, JCTB 27,
         1979), with lambda_0 = |row 0|."""
-        return self._character_sums(self.adjacency[0])
+        return self._character_sums(self.row0)
 
     @cached_property
     def square_row(self) -> np.ndarray:
@@ -234,20 +273,28 @@ class CayleyGraph:
         with that digit rotated by a, two block comparisons of views. Each
         row but 0 is held to a row below it once, at the weight of its top
         nonzero digit, and by induction on that digit the comparisons all
-        hold exactly when A[i, j] = A[0, j - i]. No field table is read
-        except to negate row 0, so the Zech additions of the fill are held
-        to digit arithmetic."""
-        adj, p, n = self.adjacency, self.field.p, self.n
-        row = adj[0]
+        hold exactly when A[i, j] = A[0, j - i]. The first _ROW_BLOCK rows
+        are unpacked from ``bits`` once, and every other block of rows as it
+        is compared, the pad bits dropped. No field table is read except to
+        negate row 0, so the Zech additions of the fill are held to digit
+        arithmetic."""
+        p, n, row = self.field.p, self.n, self.row0
         if not np.array_equal(row[self.field.neg_array(np.arange(n))], row):
             return False
-        m = n // p
+        head, m = self._unpack(self.bits[:_ROW_BLOCK]), n // p
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            """Rows [start, stop) with axes: row, digits above m, the digit
+            of weight m, digits below m."""
+            block = head[start:stop] if stop <= len(head) else self._unpack(self.bits[start:stop])
+            return block.reshape(stop - start, -1, p, m)
+
         while m:
-            for a in range(1, p):
-                for start in range(0, m, _ROW_BLOCK):
-                    stop = min(start + _ROW_BLOCK, m)
-                    top = adj[start:stop].reshape(stop - start, -1, p, m)
-                    here = adj[a * m + start : a * m + stop].reshape(stop - start, -1, p, m)
+            for start in range(0, m, _ROW_BLOCK):
+                stop = min(start + _ROW_BLOCK, m)
+                top = rows(start, stop)
+                for a in range(1, p):
+                    here = rows(a * m + start, a * m + stop)
                     if not (
                         np.array_equal(here[:, :, a:], top[:, :, : p - a])
                         and np.array_equal(here[:, :, :a], top[:, :, p - a :])
@@ -298,9 +345,9 @@ def _symmetry_rule(spec: GraphSpec) -> bool:
 
 
 def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
-    """Materialize the adjacency matrix: i ~ j iff element_j - element_i is a
-    connection member. A complemented spec fills the primal graph's
-    adjacency and negates it in place (see ``complement_graph``).
+    """Materialize the adjacency as packed bits: i ~ j iff element_j -
+    element_i is a connection member. A complemented spec fills the primal
+    graph's bits and negates them in place (see ``complement_graph``).
     ``max_order`` caps the graph, then its field table (see
     ``budgets.require``). Rejects directed cases instead of symmetrizing;
     the result has passed its translation check.
@@ -313,54 +360,69 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"
         )
-    adj = _fill(field, primal)
+    bits = _fill(field, primal)
     if spec.complemented:
-        _negate(adj, out=adj)
-    return _certified(spec, field, adj)
+        _negate(bits, out=bits)
+    return _certified(spec, field, bits)
 
 
 def complement_graph(g: CayleyGraph) -> CayleyGraph:
-    """The complement of g: its adjacency negated into fresh pages, with the
-    diagonal cleared, and certified as ``build_graph`` certifies a graph it
-    fills. It equals ``build_graph(g.spec.complement())`` without a second
-    fill; a g that is not a Cayley graph makes a complement that fails its
-    translation check and raises InternalCheckError."""
-    return _certified(g.spec.complement(), g.field, _negate(g.adjacency, out=_pages(g.n)))
+    """The complement of g: its bits negated into fresh pages, with the
+    diagonal and pad bits cleared, and certified as ``build_graph``
+    certifies a graph it fills. It equals ``build_graph(g.spec.complement())``
+    without a second fill; a g that is not a Cayley graph makes a complement
+    that fails its translation check and raises InternalCheckError."""
+    return _certified(g.spec.complement(), g.field, _negate(g.bits, out=_pages(g.n)))
 
 
 def _pages(n: int) -> np.ndarray:
-    """A zeroed (n, n) bool array on its own pages from the OS rather than a
-    block of malloc's heap, so dropping a graph hands them back at once and
-    the memory held follows the graphs alive, not the order in which graphs
-    were built."""
-    return np.frombuffer(mmap.mmap(-1, n * n), dtype=bool).reshape(n, n)
+    """Zeroed packed rows for an n-vertex graph, an (n, ceil(n/8)) uint8
+    array, on its own pages from the OS rather than a block of malloc's
+    heap, so dropping a graph hands them back at once and the memory held
+    follows the graphs alive, not the order in which graphs were built."""
+    width = (n + 7) // 8
+    return np.frombuffer(mmap.mmap(-1, n * width), dtype=np.uint8).reshape(n, width)
 
 
 def _fill(field: FieldTable, primal: ConnectionSet) -> np.ndarray:
-    """A[i, j] = True iff element_j - element_i is a member of ``primal``,
-    scattered _ROW_BLOCK rows at a time through the flat indices i N + j."""
+    """The packed rows of A, A[i, j] set iff element_j - element_i is a
+    member of ``primal``. Each _ROW_BLOCK rows are scattered into one reused
+    bool block through the flat indices (i - start) N + j, then packed. The
+    indices are int32: they stay below _ROW_BLOCK N, under 2^31 for every
+    N below 2^23, and at 2^23 vertices the bits alone would be 8 TiB."""
     N = field.order
-    adj = _pages(N)
-    flat, members = adj.reshape(-1), np.flatnonzero(primal.members)
+    bits = _pages(N)
+    members = np.flatnonzero(primal.members).astype(np.int32)
+    block = np.zeros((min(_ROW_BLOCK, N), N), dtype=bool)
+    offsets = np.arange(len(block), dtype=np.int32)[:, None] * np.int32(N)
     for start in range(0, N, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, N), dtype=np.int64)[:, None]
-        flat[rows * N + field.add_arrays(rows, members)] = True
-    return adj
+        stop = min(start + _ROW_BLOCK, N)
+        rows = np.arange(start, stop, dtype=np.int32)[:, None]
+        flat = np.add(offsets[: stop - start], field.add_arrays(rows, members), dtype=np.int32,
+                      casting="same_kind")
+        block[:] = False
+        block.reshape(-1)[flat] = True
+        bits[start:stop] = np.packbits(block[: stop - start], axis=1, bitorder="little")
+    return bits
 
 
-def _negate(adj: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The complement's adjacency: not A, with the diagonal cleared."""
-    np.logical_not(adj, out=out)
-    np.fill_diagonal(out, False)
+def _negate(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The complement's packed rows: not A, with the diagonal bits and the
+    pad bits cleared."""
+    n = len(bits)
+    np.invert(bits, out=out)
+    idx = np.arange(n)
+    out[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
+    out[:, -1] &= np.uint8(0xFF >> -n % 8)  # the n % 8 low bits, or all 8
     return out
 
 
-def _certified(spec: GraphSpec, field: FieldTable, adj: np.ndarray) -> CayleyGraph:
-    """The graph of spec on adj, after the checks every graph passes: a
+def _certified(spec: GraphSpec, field: FieldTable, bits: np.ndarray) -> CayleyGraph:
+    """The graph of spec on bits, after the checks every graph passes: a
     translation invariant A is symmetric with every row a shift of row 0,
     so row 0 settles the degree and the diagonal."""
-    g = CayleyGraph(spec, field, connection_set(spec, field), adj)
-    if int(adj[0].sum()) != g.k or adj[0, 0] or not g.translation_invariant:
+    g = CayleyGraph(spec, field, connection_set(spec, field), bits)
+    if int(g.row0.sum()) != g.k or g.row0[0] or not g.translation_invariant:
         raise InternalCheckError("adjacency is not a loop-free Cayley graph of the expected degree")
     return g
 
@@ -469,11 +531,10 @@ def dimacs_lines(g: CayleyGraph) -> list[str]:
 
 
 def write_bit_dump(g: CayleyGraph, path: str) -> None:
-    """JSON header line (the spec's JSON plus n and k), then the adjacency
-    rows packed row-major into little-endian bytes (bit j of byte b is
-    column 8b + j)."""
+    """JSON header line (the spec's JSON plus n and k), then the graph's
+    held ``bits`` as they are: rows packed row-major into little-endian
+    bytes (bit j of byte b is column 8b + j), pad bits 0."""
     header = {**g.spec.to_json(), "n": g.n, "k": g.k}
-    packed = np.packbits(g.adjacency, axis=1, bitorder="little")
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(packed.tobytes())
+        fh.write(g.bits.tobytes())

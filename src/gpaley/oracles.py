@@ -2,18 +2,21 @@
 materialized graphs: the trust anchor of the package.
 
 Nothing here consults the closed-form spectra module for its own answers;
-counting runs on adjacency matrices, and only at the end are the numbers
-compared against the formulas. Every graph is a Cayley graph on the additive
-group of the field, so once ``CayleyGraph.translation_invariant`` has
-checked A[i, j] = A[0, j - i] entry by entry, row 0 fixes A, and its
-eigenvalues are the character sums over row 0, counted by one exact
-transform cached per graph (``CayleyGraph.eigenvalues``); one that is not
-an integer is refused, never rounded. The walk, srg, girth, tree and
-Ramanujan kernels require that check and read the transform: trace(A^r)
-is the sum of lambda^r, row 0 of A^2 the transform of lambda^2 over N
-(``CayleyGraph.square_row``). No float enters them. The arc-transitivity
-checks map all of their scales at once, with one
-``graphs.apply_affine_frobenius`` table per check.
+counting runs on adjacency matrices, held as packed bits (one bit per entry,
+``CayleyGraph.bits``), and only at the end are the numbers compared against
+the formulas. Every graph is a Cayley graph on the additive group of the
+field, so once ``CayleyGraph.translation_invariant`` has checked
+A[i, j] = A[0, j - i] entry by entry, row 0 (``CayleyGraph.row0``, unpacked
+once) fixes A, and its eigenvalues are the character sums over row 0,
+counted by one exact transform cached per graph
+(``CayleyGraph.eigenvalues``); one that is not an integer is refused, never
+rounded. The walk, srg, girth, tree and Ramanujan kernels require that
+check and read the transform: trace(A^r) is the sum of lambda^r, row 0 of
+A^2 the transform of lambda^2 over N (``CayleyGraph.square_row``). No
+float enters them. The breadth-first search ORs the packed rows of its
+frontier (``CayleyGraph.neighbors``). The arc-transitivity checks, the only
+readers of the unpacked (n, n) matrix here, map all of their scales at
+once, with one ``graphs.apply_affine_frobenius`` table per check.
 """
 
 import functools
@@ -57,15 +60,15 @@ def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
     other than 0, read off row 0 of A^2; non-constant counts falsify strong
     regularity and raise. Translation invariance carries row 0 to every
     pair, and an adjacency without it raises InternalCheckError."""
-    n, adj, deg = g.n, g.adjacency, g.degrees
+    n, row, deg = g.n, g.row0, g.degrees
     if not (deg == deg[0]).all():
         raise NotStronglyRegular("graph is not regular")
     k = int(deg[0])
     _require_invariance(g)
     common = g.square_row
-    others = ~adj[0]
+    others = ~row
     others[0] = False
-    adjacent, non_adjacent = np.unique(common[adj[0]]), np.unique(common[others])
+    adjacent, non_adjacent = np.unique(common[row]), np.unique(common[others])
     if len(adjacent) > 1 or len(non_adjacent) > 1:
         raise NotStronglyRegular(
             f"common-neighbor counts not constant: adjacent {adjacent.tolist()}, "
@@ -81,7 +84,7 @@ def verify_a2_identity(g: CayleyGraph, params: tuple[int, int, int, int]) -> boo
     of A^2 is the common-neighbor count of 0 and x), and on every other row
     through translation invariance, read before row 0 is transformed."""
     v, k, e, d = params
-    expected = np.where(g.adjacency[0], e, d)
+    expected = np.where(g.row0, e, d)
     expected[0] += k - d
     return v == g.n and g.translation_invariant and np.array_equal(g.square_row, expected)
 
@@ -120,7 +123,7 @@ def _reach(g: CayleyGraph, source: int) -> tuple[np.ndarray, int]:
     visited[source] = True
     frontier, dist = visited.copy(), 0
     while True:
-        nxt = g.adjacency[frontier].any(axis=0) & ~visited
+        nxt = g.neighbors(frontier) & ~visited
         if not nxt.any():
             return visited, dist
         visited |= nxt
@@ -292,7 +295,7 @@ def _structure_checks(suite, g, gbar):
         "complement-degree", lambda: True, lambda: bool((gbar.degrees == g.n - 1 - g.k).all())
     )
     suite.run(
-        "connection-cardinality", lambda: spectrum(g.spec).k, lambda: int(g.adjacency[0].sum())
+        "connection-cardinality", lambda: spectrum(g.spec).k, lambda: int(g.row0.sum())
     )
 
 
@@ -447,7 +450,7 @@ def _coset_checks(suite, g, gbar):
         outside[0] = False
         return (
             np.array_equal(cover, outside),
-            np.array_equal(cover > 0, gbar.adjacency[0]) and gbar.translation_invariant,
+            np.array_equal(cover > 0, gbar.row0) and gbar.translation_invariant,
         )
 
     suite.run("coset-decomposition", lambda: (True, True), decompose)
@@ -487,7 +490,7 @@ def _arc_transitivity_checks(suite, g):
         # A[a i, a j] = A[0, a (j - i)]: it preserves edges exactly when it
         # fixes row 0
         _require_invariance(g)
-        row = g.adjacency[0]
+        row = g.row0
         images = apply_affine_frobenius(g, np.arange(1, g.n), 0, 0)  # row a - 1 is x -> a x
         preserves = (row[images] == row).all(axis=1)
         wrong = np.flatnonzero(preserves != g.connection.members[1:])

@@ -19,9 +19,13 @@ The scalar form evaluation reads the library's field table one element at
 a time, with the trace map above, and is what the forms module's
 whole-field pass is tested against.
 The bit-dump reader decodes the file that ``gpaley export --kind bits``
-writes, so the export is held to the adjacency it came from.
+writes, so the export is held to the adjacency it came from; its inverse,
+``with_adjacency``, packs a bool matrix in that layout into a copy of a
+graph, which is how every falsification control plants its fault in the
+bits that the library's kernels read.
 """
 
+import dataclasses
 import json
 from functools import lru_cache
 
@@ -153,6 +157,14 @@ def read_bit_dump(path: str) -> tuple[dict, np.ndarray]:
     n = int(header["n"])
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, (n + 7) // 8)
     return header, np.unpackbits(packed, axis=1, bitorder="little")[:, :n].astype(bool)
+
+
+def with_adjacency(g, adj):
+    """A copy of the graph ``g`` whose adjacency is the bool matrix ``adj``,
+    packed into its ``bits`` as a bit dump is packed: bit j of byte b of a
+    row is column 8b + j, and the pad bits are 0."""
+    packed = np.packbits(np.asarray(adj, dtype=bool), axis=1, bitorder="little")
+    return dataclasses.replace(g, bits=packed)
 
 
 def bareiss_determinant(mat) -> int:

@@ -627,11 +627,13 @@ def test_criterion_9_falsification_controls():
     import dataclasses
     import numpy as np
 
+    from reference import with_adjacency
+
     g = build_graph(GraphSpec(2, 1, 4, 1))
     adj = g.adjacency.copy()
     i, j = map(int, np.argwhere(adj)[0])
     adj[i, j] = adj[j, i] = False
-    corrupted = dataclasses.replace(g, adjacency=adj)
+    corrupted = with_adjacency(g, adj)
     with pytest.raises(NotStronglyRegular):
         count_srg_params(corrupted)
     assert not verify_a2_identity(corrupted, (16, 5, 0, 2))

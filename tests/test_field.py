@@ -223,6 +223,19 @@ def test_linear_map_is_the_digit_dot_product(p, n, used):
     assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("p,n", [(2, 64), (3, 41)])
+def test_digits_refuse_a_weight_past_int64(p, n):
+    # p^(n-1) >= 2^63 would wrap in int64: 2^63 read digit 63 of 5 as 1,
+    # and 3^40 read digit 40 of 5 as 2. One size smaller, every digit of the
+    # largest int64 index is the Python integer's
+    with pytest.raises(ValueError, match=rf"F_{{{p}\^{n}}}: the weight {p}\^{n - 1} "):
+        gpaley.field._digits(5, p, n)
+    top = np.iinfo(np.int64).max
+    digits = gpaley.field._digits(top, p, n - 1).tolist()
+    assert digits == [top // p**i % p for i in range(n - 1)]
+    assert gpaley.field._digits(5, p, n - 1).tolist() == [5 // p**i % p for i in range(n - 1)]
+
+
 def test_frobenius_additive():
     for (p, s, m) in [(2, 1, 4), (3, 1, 3), (5, 1, 2)]:
         f = get_field(p, s, m)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import gpaley.graphs
+from gpaley.cli import dispatch
 from gpaley.errors import (
     DirectedUnsupported,
     InternalCheckError,
@@ -32,7 +34,13 @@ from gpaley.graphs import (
     write_bit_dump,
 )
 from gpaley.spectra import record_json
-from reference import digit_add, digit_neg, permutation_preserves_edges, read_bit_dump
+from reference import (
+    digit_add,
+    digit_neg,
+    permutation_preserves_edges,
+    read_bit_dump,
+    with_adjacency,
+)
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -166,9 +174,12 @@ def test_complement_build():
     assert both.all()
     assert not (g.adjacency & gbar.adjacency).any()
     for graph in (g, gbar):
-        adj = graph.adjacency
-        assert adj.dtype == bool and adj.shape == (16, 16)
-        assert adj.flags.c_contiguous and adj.flags.writeable
+        bits = graph.bits
+        assert bits.dtype == np.uint8 and bits.shape == (16, 2)
+        assert bits.flags.c_contiguous and bits.flags.writeable
+        # the unpacked matrix and row 0 are read-only: a write would not reach the bits
+        assert graph.adjacency.dtype == bool and graph.adjacency.shape == (16, 16)
+        assert not graph.adjacency.flags.writeable and not graph.row0.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -179,14 +190,14 @@ def test_complement_build():
 )
 def test_derived_complement_is_the_filled_complement(spec):
     g = build_graph(spec)
-    primal = g.adjacency.tobytes()
+    primal = g.bits.tobytes()
     gbar = complement_graph(g)
     filled = build_graph(spec.complement())
     assert (gbar.spec, gbar.k) == (filled.spec, filled.k)
-    assert gbar.adjacency.tobytes() == filled.adjacency.tobytes()
+    assert gbar.bits.tobytes() == filled.bits.tobytes()
     # the primal graph is read, not negated in place
-    assert g.adjacency.tobytes() == primal and not np.shares_memory(g.adjacency, gbar.adjacency)
-    assert complement_graph(gbar).adjacency.tobytes() == primal
+    assert g.bits.tobytes() == primal and not np.shares_memory(g.bits, gbar.bits)
+    assert complement_graph(gbar).bits.tobytes() == primal
 
 
 def test_walk_rows_of_a_derived_complement_are_exact():
@@ -237,7 +248,7 @@ def test_degrees_are_exact_int64(spec):
     # rows are counted in the narrowest type that holds n: uint8 for 16 and
     # 81 vertices, uint16 for 256, where a full row of 256 would wrap uint8
     g = build_graph(spec)
-    full = dataclasses.replace(g, adjacency=np.ones((g.n, g.n), dtype=bool))
+    full = with_adjacency(g, np.ones((g.n, g.n), dtype=bool))
     for graph, degree in ((g, g.k), (full, g.n)):
         assert graph.degrees.dtype == np.int64
         assert graph.degrees.tolist() == [degree] * g.n
@@ -589,3 +600,43 @@ def test_bit_dump_round_trip(tmp_path):
         assert header["n"] == g.n and header["k"] == g.k
         assert header["complemented"] == spec.complemented
         assert np.array_equal(adj, g.adjacency)
+
+
+# 81 and 2,401 vertices: n % 8 = 1 leaves seven pad bits at the end of each
+# packed row
+_PADDED = [GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 2, True)]
+
+
+@pytest.mark.parametrize("spec", _PADDED, ids=GraphSpec.label)
+def test_pad_bits_are_zero_on_both_sides(spec):
+    # the filled side, negated in place for a complemented spec, and the side
+    # complement_graph derives from it
+    g = build_graph(spec)
+    for graph in (g, complement_graph(g)):
+        assert graph.bits.shape == (graph.n, (graph.n + 7) // 8)
+        assert not (graph.bits[:, -1] >> graph.n % 8).any()
+        packed = np.packbits(graph.adjacency, axis=1, bitorder="little")
+        assert graph.bits.tobytes() == packed.tobytes()
+
+
+# sha256 prefixes of ``gpaley export --kind bits``, as written when the
+# graph held one byte per entry and the dump packed it
+_DUMPS = {
+    "Gamma_{3,4}(1)": "0d25173840d0ff40",
+    "co-Gamma_{3,4}(1)": "7b4195896e0b8e5b",
+    "Gamma_{7,4}(2)": "402b67244321e59c",
+    "co-Gamma_{7,4}(2)": "1fb7159bd59bfda5",
+}
+
+
+@pytest.mark.parametrize("spec", _PADDED, ids=GraphSpec.label)
+def test_bit_dump_export_is_byte_stable(spec, tmp_path):
+    for side in (spec, spec.complement()):
+        path = tmp_path / "dump.bin"
+        argv = ["export", "--p", str(side.p), "--m", str(side.m), "--ell", str(side.ell),
+                "--kind", "bits", "--out", str(path)]
+        assert dispatch(argv + ["--complement"] * side.complemented) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _DUMPS[side.label()]
+        header, adj = read_bit_dump(str(path))
+        assert header["n"] == side.order and header["complemented"] == side.complemented
+        assert np.array_equal(adj, build_graph(side).adjacency)

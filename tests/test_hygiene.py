@@ -103,25 +103,55 @@ def test_budget_refusals_come_from_require():
     assert sorted(s for s in sites if s[0] != "budgets.py" and s not in allowed) == []
 
 
+def _is_attr(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
 def _is_adjacency_sum(call: ast.Call) -> bool:
-    """``<x>.adjacency.sum(...)`` or ``<x>.adjacency.view(...).sum(...)``,
-    with or without ``axis``."""
-    func = call.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "sum"):
+    """A sum over a whole adjacency, with or without ``axis``: of the bool
+    matrix, ``<x>.adjacency.sum(...)`` or ``<x>.adjacency.view(...).sum(...)``,
+    or a popcount of the packed bits or a slice of them,
+    ``<table>[<x>.bits].sum(...)`` or ``<f>(..., <x>.bits[...], ...).sum(...)``
+    for ``<f>`` one of ``take``, ``bitwise_count`` and ``unpackbits``."""
+    if not _is_attr(call.func, "sum"):
         return False
-    summed = func.value
-    if (
-        isinstance(summed, ast.Call)
-        and isinstance(summed.func, ast.Attribute)
-        and summed.func.attr == "view"
-    ):
+    summed = call.func.value
+    if isinstance(summed, ast.Call) and _is_attr(summed.func, "view"):
         summed = summed.func.value
-    return isinstance(summed, ast.Attribute) and summed.attr == "adjacency"
+    if isinstance(summed, ast.Subscript):
+        return _reads_bits(summed.slice)
+    if isinstance(summed, ast.Call):
+        f = summed.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in ("take", "bitwise_count", "unpackbits") and any(
+            _reads_bits(arg) for arg in summed.args
+        )
+    return _is_attr(summed, "adjacency")
+
+
+def _reads_bits(node: ast.AST) -> bool:
+    """``<x>.bits`` or a subscript of it, such as a block of its rows."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return _is_attr(node, "bits")
+
+
+def test_adjacency_sum_matcher_sees_every_form():
+    forms = ["g.adjacency.sum(axis=1)", "g.adjacency.view(np.uint8).sum()",
+             "_POPCOUNT[self.bits].sum(axis=1)", "np.take(_POPCOUNT, self.bits).sum(axis=1)",
+             "np.take(_POPCOUNT, self.bits[start : start + 256]).sum(axis=1, dtype=dtype)",
+             "np.bitwise_count(g.bits).sum()",
+             "np.unpackbits(g.bits, axis=1).sum(axis=1)"]
+    others = ["g.row0.sum()", "g.bits.sum()", "counts.sum(axis=1)", "_POPCOUNT[g.row0].sum()",
+              "np.take(_POPCOUNT, g.row0).sum()"]
+    for text, expected in [(f, True) for f in forms] + [(f, False) for f in others]:
+        assert _is_adjacency_sum(ast.parse(text, mode="eval").body) is expected, text
 
 
 def test_degrees_are_counted_once():
-    # every N^2 pass over an adjacency for its degrees or its edge count
-    # reads CayleyGraph.degrees instead
+    # every N^2 pass over an adjacency for its degrees or its edge count,
+    # the bool matrix summed or the packed bits popcounted, reads
+    # CayleyGraph.degrees instead
     assert _sites(_is_adjacency_sum) == {("graphs.py", "degrees")}
 
 

@@ -41,6 +41,7 @@ from reference import (
     digit_neg,
     permutation_preserves_edges,
     translation_invariant,
+    with_adjacency,
 )
 
 
@@ -55,7 +56,7 @@ def _two_switch(g, rows=None):
         if adj[a, b] and adj[c, d] and not (adj[a, d] or adj[c, b]):
             adj[[a, b, c, d], [b, a, d, c]] = False
             adj[[a, d, c, b], [d, a, b, c]] = True
-            return dataclasses.replace(g, adjacency=adj)
+            return with_adjacency(g, adj)
     raise AssertionError("no 2-switch among the non-neighbors of 0")
 
 
@@ -64,7 +65,15 @@ def _flip_edge(g):
     adj = g.adjacency.copy()
     i, j = map(int, np.argwhere(adj)[0])
     adj[i, j] = adj[j, i] = False
-    return dataclasses.replace(g, adjacency=adj)
+    return with_adjacency(g, adj)
+
+
+def _set_pad_bit(g):
+    """A copy of g with the last pad bit of its last packed row set, for an
+    order that is not a multiple of 8: every entry of A is as it was."""
+    bits = g.bits.copy()
+    bits[-1, -1] |= 0x80
+    return dataclasses.replace(g, bits=bits)
 
 
 def _corrupt(monkeypatch, primal=lambda g: g, complement=lambda gbar: gbar):
@@ -101,14 +110,14 @@ def test_count_srg_rejects_non_srg():
     # the 16-cycle is regular but no Cayley graph of F_16: row 0 does not fix it
     cycle = np.roll(np.eye(16, dtype=bool), 1, axis=1)
     with pytest.raises(InternalCheckError, match="not translation invariant"):
-        count_srg_params(dataclasses.replace(g, adjacency=cycle | cycle.T))
+        count_srg_params(with_adjacency(g, cycle | cycle.T))
     # the 4-cube, the Cayley graph of F_16 on {1, 2, 4, 8}, is: its
     # non-adjacent pairs have 2 common neighbors at distance 2, 0 above
     idx = np.arange(16)
     cube = np.isin(idx[:, None] ^ idx, [1, 2, 4, 8])
     counts = r"not constant: adjacent \[0\], non-adjacent \[0, 2\]"
     with pytest.raises(NotStronglyRegular, match=counts):
-        count_srg_params(dataclasses.replace(g, adjacency=cube))
+        count_srg_params(with_adjacency(g, cube))
 
 
 def test_count_srg_sees_a_replaced_adjacency():
@@ -263,7 +272,7 @@ def test_translation_check_refuses_one_flipped_entry(spec):
         for j in (1, g.n - 1):
             adj = g.adjacency.copy()
             adj[i, j] = not adj[i, j]
-            assert not dataclasses.replace(g, adjacency=adj).translation_invariant, (i, j)
+            assert not with_adjacency(g, adj).translation_invariant, (i, j)
             if j == 1:
                 assert not translation_invariant(adj, p, n), (i, j)
 
@@ -287,7 +296,7 @@ def test_translation_check_reaches_every_digit_level(spec):
             adj = g.adjacency.copy()
             cols = digit_add(rows, x, p, n)
             adj[rows, cols] = ~adj[rows, cols]
-            assert not dataclasses.replace(g, adjacency=adj).translation_invariant, (t, x)
+            assert not with_adjacency(g, adj).translation_invariant, (t, x)
             if x:
                 assert not translation_invariant(adj, p, n), (t, x)
 
@@ -330,6 +339,23 @@ def test_run_suite_fills_one_graph_per_spec(monkeypatch, spec):
     fill, fills = gpaley.graphs._fill, []
     monkeypatch.setattr(gpaley.graphs, "_fill", lambda *args: fills.append(args) or fill(*args))
     assert run_suite(spec).ok and len(fills) == 1
+
+
+# 81 and 2,401 vertices, each row with seven pad bits
+@pytest.mark.parametrize("spec", [GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 2, True)],
+                         ids=GraphSpec.label)
+@pytest.mark.parametrize("side", ["primal", "complement"])
+def test_a_planted_pad_bit_fails_its_degree_check(monkeypatch, spec, side):
+    # the popcount reads every byte of a row, pad bits too: a pad bit set
+    # moves no entry of A but adds one to that row's degree
+    g = build_graph(spec)
+    planted = _set_pad_bit(g)
+    assert np.array_equal(planted.adjacency, g.adjacency)
+    assert planted.degrees[-1] == g.k + 1 and (planted.degrees[:-1] == g.k).all()
+    _corrupt(monkeypatch, **{side: _set_pad_bit})
+    checks = {c.name: c.passed for c in run_suite(spec).checks}
+    held, other = ("regular-degree", "complement-degree")[:: 1 if side == "primal" else -1]
+    assert not checks[held] and checks[other]
 
 
 def test_coset_decomposition_needs_an_invariant_complement(monkeypatch):
@@ -416,7 +442,7 @@ def test_an_eigenvalue_that_is_not_an_integer_is_refused():
     idx = np.arange(g.n)
     row = np.isin(idx, [1, 4])
     adj = row[digit_add(idx[None, :], digit_neg(idx[:, None], 5, 2), 5, 2)]
-    cycles = dataclasses.replace(g, adjacency=adj)
+    cycles = with_adjacency(g, adj)
     assert cycles.translation_invariant
     eigs = np.linalg.eigvalsh(adj.astype(np.float64))
     cosines = 2 * np.cos(2 * np.pi * np.arange(5) / 5)
