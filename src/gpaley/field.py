@@ -23,6 +23,13 @@ p = 2 field nor a trace builds it. A trace map is built on each call; its
 log-order twin, ``trace_sequence``, is kept, one byte per element, and the
 trace-form counts read it as strided views.
 
+The exp, log and Zech tables and every linear map hold int32, 4 bytes per
+element: ``_table_dtype`` admits a field while p^n < 2^31 and refuses a
+larger one. numpy converts an int32 index to intp whole before it reads by
+it, so every whole-field gather or scatter by a table goes through
+``_by_index``, a run of indices at a time; every sum or product of table
+entries that can pass 2^31 - 1 is taken in int64.
+
 ``get_field`` is the one constructor: it picks the modulus and the
 generator alpha from (p, n) alone by a deterministic rule, so every table
 is reproducible, and it memoizes one table per (p, n). Each (p, s, m) with
@@ -112,30 +119,62 @@ def _is_irreducible(f, p: int) -> bool:
     return True
 
 
+def _table_dtype(p: int, n: int) -> type:
+    """The dtype of the tables and linear maps of F_{p^n}: int32, which
+    holds every index and every exponent while p^n < 2^31, so every field
+    under the default ``table`` budget 2^22. A larger field, which only a
+    raised ``GPG_MAX_ORDER`` admits, is refused with a ValueError rather
+    than held in a second dtype."""
+    if p**n >= 2**31:
+        raise ValueError(f"F_{{{p}^{n}}}: {p}^{n} indices do not fit in int32 tables")
+    return np.int32
+
+
+_CHUNK = 2**14
+
+
+def _by_index(table: np.ndarray, index: np.ndarray, invert: bool = False) -> np.ndarray:
+    """table[index] for a 1-D index array; with ``invert``, the scatter
+    table[index[i]] = i instead, which fills and returns ``table``. Both run
+    ``_CHUNK`` indices at a time, each run converted to intp first: numpy
+    converts an int32 index to intp whole, 8 bytes per entry, before it
+    reads or writes by it, and reads through intp faster."""
+    out = table if invert else np.empty(len(index), dtype=table.dtype)
+    for start in range(0, len(index), _CHUNK):
+        chunk = index[start : start + _CHUNK].astype(np.intp)
+        if invert:
+            table[chunk] = np.arange(start, start + len(chunk), dtype=table.dtype)
+        else:
+            out[start : start + len(chunk)] = table[chunk]
+    return out
+
+
 def _linear_map(p: int, n: int, images: list[int]) -> np.ndarray:
-    """Index array of the F_p-linear map on F_{p^n} that sends each basis
-    index p^i to images[i] (Lidl and Niederreiter, Finite Fields, 2.3).
-    Block [d p^i, (d+1) p^i) is block d - 1 plus images[i], added without a
-    field table: XOR for p = 2, else in rows of base-p digits sized for the
-    sum of two. A digit row is kept only at the positions some image uses,
-    so a trace onto F_p fills one row, and the index is put back together
-    by Horner over those rows, one power of p per gap."""
+    """Index array, in the field's ``_table_dtype``, of the F_p-linear map
+    on F_{p^n} that sends each basis index p^i to images[i] (Lidl and
+    Niederreiter, Finite Fields, 2.3). Block [d p^i, (d+1) p^i) is block
+    d - 1 plus images[i], added without a field table: XOR for p = 2, else
+    in rows of base-p digits sized for the sum of two. A digit row is kept
+    only at the positions some image uses, so a trace onto F_p fills one
+    row, and the index is put back together by Horner over those rows, one
+    power of p per gap; each partial sum is an index, below p^n."""
+    dtype = _table_dtype(p, n)
     if p == 2:
-        out = np.zeros(2**n, dtype=np.int64)
+        out = np.zeros(2**n, dtype=dtype)
         for i, image in enumerate(images):
             np.bitwise_xor(out[: 1 << i], image, out=out[1 << i : 2 << i])
         return out
-    dtype = np.min_scalar_type(2 * p)
-    image_digits = _digits(images, p, n).astype(dtype)
+    digit_dtype = np.min_scalar_type(2 * p)
+    image_digits = _digits(images, p, n).astype(digit_dtype)
     used = np.flatnonzero(image_digits.any(axis=0))
-    digits = np.zeros((len(used), p**n), dtype=dtype)
+    digits = np.zeros((len(used), p**n), dtype=digit_dtype)
     for i, image in enumerate(image_digits[:, used]):
         size = p**i
         for d in range(1, p):
             block = digits[:, d * size : (d + 1) * size]
             np.add(digits[:, (d - 1) * size : d * size], image[:, None], out=block)
             np.remainder(block, p, out=block)
-    out = np.zeros(p**n, dtype=np.int64)
+    out = np.zeros(p**n, dtype=dtype)
     # highest used position first; each gap to the next lower one is p^gap
     for row, gap in zip(digits[::-1], np.diff(used, prepend=0)[::-1].tolist()):
         out += row
@@ -187,7 +226,9 @@ class FieldTable:
     multiplies by -1.
 
     exp is filled by ``_build_tables``, baby-step/giant-step on digit
-    matrices; log inverts exp, and zech is built on first read.
+    matrices; log inverts exp, and zech is built on first read. All three
+    are int32 (``_table_dtype``), 4 bytes per element, 4 MiB each at 2^20;
+    the sum of two logs, or a log times an exponent, is taken in int64.
     ``get_field`` hands out views of a table: shallow copies with their own
     params that share its arrays and caches.
     """
@@ -221,11 +262,13 @@ class FieldTable:
         matrix to the B-th power is the digit vector of alpha^B x^i, so read
         as indices its columns are the basis images from which
         ``_linear_map`` builds the giant map v -> alpha^B v once; each block
-        exp[jB:(j+1)B] is its gather at block j - 1."""
+        exp[jB:(j+1)B] is its gather at block j - 1. log is the scatter
+        log[exp[i]] = i."""
         p, n, N = self.p, self.n, self.order
         units, baby = N - 1, isqrt(N - 1)
         weights = p ** np.arange(n, dtype=np.int64)
-        exp = np.empty(units, dtype=np.int64)
+        dtype = _table_dtype(p, n)
+        exp = np.empty(units, dtype=dtype)
         # baby steps: the digits of alpha^i, i < B, one small product each
         step = _times(_companion(self.modulus, p), _digits(self.alpha, p, n), p)
         digits = np.zeros((baby, n), dtype=np.int64)
@@ -239,8 +282,7 @@ class FieldTable:
             block = exp[start : start + baby]
             np.take(giant, exp[start - baby : start - baby + len(block)], out=block)
         del giant
-        log = np.full(N, -1, dtype=np.int64)
-        log[exp] = np.arange(units, dtype=np.int64)
+        log = _by_index(np.full(N, -1, dtype=dtype), exp, invert=True)
         if np.any(log[1:] < 0):
             # a reducible modulus leaves no cyclic group of order p^n - 1
             raise ValueError(
@@ -260,7 +302,7 @@ class FieldTable:
         if self._root is not None:
             return self._root.zech
         log_plus_one = np.roll(self.log.reshape(-1, self.p), -1, axis=1).ravel()
-        return log_plus_one[self.exp]
+        return _by_index(log_plus_one, self.exp)
 
     # -- scalar arithmetic on indices ---------------------------------------
 
@@ -302,9 +344,10 @@ class FieldTable:
         b = np.asarray(b, dtype=np.int64)
         la = self.log[a]
         # "wrap" reduces the exponents mod p^n - 1; log 0 = -1 only picks
-        # entries that the zero cases below overwrite
-        z = np.take(self.zech, self.log[b] - la, mode="wrap")
-        out = np.asarray(np.take(self.exp, la + z, mode="wrap"))
+        # entries that the zero cases below overwrite. The exponents are
+        # intp: a sum of two int32 logs can pass 2^31 - 1
+        z = np.take(self.zech, np.subtract(self.log[b], la, dtype=np.intp), mode="wrap")
+        out = np.asarray(np.take(self.exp, np.add(la, z, dtype=np.intp), mode="wrap"))
         np.copyto(out, 0, where=z < 0)
         np.copyto(out, b, where=a == 0)
         np.copyto(out, a, where=b == 0)
@@ -322,7 +365,8 @@ class FieldTable:
         b = np.asarray(b, dtype=np.int64)
         # "wrap" reduces the exponents mod p^n - 1; log 0 = -1 only picks
         # entries that the zero factors overwrite
-        out = np.asarray(np.take(self.exp, self.log[a] + self.log[b], mode="wrap"))
+        exponents = np.add(self.log[a], self.log[b], dtype=np.intp)
+        out = np.asarray(np.take(self.exp, exponents, mode="wrap"))
         np.copyto(out, 0, where=(a == 0) | (b == 0))
         return out
 
@@ -330,7 +374,8 @@ class FieldTable:
         """Elementwise a^e: alpha^i to the e is alpha^(i e mod p^n - 1), so e
         is reduced first; 0^0 = 1, 0^e = 0 for e > 0, and a zero base with
         e < 0 raises ZeroElement. An e that is not an integer, or is a bool,
-        raises ValueError."""
+        raises ValueError. The product of a log and e mod p^n - 1 is taken
+        in int64: in int32 it would wrap without an error."""
         if isinstance(e, bool) or not isinstance(e, numbers.Integral):
             raise ValueError(f"exponent {e} is not an integer")
         a, units = np.asarray(a, dtype=np.int64), self.order - 1
@@ -338,7 +383,7 @@ class FieldTable:
         if e < 0 and not nz.all():
             raise ZeroElement("zero to a negative power")
         out = np.full(a.shape, int(e == 0), dtype=np.int64)
-        out[nz] = self.exp[self.log[a[nz]] * (e % units) % units]
+        out[nz] = self.exp[self.log[a[nz]].astype(np.int64) * (e % units) % units]
         return out
 
     # -- traces and subfields ------------------------------------------------
@@ -363,11 +408,12 @@ class FieldTable:
 
     def trace_map(self, to_degree: int) -> np.ndarray:
         """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
-        degree t = ``to_degree`` at every index x, built on each call. The
-        trace is F_p-linear, so ``_linear_map`` builds it from the images of
-        the basis indices p^i, which ``_frobenius_sum`` gives by one product
-        of digit matrices; for t = n that is the identity. Every index is
-        held to the subfield by one gather from a membership mask of
+        degree t = ``to_degree`` at every index x, built on each call, int32
+        as ``_linear_map`` returns it. The trace is F_p-linear, so
+        ``_linear_map`` builds it from the images of the basis indices p^i,
+        which ``_frobenius_sum`` gives by one product of digit matrices; for
+        t = n that is the identity. Every index is held to the subfield by
+        one gather (``_by_index``) from a membership mask of
         ``subfield_indices(t)``: x^(p^t) = x exactly on F_{p^t}."""
         t = to_degree
         self._require_subfield(t)
@@ -375,7 +421,7 @@ class FieldTable:
         out = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
         inside = np.zeros(self.order, dtype=bool)
         inside[self.subfield_indices(t)] = True
-        if not inside[out].all():
+        if not _by_index(inside, out).all():
             raise NotASubfield("trace image escaped the target subfield")
         return out
 
@@ -387,9 +433,10 @@ class FieldTable:
         of alpha (Golomb, Shift Register Sequences, 1967), and the trace on a
         coset alpha^j <alpha^h> is its h-decimation from j, a strided view
         (Klapper, Des. Codes Cryptogr. 11, 1997). Built as
-        position[trace_map(t)][exp], where position sends every index outside
-        the subfield to the sentinel p^t, so the random reads hit a table of
-        one byte per element for p^t < 256; the int64 trace map is dropped."""
+        position[trace_map(t)][exp], two ``_by_index`` gathers, where
+        position sends every index outside the subfield to the sentinel p^t,
+        so the random reads hit a table of one byte per element for
+        p^t < 256; the int32 trace map is dropped."""
         self._require_subfield(t)
         if t not in self._sequence_cache:
             members = self.subfield_indices(t)
@@ -397,7 +444,8 @@ class FieldTable:
             dtype = np.min_scalar_type(size)
             position = np.full(self.order, size, dtype=dtype)
             position[members] = np.arange(size, dtype=dtype)
-            self._sequence_cache[t] = position[self.trace_map(t)][self.exp]
+            at_index = _by_index(position, self.trace_map(t))
+            self._sequence_cache[t] = _by_index(at_index, self.exp)
         return self._sequence_cache[t]
 
     def subfield_indices(self, t: int) -> np.ndarray:
@@ -436,18 +484,28 @@ def _find_primitive(modulus, params: FieldParams) -> int:
     raise CompositeP("no primitive element found")  # unreachable
 
 
-def trace(fld: FieldTable, x: int, from_degree: int, to_degree: int) -> int:
+def trace(fld: FieldTable, x, from_degree: int, to_degree: int):
     """Relative trace sum_{i<r} x^(p^(t*i)) with r = from/to (degrees over
-    the prime field). x must lie in the subfield of size p^from."""
+    the prime field) of the index x, an int, or elementwise of the index
+    array x, an int64 array. Every x must lie in the subfield of size
+    p^from: one ``pow_array`` checks them all, and one ``_frobenius_sum``
+    takes every trace."""
     require_int(from_degree, "from_degree")
     require_int(to_degree, "to_degree")
     if min(to_degree, from_degree) < 1 or from_degree % to_degree or fld.n % from_degree:
         raise NotASubfield(
             f"need to | from | n, got to={to_degree}, from={from_degree}, n={fld.n}"
         )
-    if fld.pow(x, fld.p**from_degree) != x:
-        raise NotASubfield(f"element {x} not in the degree-{from_degree} subfield")
-    return int(fld._frobenius_sum(x, to_degree, from_degree // to_degree))
+    xs = np.asarray(x)
+    if xs.ndim == 0:
+        fld._index(x)
+    elif xs.dtype.kind not in "iu" or np.any((xs < 0) | (xs >= fld.order)):
+        raise ValueError(f"an entry of {x!r} is not an element index of F_{fld.p}^{fld.n}")
+    escaped = xs[fld.pow_array(xs, fld.p**from_degree) != xs]
+    if escaped.size:
+        raise NotASubfield(f"element {escaped[0]} not in the degree-{from_degree} subfield")
+    out = fld._frobenius_sum(xs, to_degree, from_degree // to_degree)
+    return int(out) if xs.ndim == 0 else out
 
 
 

@@ -116,10 +116,12 @@ def exp_sum(f: TraceForm) -> int:
     by a unit a of F_q gives the same sum, as an even-rank form takes every
     nonzero value equally often and a permutes the nonzero values."""
     fld = f.field
-    # Tr_{q/p} on the q values summed; prime-subfield elements are indices 0..p-1
-    counts = [0] * fld.p
-    for xi, count in f.histogram.items():
-        counts[trace(fld, xi, fld.params.s, 1)] += count
+    # Tr_{q/p} of the q values, in one call, summed; prime-subfield elements
+    # are indices 0..p-1
+    residues = trace(fld, np.fromiter(f.histogram, dtype=np.int64), fld.params.s, 1)
+    counts = np.zeros(fld.p, dtype=np.int64)
+    np.add.at(counts, residues, list(f.histogram.values()))
+    counts = counts.tolist()
     if len(set(counts[1:])) > 1:
         raise UnbalancedCounts(f"residue counts {counts} not constant off zero")
     return counts[0] - counts[1]

@@ -50,12 +50,13 @@ def digit_neg(a, p: int, n: int) -> np.ndarray:
 def frobenius_trace_map(fld, t: int, f: int) -> np.ndarray:
     """sum_{j < f/t} x^(p^(t j)) at every index x of the field table ``fld``,
     by f/t - 1 whole-array Frobenius passes through its exp and log tables,
-    added digit by digit."""
+    added digit by digit. Each log is widened to int64 before the product,
+    which can pass 2^31 - 1, the largest int32 table entry."""
     p, n, units = fld.p, fld.n, fld.order - 1
     idx = np.arange(fld.order, dtype=np.int64)
     acc = y = idx
     for _ in range(f // t - 1):
-        y = np.where(y == 0, 0, fld.exp[(fld.log[y] * p**t) % units])
+        y = np.where(y == 0, 0, fld.exp[(fld.log[y].astype(np.int64) * p**t) % units])
         acc = digit_add(acc, y, p, n)
     return acc
 
@@ -121,23 +122,31 @@ def evaluate_form(f, x: int) -> int:
     return int(_trace_to_q(fld)[fld.mul(f.gamma, fld.pow(x, f.exponent))])
 
 
+def _difference_table(p: int, digits: int) -> np.ndarray:
+    """Entry [x, y] is the index of y - x on indices of ``digits`` base-p
+    digits, each entry taken digit by digit."""
+    values = np.arange(p**digits)
+    return digit_add(values, digit_neg(values, p, digits)[:, None], p, digits)
+
+
 def translation_invariant(adj, p: int, n: int) -> bool:
-    """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j, a
-    few rows at a time, with j - i taken digit by digit for every entry."""
+    """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j, 256
+    rows at a time. j - i is read for every entry from two digit-difference
+    tables, one for the low n // 2 base-p digits of i and j and one for the
+    high digits, each p^(n/2) square: the digits of j - i are those of j
+    minus those of i, mod p, with no carry between the halves."""
     adj = np.asarray(adj, dtype=bool)
     idx = np.arange(len(adj))
     row, neg = adj[0], digit_neg(idx, p, n)
     if not np.array_equal(row[neg], row):
         return False
-    digits = _digits(idx, p, n).T.astype(np.int16)
-    for start in range(0, len(adj), 16):
-        # entry j of the shifted row i is A[0, j - i]: digit k of j - i is
-        # digit k of j plus digit k of -i, mod p
-        neg_rows = digits[:, neg[start : start + 16], None]
-        diff = np.zeros((neg_rows.shape[1], len(adj)), dtype=np.int64)
-        for k in range(n):
-            diff += ((digits[k] + neg_rows[k]) % p).astype(np.int64) * p**k
-        if not np.array_equal(adj[start : start + 16], row[diff]):
+    low = p ** (n // 2)
+    low_diff, high_diff = _difference_table(p, n // 2), _difference_table(p, n - n // 2)
+    for start in range(0, len(adj), 256):
+        i = idx[start : start + 256]
+        # entry [i, j // low, j % low] is the index of j - i
+        diff = low * high_diff[i // low, :, None] + low_diff[i % low, None, :]
+        if not np.array_equal(adj[start : start + 256], row[diff.reshape(len(i), -1)]):
             return False
     return True
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_trace_map_matches_the_frobenius_reference(p, s, m):
             reference = frobenius_trace_map(fld, t, f)
             if f == fld.n:
                 tr = fld.trace_map(t)
-                assert tr.dtype == np.int64
+                assert tr.dtype == np.int32
                 assert np.array_equal(tr, reference)
             assert all(
                 int(reference[x]) == trace(fld, x, f, t)
@@ -219,7 +220,7 @@ def test_linear_map_is_the_digit_dot_product(p, n, used):
     x_digits = np.arange(p**n, dtype=np.int64)[:, None] // weights % p
     expected = (x_digits @ image_digits % p) @ weights
     out = gpaley.field._linear_map(p, n, images)
-    assert out.dtype == np.int64
+    assert out.dtype == np.int32
     assert np.array_equal(out, expected)
 
 
@@ -234,6 +235,82 @@ def test_digits_refuse_a_weight_past_int64(p, n):
     digits = gpaley.field._digits(top, p, n - 1).tolist()
     assert digits == [top // p**i % p for i in range(n - 1)]
     assert gpaley.field._digits(5, p, n - 1).tolist() == [5 // p**i % p for i in range(n - 1)]
+
+
+@pytest.mark.parametrize(
+    "p, n, admitted",
+    [(2**31 - 1, 1, True), (2, 31, False), (2**31 + 1, 1, False)],
+    ids=["2^31-1", "2^31", "2^31+1"],
+)
+def test_tables_are_int32_below_2_to_the_31(p, n, admitted):
+    # the rule alone, read on sizes whose tables are never built: every
+    # index and exponent of a field below 2^31 fits int32, and a larger
+    # field is refused by name rather than held in a second dtype
+    if admitted:
+        assert gpaley.field._table_dtype(p, n) is np.int32
+    else:
+        with pytest.raises(ValueError, match=rf"^F_{{{p}\^{n}}}: .* int32"):
+            gpaley.field._table_dtype(p, n)
+
+
+def test_a_field_past_int32_is_refused_under_a_raised_budget():
+    # F_{2^31} passes a raised table budget, and the build refuses it by
+    # the dtype rule, read before its first table; nothing is memoized
+    get_field.cache_clear()
+    with pytest.raises(ValueError, match=r"^F_\{2\^31\}: "):
+        get_field(2, 1, 31, max_order=2**31)
+    assert gpaley.field._memoized_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p, s, m", [(2, 1, 20), (3, 1, 13)])
+def test_pow_array_takes_the_log_product_in_int64(p, s, m):
+    # log(x) e passes 2^31 for large logs and e near p^n - 1, and an int32
+    # product would wrap without an error
+    fld = get_field(p, s, m)
+    units = fld.order - 1
+    xs = fld.exp[[units - 1, units // 2 + 7, 3 * units // 4]].astype(np.int64)
+    try:
+        for e in (units - 1, units - 2, units + 5, -(units - 3)):
+            expected = [power(p, fld.n, fld.modulus, int(x), e % units) for x in xs]
+            assert fld.pow_array(xs, e).tolist() == expected, e
+    finally:
+        get_field.cache_clear()
+
+
+def test_a_large_field_and_its_trace_sequences_peak_below_20_mib():
+    # F_{2^20} with both of its trace sequences, traced by tracemalloc:
+    # 28.0 MiB with int64 tables and whole-field gathers, and about 16 MiB
+    # with int32 tables gathered in intp runs
+    get_field.cache_clear()
+    tracemalloc.start()
+    try:
+        fld = get_field(2, 1, 20)
+        fld.trace_sequence(1), fld.trace_sequence(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    try:
+        assert peak < 20 * 2**20
+        assert fld.exp.nbytes == 4 * (fld.order - 1)
+    finally:
+        get_field.cache_clear()
+
+
+@pytest.mark.parametrize("p, s, m", [(2, 1, 8), (3, 2, 2), (5, 1, 4)])
+def test_trace_of_an_index_array_is_the_scalar_trace(p, s, m):
+    # one call on an array of subfield elements, against one call on each
+    fld = get_field(p, s, m)
+    for f in (f for f in range(1, fld.n + 1) if fld.n % f == 0):
+        members = fld.subfield_indices(f)
+        for t in (t for t in range(1, f + 1) if f % t == 0):
+            traces = trace(fld, members, f, t)
+            assert traces.tolist() == [trace(fld, x, f, t) for x in members.tolist()]
+    outside = np.array([0, 1, fld.alpha])  # alpha generates the whole field
+    with pytest.raises(NotASubfield, match=f"^element {fld.alpha} not in the degree-1 subfield$"):
+        trace(fld, outside, 1, 1)
+    for bad in (np.array([0, fld.order]), np.array([1, -1]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="is not an element index"):
+            trace(fld, bad, fld.n, 1)
 
 
 def test_frobenius_additive():
@@ -517,7 +594,7 @@ def test_exp_table_matches_the_power_reference(p, s, m):
     # the canonical alpha, and alpha^3, which is a generator exactly when
     # gcd(3, p^n - 1) = 1; otherwise the table must refuse it
     f = get_field(p, s, m)
-    assert f.exp.dtype == np.int64
+    assert f.exp.dtype == f.log.dtype == np.int32
     assert f.exp.tolist() == power_table(p, f.n, f.modulus, f.alpha)
     if f.order <= 4:
         return
@@ -541,12 +618,13 @@ def test_tables_are_reproducible_across_versions():
     for p, s, m in fields:
         fld = get_field(p, s, m)
         digest.update(repr((p, s, m)).encode())
+        # hashed as int64, the dtype the digest was pinned in
         for table in (fld.exp, fld.log, fld.zech):
-            digest.update(table.tobytes())
+            digest.update(table.astype(np.int64).tobytes())
         for f in (f for f in range(1, fld.n + 1) if fld.n % f == 0):
             for t in (t for t in range(1, f + 1) if f % t == 0):
                 tr = fld.trace_map(t) if f == fld.n else frobenius_trace_map(fld, t, f)
-                digest.update(tr.tobytes())
+                digest.update(tr.astype(np.int64).tobytes())
         get_field.cache_clear()
     assert digest.hexdigest() == (
         "d753dfa9adf177005e60f9b625e3d7c92c558b0c3a256ba87ac52f3e768731d6"
@@ -565,11 +643,15 @@ def test_tables_are_reproducible_across_versions():
     ],
 )
 def test_large_tables_are_reproducible(p, s, m, digests):
-    # sha256 prefixes of exp, log and zech, and exp around the first block
-    # boundaries against square-and-multiply powers
+    # sha256 prefixes of exp, log and zech, hashed as int64, the dtype they
+    # were pinned in, and exp around the first block boundaries against
+    # square-and-multiply powers
     fld = get_field(p, s, m)
     tables = (fld.exp, fld.log, fld.zech)
-    assert tuple(hashlib.sha256(t.tobytes()).hexdigest()[:16] for t in tables) == digests
+    assert all(t.dtype == np.int32 for t in tables)
+    assert tuple(
+        hashlib.sha256(t.astype(np.int64).tobytes()).hexdigest()[:16] for t in tables
+    ) == digests
     block = math.isqrt(fld.order - 1)
     for i in (block - 1, block, block + 1, fld.order - 2):
         assert fld.exp[i] == power(p, fld.n, fld.modulus, fld.alpha, i)

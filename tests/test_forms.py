@@ -183,9 +183,9 @@ def test_a_forms_round_builds_no_zech_table(p, s, m):
 
 
 def test_a_forms_round_keeps_no_whole_field_trace_map():
-    # the trace sequence is kept, one byte per element; the int64 trace map
-    # it was built from is not, so exp and log are the only int64 arrays of
-    # field length that the table holds
+    # the trace sequence is kept, one byte per element; the trace map it was
+    # built from is not, so exp and log are the only arrays in the table
+    # dtype of field length that the table holds
     get_field.cache_clear()
     f = get_field(2, 1, 8)
     for ell in (1, 2):
@@ -197,7 +197,7 @@ def test_a_forms_round_keeps_no_whole_field_trace_map():
         held += value.values() if isinstance(value, dict) else [value]
         held += vars(value).values() if isinstance(value, FieldTable) else []
     large = {id(a) for a in held if isinstance(a, np.ndarray)
-             and a.dtype == np.int64 and a.size >= f.order - 1}
+             and a.dtype == f.exp.dtype and a.size >= f.order - 1}
     assert large == {id(f.exp), id(f.log)}
     assert f.trace_sequence(1).dtype == np.uint8
     get_field.cache_clear()

@@ -228,6 +228,7 @@ NO_SRC_CALLER = {
 # its reason.
 NO_SRC_READER = {
     "FieldTable.mul": "the scalar product, beside add, neg, inv and pow, for callers of the field",
+    "FieldTable.pow": "the scalar power, beside add, neg, mul and inv, for callers of the field",
     "VerificationReport.failures": "for callers of run_suite",
 }
 
