@@ -19,15 +19,18 @@ at one index; ``inv`` reads the exp and log tables directly. The exp table
 is filled by baby-step/giant-step (Shanks, 1971), and the Zech table is
 built on first read, which only odd-p addition makes: traces are F_p-linear
 maps on base-p digit vectors, read off the log and exp tables, so neither a
-p = 2 field nor a trace builds it. A trace map is built on each call; its
-log-order twin, ``trace_sequence``, is kept, one byte per element, and the
-trace-form counts read it as strided views.
+p = 2 field nor a trace builds it. The library reads a trace as
+``trace_sequence``, its log-order m-sequence of subfield positions, kept one
+byte per element for p^t < 256 and filled by ``_linear_map`` from the
+positions of the n basis images, with no whole-field map of indices; the
+trace-form counts read it as strided views. ``trace_map``, the trace by
+index, is built on each call for callers.
 
-The exp, log and Zech tables and every linear map hold int32, 4 bytes per
-element: ``_table_dtype`` admits a field while p^n < 2^31 and refuses a
-larger one. numpy converts an int32 index to intp whole before it reads by
-it, so every whole-field gather or scatter by a table goes through
-``_by_index``, a run of indices at a time; every sum or product of table
+The exp, log and Zech tables and every linear map of indices hold int32, 4
+bytes per element: ``_table_dtype`` admits a field while p^n < 2^31 and
+refuses a larger one. numpy converts an int32 index to intp whole before
+it reads by it, so every whole-field gather or scatter by a table goes
+through ``_by_index``, a run of indices at a time; every sum or product of table
 entries that can pass 2^31 - 1 is taken in int64.
 
 ``get_field`` is the one constructor: it picks the modulus and the
@@ -47,7 +50,7 @@ import numpy as np
 
 from .arith import factorize, is_prime, require_int
 from .budgets import require
-from .errors import CompositeP, NotASubfield, ZeroElement
+from .errors import CompositeP, InternalCheckError, NotASubfield, ZeroElement
 
 # ---------------------------------------------------------------------------
 # F_p-linear algebra on base-p digit vectors and n x n matrices over F_p
@@ -149,16 +152,18 @@ def _by_index(table: np.ndarray, index: np.ndarray, invert: bool = False) -> np.
     return out
 
 
-def _linear_map(p: int, n: int, images: list[int]) -> np.ndarray:
-    """Index array, in the field's ``_table_dtype``, of the F_p-linear map
-    on F_{p^n} that sends each basis index p^i to images[i] (Lidl and
-    Niederreiter, Finite Fields, 2.3). Block [d p^i, (d+1) p^i) is block
-    d - 1 plus images[i], added without a field table: XOR for p = 2, else
-    in rows of base-p digits sized for the sum of two. A digit row is kept
-    only at the positions some image uses, so a trace onto F_p fills one
-    row, and the index is put back together by Horner over those rows, one
-    power of p per gap; each partial sum is an index, below p^n."""
-    dtype = _table_dtype(p, n)
+def _linear_map(p: int, n: int, images: list[int], dtype=None) -> np.ndarray:
+    """Index array, in ``dtype`` (the field's ``_table_dtype`` by default,
+    which holds every index), of the F_p-linear map on F_{p^n} that sends
+    each basis index p^i to images[i] (Lidl and Niederreiter, Finite Fields,
+    2.3); every value the map takes must fit ``dtype``. Block
+    [d p^i, (d+1) p^i) is block d - 1 plus images[i], added without a field
+    table: XOR for p = 2, else in rows of base-p digits sized for the sum of
+    two. A digit row is kept only at the positions some image uses, so a
+    trace onto F_p fills one row, and the value is put back together by
+    Horner over those rows, one power of p per gap; each partial sum is a
+    value of the map."""
+    dtype = _table_dtype(p, n) if dtype is None else dtype
     if p == 2:
         out = np.zeros(2**n, dtype=dtype)
         for i, image in enumerate(images):
@@ -406,19 +411,23 @@ class FieldTable:
             self._frobenius_cache[t, r] = _digits(images, p, self.n).sum(axis=0) % p
         return _digits(a, p, self.n) @ self._frobenius_cache[t, r] % p @ weights
 
+    def _trace_images(self, t: int) -> np.ndarray:
+        """Tr_{p^n / p^t} of the n basis indices p^i, by one
+        ``_frobenius_sum``; for t = n, the basis itself."""
+        basis = self.p ** np.arange(self.n, dtype=np.int64)
+        return self._frobenius_sum(basis, t, self.n // t)
+
     def trace_map(self, to_degree: int) -> np.ndarray:
         """Index array of the trace Tr_{p^n / p^t}(x) onto the subfield of
         degree t = ``to_degree`` at every index x, built on each call, int32
-        as ``_linear_map`` returns it. The trace is F_p-linear, so
-        ``_linear_map`` builds it from the images of the basis indices p^i,
-        which ``_frobenius_sum`` gives by one product of digit matrices; for
-        t = n that is the identity. Every index is held to the subfield by
-        one gather (``_by_index``) from a membership mask of
-        ``subfield_indices(t)``: x^(p^t) = x exactly on F_{p^t}."""
+        as ``_linear_map`` returns it from the basis images. Every index is
+        held to the subfield by one gather (``_by_index``) from a membership
+        mask of ``subfield_indices(t)``: x^(p^t) = x exactly on F_{p^t}.
+        The library reads ``trace_sequence``, not this map; it is kept for
+        callers that want the trace by index."""
         t = to_degree
         self._require_subfield(t)
-        basis = self.p ** np.arange(self.n, dtype=np.int64)
-        out = _linear_map(self.p, self.n, self._frobenius_sum(basis, t, self.n // t).tolist())
+        out = _linear_map(self.p, self.n, self._trace_images(t).tolist())
         inside = np.zeros(self.order, dtype=bool)
         inside[self.subfield_indices(t)] = True
         if not _by_index(inside, out).all():
@@ -432,20 +441,42 @@ class FieldTable:
         the narrowest unsigned dtype that holds p^t. This is the m-sequence
         of alpha (Golomb, Shift Register Sequences, 1967), and the trace on a
         coset alpha^j <alpha^h> is its h-decimation from j, a strided view
-        (Klapper, Des. Codes Cryptogr. 11, 1997). Built as
-        position[trace_map(t)][exp], two ``_by_index`` gathers, where
-        position sends every index outside the subfield to the sentinel p^t,
-        so the random reads hit a table of one byte per element for
-        p^t < 256; the int32 trace map is dropped."""
+        (Klapper, Des. Codes Cryptogr. 11, 1997).
+
+        No whole-field trace map is built. The members of F_{p^t} form an
+        F_p-subspace of the digit vectors; its pivots are the t digit
+        positions at which some member has its highest nonzero digit. Two
+        members first differ, from the top, at a pivot, as their difference
+        is a member; so the key of a member, its digits at the pivots read
+        as a base-p number, orders the members as their indices do, and is
+        its position. Every member is checked to sit at its key, or
+        InternalCheckError. The n basis images are held to F_{p^t} by the
+        member at their key: a linear map lands in a subspace exactly when
+        its basis images do. The trace is F_p-linear, so ``_linear_map``
+        fills the key of every trace value from the keys of the basis
+        images, in the sequence's dtype, and one ``_by_index`` gather by exp
+        puts it in log order."""
         self._require_subfield(t)
         if t not in self._sequence_cache:
-            members = self.subfield_indices(t)
-            size = len(members)
-            dtype = np.min_scalar_type(size)
-            position = np.full(self.order, size, dtype=dtype)
-            position[members] = np.arange(size, dtype=dtype)
-            at_index = _by_index(position, self.trace_map(t))
-            self._sequence_cache[t] = _by_index(at_index, self.exp)
+            p, members = self.p, self.subfield_indices(t)
+            # a member's highest nonzero digit is c exactly when it lies in [p^c, p^(c+1))
+            bounds = np.searchsorted(members, p ** np.arange(self.n + 1, dtype=np.int64))
+            pivots = np.flatnonzero(np.diff(bounds)).tolist()
+            # runs of consecutive pivots: (lowest position, length, first key digit)
+            starts = [j for j, c in enumerate(pivots) if not j or pivots[j - 1] != c - 1]
+            runs = [(pivots[a], b - a, a) for a, b in zip(starts, starts[1:] + [len(pivots)])]
+
+            def key(x):
+                return sum(x // p**c % p**size * p**j for c, size, j in runs)
+
+            if not np.array_equal(key(members), np.arange(len(members))):
+                raise InternalCheckError(f"the members of F_{{{p}^{t}}} do not sit at their keys")
+            images = self._trace_images(t)
+            keys = key(images)
+            if not np.array_equal(members[keys], images):
+                raise NotASubfield("trace image escaped the target subfield")
+            keys_at = _linear_map(p, self.n, keys.tolist(), np.min_scalar_type(len(members)))
+            self._sequence_cache[t] = _by_index(keys_at, self.exp)
         return self._sequence_cache[t]
 
     def subfield_indices(self, t: int) -> np.ndarray:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import gpaley.field
-from gpaley.errors import BudgetExceeded, CompositeP, NotASubfield, ZeroElement
+from gpaley.errors import (
+    BudgetExceeded,
+    CompositeP,
+    InternalCheckError,
+    NotASubfield,
+    ZeroElement,
+)
 from gpaley.field import (
     FieldParams,
     FieldTable,
@@ -16,6 +22,7 @@ from gpaley.field import (
     get_field,
     trace,
 )
+from gpaley.forms import TraceForm
 from gpaley.graphs import GraphSpec, build_graph, connection_set
 from reference import (
     digit_add,
@@ -158,27 +165,68 @@ def test_trace_map_matches_the_frobenius_reference(p, s, m):
 
 @pytest.mark.parametrize("p,s,m,t", [(2, 1, 4, 1), (2, 1, 4, 2), (3, 1, 4, 1), (5, 1, 2, 1)])
 def test_trace_map_refuses_an_image_outside_the_subfield(monkeypatch, p, s, m, t):
-    # a builder that moves one entry of the map off F_{p^t} is refused
+    # a builder that moves one entry of the map off F_{p^t} is refused by the
+    # map's whole-field check
     g = get_field(p, s, m)
-    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace map built yet
+    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace sequence built yet
     outside = min(set(range(fld.order)) - set(fld.subfield_indices(t).tolist()))
     real = gpaley.field._linear_map
 
-    def moved(p, n, images):
-        out = real(p, n, images)
+    def moved(p, n, images, dtype=None):
+        out = real(p, n, images, dtype)
         out[fld.order // 3] = outside
         return out
 
-    monkeypatch.setattr(gpaley.field, "_linear_map", moved)
+    with monkeypatch.context() as patch:
+        patch.setattr(gpaley.field, "_linear_map", moved)
+        with pytest.raises(NotASubfield, match="^trace image escaped the target subfield$"):
+            fld.trace_map(t)
+    # one basis image moved off F_{p^t} is refused by both: the map by its
+    # whole-field check, the sequence by its check of the n basis images;
+    # nothing refused is kept
+    real_sum = fld._frobenius_sum
+
+    def moved_image(a, t, r):
+        out = real_sum(a, t, r).copy()
+        out[-1] = outside
+        return out
+
+    monkeypatch.setattr(fld, "_frobenius_sum", moved_image)
     with pytest.raises(NotASubfield, match="^trace image escaped the target subfield$"):
         fld.trace_map(t)
-    # nothing refused is kept: the log-order sequence refuses the same map
     with pytest.raises(NotASubfield, match="^trace image escaped the target subfield$"):
         fld.trace_sequence(t)
     assert t not in fld._sequence_cache
 
 
-@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 8)])
+@pytest.mark.parametrize("p,s,m,t", [(2, 1, 4, 2), (2, 1, 8, 4), (3, 1, 4, 2), (7, 1, 4, 2)])
+def test_trace_sequence_refuses_members_off_their_keys(monkeypatch, p, s, m, t):
+    # a member's position is its key only while the members are listed in
+    # index order; a listing with two members swapped is refused, and
+    # nothing refused is kept
+    g = get_field(p, s, m)
+    fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace sequence built yet
+    real = fld.subfield_indices
+
+    def swapped(t):
+        out = real(t).copy()
+        out[[1, 2]] = out[[2, 1]]
+        return out
+
+    monkeypatch.setattr(fld, "subfield_indices", swapped)
+    with pytest.raises(InternalCheckError, match=rf"^the members of F_{{{p}\^{t}}} do not sit "):
+        fld.trace_sequence(t)
+    assert t not in fld._sequence_cache
+
+
+@pytest.mark.parametrize(
+    "p,s,m",
+    [(2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 8),
+     # p = 2 with t = 9, 10: keys past one byte
+     (2, 1, 9), (2, 1, 10),
+     # odd p with t > 1: subfields whose pivots are not their lowest digits
+     (3, 1, 6), (5, 1, 4), (7, 1, 4)],
+)
 def test_trace_sequence_is_the_reference_trace_in_log_order(p, s, m):
     # entry i is the position of Tr(alpha^i) among the subfield indices, in
     # the narrowest unsigned dtype that holds p^t, for every t | n
@@ -191,16 +239,19 @@ def test_trace_sequence_is_the_reference_trace_in_log_order(p, s, m):
 
 
 def test_trace_sequence_widens_for_the_sentinel(monkeypatch):
-    # 256 subfield values fit a byte, their sentinel 256 does not
-    g = get_field(2, 1, 16)
+    # 256 subfield positions fit a byte, their sentinel 256 does not: the
+    # sequence is uint16, so a planted sentinel reads as 256, not as 0, and
+    # the forms histogram refuses it
+    g = get_field(2, 8, 2)
     fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace sequence built yet
-    corrupted = fld.trace_map(8)
-    corrupted[fld.alpha] = min(set(range(fld.order)) - set(fld.subfield_indices(8).tolist()))
-    monkeypatch.setattr(fld, "trace_map", lambda t: corrupted)
     sequence = fld.trace_sequence(8)
     assert sequence.dtype == np.uint16
-    assert sequence[1] == 256
-    assert np.array_equal(np.unique(np.delete(sequence, 1)), np.arange(256))
+    assert np.array_equal(np.unique(sequence), np.arange(256))
+    corrupted = sequence.copy()
+    corrupted[1] = 256
+    monkeypatch.setitem(fld._sequence_cache, 8, corrupted)
+    with pytest.raises(InternalCheckError, match="form took a value outside the subfield"):
+        TraceForm(fld, fld.alpha, 1).histogram
 
 
 @pytest.mark.parametrize("used", ["every", "lowest", "gapped", "none"])
@@ -292,6 +343,24 @@ def test_a_large_field_and_its_trace_sequences_peak_below_20_mib():
     try:
         assert peak < 20 * 2**20
         assert fld.exp.nbytes == 4 * (fld.order - 1)
+    finally:
+        get_field.cache_clear()
+
+
+def test_a_trace_sequence_builds_no_whole_field_trace_map():
+    # trace_sequence(1) on F_{2^20} once its tables are built, traced by
+    # tracemalloc: 7.25 MiB while it built the int32 trace map, a mask and a
+    # position table; the byte-wide keys and the sequence are 1 MiB each
+    get_field.cache_clear()
+    try:
+        fld = get_field(2, 1, 20)
+        tracemalloc.start()
+        try:
+            fld.trace_sequence(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
     finally:
         get_field.cache_clear()
 

@@ -229,6 +229,8 @@ NO_SRC_CALLER = {
 NO_SRC_READER = {
     "FieldTable.mul": "the scalar product, beside add, neg, inv and pow, for callers of the field",
     "FieldTable.pow": "the scalar power, beside add, neg, mul and inv, for callers of the field",
+    "FieldTable.trace_map": "the trace by index, for callers and the reference tests; the library "
+                            "reads the log-order trace_sequence, built without it",
     "VerificationReport.failures": "for callers of run_suite",
 }
 
