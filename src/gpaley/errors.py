@@ -66,13 +66,5 @@ class NotStronglyRegular(GPaleyError):
     """Brute-force common-neighbor counts were not constant over pairs."""
 
 
-class DisconnectedComponentsFound(GPaleyError):
-    """BFS found more than one component; carries the component sizes."""
-
-    def __init__(self, sizes):
-        self.sizes = list(sizes)
-        super().__init__(f"graph has {len(self.sizes)} components, sizes {self.sizes}")
-
-
 class InternalCheckError(GPaleyError):
     """A redundant internal cross-check failed; indicates a bug, never bad input."""

@@ -29,9 +29,10 @@ index, is built on each call for callers.
 The exp, log and Zech tables and every linear map of indices hold int32, 4
 bytes per element: ``_table_dtype`` admits a field while p^n < 2^31 and
 refuses a larger one. numpy converts an int32 index to intp whole before
-it reads by it, so every whole-field gather or scatter by a table goes
-through ``_by_index``, a run of indices at a time; every sum or product of table
-entries that can pass 2^31 - 1 is taken in int64.
+it reads or writes by it, so every whole-field gather by a table goes
+through ``_by_index``, and the one scatter, log from exp, is written the
+same way: a run of indices at a time. Every sum or product of table entries
+that can pass 2^31 - 1 is taken in int64.
 
 ``get_field`` is the one constructor: it picks the modulus and the
 generator alpha from (p, n) alone by a deterministic rule, so every table
@@ -136,19 +137,14 @@ def _table_dtype(p: int, n: int) -> type:
 _CHUNK = 2**14
 
 
-def _by_index(table: np.ndarray, index: np.ndarray, invert: bool = False) -> np.ndarray:
-    """table[index] for a 1-D index array; with ``invert``, the scatter
-    table[index[i]] = i instead, which fills and returns ``table``. Both run
-    ``_CHUNK`` indices at a time, each run converted to intp first: numpy
-    converts an int32 index to intp whole, 8 bytes per entry, before it
-    reads or writes by it, and reads through intp faster."""
-    out = table if invert else np.empty(len(index), dtype=table.dtype)
+def _by_index(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index] for a 1-D index array, ``_CHUNK`` indices at a time,
+    each run converted to intp first: numpy converts an int32 index to intp
+    whole, 8 bytes per entry, before it reads by it, and reads through intp
+    faster."""
+    out = np.empty(len(index), dtype=table.dtype)
     for start in range(0, len(index), _CHUNK):
-        chunk = index[start : start + _CHUNK].astype(np.intp)
-        if invert:
-            table[chunk] = np.arange(start, start + len(chunk), dtype=table.dtype)
-        else:
-            out[start : start + len(chunk)] = table[chunk]
+        out[start : start + _CHUNK] = table[index[start : start + _CHUNK].astype(np.intp)]
     return out
 
 
@@ -287,7 +283,10 @@ class FieldTable:
             block = exp[start : start + baby]
             np.take(giant, exp[start - baby : start - baby + len(block)], out=block)
         del giant
-        log = _by_index(np.full(N, -1, dtype=dtype), exp, invert=True)
+        log = np.full(N, -1, dtype=dtype)
+        for start in range(0, units, _CHUNK):  # intp runs, as in _by_index
+            run = exp[start : start + _CHUNK].astype(np.intp)
+            log[run] = np.arange(start, start + len(run), dtype=dtype)
         if np.any(log[1:] < 0):
             # a reducible modulus leaves no cyclic group of order p^n - 1
             raise ValueError(

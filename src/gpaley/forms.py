@@ -22,8 +22,8 @@ trace values Tr(alpha^i) are the m-sequence of alpha (Golomb, Shift Register
 Sequences, 1967) and the coset alpha^j S is its h-decimation from j
 (Klapper, Des. Codes Cryptogr. 11, 1997): the field's ``trace_sequence``
 sliced [j::h], a strided view with no gather. The value histogram, which
-``kernel_counts`` and ``exp_sum`` both read, is one q + 1 bin count of
-those k positions, the last bin the sentinel of a value outside F_q. The
+``kernel_counts`` and ``exp_sum`` both read, is one bin count of those k
+positions, each in [0, q); a position from q up is refused. The
 Klapper sweep of ``gpaley.oracles`` evaluates one form per coset, on its
 representative alpha^j, and classifies every gamma in closed form with one
 ``classify_logs`` call on the whole log table.
@@ -62,18 +62,19 @@ class TraceForm:
     def histogram(self) -> dict[int, int]:
         """{value index: count} of Q over the field, one entry per element of
         the q-element subfield: h counts per value on gamma S, and Q(0) = 0.
-        The positions of the coset's values are counted in q + 1 bins; the
-        last, the trace sequence's sentinel, must stay empty. Computed at
-        most once per form object."""
+        The positions of the coset's values are counted in bins; a trace
+        sequence holds positions in [0, q), so any count in a bin from q up
+        is a value outside the subfield and raises. Computed at most once
+        per form object."""
         fld, q = self.field, self.field.params.q
         on_coset = _unit_values(self)
-        counts = np.bincount(on_coset, minlength=q + 1)
-        if counts[q]:
+        counts = np.bincount(on_coset, minlength=q)
+        if counts[q:].any():
             raise InternalCheckError("form took a value outside the subfield")
         counts *= (fld.order - 1) // len(on_coset)  # h = (N - 1)/k
         counts[0] += 1  # Q(0) = 0, and 0 is the first subfield index
         values = fld.subfield_indices(fld.params.s).tolist()
-        return dict(zip(values, counts[:q].tolist()))
+        return dict(zip(values, counts.tolist()))
 
     @property
     def exponent(self) -> int:

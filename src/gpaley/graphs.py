@@ -7,8 +7,10 @@ group of F_{q^m} whose connection set is the multiplicative subgroup of
 nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 
 A graph holds its adjacency once, as packed bits in the layout of the
-bit-dump export (see ``CayleyGraph``), and every kernel here and in
-``gpaley.oracles`` reads those bytes, unpacking only the rows it reads.
+bit-dump export (see ``CayleyGraph``). Only the certification, the
+unpacking, the degree count and the export read those bytes, unpacking only
+the rows they read; the kernels of ``gpaley.oracles`` read row 0, its
+transform and, for the arc checks, the unpacked matrix.
 """
 
 import json
@@ -176,11 +178,6 @@ class CayleyGraph:
     def row0(self) -> np.ndarray:
         """Row 0 of A: on a translation invariant A it fixes every other row."""
         return self._unpack(self.bits[0])
-
-    def neighbors(self, vertices: np.ndarray) -> np.ndarray:
-        """The vertices adjacent to at least one of ``vertices``, a bool mask,
-        as a bool mask: the OR of their packed rows, unpacked once."""
-        return self._unpack(np.bitwise_or.reduce(self.bits[vertices], axis=0))
 
     def _unpack(self, packed: np.ndarray) -> np.ndarray:
         """Packed rows, such as a block of ``bits``, as read-only bool, the

@@ -10,13 +10,14 @@ A[i, j] = A[0, j - i] entry by entry, row 0 (``CayleyGraph.row0``, unpacked
 once) fixes A, and its eigenvalues are the character sums over row 0,
 counted by one exact transform cached per graph
 (``CayleyGraph.eigenvalues``); one that is not an integer is refused, never
-rounded. The walk, srg, girth, tree and Ramanujan kernels require that
-check and read the transform: trace(A^r) is the sum of lambda^r, row 0 of
-A^2 the transform of lambda^2 over N (``CayleyGraph.square_row``). No
-float enters them. The breadth-first search ORs the packed rows of its
-frontier (``CayleyGraph.neighbors``). The arc-transitivity checks, the only
-readers of the unpacked (n, n) matrix here, map all of their scales at
-once, with one ``graphs.apply_affine_frobenius`` table per check.
+rounded. The walk, srg, girth, diameter, component, tree and Ramanujan
+kernels require that check and read the transform: trace(A^r) is the sum
+of lambda^r, row 0 of A^2 the transform of lambda^2 over N
+(``CayleyGraph.square_row``), the diameter is read off row 0 of A and of
+A^2, and the number of components is the multiplicity of lambda_0. No
+float enters them. The arc-transitivity checks, the only readers of the
+unpacked (n, n) matrix here, map all of their scales at once, with one
+``graphs.apply_affine_frobenius`` table per check.
 """
 
 import functools
@@ -30,7 +31,6 @@ from .applications import is_ramanujan, verify_waring, waring_number
 from .arith import exact_div, int_to_str, require_int
 from .budgets import budget, require
 from .errors import (
-    DisconnectedComponentsFound,
     InternalCheckError,
     NotApplicable,
     NotStronglyRegular,
@@ -116,35 +116,29 @@ def count_trees_bruteforce(g: CayleyGraph) -> int:
     return exact_div(math.prod(top - lam for lam in rest), g.n)
 
 
-def _reach(g: CayleyGraph, source: int) -> tuple[np.ndarray, int]:
-    """The vertices reachable from the source, by breadth-first search, and
-    the source's eccentricity among them."""
-    visited = np.zeros(g.n, dtype=bool)
-    visited[source] = True
-    frontier, dist = visited.copy(), 0
-    while True:
-        nxt = g.neighbors(frontier) & ~visited
-        if not nxt.any():
-            return visited, dist
-        visited |= nxt
-        frontier = nxt
-        dist += 1
+def count_diameter(g: CayleyGraph) -> int:
+    """The eccentricity of vertex 0, which is the diameter of a Cayley
+    graph: 1 when row 0 of A holds every other vertex, 2 when row 0 of A or
+    of A^2 (``CayleyGraph.square_row``) does. No connected member has a
+    larger diameter, so one raises rather than guesses, as
+    ``girth_bruteforce`` does past girth 4."""
+    _require_invariance(g)
+    near = g.row0[1:]
+    if near.all():
+        return 1
+    if (near | (g.square_row[1:] > 0)).all():
+        return 2
+    raise NotApplicable("diameter exceeds 2; out of scope for these families")
 
 
-def bfs_eccentricity(g: CayleyGraph) -> int:
-    """Eccentricity of vertex 0 by breadth-first search; equals the
-    diameter on vertex-transitive graphs such as these Cayley graphs. Raises
-    with the component sizes when the graph is disconnected."""
-    visited, dist = _reach(g, 0)
-    if not visited.all():
-        seen, sizes = np.zeros(g.n, dtype=bool), []
-        for start in range(g.n):
-            if not seen[start]:
-                component = _reach(g, start)[0]
-                seen |= component
-                sizes.append(int(component.sum()))
-        raise DisconnectedComponentsFound(sizes)
-    return dist
+def count_components(g: CayleyGraph) -> tuple[int, int]:
+    """(number, size) of the components. In a regular graph the number is
+    the multiplicity of lambda_0 among ``count_eigenvalues``, and on a
+    translation invariant A the components are the cosets of the component
+    of 0, so each has N / number vertices, the division checked exact."""
+    lams = count_eigenvalues(g)
+    number = int(np.count_nonzero(lams == lams[0]))
+    return number, exact_div(g.n, number)
 
 
 def girth_bruteforce(g: CayleyGraph) -> int:
@@ -255,18 +249,21 @@ class _Suite:
 def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationReport:
     """Every applicable cross-check of brute force against closed forms for
     one primal family member: parameter counting, the A^2 identity, walk
-    counts, tree counts (size permitting), diameter / components, girth,
-    traces of A and A^2 against the spectrum's moments, the quadratic-form
-    classification of every gamma against kernel counting on one member of
-    each coset of S, Waring witnesses, the Ramanujan inequality, the coset
-    decomposition of the complement, and arc-transitivity witnesses on small
-    graphs. The report lists the structure checks, the primal graph's
-    ``_side_checks``, the complement's, then the rest. Failures are
-    recorded, never thrown; checks left out for size are listed in the
-    report's ``skipped``. The primal graph is filled once and the
-    complement derived from it by ``complement_graph``, which certifies it
-    as ``build_graph`` would; the seconds of the fill and of the derivation
-    are the report's ``build_seconds``."""
+    counts, tree counts (size permitting), the diameter or the components,
+    girth, traces of A and A^2 against the spectrum's moments, the
+    quadratic-form classification of every gamma against kernel counting on
+    one member of each coset of S, Waring witnesses, the Ramanujan
+    inequality, the coset decomposition of the complement, and
+    arc-transitivity witnesses on small graphs. The report lists the
+    structure checks, the primal graph's ``_side_checks``, the
+    complement's, then the rest. Failures are recorded, never thrown;
+    checks left out for size are listed in the report's ``skipped``. The
+    primal graph is filled once and the complement derived from it by
+    ``complement_graph``, which certifies it as ``build_graph`` would; the
+    seconds of the fill and of the derivation are the report's
+    ``build_seconds``. After that certification only the degree checks and
+    the arc checks read rows past row 0; every other count reads row 0 and
+    its transform."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     spectrum(spec)  # refuses a spec outside the family before any graph is built
     suite = _Suite(spec)
@@ -304,9 +301,10 @@ def _side_checks(suite, side, graph):
     each beside the rule that decides whether it applies. (2,2,1) is not
     strongly regular, so it has no srg counts or A^2 identity, and no girth;
     the primal graph of ell = m/2 is q^(m/2) disjoint cliques, held to its
-    components in place of a diameter and given no girth. The moments are
-    the closed spectrum's (v, sum lambda, sum lambda^2) against the counted
-    order, trace(A) and trace(A^2)."""
+    component count and size (``count_components``, reported as (number,
+    [size])) in place of a diameter (``count_diameter``), and given no
+    girth. The moments are the closed spectrum's (v, sum lambda, sum
+    lambda^2) against the counted order, trace(A) and trace(A^2)."""
     spec = graph.spec
     # the walks and moments checks read one spectrum, evaluated on the
     # first read; one that raises fails each check that reads it
@@ -330,15 +328,12 @@ def _side_checks(suite, side, graph):
         root = spec.q ** (spec.m // 2)
 
         def components():
-            try:
-                bfs_eccentricity(graph)
-                return None
-            except DisconnectedComponentsFound as exc:
-                return (len(exc.sizes), sorted(set(exc.sizes)))
+            number, size = count_components(graph)
+            return (number, [size])
 
         suite.run("half-case-components", lambda: (root, [root]), components)
     else:
-        suite.run(f"diameter-{side}", lambda: 2, lambda: bfs_eccentricity(graph))
+        suite.run(f"diameter-{side}", lambda: 2, lambda: count_diameter(graph))
         if not spec.is_degenerate:
             suite.run(
                 f"girth-{side}",

@@ -239,9 +239,9 @@ def test_trace_sequence_is_the_reference_trace_in_log_order(p, s, m):
 
 
 def test_trace_sequence_widens_for_the_sentinel(monkeypatch):
-    # 256 subfield positions fit a byte, their sentinel 256 does not: the
-    # sequence is uint16, so a planted sentinel reads as 256, not as 0, and
-    # the forms histogram refuses it
+    # 256 subfield positions fit a byte, the first position past them does
+    # not: the sequence is uint16, so a planted 256 reads as 256, not as 0,
+    # and the forms histogram refuses it
     g = get_field(2, 8, 2)
     fld = FieldTable(g.params, g.modulus, g.alpha)  # no trace sequence built yet
     sequence = fld.trace_sequence(8)

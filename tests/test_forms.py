@@ -206,15 +206,18 @@ def test_a_forms_round_keeps_no_whole_field_trace_map():
 
 @pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 4), (2, 2, 4)])
 def test_a_trace_map_entry_outside_the_subfield_fails_the_histogram(monkeypatch, p, s, m):
-    # a trace sequence entry at the sentinel p^s, a value outside the
-    # subfield, falls in the sentinel bin, which must stay empty
+    # a trace sequence holds positions in [0, q), q = p^s; an entry at q or
+    # past it is a value outside the subfield, and every bin from q up must
+    # stay empty
     g = get_field(p, s, m)
     f = FieldTable(g.params, g.modulus, g.alpha)
-    corrupted = f.trace_sequence(s).copy()
-    corrupted[1] = p**s
-    monkeypatch.setitem(f._sequence_cache, s, corrupted)
-    with pytest.raises(InternalCheckError, match="form took a value outside the subfield"):
-        TraceForm(f, f.alpha, 1).histogram
+    for position in (p**s, p**s + 1):
+        corrupted = f.trace_sequence(s).copy()
+        corrupted[1] = position
+        monkeypatch.setitem(f._sequence_cache, s, corrupted)
+        with pytest.raises(InternalCheckError, match="form took a value outside the subfield"):
+            TraceForm(f, f.alpha, 1).histogram
+        monkeypatch.undo()
 
 
 def test_kernel_matches_balanced_formula_f16():

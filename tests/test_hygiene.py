@@ -72,26 +72,27 @@ def test_every_private_definition_is_read(path):
     assert sorted(_private_definitions(tree) - read) == []
 
 
-def _calls_by_function(tree: ast.Module):
-    """(enclosing function name or None, call node) for every call."""
+def _nodes_by_function(tree: ast.Module, kind: type = ast.Call):
+    """(enclosing function name or None, node) for every node of ``kind``,
+    a call by default."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
+            if isinstance(child, kind):
                 yield owner, child
             yield from visit(child, owner)
 
     return visit(tree, None)
 
 
-def _sites(predicate) -> set[tuple[str, str | None]]:
+def _sites(predicate, kind: type = ast.Call) -> set[tuple[str, str | None]]:
     return {
         (path.name, owner)
         for path in MODULES
-        for owner, call in _calls_by_function(ast.parse(path.read_text()))
-        if predicate(call)
+        for owner, node in _nodes_by_function(ast.parse(path.read_text()), kind)
+        if predicate(node)
     }
 
 
@@ -163,6 +164,23 @@ def test_spectra_are_counted_by_one_transform():
         lambda c: isinstance(c.func, ast.Attribute) and c.func.attr == "_character_sums"
     )
     assert sites == {("graphs.py", "eigenvalues"), ("graphs.py", "square_row")}
+
+
+def test_the_packed_rows_are_read_by_few_sites():
+    # the certification, the unpacking, the degree count and the export read
+    # CayleyGraph.bits; every oracle count reads row 0 and its transform,
+    # or the unpacked matrix
+    sites = _sites(lambda a: a.attr == "bits" and isinstance(a.ctx, ast.Load), ast.Attribute)
+    assert sites == {
+        ("graphs.py", "n"),  # its shape alone
+        ("graphs.py", "translation_invariant"),
+        ("graphs.py", "rows"),  # the blocks of rows inside translation_invariant
+        ("graphs.py", "complement_graph"),
+        ("graphs.py", "adjacency"),
+        ("graphs.py", "row0"),
+        ("graphs.py", "degrees"),
+        ("graphs.py", "write_bit_dump"),
+    }
 
 
 def test_the_trace_sequence_has_one_reader():

@@ -16,15 +16,16 @@ from gpaley.applications import verify_waring, waring_number
 from gpaley.arith import gcd_power
 from gpaley.errors import (
     BudgetExceeded,
-    DisconnectedComponentsFound,
     InternalCheckError,
+    NotApplicable,
     NotInFamily,
     NotStronglyRegular,
 )
 from gpaley.field import get_field
 from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph, complement_graph
 from gpaley.oracles import (
-    bfs_eccentricity,
+    count_components,
+    count_diameter,
     count_eigenvalues,
     count_ramanujan,
     count_srg_params,
@@ -179,8 +180,9 @@ def test_counted_ramanujan_decisions():
 def test_a_shifted_eigenvalue_fails_every_check_that_reads_the_transform(monkeypatch):
     # lambda_1 + 9 on each side of Gamma_{2,4}(1): 10^2 > 4 * 4 and
     # 7^2 > 4 * 9 break both Ramanujan decisions, and an odd change to the
-    # sum of lambda^2 leaves row 0 of A^2 no exact quotient by 16. The
-    # complement still has closed 3-walks, so its girth still reads 3
+    # sum of lambda^2 leaves row 0 of A^2, which the srg, A^2 and diameter
+    # checks read, no exact quotient by 16. The complement still has closed
+    # 3-walks, so its girth still reads 3
     real = gpaley.graphs.CayleyGraph.eigenvalues.func
 
     def shifted(g):
@@ -190,11 +192,32 @@ def test_a_shifted_eigenvalue_fails_every_check_that_reads_the_transform(monkeyp
 
     monkeypatch.setattr(gpaley.graphs.CayleyGraph, "eigenvalues", property(shifted))
     report = run_suite(GraphSpec(2, 1, 4, 1))
-    reading = {"srg-counts", "a2-identity", "walks-2..6", "trees", "girth", "spectrum-moments"}
+    reading = {"srg-counts", "a2-identity", "walks-2..6", "trees", "girth", "diameter",
+               "spectrum-moments"}
     assert {c.name for c in report.failures()} == {
         f"{check}-{side}" for check in reading for side in ("primal", "complement")
     } - {"girth-complement"} | {"ramanujan-double-path", "ramanujan-complement"}
     assert len(report.checks) == 25
+
+
+def test_a_raised_eigenvalue_fails_the_half_case_components(monkeypatch):
+    # Gamma_{2,4}(2) is four disjoint K_4: lambda_0 = 3 four times and -1
+    # twelve times. A +9 shift would leave four 3s; setting one -1 to 3
+    # gives five components, which do not divide 16 vertices
+    real = gpaley.graphs.CayleyGraph.eigenvalues.func
+
+    def raised(g):
+        lams = real(g).copy()
+        if not g.spec.complemented:
+            lams[np.flatnonzero(lams != lams[0])[0]] = lams[0]
+        return lams
+
+    monkeypatch.setattr(gpaley.graphs.CayleyGraph, "eigenvalues", property(raised))
+    report = run_suite(GraphSpec(2, 1, 4, 2))
+    check = next(c for c in report.checks if c.name == "half-case-components")
+    assert not check.passed
+    assert check.expected == (4, [4])
+    assert check.observed.startswith("InternalCheckError: non-exact division")
 
 
 @pytest.mark.parametrize(
@@ -454,12 +477,26 @@ def test_an_eigenvalue_that_is_not_an_integer_is_refused():
         count_trees_bruteforce(cycles)
 
 
-def test_bfs_diameter():
-    assert bfs_eccentricity(build_graph(GraphSpec(2, 1, 4, 1))) == 2
-    assert bfs_eccentricity(build_graph(GraphSpec(2, 1, 3, 1))) == 1  # complete graph
-    with pytest.raises(DisconnectedComponentsFound) as exc:
-        bfs_eccentricity(build_graph(GraphSpec(2, 1, 4, 2)))
-    assert sorted(exc.value.sizes) == [4, 4, 4, 4]
+def test_counted_diameter_and_components():
+    assert count_diameter(build_graph(GraphSpec(2, 1, 3, 1))) == 1  # complete graph
+    assert count_diameter(build_graph(GraphSpec(2, 1, 4, 1))) == 2
+    assert count_components(build_graph(GraphSpec(2, 1, 4, 1))) == (1, 16)
+    assert count_components(build_graph(GraphSpec(2, 1, 4, 2))) == (4, 4)  # four K_4
+    # the 4-cube, the Cayley graph of F_16 on {1, 2, 4, 8}, has diameter 4,
+    # which no connected member has
+    g, idx = build_graph(GraphSpec(2, 1, 4, 1)), np.arange(16)
+    cube = with_adjacency(g, np.isin(idx[:, None] ^ idx, [1, 2, 4, 8]))
+    with pytest.raises(NotApplicable, match="diameter exceeds 2"):
+        count_diameter(cube)
+    assert count_components(cube) == (1, 16)
+    # the 2-switched copies keep every degree and row 0 of A^2, so only the
+    # translation check refuses them
+    for spec in (GraphSpec(2, 1, 4, 1), GraphSpec(2, 1, 4, 2)):
+        switched = _two_switch(build_graph(spec))
+        with pytest.raises(InternalCheckError, match="not translation invariant"):
+            count_diameter(switched)
+        with pytest.raises(InternalCheckError, match="not translation invariant"):
+            count_components(switched)
 
 
 def test_girth():
