@@ -54,11 +54,12 @@ def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertif
 
     Complete-graph cases (q even, m_ell odd) give g = 1: the power map is
     onto. Proper members with ell < m/2 give g = 2: the graph is connected
-    with diameter 2, so breadth-first layers from 0 stop after two steps.
+    with diameter 2, so every element is a sum of at most two powers.
     ell = m/2 is refused (the powers generate a proper subfield). Witnesses
-    are found via those BFS layers when q^m is within the ``graph`` budget
-    resolved from ``max_order``; above it, and always for max_order=0, the
-    certificate carries none and no field table is built."""
+    are found by a sumset search over S, then S + S (``_witnesses``), when
+    q^m is within the ``graph`` budget resolved from ``max_order``; above
+    it, and always for max_order=0, the certificate carries none and no
+    field table is built."""
     if spec.complemented:
         raise NotApplicable("Waring certification concerns the primal power graph")
     k_exp = spec.q**spec.ell + 1

@@ -1,7 +1,7 @@
 """Materialization budgets.
 
 Symbolic formulas work at any size; anything that enumerates a field,
-materializes an adjacency matrix or runs an exhaustive check is capped.
+builds a graph or runs an exhaustive check is capped.
 Every cap is resolved by ``budget``: an explicit value first (0 refuses
 every size), then ``GPG_MAX_ORDER`` from the environment, then the default
 of its kind. The environment may raise or lower the ``table`` and
@@ -17,7 +17,9 @@ from .errors import BudgetExceeded
 
 DEFAULTS = {
     "table": 2**22,  # log/exp/Zech tables
-    "graph": 2**13,  # adjacency matrices, one bit per entry
+    # built graphs: connection sets, their adjacency filled one bit per
+    # entry when read, and the Waring witnesses
+    "graph": 2**13,
     # Kirchhoff tree counts; the cap stays only because bench/checks.py's
     # expected_check_names pins trees-* to 512 vertices or fewer, so
     # deleting it is a change to the benchmark

@@ -70,7 +70,7 @@ def _graph(args, spec):
         "spec": spec.to_json(),
         "n": int_to_str(g.n),
         "k": int_to_str(g.k),
-        "edges": int_to_str(int(g.degrees.sum()) // 2),
+        "edges": int_to_str(g.n * g.k // 2),
     }
 
 

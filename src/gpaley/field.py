@@ -24,7 +24,10 @@ p = 2 field nor a trace builds it. The library reads a trace as
 byte per element for p^t < 256 and filled by ``_linear_map`` from the
 positions of the n basis images, with no whole-field map of indices; the
 trace-form counts read it as strided views. ``trace_map``, the trace by
-index, is built on each call for callers.
+index, is built on each call for callers. ``certify_field`` holds the
+exp, log and Zech tables to digit arithmetic in O(N) work, each power one
+digit-matrix step from the last; ``graphs.build_graph`` runs it on every
+graph, and ``get_field`` does not.
 
 The exp, log and Zech tables and every linear map of indices hold int32, 4
 bytes per element: ``_table_dtype`` admits a field while p^n < 2^31 and
@@ -512,6 +515,44 @@ def _find_primitive(modulus, params: FieldParams) -> int:
         if not any(np.array_equal(_matpow(times, units // r, p), one) for r in primes):
             return idx
     raise CompositeP("no primitive element found")  # unreachable
+
+
+def certify_field(fld: FieldTable) -> None:
+    """Hold the tables of ``fld`` to digit arithmetic in O(N) work, ``_CHUNK``
+    indices at a time, or raise InternalCheckError:
+    - exp[0] = 1, and each exp[i + 1] is exp[i] times the digit matrix of
+      v -> alpha v, that product at exp[N - 2] being 1: exp[i] is alpha^i;
+    - log[exp[i]] = i and log[0] = -1: exp takes each nonzero index once,
+      so alpha has order N - 1, the modulus makes a field, and log inverts
+      exp;
+    - for odd p, zech[i] is the log of exp[i] with its lowest digit stepped
+      by one mod p, which is exp[i] + 1: the Zech additions of
+      ``add_arrays`` are digit arithmetic. For p = 2 addition is XOR.
+    Each index product is checked before a later run reads it as an index."""
+    p, n, units = fld.p, fld.n, fld.order - 1
+    exp, log = fld.exp, fld.log
+    if len(exp) != units or len(log) != fld.order or exp[0] != 1 or log[0] != -1:
+        raise InternalCheckError(f"F_{p}^{n}: a table has the wrong length, exp[0] is not 1 "
+                                 "or log[0] is not -1")
+    step = _times(_companion(fld.modulus, p), _digits(fld.alpha, p, n), p)
+    weights = p ** np.arange(n, dtype=np.int64)
+    for start in range(0, units, _CHUNK):
+        stop = min(start + _CHUNK, units)
+        run = exp[start:stop].astype(np.int64)
+        following = exp[start + 1 : stop + 1]
+        if stop == units:
+            following = np.append(following, 1)  # alpha^(N - 1) = 1
+        wrong = np.flatnonzero(_digits(run, p, n) @ step.T % p @ weights != following)
+        if wrong.size:
+            i = start + int(wrong[0])
+            raise InternalCheckError(f"F_{p}^{n}: exp[{i + 1}] is not alpha times exp[{i}]")
+        if not np.array_equal(log[run], np.arange(start, stop)):
+            raise InternalCheckError(f"F_{p}^{n}: log does not invert exp in [{start}, {stop})")
+        if p > 2:
+            low = run % p
+            if not np.array_equal(fld.zech[start:stop], log[run - low + (low + 1) % p]):
+                raise InternalCheckError(f"F_{p}^{n}: a zech entry in [{start}, {stop}) is "
+                                         "not the log of one plus its power")
 
 
 def trace(fld: FieldTable, x, from_degree: int, to_degree: int):

@@ -1,16 +1,18 @@
-"""Connection sets S_{q,m}(ell), Cayley graph materialization, the family
-G_{q,m}, the spec-level subgraph test, normalization, the lattice of
-family members, affine-Frobenius automorphisms, and export.
+"""Connection sets S_{q,m}(ell), Cayley graphs, the family G_{q,m}, the
+spec-level subgraph test, normalization, the lattice of family members,
+affine-Frobenius automorphisms, and export.
 
 A spec (q, m, ell) with q = p^s describes the Cayley graph on the additive
 group of F_{q^m} whose connection set is the multiplicative subgroup of
 nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 
-A graph holds its adjacency once, as packed bits in the layout of the
-bit-dump export (see ``CayleyGraph``). Only the certification, the
-unpacking, the degree count and the export read those bytes, unpacking only
-the rows they read; the kernels of ``gpaley.oracles`` read row 0, its
-transform and, for the arc checks, the unpacked matrix.
+A graph is its connection set (see ``CayleyGraph``): row 0 of A, which fixes
+every other row, A[i, j] = A[0, j - i] (Babai, JCTB 27, 1979). The kernels
+of ``gpaley.oracles`` read row 0 and its transform; the packed bits of A are
+filled on first read, which only the unpacked matrix, and so export and the
+arc checks, make. ``build_graph`` certifies the field's tables first
+(``field.certify_field``), so the fill's Zech additions are digit
+arithmetic.
 """
 
 import json
@@ -32,13 +34,10 @@ from .errors import (
     NotInFamily,
     ZeroScale,
 )
-from .field import FieldParams, FieldTable, get_field
+from .field import FieldParams, FieldTable, certify_field, get_field
 
-# Rows of A per block when _fill fills A, the translation check compares it
-# or the degrees are counted, so that temporaries stay a few MB.
+# Rows of A per block when _fill fills A, so that temporaries stay a few MB.
 _ROW_BLOCK = 256
-# The number of set bits of each byte value.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class ConnectionSet:
-    """Bit set of connection elements plus its exact cardinality."""
+    """Bool membership array of the connection elements, read-only, plus
+    its exact cardinality."""
 
     spec: GraphSpec
     field: FieldTable
@@ -149,68 +149,62 @@ class ConnectionSet:
 
 @dataclass(frozen=True)
 class CayleyGraph:
-    """A Cayley graph on the additive group of its field. ``bits`` is its
-    adjacency, row i packed little-endian into ceil(n/8) bytes: A[i, j] is
-    bit j % 8 of byte j // 8, and the pad bits past column n - 1 are 0."""
+    """The Cayley graph on the additive group of ``field`` with connection
+    set ``connection``: i ~ j iff element_j - element_i is a member. Its
+    adjacency A is fixed by row 0, the members, and counted from it."""
 
     spec: GraphSpec
     field: FieldTable
     connection: ConnectionSet
-    bits: np.ndarray  # uint8, (n, ceil(n/8))
 
     @property
     def n(self) -> int:
-        return self.bits.shape[0]
+        return self.field.order
 
     @property
     def k(self) -> int:
         return self.connection.cardinality
 
+    @property
+    def row0(self) -> np.ndarray:
+        """Row 0 of A, the connection set's members: it fixes every other row."""
+        return self.connection.members
+
     # Each computed at most once per graph object; dataclasses.replace builds
     # a new object with nothing cached.
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """A as an (n, n) bool matrix, unpacked from ``bits`` on the first
-        read: n^2 bytes, for export and small graphs only."""
-        return self._unpack(self.bits)
+    def bits(self) -> np.ndarray:
+        """A packed, row i little-endian in ceil(n/8) bytes: A[i, j] is bit
+        j % 8 of byte j // 8, and the pad bits past column n - 1 are 0. Filled
+        on first read: ``_fill`` of the primal connection set, negated in
+        place for a complement (``_negate``)."""
+        if not self.spec.complemented:
+            return _fill(self.field, self.row0)
+        primal = ~self.row0
+        primal[0] = False
+        bits = _fill(self.field, primal)
+        _negate(bits)
+        return bits
 
     @cached_property
-    def row0(self) -> np.ndarray:
-        """Row 0 of A: on a translation invariant A it fixes every other row."""
-        return self._unpack(self.bits[0])
-
-    def _unpack(self, packed: np.ndarray) -> np.ndarray:
-        """Packed rows, such as a block of ``bits``, as read-only bool, the
-        pad bits dropped."""
-        out = np.unpackbits(packed, axis=-1, count=self.n, bitorder="little").view(bool)
+    def adjacency(self) -> np.ndarray:
+        """A as a read-only (n, n) bool matrix, unpacked from ``bits`` on the
+        first read, the pad bits dropped: n^2 bytes, for export and small
+        graphs only."""
+        out = np.unpackbits(self.bits, axis=-1, count=self.n, bitorder="little").view(bool)
         out.flags.writeable = False
         return out
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        """The row sums of A: every vertex's degree, as int64. Each row's
-        bytes are popcounted by table, _ROW_BLOCK rows at a time (``take``
-        widens its indices to intp), and summed in the narrowest unsigned
-        type that holds n, the largest a row sum can be; a pad bit set is
-        counted."""
-        dtype = np.min_scalar_type(self.n)
-        counts = [
-            np.take(_POPCOUNT, self.bits[start : start + _ROW_BLOCK]).sum(axis=1, dtype=dtype)
-            for start in range(0, self.n, _ROW_BLOCK)
-        ]
-        return np.concatenate(counts).astype(np.int64)
-
-    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The character sums over row 0, as int64 indexed by character a:
-        the eigenvalues of A when A is translation invariant (Babai, JCTB 27,
-        1979), with lambda_0 = |row 0|."""
+        the eigenvalues of A (Babai, JCTB 27, 1979), with lambda_0 = |row 0|."""
         return self._character_sums(self.row0)
 
     @cached_property
     def square_row(self) -> np.ndarray:
-        """Row 0 of A^2 when A is translation invariant: the character sums of
-        lambda^2 (lambda_(-a) = lambda_a) over N, the division checked exact."""
+        """Row 0 of A^2: the character sums of lambda^2 (lambda_(-a) =
+        lambda_a) over N, the division checked exact."""
         sums = self._character_sums(self.eigenvalues**2)
         if (sums % self.n).any():
             raise InternalCheckError(f"{self.spec.label()}: N does not divide a sum of lambda^2")
@@ -257,49 +251,6 @@ class CayleyGraph:
             )
         return (counts[0] - counts[1]).astype(np.int64)
 
-    @cached_property
-    def translation_invariant(self) -> bool:
-        """A[0, x] = A[0, -x] and A[i, j] = A[0, j - i] for every i and j.
-        Then A is symmetric, A^t[i, j] = A^t[0, j - i] for every t, and row 0
-        of each power fixes all of it (Babai, JCTB 27, 1979).
-
-        An index is its base-p digits, least significant first, and addition
-        is digit by digit mod p, so adding a m for m a power of p rotates the
-        column digit of weight m by a. The check descends m = N/p, ..., 1:
-        for each a in 1..p-1, rows [a m, (a + 1) m) must equal rows [0, m)
-        with that digit rotated by a, two block comparisons of views. Each
-        row but 0 is held to a row below it once, at the weight of its top
-        nonzero digit, and by induction on that digit the comparisons all
-        hold exactly when A[i, j] = A[0, j - i]. The first _ROW_BLOCK rows
-        are unpacked from ``bits`` once, and every other block of rows as it
-        is compared, the pad bits dropped. No field table is read except to
-        negate row 0, so the Zech additions of the fill are held to digit
-        arithmetic."""
-        p, n, row = self.field.p, self.n, self.row0
-        if not np.array_equal(row[self.field.neg_array(np.arange(n))], row):
-            return False
-        head, m = self._unpack(self.bits[:_ROW_BLOCK]), n // p
-
-        def rows(start: int, stop: int) -> np.ndarray:
-            """Rows [start, stop) with axes: row, digits above m, the digit
-            of weight m, digits below m."""
-            block = head[start:stop] if stop <= len(head) else self._unpack(self.bits[start:stop])
-            return block.reshape(stop - start, -1, p, m)
-
-        while m:
-            for start in range(0, m, _ROW_BLOCK):
-                stop = min(start + _ROW_BLOCK, m)
-                top = rows(start, stop)
-                for a in range(1, p):
-                    here = rows(a * m + start, a * m + stop)
-                    if not (
-                        np.array_equal(here[:, :, a:], top[:, :, : p - a])
-                        and np.array_equal(here[:, :, :a], top[:, :, p - a :])
-                    ):
-                        return False
-            m //= p
-        return True
-
 
 def connection_set(spec: GraphSpec, field: FieldTable) -> ConnectionSet:
     """The set of nonzero (q^ell + 1)-th powers: the cyclic subgroup generated
@@ -318,6 +269,7 @@ def connection_set(spec: GraphSpec, field: FieldTable) -> ConnectionSet:
         members = ~members
         members[0] = False
         k = N - 1 - k
+    members.flags.writeable = False  # row 0 of the graph's A
     return ConnectionSet(spec, field, members, k)
 
 
@@ -342,34 +294,20 @@ def _symmetry_rule(spec: GraphSpec) -> bool:
 
 
 def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
-    """Materialize the adjacency as packed bits: i ~ j iff element_j -
-    element_i is a connection member. A complemented spec fills the primal
-    graph's bits and negates them in place (see ``complement_graph``).
-    ``max_order`` caps the graph, then its field table (see
-    ``budgets.require``). Rejects directed cases instead of symmetrizing;
-    the result has passed its translation check.
-    """
-    N = spec.order
-    require("graph", N, max_order)
+    """The Cayley graph of spec on its connection set, after its field's
+    tables pass ``certify_field``; no adjacency is filled (see
+    ``CayleyGraph.bits``). ``max_order`` caps the graph, then its field
+    table (see ``budgets.require``). Rejects directed cases instead of
+    symmetrizing."""
+    require("graph", spec.order, max_order)
     field = get_field(spec.p, spec.s, spec.m, max_order)
-    primal = connection_set(replace(spec, complemented=False), field)
-    if not is_symmetric(primal):
+    certify_field(field)
+    conn = connection_set(spec, field)
+    if not is_symmetric(conn):
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"
         )
-    bits = _fill(field, primal)
-    if spec.complemented:
-        _negate(bits, out=bits)
-    return _certified(spec, field, bits)
-
-
-def complement_graph(g: CayleyGraph) -> CayleyGraph:
-    """The complement of g: its bits negated into fresh pages, with the
-    diagonal and pad bits cleared, and certified as ``build_graph``
-    certifies a graph it fills. It equals ``build_graph(g.spec.complement())``
-    without a second fill; a g that is not a Cayley graph makes a complement
-    that fails its translation check and raises InternalCheckError."""
-    return _certified(g.spec.complement(), g.field, _negate(g.bits, out=_pages(g.n)))
+    return CayleyGraph(spec, field, conn)
 
 
 def _pages(n: int) -> np.ndarray:
@@ -381,15 +319,16 @@ def _pages(n: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, n * width), dtype=np.uint8).reshape(n, width)
 
 
-def _fill(field: FieldTable, primal: ConnectionSet) -> np.ndarray:
-    """The packed rows of A, A[i, j] set iff element_j - element_i is a
-    member of ``primal``. Each _ROW_BLOCK rows are scattered into one reused
-    bool block through the flat indices (i - start) N + j, then packed. The
-    indices are int32: they stay below _ROW_BLOCK N, under 2^31 for every
-    N below 2^23, and at 2^23 vertices the bits alone would be 8 TiB."""
+def _fill(field: FieldTable, members: np.ndarray) -> np.ndarray:
+    """The packed rows of A, A[i, j] set iff element_j - element_i is one of
+    ``members``, a bool array over the field. Each _ROW_BLOCK rows are
+    scattered into one reused bool block through the flat indices
+    (i - start) N + j, then packed. The indices are int32: they stay below
+    _ROW_BLOCK N, under 2^31 for every N below 2^23, and at 2^23 vertices
+    the bits alone would be 8 TiB."""
     N = field.order
     bits = _pages(N)
-    members = np.flatnonzero(primal.members).astype(np.int32)
+    members = np.flatnonzero(members).astype(np.int32)
     block = np.zeros((min(_ROW_BLOCK, N), N), dtype=bool)
     offsets = np.arange(len(block), dtype=np.int32)[:, None] * np.int32(N)
     for start in range(0, N, _ROW_BLOCK):
@@ -403,25 +342,14 @@ def _fill(field: FieldTable, primal: ConnectionSet) -> np.ndarray:
     return bits
 
 
-def _negate(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The complement's packed rows: not A, with the diagonal bits and the
-    pad bits cleared."""
+def _negate(bits: np.ndarray) -> None:
+    """Packed rows of A to those of its complement, in place: not A, with
+    the diagonal bits and the pad bits cleared."""
     n = len(bits)
-    np.invert(bits, out=out)
+    np.invert(bits, out=bits)
     idx = np.arange(n)
-    out[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
-    out[:, -1] &= np.uint8(0xFF >> -n % 8)  # the n % 8 low bits, or all 8
-    return out
-
-
-def _certified(spec: GraphSpec, field: FieldTable, bits: np.ndarray) -> CayleyGraph:
-    """The graph of spec on bits, after the checks every graph passes: a
-    translation invariant A is symmetric with every row a shift of row 0,
-    so row 0 settles the degree and the diagonal."""
-    g = CayleyGraph(spec, field, connection_set(spec, field), bits)
-    if int(g.row0.sum()) != g.k or g.row0[0] or not g.translation_invariant:
-        raise InternalCheckError("adjacency is not a loop-free Cayley graph of the expected degree")
-    return g
+    bits[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
+    bits[:, -1] &= np.uint8(0xFF >> -n % 8)  # the n % 8 low bits, or all 8
 
 
 def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:
@@ -529,7 +457,7 @@ def dimacs_lines(g: CayleyGraph) -> list[str]:
 
 def write_bit_dump(g: CayleyGraph, path: str) -> None:
     """JSON header line (the spec's JSON plus n and k), then the graph's
-    held ``bits`` as they are: rows packed row-major into little-endian
+    ``bits`` as they are: rows packed row-major into little-endian
     bytes (bit j of byte b is column 8b + j), pad bits 0."""
     header = {**g.spec.to_json(), "n": g.n, "k": g.k}
     with open(path, "wb") as fh:

@@ -2,21 +2,19 @@
 materialized graphs: the trust anchor of the package.
 
 Nothing here consults the closed-form spectra module for its own answers;
-counting runs on adjacency matrices, held as packed bits (one bit per entry,
-``CayleyGraph.bits``), and only at the end are the numbers compared against
-the formulas. Every graph is a Cayley graph on the additive group of the
-field, so once ``CayleyGraph.translation_invariant`` has checked
-A[i, j] = A[0, j - i] entry by entry, row 0 (``CayleyGraph.row0``, unpacked
-once) fixes A, and its eigenvalues are the character sums over row 0,
-counted by one exact transform cached per graph
-(``CayleyGraph.eigenvalues``); one that is not an integer is refused, never
-rounded. The walk, srg, girth, diameter, component, tree and Ramanujan
-kernels require that check and read the transform: trace(A^r) is the sum
-of lambda^r, row 0 of A^2 the transform of lambda^2 over N
-(``CayleyGraph.square_row``), the diameter is read off row 0 of A and of
-A^2, and the number of components is the multiplicity of lambda_0. No
-float enters them. The arc-transitivity checks, the only readers of the
-unpacked (n, n) matrix here, map all of their scales at once, with one
+counting runs on the graphs, and only at the end are the numbers compared
+against the formulas. Every graph is a Cayley graph on the additive group
+of the field, whose tables ``build_graph`` has certified, so row 0
+(``CayleyGraph.row0``, the connection set) fixes A, and its eigenvalues are
+the character sums over row 0, counted by one exact transform cached per
+graph (``CayleyGraph.eigenvalues``); one that is not an integer is refused,
+never rounded. The walk, srg, girth, diameter, component, tree and
+Ramanujan kernels read the transform: trace(A^r) is the sum of lambda^r,
+row 0 of A^2 the transform of lambda^2 over N (``CayleyGraph.square_row``),
+the diameter is read off row 0 of A and of A^2, and the number of
+components is the multiplicity of lambda_0. No float enters them. The
+arc-transitivity checks, the only readers of the unpacked (n, n) matrix
+here, map all of their scales at once, with one
 ``graphs.apply_affine_frobenius`` table per check.
 """
 
@@ -30,15 +28,9 @@ import numpy as np
 from .applications import is_ramanujan, verify_waring, waring_number
 from .arith import exact_div, int_to_str, require_int
 from .budgets import budget, require
-from .errors import (
-    InternalCheckError,
-    NotApplicable,
-    NotStronglyRegular,
-    OutOfTheory,
-    UnbalancedCounts,
-)
+from .errors import NotApplicable, NotStronglyRegular, OutOfTheory, UnbalancedCounts
 from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_counts
-from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph, complement_graph
+from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph
 from .spectra import spanning_trees, spectrum, srg_params
 
 
@@ -46,25 +38,14 @@ from .spectra import spanning_trees, spectrum, srg_params
 # raw counting kernels
 # ---------------------------------------------------------------------------
 
-def _require_invariance(g: CayleyGraph) -> None:
-    """Row 0 of A fixes A, and so its spectrum and every power, only on a
-    translation invariant adjacency; any other raises."""
-    if not g.translation_invariant:
-        raise InternalCheckError(f"{g.spec.label()}: adjacency is not translation invariant")
-
-
 def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
     """(v, k, e, d) by exhaustive common-neighbor counting.
 
-    e is the common count of 0 with its neighbors, d with its non-neighbors
-    other than 0, read off row 0 of A^2; non-constant counts falsify strong
-    regularity and raise. Translation invariance carries row 0 to every
-    pair, and an adjacency without it raises InternalCheckError."""
-    n, row, deg = g.n, g.row0, g.degrees
-    if not (deg == deg[0]).all():
-        raise NotStronglyRegular("graph is not regular")
-    k = int(deg[0])
-    _require_invariance(g)
+    k is |S|, every degree. e is the common count of 0 with its neighbors,
+    d with its non-neighbors other than 0, read off row 0 of A^2;
+    non-constant counts falsify strong regularity and raise. A Cayley graph
+    carries row 0 to every pair."""
+    n, k, row = g.n, g.k, g.row0
     common = g.square_row
     others = ~row
     others[0] = False
@@ -81,12 +62,12 @@ def count_srg_params(g: CayleyGraph) -> tuple[int, int, int, int]:
 
 def verify_a2_identity(g: CayleyGraph, params: tuple[int, int, int, int]) -> bool:
     """Check A^2 = (e-d) A + (k-d) I + d J entrywise: on row 0 (entry (0, x)
-    of A^2 is the common-neighbor count of 0 and x), and on every other row
-    through translation invariance, read before row 0 is transformed."""
+    of A^2 is the common-neighbor count of 0 and x), and so on every other
+    row of a Cayley graph."""
     v, k, e, d = params
     expected = np.where(g.row0, e, d)
     expected[0] += k - d
-    return v == g.n and g.translation_invariant and np.array_equal(g.square_row, expected)
+    return v == g.n and np.array_equal(g.square_row, expected)
 
 
 def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
@@ -100,9 +81,8 @@ def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
 
 
 def count_eigenvalues(g: CayleyGraph) -> np.ndarray:
-    """``CayleyGraph.eigenvalues`` of a translation invariant adjacency; any
-    other adjacency raises, as does an eigenvalue that is not an integer."""
-    _require_invariance(g)
+    """``CayleyGraph.eigenvalues``; an eigenvalue that is not an integer
+    raises."""
     return g.eigenvalues
 
 
@@ -122,7 +102,6 @@ def count_diameter(g: CayleyGraph) -> int:
     of A^2 (``CayleyGraph.square_row``) does. No connected member has a
     larger diameter, so one raises rather than guesses, as
     ``girth_bruteforce`` does past girth 4."""
-    _require_invariance(g)
     near = g.row0[1:]
     if near.all():
         return 1
@@ -133,9 +112,9 @@ def count_diameter(g: CayleyGraph) -> int:
 
 def count_components(g: CayleyGraph) -> tuple[int, int]:
     """(number, size) of the components. In a regular graph the number is
-    the multiplicity of lambda_0 among ``count_eigenvalues``, and on a
-    translation invariant A the components are the cosets of the component
-    of 0, so each has N / number vertices, the division checked exact."""
+    the multiplicity of lambda_0 among ``count_eigenvalues``, and in a
+    Cayley graph the components are the cosets of the component of 0, so
+    each has N / number vertices, the division checked exact."""
     lams = count_eigenvalues(g)
     number = int(np.count_nonzero(lams == lams[0]))
     return number, exact_div(g.n, number)
@@ -148,7 +127,7 @@ def girth_bruteforce(g: CayleyGraph) -> int:
     square-free case would raise rather than guess."""
     if count_walks_bruteforce(g, 3) > 0:
         return 3
-    k = int(g.degrees[0])
+    k = g.k
     squares = count_walks_bruteforce(g, 4) - g.n * k * (2 * k - 1)
     if squares > 0:
         return 4
@@ -190,7 +169,7 @@ class VerificationReport:
     checks: list[CheckResult] = dc_field(default_factory=list)
     # (check name, budget kind, limit) of every check left out for size
     skipped: list[tuple[str, str, int]] = dc_field(default_factory=list)
-    # seconds spent filling the primal graph and deriving its complement
+    # seconds spent building the primal graph and its complement
     build_seconds: tuple[float, float] = (0.0, 0.0)
 
     @property
@@ -257,13 +236,11 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     arc-transitivity witnesses on small graphs. The report lists the
     structure checks, the primal graph's ``_side_checks``, the
     complement's, then the rest. Failures are recorded, never thrown;
-    checks left out for size are listed in the report's ``skipped``. The
-    primal graph is filled once and the complement derived from it by
-    ``complement_graph``, which certifies it as ``build_graph`` would; the
-    seconds of the fill and of the derivation are the report's
-    ``build_seconds``. After that certification only the degree checks and
-    the arc checks read rows past row 0; every other count reads row 0 and
-    its transform."""
+    checks left out for size are listed in the report's ``skipped``. Each
+    side is built by ``build_graph``, which certifies the field's tables,
+    and the seconds of the two builds are the report's ``build_seconds``.
+    Every count reads row 0 and its transform; only the arc checks fill
+    and read the primal adjacency."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     spectrum(spec)  # refuses a spec outside the family before any graph is built
     suite = _Suite(spec)
@@ -272,7 +249,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     t0 = time.perf_counter()
     g = build_graph(spec, max_order=max_order)
     t1 = time.perf_counter()
-    gbar = complement_graph(g)
+    gbar = build_graph(spec.complement(), max_order=max_order)
     suite.report.build_seconds = (t1 - t0, time.perf_counter() - t1)
 
     _structure_checks(suite, g, gbar)
@@ -286,10 +263,17 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     return suite.report
 
 
+def _regular(g: CayleyGraph) -> bool:
+    """Whether row 0 is closed under negation and has no loop: then A is
+    symmetric with no loop, and every vertex has degree k = |row 0|."""
+    row = g.row0
+    return bool(np.array_equal(row[g.field.neg_array(np.arange(g.n))], row) and not row[0])
+
+
 def _structure_checks(suite, g, gbar):
-    suite.run("regular-degree", lambda: True, lambda: bool((g.degrees == g.k).all()))
+    suite.run("regular-degree", lambda: True, lambda: _regular(g))
     suite.run(
-        "complement-degree", lambda: True, lambda: bool((gbar.degrees == g.n - 1 - g.k).all())
+        "complement-degree", lambda: True, lambda: _regular(gbar) and gbar.k == g.n - 1 - g.k
     )
     suite.run(
         "connection-cardinality", lambda: spectrum(g.spec).k, lambda: int(g.row0.sum())
@@ -430,8 +414,8 @@ def _ramanujan_checks(suite, g, gbar):
 
 def _coset_checks(suite, g, gbar):
     """The q^ell cosets alpha^j S, j = 1..q^ell, cover F* minus S exactly
-    once, and their union is the complement's connection set: row 0 of its
-    translation invariant adjacency, so the cosets partition its edges."""
+    once, and their union is the complement's connection set, row 0 of its
+    adjacency, so the cosets partition its edges."""
     spec, fld = g.spec, g.field
     if not suite.within("coset", g.n, ("coset-decomposition",)):
         return
@@ -445,7 +429,7 @@ def _coset_checks(suite, g, gbar):
         outside[0] = False
         return (
             np.array_equal(cover, outside),
-            np.array_equal(cover > 0, gbar.row0) and gbar.translation_invariant,
+            np.array_equal(cover > 0, gbar.row0),
         )
 
     suite.run("coset-decomposition", lambda: (True, True), decompose)
@@ -481,10 +465,8 @@ def _arc_transitivity_checks(suite, g):
     suite.run("arc-transitivity-witnesses", lambda: True, witness_all_arcs)
 
     def membership_criterion():
-        # x -> a x is additive, so on a translation invariant adjacency
-        # A[a i, a j] = A[0, a (j - i)]: it preserves edges exactly when it
-        # fixes row 0
-        _require_invariance(g)
+        # x -> a x is additive, so on a Cayley graph A[a i, a j] =
+        # A[0, a (j - i)]: it preserves edges exactly when it fixes row 0
         row = g.row0
         images = apply_affine_frobenius(g, np.arange(1, g.n), 0, 0)  # row a - 1 is x -> a x
         preserves = (row[images] == row).all(axis=1)

@@ -21,8 +21,9 @@ whole-field pass is tested against.
 The bit-dump reader decodes the file that ``gpaley export --kind bits``
 writes, so the export is held to the adjacency it came from; its inverse,
 ``with_adjacency``, packs a bool matrix in that layout into a copy of a
-graph, which is how every falsification control plants its fault in the
-bits that the library's kernels read.
+graph, which plants a fault in the bits that the export and the arc checks
+read. ``with_members`` plants a faulty connection set, which every count
+reads.
 """
 
 import dataclasses
@@ -169,11 +170,25 @@ def read_bit_dump(path: str) -> tuple[dict, np.ndarray]:
 
 
 def with_adjacency(g, adj):
-    """A copy of the graph ``g`` whose adjacency is the bool matrix ``adj``,
-    packed into its ``bits`` as a bit dump is packed: bit j of byte b of a
-    row is column 8b + j, and the pad bits are 0."""
-    packed = np.packbits(np.asarray(adj, dtype=bool), axis=1, bitorder="little")
-    return dataclasses.replace(g, bits=packed)
+    """A copy of the graph ``g`` whose ``bits`` hold the bool matrix ``adj``,
+    packed as a bit dump is packed: bit j of byte b of a row is column
+    8b + j, and the pad bits are 0. The copy keeps the connection set of
+    ``g``, so only what reads the bits sees the new matrix."""
+    planted = dataclasses.replace(g)
+    planted.__dict__["bits"] = np.packbits(np.asarray(adj, dtype=bool), axis=1,
+                                           bitorder="little")
+    return planted
+
+
+def with_members(g, members):
+    """A copy of the graph ``g`` on the connection set ``members``, a bool
+    array over the field, held read-only as the library holds it, with its
+    cardinality counted: row 0 of the copy's adjacency, and so every other
+    row."""
+    members = np.array(members, dtype=bool)
+    members.flags.writeable = False
+    conn = dataclasses.replace(g.connection, members=members, cardinality=int(members.sum()))
+    return dataclasses.replace(g, connection=conn)
 
 
 def bareiss_determinant(mat) -> int:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -17,6 +18,7 @@ from gpaley.errors import (
 from gpaley.field import (
     FieldParams,
     FieldTable,
+    certify_field,
     element_to_string,
     field_to_dict,
     get_field,
@@ -400,6 +402,32 @@ def test_zech_round_trip():
         zero = one_plus == 0
         assert np.array_equal(f.zech < 0, zero)
         assert np.array_equal(f.exp[f.zech[~zero]], one_plus[~zero])
+
+
+@pytest.mark.parametrize("p, s, m", [(2, 1, 1), (2, 1, 4), (3, 1, 1), (3, 1, 4), (2, 2, 6),
+                                     (5, 1, 3), (7, 1, 2), (2, 1, 15)])
+def test_the_field_certificate_passes_every_built_table_and_refuses_one_wrong_entry(p, s, m):
+    # the tables get_field builds pass; a copy with one log entry moved, or,
+    # for odd p, one Zech entry moved, is refused
+    f = get_field(p, s, m)
+    certify_field(f)
+    units = f.order - 1
+    for table, i in [("log", int(f.exp[-1])), ("zech", units // 2)][: 1 + (p > 2)]:
+        faulty = copy.copy(f)
+        wrong = getattr(f, table).copy()
+        wrong[i] = (wrong[i] + 1) % max(units, 2)
+        setattr(faulty, table, wrong)
+        with pytest.raises(InternalCheckError, match=table):
+            certify_field(faulty)
+    if units > 2:
+        # exp[1] and exp[2] swapped in exp and in log alike: log still
+        # inverts exp, so only the digit-matrix step can refuse it
+        faulty = copy.copy(f)
+        faulty.exp, faulty.log = f.exp.copy(), f.log.copy()
+        faulty.exp[[1, 2]] = f.exp[[2, 1]]
+        faulty.log[f.exp[[1, 2]]] = [2, 1]
+        with pytest.raises(InternalCheckError, match=r"exp\[1\] is not alpha times exp\[0\]"):
+            certify_field(faulty)
 
 
 def test_zech_is_built_only_when_read():

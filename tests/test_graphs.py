@@ -3,11 +3,14 @@ import dataclasses
 import hashlib
 import math
 import re
+from collections import Counter
+from math import isqrt
 
 import numpy as np
 import pytest
 
 import gpaley.graphs
+import gpaley.oracles
 from gpaley.cli import dispatch
 from gpaley.errors import (
     DirectedUnsupported,
@@ -22,7 +25,6 @@ from gpaley.graphs import (
     GraphSpec,
     apply_affine_frobenius,
     build_graph,
-    complement_graph,
     connection_set,
     dimacs_lines,
     edge_list_lines,
@@ -33,13 +35,13 @@ from gpaley.graphs import (
     normalize,
     write_bit_dump,
 )
-from gpaley.spectra import record_json
+from gpaley.oracles import count_srg_params, run_suite
+from gpaley.spectra import record_json, spectrum, srg_params
 from reference import (
     digit_add,
     digit_neg,
     permutation_preserves_edges,
     read_bit_dump,
-    with_adjacency,
 )
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -189,15 +191,14 @@ def test_complement_build():
     ids=GraphSpec.label,
 )
 def test_derived_complement_is_the_filled_complement(spec):
-    g = build_graph(spec)
-    primal = g.bits.tobytes()
-    gbar = complement_graph(g)
-    filled = build_graph(spec.complement())
-    assert (gbar.spec, gbar.k) == (filled.spec, filled.k)
-    assert gbar.bits.tobytes() == filled.bits.tobytes()
-    # the primal graph is read, not negated in place
-    assert g.bits.tobytes() == primal and not np.shares_memory(g.bits, gbar.bits)
-    assert complement_graph(gbar).bits.tobytes() == primal
+    # a complement's bits are the primal fill negated, with the diagonal
+    # cleared, on pages of their own, and row 0 of them is its connection set
+    g, gbar = build_graph(spec), build_graph(spec.complement())
+    negated = ~g.adjacency
+    np.fill_diagonal(negated, False)
+    assert gbar.k == g.n - 1 - g.k
+    assert gbar.bits.tobytes() == np.packbits(negated, axis=1, bitorder="little").tobytes()
+    assert np.array_equal(gbar.row0, negated[0]) and not np.shares_memory(g.bits, gbar.bits)
 
 
 def test_walk_rows_of_a_derived_complement_are_exact():
@@ -205,7 +206,7 @@ def test_walk_rows_of_a_derived_complement_are_exact():
     # A^t[0, x] = sum over s in S of A^(t-1)[0, x XOR s]. Row 0 of A^2 is
     # the transform of lambda^2 over N, and the transform of lambda^3 is N
     # times row 0 of A^3, whose entries pass 2^34
-    gbar = complement_graph(build_graph(GraphSpec(2, 1, 12, 1)))
+    gbar = build_graph(GraphSpec(2, 1, 12, 1, True))
     idx, members = np.arange(gbar.n), np.flatnonzero(gbar.connection.members)
     rows = [gbar.connection.members.astype(np.int64)]
     for _ in range(2):
@@ -245,13 +246,12 @@ def test_character_sums_are_the_direct_sums_at_every_index(spec):
     ids=GraphSpec.label,
 )
 def test_degrees_are_exact_int64(spec):
-    # rows are counted in the narrowest type that holds n: uint8 for 16 and
-    # 81 vertices, uint16 for 256, where a full row of 256 would wrap uint8
+    # regular-degree reads the degree k off row 0; every row of the filled
+    # bits has that many set bits, counted in int64, past uint8 at 256
+    # vertices
     g = build_graph(spec)
-    full = with_adjacency(g, np.ones((g.n, g.n), dtype=bool))
-    for graph, degree in ((g, g.k), (full, g.n)):
-        assert graph.degrees.dtype == np.int64
-        assert graph.degrees.tolist() == [degree] * g.n
+    rows = np.unpackbits(g.bits, axis=1, count=g.n, bitorder="little")
+    assert rows.sum(axis=1, dtype=np.int64).tolist() == [g.k] * g.n
 
 
 def test_directed_rejected():
@@ -262,23 +262,6 @@ def test_directed_rejected():
 def test_paley_13_builds():
     g = build_graph(GraphSpec(13, 1, 1, 0))
     assert g.k == 6
-
-
-def test_build_refuses_an_asymmetric_connection_set(monkeypatch):
-    # dropping s but not -s from S leaves a regular, loop-free Cayley digraph
-    # with the expected degree: only the translation check's A[0, x] = A[0, -x]
-    # can refuse it
-    real = gpaley.graphs.connection_set
-
-    def dropped(spec, field):
-        conn = real(spec, field)
-        members = conn.members.copy()
-        members[np.flatnonzero(members)[0]] = False
-        return dataclasses.replace(conn, members=members, cardinality=conn.cardinality - 1)
-
-    monkeypatch.setattr(gpaley.graphs, "connection_set", dropped)
-    with pytest.raises(InternalCheckError):
-        build_graph(GraphSpec(3, 1, 4, 1))
 
 
 @pytest.mark.parametrize(
@@ -303,8 +286,8 @@ def test_adjacency_is_the_difference_rule(spec):
     "spec", [GraphSpec(3, 1, 4, 1), GraphSpec(5, 1, 2, 1), GraphSpec(7, 1, 2, 1)]
 )
 def test_build_graph_refuses_every_shifted_zech_entry(spec):
-    # for odd p the Zech table is the addition of build_graph: moving any one
-    # entry zech[i] -> zech[i] + 1 must fail the translation check
+    # for odd p the Zech table is the addition of the fill: moving any one
+    # entry zech[i] -> zech[i] + 1 must fail the field certificate
     field = get_field(spec.p, spec.s, spec.m)
     units = field.order - 1
     try:
@@ -325,8 +308,8 @@ def test_build_graph_refuses_every_shifted_zech_entry(spec):
     ids=lambda spec: spec.label(),
 )
 def test_build_graph_refuses_a_copy_of_the_field_with_one_shifted_zech_entry(monkeypatch, spec):
-    # the fill adds with the Zech table and the translation check with the
-    # base-p digits of the indices, so one wrong Zech entry cannot pass both
+    # the fill adds with the Zech table, and the field certificate holds
+    # each Zech entry to base-p digit arithmetic, so one wrong entry is refused
     field = get_field(spec.p, spec.s, spec.m)
     units = field.order - 1
     entries = np.flatnonzero(field.zech >= 0)
@@ -338,7 +321,67 @@ def test_build_graph_refuses_a_copy_of_the_field_with_one_shifted_zech_entry(mon
         with pytest.raises(InternalCheckError):
             build_graph(spec)
     monkeypatch.undo()
-    assert build_graph(spec).translation_invariant
+    build_graph(spec)
+
+
+def _swap_two_exp_entries(field):
+    exp = field.exp.copy()
+    exp[[1, -1]] = exp[[-1, 1]]
+    return exp
+
+
+def _one_wrong_giant_step(field):
+    # the first entry of the last giant-step block, pointed at its neighbour
+    exp = field.exp.copy()
+    i = len(exp) - 1 - (len(exp) - 1) % isqrt(len(exp))
+    assert i >= isqrt(len(exp))
+    exp[i] = exp[i + 1]
+    return exp
+
+
+@pytest.mark.parametrize("corrupt", [_swap_two_exp_entries, _one_wrong_giant_step])
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(2, 1, 12, 1), GraphSpec(3, 1, 4, 1),
+             GraphSpec(7, 1, 4, 2, True)],
+    ids=GraphSpec.label,
+)
+def test_the_field_certificate_refuses_a_faulty_exp_table(monkeypatch, spec, corrupt):
+    # build_graph certifies the field before it returns a graph, so a copy
+    # of the field with a faulty exp table raises there, and run_suite raises
+    # before it records any check
+    field = get_field(spec.p, spec.s, spec.m)
+    faulty = copy.copy(field)
+    faulty.exp = corrupt(field)
+    monkeypatch.setattr(gpaley.graphs, "get_field", lambda *args: faulty)
+    with pytest.raises(InternalCheckError, match="exp|log"):
+        build_graph(spec)
+    recorded = []
+    monkeypatch.setattr(gpaley.oracles._Suite, "run", lambda *args: recorded.append(args))
+    with pytest.raises(InternalCheckError):
+        run_suite(spec)
+    assert recorded == []
+    monkeypatch.undo()
+    build_graph(spec)
+
+
+def _proper_specs(limit):
+    for p, s, m in _orders_up_to(limit):
+        for spec in enumerate_family(p, s, m):
+            yield from (spec, spec.complement())
+
+
+def test_counted_spectra_and_srg_parameters_match_the_closed_forms_up_to_2_16():
+    # every proper member with q^m <= 2^16 and its complement: the counted
+    # eigenvalues are the closed spectrum, and (k, e, d) read off row 0 of
+    # A^2 are the closed srg parameters; (2, 2, 1) has none
+    checked = 0
+    for spec in _proper_specs(2**16):
+        g = build_graph(spec, max_order=2**16)
+        assert sorted(Counter(g.eigenvalues.tolist()).items()) == sorted(spectrum(spec).pairs)
+        if not spec.is_degenerate:
+            assert count_srg_params(g) == srg_params(spec).params(), spec.label()
+        checked += 1
+    assert checked > 60
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +652,9 @@ _PADDED = [GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 2, True)]
 
 @pytest.mark.parametrize("spec", _PADDED, ids=GraphSpec.label)
 def test_pad_bits_are_zero_on_both_sides(spec):
-    # the filled side, negated in place for a complemented spec, and the side
-    # complement_graph derives from it
-    g = build_graph(spec)
-    for graph in (g, complement_graph(g)):
+    # the filled side, negated in place for a complemented spec, and the
+    # other side
+    for graph in (build_graph(spec), build_graph(spec.complement())):
         assert graph.bits.shape == (graph.n, (graph.n + 7) // 8)
         assert not (graph.bits[:, -1] >> graph.n % 8).any()
         packed = np.packbits(graph.adjacency, axis=1, bitorder="little")

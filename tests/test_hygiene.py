@@ -150,10 +150,10 @@ def test_adjacency_sum_matcher_sees_every_form():
 
 
 def test_degrees_are_counted_once():
-    # every N^2 pass over an adjacency for its degrees or its edge count,
-    # the bool matrix summed or the packed bits popcounted, reads
-    # CayleyGraph.degrees instead
-    assert _sites(_is_adjacency_sum) == {("graphs.py", "degrees")}
+    # no N^2 pass over an adjacency for its degrees or its edge count, the
+    # bool matrix summed or the packed bits popcounted, is left: the degree
+    # is k, read off the connection set, and gpaley graph prints n k / 2 edges
+    assert _sites(_is_adjacency_sum) == set()
 
 
 def test_spectra_are_counted_by_one_transform():
@@ -167,20 +167,18 @@ def test_spectra_are_counted_by_one_transform():
 
 
 def test_the_packed_rows_are_read_by_few_sites():
-    # the certification, the unpacking, the degree count and the export read
-    # CayleyGraph.bits; every oracle count reads row 0 and its transform,
-    # or the unpacked matrix
+    # CayleyGraph.bits fills the packed rows from the connection set; only
+    # the unpacking and the bit-dump export read them. Every oracle count
+    # reads row 0 and its transform, or the unpacked matrix
     sites = _sites(lambda a: a.attr == "bits" and isinstance(a.ctx, ast.Load), ast.Attribute)
-    assert sites == {
-        ("graphs.py", "n"),  # its shape alone
-        ("graphs.py", "translation_invariant"),
-        ("graphs.py", "rows"),  # the blocks of rows inside translation_invariant
-        ("graphs.py", "complement_graph"),
-        ("graphs.py", "adjacency"),
-        ("graphs.py", "row0"),
-        ("graphs.py", "degrees"),
-        ("graphs.py", "write_bit_dump"),
-    }
+    assert sites == {("graphs.py", "adjacency"), ("graphs.py", "write_bit_dump")}
+
+
+def test_the_field_is_certified_by_build_graph_alone():
+    # the O(N) field certificate runs on every graph build_graph returns, and
+    # neither get_field nor a field table's construction calls it
+    sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "certify_field")
+    assert sites == {("graphs.py", "build_graph")}
 
 
 def test_the_trace_sequence_has_one_reader():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph, complement_graph
+from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
 from gpaley.oracles import (
     count_components,
     count_diameter,
@@ -43,14 +44,15 @@ from reference import (
     permutation_preserves_edges,
     translation_invariant,
     with_adjacency,
+    with_members,
 )
 
 
 def _two_switch(g, rows=None):
-    """A copy of g with edges (a, b), (c, d) switched to (a, d), (c, b), all
-    four vertices non-neighbors of 0 (and inside ``rows``, a range, if
-    given): every degree and row 0 of A^2 stay as they were, so only the
-    translation check can tell."""
+    """A copy of g whose bits have edges (a, b), (c, d) switched to (a, d),
+    (c, b), all four vertices non-neighbors of 0 (and inside ``rows``, a
+    range, if given): every degree and row 0 stay as they were, and the
+    connection set is g's, so only what reads the bits can tell."""
     adj = g.adjacency.copy()
     outside = [int(v) for v in np.flatnonzero(~adj[0])[1:] if rows is None or v in rows]
     for a, b, c, d in itertools.permutations(outside, 4):
@@ -61,37 +63,41 @@ def _two_switch(g, rows=None):
     raise AssertionError("no 2-switch among the non-neighbors of 0")
 
 
-def _flip_edge(g):
-    """A copy of g with one edge removed (both directions)."""
-    adj = g.adjacency.copy()
-    i, j = map(int, np.argwhere(adj)[0])
-    adj[i, j] = adj[j, i] = False
-    return with_adjacency(g, adj)
+def _drop_member(g):
+    """A copy of g on its connection set less its least member s and -s: a
+    loop-free Cayley graph of degree k - 2 (k - 1 for p = 2)."""
+    members = g.row0.copy()
+    s = int(np.flatnonzero(members)[0])
+    members[[s, g.field.neg(s)]] = False
+    return with_members(g, members)
 
 
-def _set_pad_bit(g):
-    """A copy of g with the last pad bit of its last packed row set, for an
-    order that is not a multiple of 8: every entry of A is as it was."""
-    bits = g.bits.copy()
-    bits[-1, -1] |= 0x80
-    return dataclasses.replace(g, bits=bits)
+def _drop_negative(g):
+    """A copy of g, p odd, on its connection set less -s, for its least
+    member s, but not s: loop-free with k - 1 members, and not closed under
+    negation."""
+    members = g.row0.copy()
+    members[g.field.neg(int(np.flatnonzero(members)[0]))] = False
+    return with_members(g, members)
 
 
-def _corrupt(monkeypatch, primal=lambda g: g, complement=lambda gbar: gbar):
-    """Make run_suite run its own build_graph and complement_graph, then see
-    primal(g) in place of the graph g it filled and complement(gbar) in
-    place of the complement gbar derived from g itself, not from primal(g):
-    each side is corrupted alone."""
-    filled = []
+def _add_non_member(g):
+    """A copy of g with the least nonzero non-member x added to its
+    connection set, and not -x."""
+    members = g.row0.copy()
+    members[np.flatnonzero(~members)[1]] = True
+    return with_members(g, members)
 
+
+def _plant(monkeypatch, primal=lambda g: g, complement=lambda gbar: gbar):
+    """Make run_suite build its own graphs, then see primal(g) in place of
+    its primal graph g and complement(gbar) in place of its complement
+    gbar: each side is corrupted alone."""
     def build(spec, *args, **kwargs):
-        filled.append(build_graph(spec, *args, **kwargs))
-        return primal(filled[-1])
+        g = build_graph(spec, *args, **kwargs)
+        return (complement if spec.complemented else primal)(g)
 
     monkeypatch.setattr(gpaley.oracles, "build_graph", build)
-    monkeypatch.setattr(
-        gpaley.oracles, "complement_graph", lambda g: complement(complement_graph(filled[-1]))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,29 +111,28 @@ def test_count_srg_params_examples():
 
 
 def test_count_srg_rejects_non_srg():
+    # with one member more, Gamma_{2,4}(1) is a 6-regular Cayley graph whose
+    # adjacent pairs have 0 or 2 common neighbors
     g = build_graph(GraphSpec(2, 1, 4, 1))
-    with pytest.raises(NotStronglyRegular):
-        count_srg_params(_flip_edge(g))
-    # the 16-cycle is regular but no Cayley graph of F_16: row 0 does not fix it
-    cycle = np.roll(np.eye(16, dtype=bool), 1, axis=1)
-    with pytest.raises(InternalCheckError, match="not translation invariant"):
-        count_srg_params(with_adjacency(g, cycle | cycle.T))
-    # the 4-cube, the Cayley graph of F_16 on {1, 2, 4, 8}, is: its
-    # non-adjacent pairs have 2 common neighbors at distance 2, 0 above
-    idx = np.arange(16)
-    cube = np.isin(idx[:, None] ^ idx, [1, 2, 4, 8])
+    counts = r"not constant: adjacent \[0, 2\], non-adjacent \[2, 4\]"
+    with pytest.raises(NotStronglyRegular, match=counts):
+        count_srg_params(_add_non_member(g))
+    # the 4-cube, the Cayley graph of F_16 on {1, 2, 4, 8}: its non-adjacent
+    # pairs have 2 common neighbors at distance 2, 0 above
+    cube = with_members(g, np.isin(np.arange(16), [1, 2, 4, 8]))
     counts = r"not constant: adjacent \[0\], non-adjacent \[0, 2\]"
     with pytest.raises(NotStronglyRegular, match=counts):
-        count_srg_params(with_adjacency(g, cube))
+        count_srg_params(cube)
 
 
 def test_count_srg_sees_a_replaced_adjacency():
-    # the transform is cached per graph object: a one-edge-dropped copy made
-    # after the cache was filled must be counted afresh
+    # the transform is cached per graph object: a copy on another connection
+    # set made after the cache was filled must be counted afresh
     g = build_graph(GraphSpec(2, 1, 4, 1))
     assert count_srg_params(g) == (16, 5, 0, 2)
     with pytest.raises(NotStronglyRegular):
-        count_srg_params(_flip_edge(g))
+        count_srg_params(_drop_member(g))
+    assert count_srg_params(g) == (16, 5, 0, 2)
 
 
 def test_a2_identity():
@@ -136,7 +141,7 @@ def test_a2_identity():
     assert not verify_a2_identity(g, (16, 5, 0, 3))  # perturbed d
     gbar = build_graph(GraphSpec(3, 1, 4, 1, True))
     assert verify_a2_identity(gbar, (81, 60, 45, 42))
-    assert not verify_a2_identity(_flip_edge(gbar), (81, 60, 45, 42))
+    assert not verify_a2_identity(_drop_member(gbar), (81, 60, 45, 42))
 
 
 def test_walk_counts():
@@ -154,10 +159,13 @@ def test_walk_counts():
 
 
 def test_walk_counts_detect_corruption():
-    # a removed edge breaks translation invariance: the count is refused
-    g = build_graph(GraphSpec(2, 1, 4, 1, True))
-    with pytest.raises(InternalCheckError):
-        count_walks_bruteforce(_flip_edge(g), 2)
+    # a connection set that is not closed under negation has a character sum
+    # that is not real: the count is refused. Two members fewer make 4 closed
+    # 2-walks fewer at each of the 81 vertices
+    g = build_graph(GraphSpec(3, 1, 4, 1, True))
+    with pytest.raises(InternalCheckError, match="is not an integer"):
+        count_walks_bruteforce(_drop_negative(g), 2)
+    assert count_walks_bruteforce(_drop_member(g), 2) == 81 * 58
 
 
 @pytest.mark.parametrize("r", [2.0, True, 2.5])
@@ -174,7 +182,7 @@ def test_counted_ramanujan_decisions():
     for spec, decision in [(GraphSpec(2, 1, 4, 1), True), (GraphSpec(5, 1, 4, 1), False)]:
         g = build_graph(spec)
         assert count_ramanujan(g) is decision
-        assert count_ramanujan(complement_graph(g)) is True
+        assert count_ramanujan(build_graph(spec.complement())) is True
 
 
 def test_a_shifted_eigenvalue_fails_every_check_that_reads_the_transform(monkeypatch):
@@ -238,35 +246,26 @@ def test_a_negated_ramanujan_classification_fails_its_counted_checks(monkeypatch
         assert (check.expected, check.observed) == (not truth, truth)
 
 
-_SWITCHED = [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)]
+# odd p, so that one member's negative can be dropped alone
+_ASYMMETRIC = [GraphSpec(3, 1, 4, 1), GraphSpec(5, 1, 2, 1), GraphSpec(3, 1, 4, 1, True)]
 
 
-@pytest.mark.parametrize("spec", _SWITCHED)
-def test_kernels_refuse_a_switched_adjacency(spec):
-    g = build_graph(spec)
-    switched = _two_switch(g)
-    # the degrees, row 0 of A^2 and row 0, which the transform reads, are
-    # those of g
-    assert (switched.adjacency.sum(axis=1) == g.k).all()
-    dense = switched.adjacency.astype(np.int64)
-    assert np.array_equal((dense @ dense)[0], g.square_row)
-    assert np.array_equal(switched.eigenvalues, g.eigenvalues)
-    assert not switched.translation_invariant
-    assert not translation_invariant(switched.adjacency, spec.p, g.field.n)
-    with pytest.raises(InternalCheckError):
-        count_srg_params(switched)
+@pytest.mark.parametrize("spec", _ASYMMETRIC, ids=GraphSpec.label)
+def test_kernels_refuse_an_asymmetric_connection_set(spec):
+    # without -s the character sums over row 0 are not all real, so every
+    # kernel that reads the transform raises
+    dropped = _drop_negative(build_graph(spec))
+    with pytest.raises(InternalCheckError, match="is not an integer"):
+        count_srg_params(dropped)
     for r in range(2, 7):
         with pytest.raises(InternalCheckError):
-            count_walks_bruteforce(switched, r)
+            count_walks_bruteforce(dropped, r)
+    for kernel in (girth_bruteforce, count_eigenvalues, count_trees_bruteforce,
+                   count_ramanujan, count_diameter, count_components):
+        with pytest.raises(InternalCheckError):
+            kernel(dropped)
     with pytest.raises(InternalCheckError):
-        girth_bruteforce(switched)
-    with pytest.raises(InternalCheckError):
-        count_eigenvalues(switched)
-    with pytest.raises(InternalCheckError):
-        count_trees_bruteforce(switched)
-    with pytest.raises(InternalCheckError):
-        count_ramanujan(switched)
-    assert not verify_a2_identity(switched, count_srg_params(g))
+        verify_a2_identity(dropped, srg_params(spec).params())
 
 
 # Gamma_{4,4}(1) has s = 2 and Gamma_{2,10}(5) is the half case
@@ -275,9 +274,12 @@ def test_kernels_refuse_a_switched_adjacency(spec):
                                   GraphSpec(2, 2, 4, 1), GraphSpec(2, 1, 10, 5)])
 @pytest.mark.parametrize("complemented", [False, True])
 def test_translation_check_matches_the_entrywise_reference(spec, complemented):
+    # the bits filled on a certified field pass the reference's entrywise
+    # translation check, which reads digit arithmetic alone, and row 0 of
+    # them is the connection set
     g = build_graph(dataclasses.replace(spec, complemented=complemented))
-    assert g.translation_invariant
     assert translation_invariant(g.adjacency, spec.p, g.field.n)
+    assert np.array_equal(g.adjacency[0], g.row0)
 
 
 _LEVELS = [GraphSpec(2, 1, 12, 1), GraphSpec(3, 1, 6, 1), GraphSpec(7, 1, 4, 2)]
@@ -285,43 +287,32 @@ _LEVELS = [GraphSpec(2, 1, 12, 1), GraphSpec(3, 1, 6, 1), GraphSpec(7, 1, 4, 2)]
 
 @pytest.mark.parametrize("spec", _LEVELS, ids=lambda spec: spec.label())
 def test_translation_check_refuses_one_flipped_entry(spec):
-    # row p^t is compared at the digit of weight p^t, and row N - 1 at the
-    # top digit, in the last row block there; column 1 and column N - 1
-    # have that digit 0 and p - 1 (for t > 0), so both halves of the rotated
-    # comparison are read
+    # the reference check above refuses a flip in row p^t for every digit
+    # position t and in the last row, in column 1 and in column N - 1
     g = build_graph(spec)
     p, n = g.field.p, g.field.n
     for i in [p**t for t in range(n)] + [g.n - 1]:
         for j in (1, g.n - 1):
             adj = g.adjacency.copy()
             adj[i, j] = not adj[i, j]
-            assert not with_adjacency(g, adj).translation_invariant, (i, j)
-            if j == 1:
-                assert not translation_invariant(adj, p, n), (i, j)
+            assert not translation_invariant(adj, p, n), (i, j)
 
 
 @pytest.mark.parametrize("spec", _LEVELS, ids=lambda spec: spec.label())
 def test_translation_check_reaches_every_digit_level(spec):
-    # a single flipped row also differs from the rows it is the source of,
-    # so it can be seen at more than one digit. Flipping A[i, i + x] on every
-    # row i with digit t nonzero and i mod p^t in the last row block below
-    # p^t is the same flip on both sides of every comparison but those at
-    # digit t, in that block: only they can see it. Digit t of x, 0 or p - 1,
-    # puts the flipped column in one half of the rotated comparison or the
-    # other
+    # flipping A[i, i + x] on every row i with digit t nonzero, for x with
+    # digit t 0 or p - 1 and no other, leaves row 0 as it was; the reference
+    # check must see it at every digit t
     g = build_graph(spec)
     p, n = g.field.p, g.field.n
     idx = np.arange(g.n)
     for t in range(n):
-        last = (p**t - 1) // gpaley.graphs._ROW_BLOCK * gpaley.graphs._ROW_BLOCK
-        rows = idx[(idx // p**t % p != 0) & (idx % p**t >= last)]
+        rows = idx[idx // p**t % p != 0]
         for x in (0, (p - 1) * p**t):
             adj = g.adjacency.copy()
             cols = digit_add(rows, x, p, n)
             adj[rows, cols] = ~adj[rows, cols]
-            assert not with_adjacency(g, adj).translation_invariant, (t, x)
-            if x:
-                assert not translation_invariant(adj, p, n), (t, x)
+            assert not translation_invariant(adj, p, n), (t, x)
 
 
 @pytest.mark.parametrize(
@@ -332,57 +323,74 @@ def test_translation_check_reaches_every_digit_level(spec):
     ],
 )
 def test_translation_check_reads_every_row_block(spec, rows):
+    # the reference check reads 256 rows at a time; a 2-switch inside one
+    # block of them, which keeps every degree and row 0, must be seen
     g = build_graph(spec)
     switched = _two_switch(g, rows)
     changed = np.flatnonzero((switched.adjacency != g.adjacency).any(axis=1))
     assert len(changed) == 4 and set(changed.tolist()) <= set(rows)
-    assert not switched.translation_invariant
+    assert not translation_invariant(switched.adjacency, spec.p, g.field.n)
 
 
-@pytest.mark.parametrize("spec", _SWITCHED)
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 def test_run_suite_fails_a_switched_adjacency(monkeypatch, spec):
-    _corrupt(monkeypatch, primal=_two_switch)
-    failed = {c.name for c in run_suite(spec).failures()}
-    assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
-            "girth-primal"} <= failed
-    assert "srg-counts-complement" not in failed
+    # the 2-switch moves bits alone, and only the arc witnesses read the
+    # bits: each switched arc (a, d) has d - a outside S, so no witness
+    # scale exists for it, and every count, read off the connection set,
+    # still passes
+    _plant(monkeypatch, primal=_two_switch)
+    failures = run_suite(spec).failures()
+    assert [c.name for c in failures] == ["arc-transitivity-witnesses"]
+    assert re.fullmatch(r"scale for arc \(\d+,\d+\) not a connection member",
+                        failures[0].observed)
 
 
-@pytest.mark.parametrize("spec", _SWITCHED)
-def test_a_switched_primal_has_no_certified_complement(spec):
-    # the switch keeps row 0 of the complement, so only its own translation
-    # check can refuse it
-    with pytest.raises(InternalCheckError):
-        complement_graph(_two_switch(build_graph(spec)))
-
-
-@pytest.mark.parametrize("spec", _SWITCHED)
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 def test_run_suite_fills_one_graph_per_spec(monkeypatch, spec):
-    # the complement is derived from the primal fill, not filled again
+    # every count reads the connection sets; the arc checks, run up to 256
+    # vertices, fill the primal graph's bits once, and the complement's are
+    # never filled
     fill, fills = gpaley.graphs._fill, []
     monkeypatch.setattr(gpaley.graphs, "_fill", lambda *args: fills.append(args) or fill(*args))
     assert run_suite(spec).ok and len(fills) == 1
 
 
-# 81 and 2,401 vertices, each row with seven pad bits
+def test_run_suite_fills_no_graph_above_the_arc_budget(monkeypatch):
+    # 4096 vertices: no check reads a packed row, so no bits are filled
+    fill, fills = gpaley.graphs._fill, []
+    monkeypatch.setattr(gpaley.graphs, "_fill", lambda *args: fills.append(args) or fill(*args))
+    assert run_suite(GraphSpec(2, 1, 12, 1)).ok and fills == []
+
+
+# 81 and 2,401 vertices
 @pytest.mark.parametrize("spec", [GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 2, True)],
                          ids=GraphSpec.label)
 @pytest.mark.parametrize("side", ["primal", "complement"])
-def test_a_planted_pad_bit_fails_its_degree_check(monkeypatch, spec, side):
-    # the popcount reads every byte of a row, pad bits too: a pad bit set
-    # moves no entry of A but adds one to that row's degree
-    g = build_graph(spec)
-    planted = _set_pad_bit(g)
-    assert np.array_equal(planted.adjacency, g.adjacency)
-    assert planted.degrees[-1] == g.k + 1 and (planted.degrees[:-1] == g.k).all()
-    _corrupt(monkeypatch, **{side: _set_pad_bit})
+def test_a_planted_connection_set_fails_its_degree_check(monkeypatch, spec, side):
+    # without -s, row 0 is loop-free with k - 1 members but not closed under
+    # negation: A is not symmetric, and that side's degree check fails. The
+    # complement's check also holds its k to n - 1 - k, which a primal k - 1
+    # breaks; the primal check does not read the complement
+    _plant(monkeypatch, **{side: _drop_negative})
     checks = {c.name: c.passed for c in run_suite(spec).checks}
-    held, other = ("regular-degree", "complement-degree")[:: 1 if side == "primal" else -1]
-    assert not checks[held] and checks[other]
+    assert checks["regular-degree"] == (side == "complement")
+    assert not checks["complement-degree"]
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
+def test_a_planted_non_member_fails_the_cardinality_srg_and_walk_checks(monkeypatch, spec):
+    # one member more: |row 0| is k + 1, not the paper's k, and the counts
+    # read off the planted set are no longer the closed ones
+    _plant(monkeypatch, primal=_add_non_member)
+    failed = {c.name for c in run_suite(spec).failures()}
+    assert {"connection-cardinality", "srg-counts-primal", "walks-2..6-primal"} <= failed
+    assert "srg-counts-complement" not in failed
 
 
 def test_coset_decomposition_needs_an_invariant_complement(monkeypatch):
-    _corrupt(monkeypatch, complement=_two_switch)
+    # the cosets must cover the complement's own connection set: a member
+    # pair ±s dropped from it is seen, and the primal side still passes
+    _plant(monkeypatch, complement=_drop_member)
     checks = {c.name: c for c in run_suite(GraphSpec(3, 1, 4, 1)).checks}
     assert checks["coset-decomposition"].observed == (True, False)
     assert checks["srg-counts-primal"].passed
@@ -416,8 +424,11 @@ def test_tree_counts():
     assert count_trees_bruteforce(gbar) == 2**31 * 3**10
     assert count_trees_bruteforce(build_graph(GraphSpec(2, 1, 4, 2))) == 0
     assert count_trees_bruteforce(gbar) == spanning_trees(GraphSpec(2, 1, 4, 1, True))
-    with pytest.raises(InternalCheckError):
-        count_trees_bruteforce(_flip_edge(gbar))
+    # a member dropped: the count is that of the planted graph, not the closed one
+    dropped = _drop_member(gbar)
+    adj = dropped.adjacency.astype(np.int64)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    assert count_trees_bruteforce(dropped) == bareiss_determinant(lap[1:, 1:]) != 2**31 * 3**10
 
 
 def test_tree_budget():
@@ -460,13 +471,13 @@ def test_counted_spectrum_and_tree_count_match_the_dense_references(spec, comple
 
 def test_an_eigenvalue_that_is_not_an_integer_is_refused():
     # the Cayley graph on F_25 with row 0 {1, -1}: five disjoint 5-cycles,
-    # translation invariant, with eigenvalues 2 cos(2 pi a / 5)
+    # with eigenvalues 2 cos(2 pi a / 5)
     g = build_graph(GraphSpec(5, 1, 2, 1))
     idx = np.arange(g.n)
     row = np.isin(idx, [1, 4])
     adj = row[digit_add(idx[None, :], digit_neg(idx[:, None], 5, 2), 5, 2)]
-    cycles = with_adjacency(g, adj)
-    assert cycles.translation_invariant
+    cycles = with_members(g, row)
+    assert np.array_equal(cycles.adjacency, adj)
     eigs = np.linalg.eigvalsh(adj.astype(np.float64))
     cosines = 2 * np.cos(2 * np.pi * np.arange(5) / 5)
     assert np.allclose(np.sort(eigs), np.sort(np.repeat(cosines, 5)))
@@ -484,19 +495,12 @@ def test_counted_diameter_and_components():
     assert count_components(build_graph(GraphSpec(2, 1, 4, 2))) == (4, 4)  # four K_4
     # the 4-cube, the Cayley graph of F_16 on {1, 2, 4, 8}, has diameter 4,
     # which no connected member has
-    g, idx = build_graph(GraphSpec(2, 1, 4, 1)), np.arange(16)
-    cube = with_adjacency(g, np.isin(idx[:, None] ^ idx, [1, 2, 4, 8]))
+    cube = with_members(build_graph(GraphSpec(2, 1, 4, 1)), np.isin(np.arange(16), [1, 2, 4, 8]))
     with pytest.raises(NotApplicable, match="diameter exceeds 2"):
         count_diameter(cube)
     assert count_components(cube) == (1, 16)
-    # the 2-switched copies keep every degree and row 0 of A^2, so only the
-    # translation check refuses them
-    for spec in (GraphSpec(2, 1, 4, 1), GraphSpec(2, 1, 4, 2)):
-        switched = _two_switch(build_graph(spec))
-        with pytest.raises(InternalCheckError, match="not translation invariant"):
-            count_diameter(switched)
-        with pytest.raises(InternalCheckError, match="not translation invariant"):
-            count_components(switched)
+    # {1, 2} spans four of the 16 vertices: four 4-cycles
+    assert count_components(with_members(cube, np.isin(np.arange(16), [1, 2]))) == (4, 4)
 
 
 def test_girth():
@@ -661,18 +665,19 @@ def test_connection_cardinality_is_held_to_the_closed_degree(monkeypatch):
 
 
 def test_a_flipped_copy_counts_its_own_degrees():
+    # a copy on a planted connection set counts its own degree and
+    # eigenvalues, and leaves those cached on the graph it was made from
     g = build_graph(GraphSpec(2, 1, 4, 1, True))
-    assert (g.degrees == 10).all() and count_trees_bruteforce(g) == 2**31 * 3**10
-    flipped = _flip_edge(g)
-    assert flipped.degrees.tolist().count(9) == 2 and flipped.degrees.sum() == 16 * 10 - 2
-    assert (g.degrees == 10).all()
-    with pytest.raises(InternalCheckError):
-        count_trees_bruteforce(flipped)
+    assert g.k == 10 and count_trees_bruteforce(g) == 2**31 * 3**10
+    flipped = _drop_member(g)
+    assert flipped.k == 9 and count_eigenvalues(flipped)[0] == 9
+    assert g.k == 10 and count_eigenvalues(g)[0] == 10
+    assert count_trees_bruteforce(flipped) != count_trees_bruteforce(g) == 2**31 * 3**10
 
 
 def test_run_suite_checks_reach_the_kernels(monkeypatch):
-    # a primal graph with one edge dropped must fail every dense check on it
-    _corrupt(monkeypatch, primal=_flip_edge)
+    # a primal graph with one member dropped must fail every count on it
+    _plant(monkeypatch, primal=_drop_member)
     report = run_suite(GraphSpec(2, 1, 4, 1))
     failed = {c.name for c in report.failures()}
     assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
@@ -892,25 +897,31 @@ def test_edge_preservation_tries_every_nonzero_scale(monkeypatch, spec):
     ]
 
 
-@pytest.mark.parametrize("corrupt", [_flip_edge, _two_switch])
+@pytest.mark.parametrize("corrupt", [_drop_member, _add_non_member])
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)], ids=GraphSpec.label)
-def test_edge_preservation_refuses_a_graph_without_translation_invariance(spec, corrupt):
-    # the row-0 test is sound only on a translation invariant adjacency: a
-    # dropped edge, or a 2-switch that leaves row 0 as it was, must fail it
+def test_edge_preservation_refuses_a_planted_connection_set(spec, corrupt):
+    # a member dropped or a non-member added leaves row 0 no subgroup: some
+    # scale a fixes row 0 exactly when it is not a member, and fails the check
     check = _arc_checks(corrupt(build_graph(spec)))["edge-preservation-criterion"]
     assert not check.passed
-    assert check.observed.startswith("InternalCheckError")
+    assert re.fullmatch(r"scale \d+ violates the membership criterion", check.observed)
 
 
-def test_edge_preservation_reads_every_scale_of_a_256_vertex_graph():
-    # Gamma_{4,4}(1), at the arc budget: one non-member a >= 64 marked as a
-    # member must break the criterion at scale a
+def test_edge_preservation_reads_every_scale_of_a_256_vertex_graph(monkeypatch):
+    # Gamma_{4,4}(1), at the arc budget: the images of one non-member scale
+    # a >= 64 replaced by the identity, which fixes row 0, must break the
+    # criterion at scale a
     g = build_graph(GraphSpec(2, 2, 4, 1))
     a = int(np.flatnonzero(~g.connection.members[64:])[0]) + 64
-    members = g.connection.members.copy()
-    members[a] = True
-    forged = dataclasses.replace(g, connection=dataclasses.replace(g.connection, members=members))
-    check = _arc_checks(forged)["edge-preservation-criterion"]
+
+    def identity_at_a(graph, scales, b, i):
+        images = apply_affine_frobenius(graph, scales, b, i)
+        if images.ndim == 2 and len(images) == graph.n - 1:  # row a - 1 is x -> a x
+            images[a - 1] = np.arange(graph.n)
+        return images
+
+    monkeypatch.setattr(gpaley.oracles, "apply_affine_frobenius", identity_at_a)
+    check = _arc_checks(g)["edge-preservation-criterion"]
     assert not check.passed
     assert check.observed == f"scale {a} violates the membership criterion"
 
