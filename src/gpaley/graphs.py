@@ -298,7 +298,8 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     tables pass ``certify_field``; no adjacency is filled (see
     ``CayleyGraph.bits``). ``max_order`` caps the graph, then its field
     table (see ``budgets.require``). Rejects directed cases instead of
-    symmetrizing."""
+    symmetrizing, and raises InternalCheckError for a set that the parity
+    rule calls symmetric but that some -s is missing from."""
     require("graph", spec.order, max_order)
     field = get_field(spec.p, spec.s, spec.m, max_order)
     certify_field(field)
@@ -307,6 +308,8 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
         raise DirectedUnsupported(
             f"S is not symmetric for {spec.label()} (q^m = 3 mod 4 Paley case)"
         )
+    if not conn.members[field.neg_array(np.flatnonzero(conn.members))].all():
+        raise InternalCheckError(f"S is not closed under negation for {spec.label()}")
     return CayleyGraph(spec, field, conn)
 
 

@@ -264,6 +264,24 @@ def test_paley_13_builds():
     assert g.k == 6
 
 
+def test_build_refuses_an_asymmetric_connection_set(monkeypatch):
+    # dropping s but not -s from S leaves -1 in it, so the parity rule still
+    # calls it symmetric: only the closure of S under negation can refuse it
+    real = gpaley.graphs.connection_set
+
+    def dropped(spec, field):
+        conn = real(spec, field)
+        members = conn.members.copy()
+        members[np.flatnonzero(members)[0]] = False
+        return dataclasses.replace(conn, members=members, cardinality=conn.cardinality - 1)
+
+    monkeypatch.setattr(gpaley.graphs, "connection_set", dropped)
+    with pytest.raises(InternalCheckError, match="not closed under negation"):
+        build_graph(GraphSpec(3, 1, 4, 1))
+    monkeypatch.undo()
+    build_graph(GraphSpec(3, 1, 4, 1))
+
+
 @pytest.mark.parametrize(
     "spec",
     [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 6, 1), GraphSpec(5, 1, 4, 1), GraphSpec(7, 1, 4, 2)],
