@@ -17,8 +17,8 @@ from .errors import BudgetExceeded
 
 DEFAULTS = {
     "table": 2**22,  # log/exp/Zech tables
-    # built graphs: connection sets, their adjacency filled one bit per
-    # entry when read, and the Waring witnesses
+    # built graphs: connection sets, the adjacency built from them in row
+    # blocks when read, and the Waring witnesses
     "graph": 2**13,
     # Kirchhoff tree counts; the cap stays only because bench/checks.py's
     # expected_check_names pins trees-* to 512 vertices or fewer, so

@@ -25,9 +25,9 @@ byte per element for p^t < 256 and filled by ``_linear_map`` from the
 positions of the n basis images, with no whole-field map of indices; the
 trace-form counts read it as strided views. ``trace_map``, the trace by
 index, is built on each call for callers. ``certify_field`` holds the
-exp, log and Zech tables to digit arithmetic in O(N) work, each power one
-digit-matrix step from the last; ``graphs.build_graph`` runs it on every
-graph, and ``get_field`` does not.
+exp, log and Zech tables to digit arithmetic in O(N) work, each power the
+image of the last under the index map of x -> alpha x;
+``graphs.build_graph`` runs it on every graph, and ``get_field`` does not.
 
 The exp, log and Zech tables and every linear map of indices hold int32, 4
 bytes per element: ``_table_dtype`` admits a field while p^n < 2^31 and
@@ -520,8 +520,10 @@ def _find_primitive(modulus, params: FieldParams) -> int:
 def certify_field(fld: FieldTable) -> None:
     """Hold the tables of ``fld`` to digit arithmetic in O(N) work, ``_CHUNK``
     indices at a time, or raise InternalCheckError:
-    - exp[0] = 1, and each exp[i + 1] is exp[i] times the digit matrix of
-      v -> alpha v, that product at exp[N - 2] being 1: exp[i] is alpha^i;
+    - exp[0] = 1, and each exp[i + 1] is the image of exp[i] under
+      x -> alpha x, that image at exp[N - 2] being 1: exp[i] is alpha^i. The
+      map is one index array, ``_linear_map`` of the images of the basis
+      under the digit matrix of v -> alpha v, read by one gather per run;
     - log[exp[i]] = i and log[0] = -1: exp takes each nonzero index once,
       so alpha has order N - 1, the modulus makes a field, and log inverts
       exp;
@@ -535,14 +537,16 @@ def certify_field(fld: FieldTable) -> None:
         raise InternalCheckError(f"F_{p}^{n}: a table has the wrong length, exp[0] is not 1 "
                                  "or log[0] is not -1")
     step = _times(_companion(fld.modulus, p), _digits(fld.alpha, p, n), p)
-    weights = p ** np.arange(n, dtype=np.int64)
+    times_alpha = _linear_map(p, n, (p ** np.arange(n, dtype=np.int64) @ step).tolist())
     for start in range(0, units, _CHUNK):
         stop = min(start + _CHUNK, units)
         run = exp[start:stop].astype(np.int64)
         following = exp[start + 1 : stop + 1]
         if stop == units:
             following = np.append(following, 1)  # alpha^(N - 1) = 1
-        wrong = np.flatnonzero(_digits(run, p, n) @ step.T % p @ weights != following)
+        # clipped: an entry past N - 1 is caught as the image of the one
+        # before it, which the gather reads first
+        wrong = np.flatnonzero(np.take(times_alpha, run, mode="clip") != following)
         if wrong.size:
             i = start + int(wrong[0])
             raise InternalCheckError(f"F_{p}^{n}: exp[{i + 1}] is not alpha times exp[{i}]")

@@ -8,16 +8,16 @@ nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 
 A graph is its connection set (see ``CayleyGraph``): row 0 of A, which fixes
 every other row, A[i, j] = A[0, j - i] (Babai, JCTB 27, 1979). The kernels
-of ``gpaley.oracles`` read row 0 and its transform; the packed bits of A are
-filled on first read, which only the unpacked matrix, and so export and the
-arc checks, make. ``build_graph`` certifies the field's tables first
-(``field.certify_field``), so the fill's Zech additions are digit
-arithmetic.
+of ``gpaley.oracles`` read row 0 and its transform. No other form of A is
+held: ``_row_blocks`` builds its rows from the connection set a block at a
+time, for ``CayleyGraph.adjacency`` (read by export and the arc checks) and
+for the bit dump, which packs each block as it goes. ``build_graph``
+certifies the field's tables first (``field.certify_field``), so the
+blocks' Zech additions are digit arithmetic.
 """
 
 import json
 import math
-import mmap
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .field import FieldParams, FieldTable, certify_field, get_field
 
-# Rows of A per block when _fill fills A, so that temporaries stay a few MB.
+# Rows of A per block of _row_blocks, so that a block stays a few MB.
 _ROW_BLOCK = 256
 
 
@@ -173,25 +173,12 @@ class CayleyGraph:
     # Each computed at most once per graph object; dataclasses.replace builds
     # a new object with nothing cached.
     @cached_property
-    def bits(self) -> np.ndarray:
-        """A packed, row i little-endian in ceil(n/8) bytes: A[i, j] is bit
-        j % 8 of byte j // 8, and the pad bits past column n - 1 are 0. Filled
-        on first read: ``_fill`` of the primal connection set, negated in
-        place for a complement (``_negate``)."""
-        if not self.spec.complemented:
-            return _fill(self.field, self.row0)
-        primal = ~self.row0
-        primal[0] = False
-        bits = _fill(self.field, primal)
-        _negate(bits)
-        return bits
-
-    @cached_property
     def adjacency(self) -> np.ndarray:
-        """A as a read-only (n, n) bool matrix, unpacked from ``bits`` on the
-        first read, the pad bits dropped: n^2 bytes, for export and small
-        graphs only."""
-        out = np.unpackbits(self.bits, axis=-1, count=self.n, bitorder="little").view(bool)
+        """A as a read-only (n, n) bool matrix, assembled from ``_row_blocks``
+        on the first read: n^2 bytes, for export and small graphs only."""
+        out = np.empty((self.n, self.n), dtype=bool)
+        for start, block in _row_blocks(self):
+            out[start : start + len(block)] = block
         out.flags.writeable = False
         return out
 
@@ -295,11 +282,12 @@ def _symmetry_rule(spec: GraphSpec) -> bool:
 
 def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     """The Cayley graph of spec on its connection set, after its field's
-    tables pass ``certify_field``; no adjacency is filled (see
-    ``CayleyGraph.bits``). ``max_order`` caps the graph, then its field
-    table (see ``budgets.require``). Rejects directed cases instead of
-    symmetrizing, and raises InternalCheckError for a set that the parity
-    rule calls symmetric but that some -s is missing from."""
+    tables pass ``certify_field``; no row of A is built until
+    ``CayleyGraph.adjacency`` or the bit dump reads it. ``max_order`` caps
+    the graph, then its field table (see ``budgets.require``). Rejects
+    directed cases instead of symmetrizing, and raises InternalCheckError
+    for a set that the parity rule calls symmetric but that some -s is
+    missing from."""
     require("graph", spec.order, max_order)
     field = get_field(spec.p, spec.s, spec.m, max_order)
     certify_field(field)
@@ -313,25 +301,21 @@ def build_graph(spec: GraphSpec, max_order: int | None = None) -> CayleyGraph:
     return CayleyGraph(spec, field, conn)
 
 
-def _pages(n: int) -> np.ndarray:
-    """Zeroed packed rows for an n-vertex graph, an (n, ceil(n/8)) uint8
-    array, on its own pages from the OS rather than a block of malloc's
-    heap, so dropping a graph hands them back at once and the memory held
-    follows the graphs alive, not the order in which graphs were built."""
-    width = (n + 7) // 8
-    return np.frombuffer(mmap.mmap(-1, n * width), dtype=np.uint8).reshape(n, width)
-
-
-def _fill(field: FieldTable, members: np.ndarray) -> np.ndarray:
-    """The packed rows of A, A[i, j] set iff element_j - element_i is one of
-    ``members``, a bool array over the field. Each _ROW_BLOCK rows are
-    scattered into one reused bool block through the flat indices
-    (i - start) N + j, then packed. The indices are int32: they stay below
-    _ROW_BLOCK N, under 2^31 for every N below 2^23, and at 2^23 vertices
-    the bits alone would be 8 TiB."""
-    N = field.order
-    bits = _pages(N)
-    members = np.flatnonzero(members).astype(np.int32)
+def _row_blocks(g: CayleyGraph):
+    """A, ``_ROW_BLOCK`` rows at a time: yields (start, block), the bool rows
+    [start, start + len(block)) in one block reused from step to step.
+    A[i, j] is set iff element_j - element_i is in the primal connection
+    set, the graph's own for a primal spec, scattered through the flat
+    indices (i - start) N + j; a complement's block is then inverted in
+    place, its diagonal cleared. The indices are int32: they stay below
+    _ROW_BLOCK N, under 2^31 for every N below 2^23, and at 2^23 vertices A
+    alone would be 64 TiB."""
+    field, N = g.field, g.n
+    primal = g.row0
+    if g.spec.complemented:
+        primal = ~primal
+        primal[0] = False
+    members = np.flatnonzero(primal).astype(np.int32)
     block = np.zeros((min(_ROW_BLOCK, N), N), dtype=bool)
     offsets = np.arange(len(block), dtype=np.int32)[:, None] * np.int32(N)
     for start in range(0, N, _ROW_BLOCK):
@@ -341,18 +325,10 @@ def _fill(field: FieldTable, members: np.ndarray) -> np.ndarray:
                       casting="same_kind")
         block[:] = False
         block.reshape(-1)[flat] = True
-        bits[start:stop] = np.packbits(block[: stop - start], axis=1, bitorder="little")
-    return bits
-
-
-def _negate(bits: np.ndarray) -> None:
-    """Packed rows of A to those of its complement, in place: not A, with
-    the diagonal bits and the pad bits cleared."""
-    n = len(bits)
-    np.invert(bits, out=bits)
-    idx = np.arange(n)
-    bits[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
-    bits[:, -1] &= np.uint8(0xFF >> -n % 8)  # the n % 8 low bits, or all 8
+        if g.spec.complemented:
+            np.invert(block, out=block)
+            block[np.arange(stop - start), rows[:, 0]] = False
+        yield start, block[: stop - start]
 
 
 def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:
@@ -459,10 +435,12 @@ def dimacs_lines(g: CayleyGraph) -> list[str]:
 
 
 def write_bit_dump(g: CayleyGraph, path: str) -> None:
-    """JSON header line (the spec's JSON plus n and k), then the graph's
-    ``bits`` as they are: rows packed row-major into little-endian
-    bytes (bit j of byte b is column 8b + j), pad bits 0."""
+    """JSON header line (the spec's JSON plus n and k), then the rows of A
+    packed row-major into little-endian bytes (bit j of byte b is column
+    8b + j), pad bits 0, one ``_row_blocks`` block at a time, so no packed
+    matrix is held whole."""
     header = {**g.spec.to_json(), "n": g.n, "k": g.k}
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(g.bits.tobytes())
+        for _, block in _row_blocks(g):
+            fh.write(np.packbits(block, axis=1, bitorder="little").tobytes())

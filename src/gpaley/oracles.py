@@ -13,8 +13,9 @@ Ramanujan kernels read the transform: trace(A^r) is the sum of lambda^r,
 row 0 of A^2 the transform of lambda^2 over N (``CayleyGraph.square_row``),
 the diameter is read off row 0 of A and of A^2, and the number of
 components is the multiplicity of lambda_0. No float enters them. The
-arc-transitivity checks, the only readers of the unpacked (n, n) matrix
-here, map all of their scales at once, with one
+arc-transitivity checks, the only readers of the (n, n) matrix
+``CayleyGraph.adjacency`` here, built from row 0 a block of rows at a
+time, map all of their scales at once, with one
 ``graphs.apply_affine_frobenius`` table per check.
 """
 
@@ -76,23 +77,17 @@ def count_walks_bruteforce(g: CayleyGraph, r: int) -> int:
     require_int(r, "walk length r")
     if r < 1:
         raise ValueError(f"walk length r must be at least 1, not {r}")
-    lams, mults = np.unique(count_eigenvalues(g), return_counts=True)
+    lams, mults = np.unique(g.eigenvalues, return_counts=True)
     return sum(mult * lam**r for lam, mult in zip(lams.tolist(), mults.tolist()))
-
-
-def count_eigenvalues(g: CayleyGraph) -> np.ndarray:
-    """``CayleyGraph.eigenvalues``; an eigenvalue that is not an integer
-    raises."""
-    return g.eigenvalues
 
 
 def count_trees_bruteforce(g: CayleyGraph) -> int:
     """Kirchhoff's count prod over a != 0 of (lambda_0 - lambda_a) / N, on
-    the integers of ``count_eigenvalues``; lambda_0 = |S| is every degree.
-    Like the coset and arc checks, refused above a budget of its own
+    the integers of ``CayleyGraph.eigenvalues``; lambda_0 = |S| is every
+    degree. Like the coset and arc checks, refused above a budget of its own
     (``tree``; see ``budgets.DEFAULTS``)."""
     require("tree", g.n)
-    top, *rest = count_eigenvalues(g).tolist()
+    top, *rest = g.eigenvalues.tolist()
     return exact_div(math.prod(top - lam for lam in rest), g.n)
 
 
@@ -112,10 +107,10 @@ def count_diameter(g: CayleyGraph) -> int:
 
 def count_components(g: CayleyGraph) -> tuple[int, int]:
     """(number, size) of the components. In a regular graph the number is
-    the multiplicity of lambda_0 among ``count_eigenvalues``, and in a
-    Cayley graph the components are the cosets of the component of 0, so
+    the multiplicity of lambda_0 among ``CayleyGraph.eigenvalues``, and in
+    a Cayley graph the components are the cosets of the component of 0, so
     each has N / number vertices, the division checked exact."""
-    lams = count_eigenvalues(g)
+    lams = g.eigenvalues
     number = int(np.count_nonzero(lams == lams[0]))
     return number, exact_div(g.n, number)
 
@@ -239,7 +234,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     checks left out for size are listed in the report's ``skipped``. Each
     side is built by ``build_graph``, which certifies the field's tables,
     and the seconds of the two builds are the report's ``build_seconds``.
-    Every count reads row 0 and its transform; only the arc checks fill
+    Every count reads row 0 and its transform; only the arc checks build
     and read the primal adjacency."""
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     spectrum(spec)  # refuses a spec outside the family before any graph is built
@@ -393,7 +388,7 @@ def count_ramanujan(g: CayleyGraph) -> bool:
     """Whether max over a != 0 of lambda_a^2 <= 4(k-1) on the counted
     eigenvalues, k = lambda_0 (Lubotzky, Phillips and Sarnak, Combinatorica
     8, 1988), in Python integers."""
-    k, *rest = count_eigenvalues(g).tolist()
+    k, *rest = g.eigenvalues.tolist()
     return max(lam * lam for lam in rest) <= 4 * (k - 1)
 
 
@@ -422,10 +417,10 @@ def _coset_checks(suite, g, gbar):
 
     def decompose():
         # S = <alpha^g> with g = (N-1)/|S|; row j lists the logs of alpha^j S
-        k, units = g.connection.cardinality, spec.order - 1
+        k, units = g.k, spec.order - 1
         logs = (units // k) * np.arange(k) + np.arange(1, spec.q**spec.ell + 1)[:, None]
         cover = np.bincount(fld.exp[logs % units].ravel(), minlength=g.n)
-        outside = ~g.connection.members
+        outside = ~g.row0
         outside[0] = False
         return (
             np.array_equal(cover, outside),
@@ -448,10 +443,10 @@ def _arc_transitivity_checks(suite, g):
 
     def witness_all_arcs():
         # x -> a x + v with a = (w - v) / s0 sends the arc (0, s0) to (v, w)
-        s0 = int(np.flatnonzero(g.connection.members)[0])
+        s0 = int(np.flatnonzero(g.row0)[0])
         v, w = np.nonzero(g.adjacency)
         scales = fld.mul_array(fld.add_arrays(w, fld.neg_array(v)), fld.inv(s0))
-        outside = np.flatnonzero(~g.connection.members[scales])
+        outside = np.flatnonzero(~g.row0[scales])
         if outside.size:
             i = outside[0]
             return f"scale for arc ({v[i]},{w[i]}) not a connection member"
@@ -470,7 +465,7 @@ def _arc_transitivity_checks(suite, g):
         row = g.row0
         images = apply_affine_frobenius(g, np.arange(1, g.n), 0, 0)  # row a - 1 is x -> a x
         preserves = (row[images] == row).all(axis=1)
-        wrong = np.flatnonzero(preserves != g.connection.members[1:])
+        wrong = np.flatnonzero(preserves != g.row0[1:])
         if wrong.size:
             return f"scale {wrong[0] + 1} violates the membership criterion"
         return True

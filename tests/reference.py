@@ -19,11 +19,11 @@ The scalar form evaluation reads the library's field table one element at
 a time, with the trace map above, and is what the forms module's
 whole-field pass is tested against.
 The bit-dump reader decodes the file that ``gpaley export --kind bits``
-writes, so the export is held to the adjacency it came from; its inverse,
-``with_adjacency``, packs a bool matrix in that layout into a copy of a
-graph, which plants a fault in the bits that the export and the arc checks
-read. ``with_members`` plants a faulty connection set, which every count
-reads.
+writes, so the export is held to the adjacency it came from.
+``with_adjacency`` plants a bool matrix as the adjacency of a copy of a
+graph, a fault that only the readers of the whole matrix, such as the arc
+checks, see. ``with_members`` plants a faulty connection set, which every
+count reads.
 """
 
 import dataclasses
@@ -170,13 +170,14 @@ def read_bit_dump(path: str) -> tuple[dict, np.ndarray]:
 
 
 def with_adjacency(g, adj):
-    """A copy of the graph ``g`` whose ``bits`` hold the bool matrix ``adj``,
-    packed as a bit dump is packed: bit j of byte b of a row is column
-    8b + j, and the pad bits are 0. The copy keeps the connection set of
-    ``g``, so only what reads the bits sees the new matrix."""
+    """A copy of the graph ``g`` whose cached ``adjacency`` is the bool
+    matrix ``adj``, held read-only as the library holds it. The copy keeps
+    the connection set of ``g``, so only what reads the adjacency sees the
+    new matrix."""
     planted = dataclasses.replace(g)
-    planted.__dict__["bits"] = np.packbits(np.asarray(adj, dtype=bool), axis=1,
-                                           bitorder="little")
+    adj = np.array(adj, dtype=bool)
+    adj.flags.writeable = False
+    planted.__dict__["adjacency"] = adj
     return planted
 
 

@@ -430,6 +430,41 @@ def test_the_field_certificate_passes_every_built_table_and_refuses_one_wrong_en
             certify_field(faulty)
 
 
+@pytest.mark.parametrize("p, s, m", [(2, 1, 12), (3, 1, 6), (7, 1, 4), (5, 1, 8)])
+def test_the_field_certificate_does_not_trust_the_map_it_gathers_by(monkeypatch, p, s, m):
+    # the certificate's index map of x -> alpha x and the build's giant step
+    # both come from _linear_map: on a table built by the real map, a map
+    # that moves the one entry at exp[i] must be refused at exp[i + 1]
+    f = get_field(p, s, m)
+    real, units = gpaley.field._linear_map, f.order - 1
+    for i in (0, units // 2, units - 1):
+        at = int(f.exp[i])
+
+        def moved(*args, at=at):
+            out = real(*args)
+            out[at] = (out[at] + 1) % f.order
+            return out
+
+        monkeypatch.setattr(gpaley.field, "_linear_map", moved)
+        with pytest.raises(InternalCheckError,
+                           match=rf"exp\[{i + 1}\] is not alpha times exp\[{i}\]"):
+            certify_field(f)
+    monkeypatch.undo()
+    certify_field(f)
+
+
+def test_the_field_certificate_refuses_an_exp_entry_past_the_field():
+    # an exp entry outside [0, N) is refused as the image of the entry
+    # before it, not read as an index
+    f = get_field(3, 1, 4)
+    for i, value in [(5, f.order), (7, f.order + 3), (9, -1)]:
+        faulty = copy.copy(f)
+        faulty.exp = f.exp.copy()
+        faulty.exp[i] = value
+        with pytest.raises(InternalCheckError, match=rf"exp\[{i}\] is not alpha times"):
+            certify_field(faulty)
+
+
 def test_zech_is_built_only_when_read():
     # p = 2 adds by XOR, so its Zech table is never built; odd p builds it at
     # the first addition and keeps it, and traces, digit-matrix products,

@@ -176,11 +176,9 @@ def test_complement_build():
     assert both.all()
     assert not (g.adjacency & gbar.adjacency).any()
     for graph in (g, gbar):
-        bits = graph.bits
-        assert bits.dtype == np.uint8 and bits.shape == (16, 2)
-        assert bits.flags.c_contiguous and bits.flags.writeable
-        # the unpacked matrix and row 0 are read-only: a write would not reach the bits
+        # the matrix and row 0 are cached on the graph, so both are read-only
         assert graph.adjacency.dtype == bool and graph.adjacency.shape == (16, 16)
+        assert graph.adjacency.flags.c_contiguous
         assert not graph.adjacency.flags.writeable and not graph.row0.flags.writeable
 
 
@@ -191,14 +189,15 @@ def test_complement_build():
     ids=GraphSpec.label,
 )
 def test_derived_complement_is_the_filled_complement(spec):
-    # a complement's bits are the primal fill negated, with the diagonal
-    # cleared, on pages of their own, and row 0 of them is its connection set
+    # a complement's rows are the primal rows inverted, with the diagonal
+    # cleared, in a matrix of its own, and row 0 of them is its connection set
     g, gbar = build_graph(spec), build_graph(spec.complement())
     negated = ~g.adjacency
     np.fill_diagonal(negated, False)
     assert gbar.k == g.n - 1 - g.k
-    assert gbar.bits.tobytes() == np.packbits(negated, axis=1, bitorder="little").tobytes()
-    assert np.array_equal(gbar.row0, negated[0]) and not np.shares_memory(g.bits, gbar.bits)
+    assert np.array_equal(gbar.adjacency, negated)
+    assert np.array_equal(gbar.row0, negated[0])
+    assert not np.shares_memory(g.adjacency, gbar.adjacency)
 
 
 def test_walk_rows_of_a_derived_complement_are_exact():
@@ -245,13 +244,15 @@ def test_character_sums_are_the_direct_sums_at_every_index(spec):
     "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1, True), GraphSpec(2, 1, 8, 1, True)],
     ids=GraphSpec.label,
 )
-def test_degrees_are_exact_int64(spec):
-    # regular-degree reads the degree k off row 0; every row of the filled
-    # bits has that many set bits, counted in int64, past uint8 at 256
-    # vertices
+def test_degrees_are_exact_int64(spec, tmp_path):
+    # regular-degree reads the degree k off row 0; every row of the bit
+    # dump, decoded and as raw bytes, has that many set bits, counted in
+    # int64, past uint8 at 256 vertices
     g = build_graph(spec)
-    rows = np.unpackbits(g.bits, axis=1, count=g.n, bitorder="little")
-    assert rows.sum(axis=1, dtype=np.int64).tolist() == [g.k] * g.n
+    rows = _dumped_rows(g, tmp_path / "dump.bin")
+    _, adj = read_bit_dump(str(tmp_path / "dump.bin"))
+    assert adj.sum(axis=1, dtype=np.int64).tolist() == [g.k] * g.n
+    assert np.unpackbits(rows, axis=1).sum(axis=1, dtype=np.int64).tolist() == [g.k] * g.n
 
 
 def test_directed_rejected():
@@ -668,15 +669,40 @@ def test_bit_dump_round_trip(tmp_path):
 _PADDED = [GraphSpec(3, 1, 4, 1), GraphSpec(7, 1, 4, 2, True)]
 
 
+def _dumped_rows(g, path):
+    """The packed rows of the bit dump of ``g`` as written, read from the
+    raw bytes after its header line: (n, ceil(n/8)) uint8."""
+    write_bit_dump(g, str(path))
+    raw = path.read_bytes().split(b"\n", 1)[1]
+    return np.frombuffer(raw, dtype=np.uint8).reshape(g.n, (g.n + 7) // 8)
+
+
+def _assert_dump_is_the_packed_adjacency(g, path):
+    rows = _dumped_rows(g, path)
+    assert not np.unpackbits(rows, axis=1, bitorder="little")[:, g.n :].any()  # pad bits
+    packed = np.packbits(g.adjacency, axis=1, bitorder="little")
+    assert rows.tobytes() == packed.tobytes()
+    header, adj = read_bit_dump(str(path))
+    assert (header["n"], header["k"]) == (g.n, g.k) and np.array_equal(adj, g.adjacency)
+
+
 @pytest.mark.parametrize("spec", _PADDED, ids=GraphSpec.label)
-def test_pad_bits_are_zero_on_both_sides(spec):
-    # the filled side, negated in place for a complemented spec, and the
-    # other side
+def test_pad_bits_are_zero_on_both_sides(spec, tmp_path):
+    # the primal side and the complement, inverted block by block
     for graph in (build_graph(spec), build_graph(spec.complement())):
-        assert graph.bits.shape == (graph.n, (graph.n + 7) // 8)
-        assert not (graph.bits[:, -1] >> graph.n % 8).any()
-        packed = np.packbits(graph.adjacency, axis=1, bitorder="little")
-        assert graph.bits.tobytes() == packed.tobytes()
+        _assert_dump_is_the_packed_adjacency(graph, tmp_path / "dump.bin")
+
+
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(7, 1, 4, 2), GraphSpec(7, 1, 4, 2, True), GraphSpec(3, 1, 6, 1, True)],
+    ids=GraphSpec.label,
+)
+def test_a_dump_of_several_row_blocks_is_the_packed_adjacency(spec, tmp_path):
+    # 2,401 and 729 vertices: the dump packs each block of rows as it is
+    # built, a shorter block last, and n % 8 = 1 leaves pad bits on every row
+    g = build_graph(spec)
+    assert g.n > 2 * gpaley.graphs._ROW_BLOCK and g.n % 8
+    _assert_dump_is_the_packed_adjacency(g, tmp_path / "dump.bin")
 
 
 # sha256 prefixes of ``gpaley export --kind bits``, as written when the

@@ -167,10 +167,11 @@ def test_spectra_are_counted_by_one_transform():
 
 
 def test_the_packed_rows_are_read_by_few_sites():
-    # CayleyGraph.bits fills the packed rows from the connection set; only
-    # the unpacking and the bit-dump export read them. Every oracle count
-    # reads row 0 and its transform, or the unpacked matrix
-    sites = _sites(lambda a: a.attr == "bits" and isinstance(a.ctx, ast.Load), ast.Attribute)
+    # _row_blocks builds the rows of A from the connection set; only the
+    # cached matrix and the bit-dump export read them, and no packed matrix
+    # is held. Every oracle count reads row 0 and its transform, or the
+    # cached matrix
+    sites = _sites(lambda c: isinstance(c.func, ast.Name) and c.func.id == "_row_blocks")
     assert sites == {("graphs.py", "adjacency"), ("graphs.py", "write_bit_dump")}
 
 

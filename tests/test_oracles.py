@@ -27,7 +27,6 @@ from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
 from gpaley.oracles import (
     count_components,
     count_diameter,
-    count_eigenvalues,
     count_ramanujan,
     count_srg_params,
     count_trees_bruteforce,
@@ -49,10 +48,11 @@ from reference import (
 
 
 def _two_switch(g, rows=None):
-    """A copy of g whose bits have edges (a, b), (c, d) switched to (a, d),
-    (c, b), all four vertices non-neighbors of 0 (and inside ``rows``, a
-    range, if given): every degree and row 0 stay as they were, and the
-    connection set is g's, so only what reads the bits can tell."""
+    """A copy of g whose adjacency has edges (a, b), (c, d) switched to
+    (a, d), (c, b), all four vertices non-neighbors of 0 (and inside
+    ``rows``, a range, if given): every degree and row 0 stay as they were,
+    and the connection set is g's, so only what reads the adjacency can
+    tell."""
     adj = g.adjacency.copy()
     outside = [int(v) for v in np.flatnonzero(~adj[0])[1:] if rows is None or v in rows]
     for a, b, c, d in itertools.permutations(outside, 4):
@@ -260,10 +260,12 @@ def test_kernels_refuse_an_asymmetric_connection_set(spec):
     for r in range(2, 7):
         with pytest.raises(InternalCheckError):
             count_walks_bruteforce(dropped, r)
-    for kernel in (girth_bruteforce, count_eigenvalues, count_trees_bruteforce,
-                   count_ramanujan, count_diameter, count_components):
+    for kernel in (girth_bruteforce, count_trees_bruteforce, count_ramanujan, count_diameter,
+                   count_components):
         with pytest.raises(InternalCheckError):
             kernel(dropped)
+    with pytest.raises(InternalCheckError):
+        dropped.eigenvalues
     with pytest.raises(InternalCheckError):
         verify_a2_identity(dropped, srg_params(spec).params())
 
@@ -274,7 +276,7 @@ def test_kernels_refuse_an_asymmetric_connection_set(spec):
                                   GraphSpec(2, 2, 4, 1), GraphSpec(2, 1, 10, 5)])
 @pytest.mark.parametrize("complemented", [False, True])
 def test_translation_check_matches_the_entrywise_reference(spec, complemented):
-    # the bits filled on a certified field pass the reference's entrywise
+    # the rows built on a certified field pass the reference's entrywise
     # translation check, which reads digit arithmetic alone, and row 0 of
     # them is the connection set
     g = build_graph(dataclasses.replace(spec, complemented=complemented))
@@ -334,8 +336,8 @@ def test_translation_check_reads_every_row_block(spec, rows):
 
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 def test_run_suite_fails_a_switched_adjacency(monkeypatch, spec):
-    # the 2-switch moves bits alone, and only the arc witnesses read the
-    # bits: each switched arc (a, d) has d - a outside S, so no witness
+    # the 2-switch moves the adjacency alone, and only the arc witnesses read
+    # it: each switched arc (a, d) has d - a outside S, so no witness
     # scale exists for it, and every count, read off the connection set,
     # still passes
     _plant(monkeypatch, primal=_two_switch)
@@ -348,18 +350,18 @@ def test_run_suite_fails_a_switched_adjacency(monkeypatch, spec):
 @pytest.mark.parametrize("spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1)])
 def test_run_suite_fills_one_graph_per_spec(monkeypatch, spec):
     # every count reads the connection sets; the arc checks, run up to 256
-    # vertices, fill the primal graph's bits once, and the complement's are
-    # never filled
-    fill, fills = gpaley.graphs._fill, []
-    monkeypatch.setattr(gpaley.graphs, "_fill", lambda *args: fills.append(args) or fill(*args))
-    assert run_suite(spec).ok and len(fills) == 1
+    # vertices, build the primal graph's rows once, and the complement's are
+    # never built
+    blocks, reads = gpaley.graphs._row_blocks, []
+    monkeypatch.setattr(gpaley.graphs, "_row_blocks", lambda g: reads.append(g) or blocks(g))
+    assert run_suite(spec).ok and [g.spec for g in reads] == [spec]
 
 
 def test_run_suite_fills_no_graph_above_the_arc_budget(monkeypatch):
-    # 4096 vertices: no check reads a packed row, so no bits are filled
-    fill, fills = gpaley.graphs._fill, []
-    monkeypatch.setattr(gpaley.graphs, "_fill", lambda *args: fills.append(args) or fill(*args))
-    assert run_suite(GraphSpec(2, 1, 12, 1)).ok and fills == []
+    # 4096 vertices: no check reads a row of A past row 0, so none is built
+    blocks, reads = gpaley.graphs._row_blocks, []
+    monkeypatch.setattr(gpaley.graphs, "_row_blocks", lambda g: reads.append(g) or blocks(g))
+    assert run_suite(GraphSpec(2, 1, 12, 1)).ok and reads == []
 
 
 # 81 and 2,401 vertices
@@ -409,7 +411,7 @@ def test_walk_rows_match_the_dense_powers(spec, complemented):
     a = g.adjacency.astype(np.int64)
     eigs = np.linalg.eigvalsh(a.astype(np.float64))
     assert np.abs(eigs - np.rint(eigs)).max() < 1e-8
-    assert sorted(count_eigenvalues(g).tolist()) == np.rint(eigs).astype(np.int64).tolist()
+    assert sorted(g.eigenvalues.tolist()) == np.rint(eigs).astype(np.int64).tolist()
     assert g.square_row.dtype == np.int64 and np.array_equal(g.square_row, (a @ a)[0])
     power = np.eye(g.n, dtype=np.int64)
     for r in range(1, 9):
@@ -460,7 +462,7 @@ def test_counted_spectrum_and_tree_count_match_the_dense_references(spec, comple
     adj = g.adjacency.astype(np.int64)
     eigs = np.linalg.eigvalsh(adj.astype(np.float64))
     assert np.abs(eigs - np.rint(eigs)).max() < 1e-8
-    counted = count_eigenvalues(g)
+    counted = g.eigenvalues
     assert counted[0] == g.k
     assert sorted(counted.tolist()) == np.rint(eigs).astype(np.int64).tolist()
     lap = np.diag(adj.sum(axis=1)) - adj
@@ -483,7 +485,7 @@ def test_an_eigenvalue_that_is_not_an_integer_is_refused():
     assert np.allclose(np.sort(eigs), np.sort(np.repeat(cosines, 5)))
     with pytest.raises(InternalCheckError, match="^Gamma.*: character 1 has residue counts "
                        r"\[0, 1, 0, 0, 1\], so its eigenvalue is not an integer$"):
-        count_eigenvalues(cycles)
+        cycles.eigenvalues
     with pytest.raises(InternalCheckError):
         count_trees_bruteforce(cycles)
 
@@ -670,8 +672,8 @@ def test_a_flipped_copy_counts_its_own_degrees():
     g = build_graph(GraphSpec(2, 1, 4, 1, True))
     assert g.k == 10 and count_trees_bruteforce(g) == 2**31 * 3**10
     flipped = _drop_member(g)
-    assert flipped.k == 9 and count_eigenvalues(flipped)[0] == 9
-    assert g.k == 10 and count_eigenvalues(g)[0] == 10
+    assert flipped.k == 9 and flipped.eigenvalues[0] == 9
+    assert g.k == 10 and g.eigenvalues[0] == 10
     assert count_trees_bruteforce(flipped) != count_trees_bruteforce(g) == 2**31 * 3**10
 
 
