@@ -3,8 +3,6 @@ infinite families, and Ihara zeta factorization."""
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import int_to_str, require_int
 from .budgets import budget
 from .errors import (
@@ -14,8 +12,7 @@ from .errors import (
     NotApplicable,
     NotInFamily,
 )
-from .field import FieldTable, get_field
-from .graphs import GraphSpec, connection_set
+from .spec import GraphSpec
 from .spectra import Spectrum, SrgRecord, spectrum, srg_params
 
 
@@ -56,10 +53,10 @@ def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertif
     onto. Proper members with ell < m/2 give g = 2: the graph is connected
     with diameter 2, so every element is a sum of at most two powers.
     ell = m/2 is refused (the powers generate a proper subfield). Witnesses
-    are found by a sumset search over S, then S + S (``_witnesses``), when
-    q^m is within the ``graph`` budget resolved from ``max_order``; above
-    it, and always for max_order=0, the certificate carries none and no
-    field table is built."""
+    are found by a sumset search over S, then S + S
+    (``graphs.waring_witnesses``), when q^m is within the ``graph`` budget
+    resolved from ``max_order``; above it, and always for max_order=0, the
+    certificate carries none and no field table is built."""
     if spec.complemented:
         raise NotApplicable("Waring certification concerns the primal power graph")
     k_exp = spec.q**spec.ell + 1
@@ -75,57 +72,15 @@ def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertif
     return WaringCertificate(k_exp, N, 2, _witnesses(spec, 2, max_order))
 
 
-def _root_map(spec: GraphSpec, field: FieldTable) -> np.ndarray:
-    """roots[y] is the least x with x^(q^ell+1) = y, or -1 if there is none."""
-    powers = field.pow_array(np.arange(spec.order, dtype=np.int64), spec.q**spec.ell + 1)
-    attained, first = np.unique(powers, return_index=True)
-    roots = np.full(spec.order, -1, dtype=np.int64)
-    roots[attained] = first
-    return roots
-
-
 def _witnesses(spec: GraphSpec, g: int, max_order) -> dict[int, tuple[int, int]] | None:
-    """Layered search from 0 for the Waring number g: layer 1 is the power
-    set S itself, layer 2 is S + S, searched one member b of S at a time in
-    ascending order over the elements still uncovered, so each element a
-    gets (root of a - b, root of b) for its least such b. Diameter 2 means
-    nothing is left over."""
-    N = spec.order
-    if N > budget("graph", max_order):
+    """The witness search of ``graphs.waring_witnesses`` when q^m is within
+    the ``graph`` budget, else None; only then are numpy and the field
+    tables loaded."""
+    if spec.order > budget("graph", max_order):
         return None
-    field = get_field(spec.p, spec.s, spec.m, max_order)
-    conn = connection_set(spec, field)
-    roots = _root_map(spec, field)
-    if g == 1 and (roots < 0).any():
-        raise InternalCheckError("power map not onto in the complete case")
-    if not np.array_equal(roots[1:] >= 0, conn.members[1:]):
-        raise InternalCheckError("the nonzero powers are not the connection set")
-    members = np.flatnonzero(conn.members)
-    x, y = roots.copy(), np.zeros(N, dtype=np.int64)
-    others = np.flatnonzero(~conn.members)[1:]  # index 0 is zero, its own witness
-    left = others
-    for b, neg_b in zip(members.tolist(), field.neg_array(members).tolist()):
-        if not len(left):
-            break
-        diff = field.add_arrays(left, neg_b)
-        hit = conn.members[diff]
-        x[left[hit]], y[left[hit]] = roots[diff[hit]], roots[b]
-        left = left[~hit]
-    if len(left):
-        raise InternalCheckError(f"element {left[0]} unreachable in two power steps")
-    order = np.concatenate(([0], members, others))
-    return dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
+    from .graphs import waring_witnesses
 
-
-def verify_waring(cert: WaringCertificate, field: FieldTable) -> bool:
-    """Soundness: re-evaluate every witness pair. A certificate without
-    witnesses has nothing to re-evaluate and raises NotApplicable."""
-    if cert.witnesses is None:
-        raise NotApplicable("the certificate carries no witnesses")
-    targets = np.fromiter(cert.witnesses, dtype=np.int64, count=len(cert.witnesses))
-    x, y = np.array(list(cert.witnesses.values()), dtype=np.int64).reshape(-1, 2).T
-    sums = field.add_arrays(field.pow_array(x, cert.k_exp), field.pow_array(y, cert.k_exp))
-    return np.array_equal(sums, targets) and len(cert.witnesses) == cert.field_size
+    return waring_witnesses(spec, g, max_order)
 
 
 def is_ramanujan(spec: GraphSpec) -> bool:

@@ -9,6 +9,10 @@ Specs are addressed with --p --s --m --ell, plus --complement on the verbs
 whose output depends on it. JSON output is the machine-stable schema: field
 names fixed, big integers always emitted as decimal strings (53-bit-safe for
 downstream consumers).
+The closed-form verbs (spectrum, srg, walks, trees, ramanujan, zeta, tables,
+and waring without witnesses) read the spec alone and load no numpy; field,
+graph, verify and export, and waring when it searches for witnesses, import
+the table layer inside the verb.
 Exit status: 0 success, 1 verification failure, library error or an --out
 that cannot be written, 2 usage error (a malformed flag, a flag the verb
 does not offer, or a bad --p/--s/--m/--ell/--r/--tmax value or a negative
@@ -25,15 +29,7 @@ from typing import Callable
 from .applications import family_table, ihara_zeta, is_ramanujan, waring_number, zeta_json
 from .arith import int_to_str
 from .errors import CompositeP, GPaleyError
-from .field import FieldParams, element_to_string, field_to_dict, get_field
-from .graphs import (
-    GraphSpec,
-    build_graph,
-    dimacs_lines,
-    edge_list_lines,
-    write_bit_dump,
-)
-from .oracles import run_suite
+from .spec import FieldParams, GraphSpec
 from .spectra import closed_walks, record_json, spectrum, tree_count_text
 
 
@@ -58,6 +54,8 @@ def _spectrum_text(sp) -> str:
 
 
 def _field(args, params):
+    from .field import element_to_string, field_to_dict, get_field
+
     fld = get_field(params.p, params.s, params.m, max_order=args.max_order)
     payload = field_to_dict(fld)
     payload["alpha_digits"] = element_to_string(fld, fld.alpha)
@@ -65,6 +63,8 @@ def _field(args, params):
 
 
 def _graph(args, spec):
+    from .graphs import build_graph
+
     g = build_graph(spec, max_order=args.max_order)
     return {
         "spec": spec.to_json(),
@@ -116,7 +116,15 @@ def _tables(args, _):
     return rows
 
 
+def _verify(args, spec):
+    from .oracles import run_suite
+
+    return run_suite(spec, max_order=args.max_order).to_json()
+
+
 def _export(args, spec):
+    from .graphs import build_graph, dimacs_lines, edge_list_lines, write_bit_dump
+
     g = build_graph(spec, max_order=args.max_order)
     if args.kind == "bits":
         write_bit_dump(g, args.out)
@@ -161,11 +169,7 @@ VERBS = {
         formats=("json", "csv", "text"),
         checks=((lambda args: args.tmax < 2, "--tmax must be at least 2"),),
     ),
-    "verify": Verb(
-        GraphSpec,
-        lambda args, spec: run_suite(spec, max_order=args.max_order).to_json(),
-        budgeted=True,
-    ),
+    "verify": Verb(GraphSpec, _verify, budgeted=True),
     "export": Verb(
         GraphSpec,
         _export,

@@ -46,15 +46,15 @@ params and shares the exp, log and Zech tables and the per-degree caches.
 
 import copy
 import numbers
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .arith import factorize, is_prime, require_int
+from .arith import factorize, require_int
 from .budgets import require
 from .errors import CompositeP, InternalCheckError, NotASubfield, ZeroElement
+from .spec import FieldParams
 
 # ---------------------------------------------------------------------------
 # F_p-linear algebra on base-p digit vectors and n x n matrices over F_p
@@ -138,6 +138,9 @@ def _table_dtype(p: int, n: int) -> type:
 
 
 _CHUNK = 2**14
+# Digit columns that _linear_map reduces mod p at a time: its scratch, one
+# row per used digit, stays a few tens of KB.
+_REDUCED_COLUMNS = 2**12
 
 
 def _by_index(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -157,11 +160,12 @@ def _linear_map(p: int, n: int, images: list[int], dtype=None) -> np.ndarray:
     each basis index p^i to images[i] (Lidl and Niederreiter, Finite Fields,
     2.3); every value the map takes must fit ``dtype``. Block
     [d p^i, (d+1) p^i) is block d - 1 plus images[i], added without a field
-    table: XOR for p = 2, else in rows of base-p digits sized for the sum of
-    two. A digit row is kept only at the positions some image uses, so a
-    trace onto F_p fills one row, and the value is put back together by
-    Horner over those rows, one power of p per gap; each partial sum is a
-    value of the map."""
+    table: XOR for p = 2, else in rows of unsigned base-p digits sized for
+    the sum of two, reduced mod p without a division, ``_REDUCED_COLUMNS``
+    columns at a time. A digit row is kept only at the positions some image
+    uses, so a trace onto F_p fills one row, and the value is put back
+    together by Horner over those rows, one power of p per gap; each partial
+    sum is a value of the map."""
     dtype = _table_dtype(p, n) if dtype is None else dtype
     if p == 2:
         out = np.zeros(2**n, dtype=dtype)
@@ -171,13 +175,22 @@ def _linear_map(p: int, n: int, images: list[int], dtype=None) -> np.ndarray:
     digit_dtype = np.min_scalar_type(2 * p)
     image_digits = _digits(images, p, n).astype(digit_dtype)
     used = np.flatnonzero(image_digits.any(axis=0))
-    digits = np.zeros((len(used), p**n), dtype=digit_dtype)
+    # one allocation: the digit rows, then the reduction's scratch columns
+    columns = min(p ** (n - 1), _REDUCED_COLUMNS)
+    held = np.zeros((len(used), p**n + columns), dtype=digit_dtype)
+    digits, wrapped = held[:, : p**n], held[:, p**n :]
     for i, image in enumerate(image_digits[:, used]):
         size = p**i
         for d in range(1, p):
             block = digits[:, d * size : (d + 1) * size]
             np.add(digits[:, (d - 1) * size : d * size], image[:, None], out=block)
-            np.remainder(block, p, out=block)
+            # the sum mod p is the lesser of the sum and the sum minus p: a
+            # sum below p wraps to at least 2^bits - p > p
+            for start in range(0, size, _REDUCED_COLUMNS):
+                part = block[:, start : start + _REDUCED_COLUMNS]
+                scratch = wrapped[:, : part.shape[1]]
+                np.subtract(part, p, out=scratch)
+                np.minimum(part, scratch, out=part)
     out = np.zeros(p**n, dtype=dtype)
     # highest used position first; each gap to the next lower one is p^gap
     for row, gap in zip(digits[::-1], np.diff(used, prepend=0)[::-1].tolist()):
@@ -188,37 +201,8 @@ def _linear_map(p: int, n: int, images: list[int], dtype=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field parameters and tables
+# field tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldParams:
-    """F_{q^m} with q = p^s, realized over the prime field of degree n = s*m."""
-
-    p: int
-    s: int
-    m: int
-
-    def __post_init__(self):
-        for name in ("p", "s", "m"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if not is_prime(self.p):
-            raise CompositeP(f"p = {self.p} is not prime")
-        if self.s < 1 or self.m < 1:
-            raise ValueError("s and m must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.s * self.m
-
-    @property
-    def q(self) -> int:
-        return self.p**self.s
-
-    @property
-    def order(self) -> int:
-        return self.p**self.n
-
 
 class FieldTable:
     """Immutable table-backed realization of F_{p^n}.

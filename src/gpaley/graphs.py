@@ -1,8 +1,8 @@
 """Connection sets S_{q,m}(ell), Cayley graphs, the family G_{q,m}, the
-spec-level subgraph test, normalization, the lattice of family members,
+spec-level subgraph test, the lattice of family members, Waring witnesses,
 affine-Frobenius automorphisms, and export.
 
-A spec (q, m, ell) with q = p^s describes the Cayley graph on the additive
+A spec (``gpaley.spec.GraphSpec``) names the Cayley graph on the additive
 group of F_{q^m} whose connection set is the multiplicative subgroup of
 nonzero (q^ell + 1)-th powers. Vertex i is the field element of index i.
 
@@ -17,123 +17,27 @@ blocks' Zech additions are digit arithmetic.
 """
 
 import json
-import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .arith import divisors, gcd_power, is_prime, require_int, v2
+from .arith import divisors, gcd_power, v2
 from .budgets import require
 from .errors import (
     DirectedUnsupported,
     InternalCheckError,
     MixedBase,
-    NotDivisible,
+    NotApplicable,
     NotInFamily,
     ZeroScale,
 )
-from .field import FieldParams, FieldTable, certify_field, get_field
+from .field import FieldTable, certify_field, get_field
+from .spec import GraphSpec
 
 # Rows of A per block of _row_blocks, so that a block stays a few MB.
 _ROW_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """The triple (q, m, ell) with q = p^s, plus a complement flag, which
-    must be a bool, Python or numpy, and is stored as a Python bool."""
-
-    p: int
-    s: int
-    m: int
-    ell: int
-    complemented: bool = False
-
-    def __post_init__(self):
-        for name in ("p", "s", "m", "ell"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if not isinstance(self.complemented, (bool, np.bool_)):
-            raise ValueError(f"complemented must be a bool, not {self.complemented!r}")
-        object.__setattr__(self, "complemented", bool(self.complemented))
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.s < 1 or self.m < 1:
-            raise ValueError("s and m must be positive")
-        if not 0 <= self.ell < self.m:
-            raise ValueError("need 0 <= ell < m (exponents repeat mod m)")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.s
-
-    @property
-    def order(self) -> int:
-        return self.q**self.m
-
-    @property
-    def m_ell(self) -> int:
-        return self.m // math.gcd(self.m, self.ell) if self.ell else 1
-
-    @property
-    def tag(self) -> str:
-        """'complete', 'paley', or 'proper' (after reduction for non-divisor ell)."""
-        if self.m_ell % 2 == 1:
-            return "complete" if self.q % 2 == 0 else "paley"
-        return "proper"
-
-    @property
-    def is_proper(self) -> bool:
-        """In the family as written: 1 <= ell, ell | m, m/ell even."""
-        return self.ell >= 1 and self.m % self.ell == 0 and (self.m // self.ell) % 2 == 0
-
-    @property
-    def is_half(self) -> bool:
-        return self.is_proper and 2 * self.ell == self.m
-
-    @property
-    def connected(self) -> bool:
-        """False only for the ell = m/2 primal graph, which is q^(m/2)
-        disjoint cliques; its complement is complete multipartite."""
-        return self.complemented or not self.is_half
-
-    @property
-    def is_degenerate(self) -> bool:
-        """The (2, 2, 1) member: two disjoint edges, whose complement is the
-        4-cycle."""
-        return (self.q, self.m, self.ell) == (2, 2, 1)
-
-    @property
-    def eps(self) -> int:
-        """Sign (-1)^(m_ell / 2); demands m_ell even."""
-        if self.m_ell % 2:
-            raise NotInFamily(f"eps undefined for odd m_ell = {self.m_ell}")
-        return -1 if (self.m_ell // 2) % 2 else 1
-
-    def complement(self) -> "GraphSpec":
-        return replace(self, complemented=not self.complemented)
-
-    def canonical(self) -> "GraphSpec":
-        """Rewrite with power index 1: (p, s, m, ell) -> (p, s*ell, m/ell, 1)."""
-        return normalize(self.p, self.s, self.m, self.ell, complemented=self.complemented)
-
-    def field_params(self) -> FieldParams:
-        return FieldParams(self.p, self.s, self.m)
-
-    def label(self) -> str:
-        core = f"Gamma_{{{self.q},{self.m}}}({self.ell})"
-        return f"co-{core}" if self.complemented else core
-
-    def to_json(self) -> dict:
-        """The spec as it appears in every JSON record."""
-        return {
-            "p": self.p,
-            "s": self.s,
-            "m": self.m,
-            "ell": self.ell,
-            "complemented": self.complemented,
-        }
 
 
 @dataclass(frozen=True)
@@ -331,6 +235,59 @@ def _row_blocks(g: CayleyGraph):
         yield start, block[: stop - start]
 
 
+def _root_map(spec: GraphSpec, field: FieldTable) -> np.ndarray:
+    """roots[y] is the least x with x^(q^ell+1) = y, or -1 if there is none."""
+    powers = field.pow_array(np.arange(spec.order, dtype=np.int64), spec.q**spec.ell + 1)
+    attained, first = np.unique(powers, return_index=True)
+    roots = np.full(spec.order, -1, dtype=np.int64)
+    roots[attained] = first
+    return roots
+
+
+def waring_witnesses(spec: GraphSpec, g: int, max_order) -> dict[int, tuple[int, int]]:
+    """Witnesses for the Waring number g of ``applications.waring_number``:
+    a layered search from 0, where layer 1 is the power set S itself and
+    layer 2 is S + S, searched one member b of S at a time in ascending
+    order over the elements still uncovered, so each element a gets (root
+    of a - b, root of b) for its least such b. Diameter 2 means nothing is
+    left over."""
+    N = spec.order
+    field = get_field(spec.p, spec.s, spec.m, max_order)
+    conn = connection_set(spec, field)
+    roots = _root_map(spec, field)
+    if g == 1 and (roots < 0).any():
+        raise InternalCheckError("power map not onto in the complete case")
+    if not np.array_equal(roots[1:] >= 0, conn.members[1:]):
+        raise InternalCheckError("the nonzero powers are not the connection set")
+    members = np.flatnonzero(conn.members)
+    x, y = roots.copy(), np.zeros(N, dtype=np.int64)
+    others = np.flatnonzero(~conn.members)[1:]  # index 0 is zero, its own witness
+    left = others
+    for b, neg_b in zip(members.tolist(), field.neg_array(members).tolist()):
+        if not len(left):
+            break
+        diff = field.add_arrays(left, neg_b)
+        hit = conn.members[diff]
+        x[left[hit]], y[left[hit]] = roots[diff[hit]], roots[b]
+        left = left[~hit]
+    if len(left):
+        raise InternalCheckError(f"element {left[0]} unreachable in two power steps")
+    order = np.concatenate(([0], members, others))
+    return dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
+
+
+def verify_waring(cert, field: FieldTable) -> bool:
+    """Soundness of an ``applications.WaringCertificate``: re-evaluate every
+    witness pair. A certificate without witnesses has nothing to re-evaluate
+    and raises NotApplicable."""
+    if cert.witnesses is None:
+        raise NotApplicable("the certificate carries no witnesses")
+    targets = np.fromiter(cert.witnesses, dtype=np.int64, count=len(cert.witnesses))
+    x, y = np.array(list(cert.witnesses.values()), dtype=np.int64).reshape(-1, 2).T
+    sums = field.add_arrays(field.pow_array(x, cert.k_exp), field.pow_array(y, cert.k_exp))
+    return np.array_equal(sums, targets) and len(cert.witnesses) == cert.field_size
+
+
 def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:
     """All proper members: 1 <= ell <= m/2, ell | m, m/(m,ell) even, ascending."""
     specs = (GraphSpec(p, s, m, ell) for ell in range(1, m // 2 + 1))
@@ -356,14 +313,6 @@ def is_subgraph(a: GraphSpec, b: GraphSpec) -> bool:
     if a.ell % b.ell:
         return False
     return (a.ell // b.ell) % 2 == 1
-
-
-def normalize(p: int, r: int, m: int, ell: int, complemented: bool = False) -> GraphSpec:
-    """Canonical power-1 presentation: the (p^r, m, ell) graph equals the
-    (p^(r*ell), m/ell, 1) graph."""
-    if ell < 1 or m % ell or m // ell < 2:
-        raise NotDivisible(f"ell = {ell} must divide m = {m} with quotient >= 2")
-    return GraphSpec(p, r * ell, m // ell, 1, complemented)
 
 
 def family_lattice(m: int) -> list[list[int]]:

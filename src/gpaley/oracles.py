@@ -26,12 +26,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .applications import is_ramanujan, verify_waring, waring_number
+from .applications import is_ramanujan, waring_number
 from .arith import exact_div, int_to_str, require_int
 from .budgets import budget, require
 from .errors import NotApplicable, NotStronglyRegular, OutOfTheory, UnbalancedCounts
 from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_counts
-from .graphs import CayleyGraph, GraphSpec, apply_affine_frobenius, build_graph
+from .graphs import CayleyGraph, apply_affine_frobenius, build_graph, verify_waring
+from .spec import GraphSpec
 from .spectra import spanning_trees, spectrum, srg_params
 
 

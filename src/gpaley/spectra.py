@@ -24,7 +24,7 @@ from .errors import (
     InternalCheckError,
     NotInFamily,
 )
-from .graphs import GraphSpec
+from .spec import GraphSpec
 
 
 def _require_proper(spec: GraphSpec) -> None:

@@ -32,13 +32,12 @@ from gpaley.applications import (
     family_table,
     ihara_zeta,
     is_ramanujan,
-    verify_waring,
     waring_number,
     zeta_json,
 )
 from gpaley.errors import NotStronglyRegular
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, build_graph, enumerate_family, is_subgraph
+from gpaley.graphs import GraphSpec, build_graph, enumerate_family, is_subgraph, verify_waring
 from gpaley.oracles import (
     count_srg_params,
     count_trees_bruteforce,

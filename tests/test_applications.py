@@ -7,13 +7,12 @@ from gpaley.applications import (
     family_table,
     ihara_zeta,
     is_ramanujan,
-    verify_waring,
     waring_number,
     zeta_json,
 )
 from gpaley.errors import DegenerateGraph, Disconnected, NotApplicable, NotInFamily
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, build_graph, enumerate_family
+from gpaley.graphs import GraphSpec, build_graph, enumerate_family, verify_waring
 from reference import bareiss_determinant, digit_add, digit_neg
 
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]

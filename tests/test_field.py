@@ -257,10 +257,11 @@ def test_trace_sequence_widens_for_the_sentinel(monkeypatch):
 
 
 @pytest.mark.parametrize("used", ["every", "lowest", "gapped", "none"])
-@pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 3), (131, 2)])
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 3), (127, 2), (131, 2)])
 def test_linear_map_is_the_digit_dot_product(p, n, used):
     # each index x = sum x_i p^i goes to sum x_i images[i], digit by digit
-    # mod p; the images use only the digit positions named by ``used``, and
+    # mod p; the images use only the digit positions named by ``used``. At
+    # p = 127 two digits sum to at most 252, just under the uint8 limit, and
     # at p = 131 two digits sum past 255
     rng = np.random.default_rng(p * n)
     positions = {"every": list(range(n)), "lowest": [0], "gapped": [0, 2] if n > 2 else [1],

@@ -32,10 +32,10 @@ from gpaley.graphs import (
     family_lattice,
     is_subgraph,
     is_symmetric,
-    normalize,
     write_bit_dump,
 )
 from gpaley.oracles import count_srg_params, run_suite
+from gpaley.spec import normalize
 from gpaley.spectra import record_json, spectrum, srg_params
 from reference import (
     digit_add,

@@ -108,52 +108,103 @@ def _is_attr(node: ast.AST, name: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == name
 
 
-def _is_adjacency_sum(call: ast.Call) -> bool:
-    """A sum over a whole adjacency, with or without ``axis``: of the bool
-    matrix, ``<x>.adjacency.sum(...)`` or ``<x>.adjacency.view(...).sum(...)``,
-    or a popcount of the packed bits or a slice of them,
-    ``<table>[<x>.bits].sum(...)`` or ``<f>(..., <x>.bits[...], ...).sum(...)``
-    for ``<f>`` one of ``take``, ``bitwise_count`` and ``unpackbits``."""
+def _row_block_names(node: ast.AST) -> set[str]:
+    """Names bound to a block of rows of A inside ``node``: ``block`` in
+    ``for _, block in _row_blocks(...)``, in a loop or a comprehension."""
+    names = set()
+    for n in ast.walk(node):
+        if not isinstance(n, (ast.For, ast.comprehension)) or not isinstance(n.iter, ast.Call):
+            continue
+        if _called(n.iter) != "_row_blocks":
+            continue
+        target = n.target.elts[-1] if isinstance(n.target, ast.Tuple) else n.target
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+    return names
+
+
+def _called(call: ast.Call) -> str | None:
+    """The name of the function or method that ``call`` calls."""
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def _reads_adjacency(node: ast.AST, blocks: set[str]) -> bool:
+    """``<x>.adjacency``, a name in ``blocks``, or a slice, ``view(...)`` or
+    ``packbits(...)`` of either, or a table indexed by one."""
+    if isinstance(node, ast.Subscript):
+        return _reads_adjacency(node.value, blocks) or _reads_adjacency(node.slice, blocks)
+    if isinstance(node, ast.Call) and _is_attr(node.func, "view"):
+        return _reads_adjacency(node.func.value, blocks)
+    if isinstance(node, ast.Call) and _called(node) == "packbits":
+        return any(_reads_adjacency(arg, blocks) for arg in node.args)
+    return _is_attr(node, "adjacency") or (isinstance(node, ast.Name) and node.id in blocks)
+
+
+def _is_adjacency_sum(call: ast.Call, blocks: set[str]) -> bool:
+    """A sum over an adjacency, with or without ``axis``: ``<a>.sum(...)``
+    for ``<a>`` the bool matrix ``<x>.adjacency`` or a block of its rows
+    (a name in ``blocks``), or a slice, view or packing of either, or a
+    table indexed by one; or a popcount of one, ``<f>(..., <a>, ...).sum(...)`` for ``<f>`` one of
+    ``take``, ``bitwise_count`` and ``unpackbits``."""
     if not _is_attr(call.func, "sum"):
         return False
     summed = call.func.value
-    if isinstance(summed, ast.Call) and _is_attr(summed.func, "view"):
-        summed = summed.func.value
-    if isinstance(summed, ast.Subscript):
-        return _reads_bits(summed.slice)
-    if isinstance(summed, ast.Call):
-        f = summed.func
-        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-        return name in ("take", "bitwise_count", "unpackbits") and any(
-            _reads_bits(arg) for arg in summed.args
-        )
-    return _is_attr(summed, "adjacency")
+    if isinstance(summed, ast.Call) and _called(summed) in ("take", "bitwise_count", "unpackbits"):
+        return any(_reads_adjacency(arg, blocks) for arg in summed.args)
+    return _reads_adjacency(summed, blocks)
 
 
-def _reads_bits(node: ast.AST) -> bool:
-    """``<x>.bits`` or a subscript of it, such as a block of its rows."""
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    return _is_attr(node, "bits")
+def _adjacency_sums(tree: ast.AST):
+    """(enclosing function name or None, call) for every adjacency sum in
+    ``tree``, the blocks being those bound in the enclosing function."""
+    def visit(node, owner, blocks):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name, _row_block_names(child))
+                continue
+            if isinstance(child, ast.Call) and _is_adjacency_sum(child, blocks):
+                yield owner, child
+            yield from visit(child, owner, blocks)
+
+    return visit(tree, None, _row_block_names(tree))
 
 
 def test_adjacency_sum_matcher_sees_every_form():
+    loop = "for _, block in _row_blocks(g):\n    "
     forms = ["g.adjacency.sum(axis=1)", "g.adjacency.view(np.uint8).sum()",
-             "_POPCOUNT[self.bits].sum(axis=1)", "np.take(_POPCOUNT, self.bits).sum(axis=1)",
-             "np.take(_POPCOUNT, self.bits[start : start + 256]).sum(axis=1, dtype=dtype)",
-             "np.bitwise_count(g.bits).sum()",
-             "np.unpackbits(g.bits, axis=1).sum(axis=1)"]
+             "g.adjacency[:256].sum(axis=1)", "np.take(_POPCOUNT, g.adjacency).sum()",
+             "np.bitwise_count(g.adjacency).sum()", "np.unpackbits(g.adjacency, axis=1).sum()",
+             loop + "degrees.append(block.sum(axis=1))", loop + "edges += block.sum()",
+             loop + "edges += block[:, 1:].sum(dtype=np.int64)",
+             loop + "edges += block.view(np.uint8).sum()",
+             loop + "edges += np.unpackbits(block, axis=1).sum()",
+             loop + "edges += np.bitwise_count(np.packbits(block, axis=1)).sum()",
+             loop + "edges += np.take(_POPCOUNT, np.packbits(block[:8])).sum()",
+             loop + "edges += _POPCOUNT[np.packbits(block, axis=1)].sum(axis=1)",
+             "_POPCOUNT[g.adjacency.view(np.uint8)].sum()",
+             "total = sum(b.sum() for _, b in _row_blocks(g))",
+             "def degrees(g):\n    for start, rows in _row_blocks(g):\n"
+             "        yield rows.sum(axis=1)"]
     others = ["g.row0.sum()", "g.bits.sum()", "counts.sum(axis=1)", "_POPCOUNT[g.row0].sum()",
-              "np.take(_POPCOUNT, g.row0).sum()"]
+              "np.take(_POPCOUNT, g.row0).sum()", "block.sum()",
+              "for block in chunks(g):\n    block.sum()",
+              "for _, block in _row_blocks(g):\n    fh.write(np.packbits(block).tobytes())",
+              "def f(g):\n    for _, block in _row_blocks(g):\n        pass\n"
+              "def h(block):\n    return block.sum()"]
     for text, expected in [(f, True) for f in forms] + [(f, False) for f in others]:
-        assert _is_adjacency_sum(ast.parse(text, mode="eval").body) is expected, text
+        assert bool(list(_adjacency_sums(ast.parse(text)))) is expected, text
 
 
 def test_degrees_are_counted_once():
     # no N^2 pass over an adjacency for its degrees or its edge count, the
-    # bool matrix summed or the packed bits popcounted, is left: the degree
+    # bool matrix or its row blocks summed or popcounted, is left: the degree
     # is k, read off the connection set, and gpaley graph prints n k / 2 edges
-    assert _sites(_is_adjacency_sum) == set()
+    assert {
+        (path.name, owner)
+        for path in MODULES
+        for owner, _ in _adjacency_sums(ast.parse(path.read_text()))
+    } == set()
 
 
 def test_spectra_are_counted_by_one_transform():
@@ -209,7 +260,7 @@ def _connectivity_rules() -> set[tuple[str, str | None]]:
 def test_connectivity_is_stated_once():
     # the ell = m/2 primal is the one disconnected graph; every other test
     # of connectivity reads GraphSpec.connected
-    assert _connectivity_rules() == {("graphs.py", "connected")}
+    assert _connectivity_rules() == {("spec.py", "connected")}
 
 
 def test_field_tables_are_built_in_one_place():

@@ -1,0 +1,72 @@
+"""The import layers: the closed forms load no numpy and no table module;
+the table layer is reached on first access."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gpaley
+
+SRC = str(Path(gpaley.__file__).resolve().parent.parent)
+TABLE_MODULES = ("gpaley.field", "gpaley.graphs", "gpaley.forms", "gpaley.oracles")
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports gpaley from this tree."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+CLOSED_FORM_DISPATCH = f"""
+import contextlib, io, sys
+import gpaley, gpaley.cli
+spec = ["--p", "2", "--m", "8", "--ell", "2"]
+argvs = [[verb] + spec for verb in ("srg", "spectrum", "trees", "walks")]
+argvs += [["ramanujan", "--p", "3", "--m", "4", "--ell", "1", "--complement"],
+          ["zeta", "--p", "2", "--s", "2", "--m", "4", "--ell", "1"],
+          ["tables", "--family", "3"], ["waring", "--max-order", "0"] + spec]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gpaley.cli.dispatch(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m in {TABLE_MODULES!r})
+assert not loaded, loaded
+"""
+
+
+def test_closed_form_verbs_load_no_numpy():
+    # import gpaley and gpaley.cli, then dispatch every verb that reads the
+    # spec alone: neither numpy nor a table module is imported on the way
+    result = _run(CLOSED_FORM_DISPATCH)
+    assert result.returncode == 0, result.stderr
+
+
+LAZY_NAMES = """
+import sys
+import gpaley
+assert "numpy" not in sys.modules
+import gpaley.field, gpaley.graphs, gpaley.spec
+assert gpaley.field.get_field is gpaley.get_field
+assert gpaley.build_graph is gpaley.graphs.build_graph
+assert gpaley.GraphSpec is gpaley.graphs.GraphSpec is gpaley.spec.GraphSpec
+assert gpaley.FieldParams is gpaley.field.FieldParams is gpaley.spec.FieldParams
+from gpaley import trace
+assert trace is gpaley.field.trace
+assert gpaley.forms.TraceForm and gpaley.oracles.run_suite
+try:
+    gpaley.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
+def test_table_layer_resolves_on_first_access():
+    # gpaley.field, gpaley.get_field, gpaley.build_graph and gpaley.GraphSpec
+    # resolve through the package, from a fresh interpreter where numpy is
+    # not yet loaded, and an unknown name is still an AttributeError
+    result = _run(LAZY_NAMES)
+    assert result.returncode == 0, result.stderr
+

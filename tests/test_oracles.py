@@ -13,7 +13,7 @@ import gpaley.forms
 import gpaley.graphs
 import gpaley.oracles
 import gpaley.spectra
-from gpaley.applications import verify_waring, waring_number
+from gpaley.applications import waring_number
 from gpaley.arith import gcd_power
 from gpaley.errors import (
     BudgetExceeded,
@@ -23,7 +23,7 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph
+from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph, verify_waring
 from gpaley.oracles import (
     count_components,
     count_diameter,
