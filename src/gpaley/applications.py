@@ -1,10 +1,11 @@
 """Waring-number certification, Ramanujan classification with its three
-infinite families, and Ihara zeta factorization."""
+infinite families, and Ihara zeta factorization: closed forms on the spec,
+loading no numpy and no field table. The Waring witnesses are searched on a
+built graph by ``graphs.waring_witnesses``."""
 
 from dataclasses import dataclass
 
 from .arith import int_to_str, require_int
-from .budgets import budget
 from .errors import (
     DegenerateGraph,
     Disconnected,
@@ -19,8 +20,9 @@ from .spectra import Spectrum, SrgRecord, spectrum, srg_params
 @dataclass(frozen=True)
 class WaringCertificate:
     """g is the least s with every field element a sum of s many
-    (q^ell+1)-th powers; witnesses (when materialized) map each element
-    index to a pair (x, y) of indices with x^(q^ell+1) + y^(q^ell+1) = it."""
+    (q^ell+1)-th powers; witnesses, None from ``waring_number`` and filled
+    in by ``graphs.waring_witnesses``, map each element index to a pair
+    (x, y) of indices with x^(q^ell+1) + y^(q^ell+1) = it."""
 
     k_exp: int
     field_size: int
@@ -46,17 +48,13 @@ class ZetaFactorization:
         return self.k - 1
 
 
-def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertificate:
-    """Waring number of the exponent q^ell + 1 over F_{q^m}.
+def waring_number(spec: GraphSpec) -> WaringCertificate:
+    """Waring number of the exponent q^ell + 1 over F_{q^m}, with no witnesses.
 
     Complete-graph cases (q even, m_ell odd) give g = 1: the power map is
     onto. Proper members with ell < m/2 give g = 2: the graph is connected
     with diameter 2, so every element is a sum of at most two powers.
-    ell = m/2 is refused (the powers generate a proper subfield). Witnesses
-    are found by a sumset search over S, then S + S
-    (``graphs.waring_witnesses``), when q^m is within the ``graph`` budget
-    resolved from ``max_order``; above it, and always for max_order=0, the
-    certificate carries none and no field table is built."""
+    ell = m/2 is refused (the powers generate a proper subfield)."""
     if spec.complemented:
         raise NotApplicable("Waring certification concerns the primal power graph")
     k_exp = spec.q**spec.ell + 1
@@ -64,23 +62,12 @@ def waring_number(spec: GraphSpec, max_order: int | None = None) -> WaringCertif
     if spec.is_half:
         raise NotApplicable("ell = m/2: the powers span a proper subfield only")
     if spec.tag == "complete":
-        return WaringCertificate(k_exp, N, 1, _witnesses(spec, 1, max_order))
+        return WaringCertificate(k_exp, N, 1, None)
     if spec.tag == "paley":
         raise NotApplicable("odd q with m_ell odd is the classic Paley regime")
     if not spec.is_proper:
         raise NotInFamily(f"{spec.label()} is not a proper family member")
-    return WaringCertificate(k_exp, N, 2, _witnesses(spec, 2, max_order))
-
-
-def _witnesses(spec: GraphSpec, g: int, max_order) -> dict[int, tuple[int, int]] | None:
-    """The witness search of ``graphs.waring_witnesses`` when q^m is within
-    the ``graph`` budget, else None; only then are numpy and the field
-    tables loaded."""
-    if spec.order > budget("graph", max_order):
-        return None
-    from .graphs import waring_witnesses
-
-    return waring_witnesses(spec, g, max_order)
+    return WaringCertificate(k_exp, N, 2, None)
 
 
 def is_ramanujan(spec: GraphSpec) -> bool:

@@ -11,8 +11,9 @@ names fixed, big integers always emitted as decimal strings (53-bit-safe for
 downstream consumers).
 The closed-form verbs (spectrum, srg, walks, trees, ramanujan, zeta, tables,
 and waring without witnesses) read the spec alone and load no numpy; field,
-graph, verify and export, and waring when it searches for witnesses, import
-the table layer inside the verb.
+graph, verify and export import the table layer inside the verb, and so does
+waring when q^m is within the ``graph`` budget (--max-order): it then builds
+the graph and searches its witnesses (``graphs.waring_witnesses``).
 Exit status: 0 success, 1 verification failure, library error or an --out
 that cannot be written, 2 usage error (a malformed flag, a flag the verb
 does not offer, or a bad --p/--s/--m/--ell/--r/--tmax value or a negative
@@ -28,7 +29,8 @@ from typing import Callable
 
 from .applications import family_table, ihara_zeta, is_ramanujan, waring_number, zeta_json
 from .arith import int_to_str
-from .errors import CompositeP, GPaleyError
+from .budgets import budget
+from .errors import GPaleyError
 from .spec import FieldParams, GraphSpec
 from .spectra import closed_walks, record_json, spectrum, tree_count_text
 
@@ -85,7 +87,11 @@ def _spectrum(args, spec):
 
 
 def _waring(args, spec):
-    cert = waring_number(spec, max_order=args.max_order)
+    cert = waring_number(spec)  # refuses before a graph is built
+    if spec.order <= budget("graph", args.max_order):
+        from .graphs import build_graph, waring_witnesses
+
+        cert = waring_witnesses(build_graph(spec, max_order=args.max_order))
     return {
         "exponent": int_to_str(cert.k_exp),
         "field_size": int_to_str(cert.field_size),
@@ -213,7 +219,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _subject(args, verb: Verb):
     """The field parameters or spec the arguments name (None for tables);
-    raises ValueError or CompositeP on a bad argument value."""
+    raises ValueError on a bad argument value."""
     for rejects, message in verb.checks:
         if rejects(args):
             raise ValueError(message)
@@ -241,7 +247,7 @@ def dispatch(argv=None) -> int:
     verb = VERBS[args.verb]
     try:
         subject = _subject(args, verb)
-    except (ValueError, CompositeP) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     try:

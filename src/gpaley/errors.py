@@ -9,8 +9,9 @@ class BudgetExceeded(GPaleyError):
     """An exhaustive/materialized computation was requested above its size budget."""
 
 
-class CompositeP(GPaleyError):
-    """The characteristic passed as ``p`` is not prime."""
+class CompositeP(GPaleyError, ValueError):
+    """The characteristic passed as ``p`` is not prime: a bad argument value,
+    so a ValueError too."""
 
 
 class NotASubfield(GPaleyError):

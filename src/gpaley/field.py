@@ -53,7 +53,7 @@ import numpy as np
 
 from .arith import factorize, require_int
 from .budgets import require
-from .errors import CompositeP, InternalCheckError, NotASubfield, ZeroElement
+from .errors import InternalCheckError, NotASubfield, ZeroElement
 from .spec import FieldParams
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def _find_primitive(modulus, params: FieldParams) -> int:
         times = _times(c, _digits(idx, p, n), p)
         if not any(np.array_equal(_matpow(times, units // r, p), one) for r in primes):
             return idx
-    raise CompositeP("no primitive element found")  # unreachable
+    raise InternalCheckError("no primitive element found")  # unreachable
 
 
 def certify_field(fld: FieldTable) -> None:
@@ -593,7 +593,7 @@ def _memoized_table(p: int, n: int) -> FieldTable:
         if (n == 1 or modulus[0]) and _is_irreducible(modulus, p):
             return FieldTable(params, tuple(modulus), _find_primitive(modulus, params))
     # cannot happen: irreducibles exist in every degree
-    raise CompositeP(f"no irreducible of degree {n} over F_{p}")
+    raise InternalCheckError(f"no irreducible of degree {n} over F_{p}")
 
 
 @lru_cache(maxsize=32)

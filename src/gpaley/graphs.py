@@ -1,6 +1,7 @@
 """Connection sets S_{q,m}(ell), Cayley graphs, the family G_{q,m}, the
-spec-level subgraph test, the lattice of family members, Waring witnesses,
-affine-Frobenius automorphisms, and export.
+spec-level subgraph test, the lattice of family members, Waring witnesses
+(searched on a built graph's row 0), affine-Frobenius automorphisms, and
+export.
 
 A spec (``gpaley.spec.GraphSpec``) names the Cayley graph on the additive
 group of F_{q^m} whose connection set is the multiplicative subgroup of
@@ -18,11 +19,12 @@ blocks' Zech additions are digit arithmetic.
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from .applications import WaringCertificate, waring_number
 from .arith import divisors, gcd_power, v2
 from .budgets import require
 from .errors import (
@@ -244,40 +246,41 @@ def _root_map(spec: GraphSpec, field: FieldTable) -> np.ndarray:
     return roots
 
 
-def waring_witnesses(spec: GraphSpec, g: int, max_order) -> dict[int, tuple[int, int]]:
-    """Witnesses for the Waring number g of ``applications.waring_number``:
-    a layered search from 0, where layer 1 is the power set S itself and
-    layer 2 is S + S, searched one member b of S at a time in ascending
-    order over the elements still uncovered, so each element a gets (root
-    of a - b, root of b) for its least such b. Diameter 2 means nothing is
-    left over."""
-    N = spec.order
-    field = get_field(spec.p, spec.s, spec.m, max_order)
-    conn = connection_set(spec, field)
-    roots = _root_map(spec, field)
-    if g == 1 and (roots < 0).any():
+def waring_witnesses(g: CayleyGraph) -> WaringCertificate:
+    """The certificate of ``applications.waring_number`` for the graph's
+    spec, with its witnesses filled in: a layered search from 0 over row 0,
+    where layer 1 is the power set S itself and layer 2 is S + S, searched
+    one member b of S at a time in ascending order over the elements still
+    uncovered, so each element a gets (root of a - b, root of b) for its
+    least such b. Row 0 is first held to the image of the power map.
+    Diameter 2 means nothing is left over."""
+    cert = waring_number(g.spec)
+    field, row = g.field, g.row0
+    roots = _root_map(g.spec, field)
+    if cert.g == 1 and (roots < 0).any():
         raise InternalCheckError("power map not onto in the complete case")
-    if not np.array_equal(roots[1:] >= 0, conn.members[1:]):
+    if row[0] or not np.array_equal(roots[1:] >= 0, row[1:]):
         raise InternalCheckError("the nonzero powers are not the connection set")
-    members = np.flatnonzero(conn.members)
-    x, y = roots.copy(), np.zeros(N, dtype=np.int64)
-    others = np.flatnonzero(~conn.members)[1:]  # index 0 is zero, its own witness
+    members = np.flatnonzero(row)
+    x, y = roots.copy(), np.zeros(g.n, dtype=np.int64)
+    others = np.flatnonzero(~row)[1:]  # index 0 is zero, its own witness
     left = others
     for b, neg_b in zip(members.tolist(), field.neg_array(members).tolist()):
         if not len(left):
             break
         diff = field.add_arrays(left, neg_b)
-        hit = conn.members[diff]
+        hit = row[diff]
         x[left[hit]], y[left[hit]] = roots[diff[hit]], roots[b]
         left = left[~hit]
     if len(left):
         raise InternalCheckError(f"element {left[0]} unreachable in two power steps")
     order = np.concatenate(([0], members, others))
-    return dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
+    witnesses = dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
+    return replace(cert, witnesses=witnesses)
 
 
-def verify_waring(cert, field: FieldTable) -> bool:
-    """Soundness of an ``applications.WaringCertificate``: re-evaluate every
+def verify_waring(cert: WaringCertificate, field: FieldTable) -> bool:
+    """Soundness of a ``WaringCertificate``: re-evaluate every
     witness pair. A certificate without witnesses has nothing to re-evaluate
     and raises NotApplicable."""
     if cert.witnesses is None:

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .applications import is_ramanujan, waring_number
+from .applications import is_ramanujan
 from .arith import exact_div, int_to_str, require_int
 from .budgets import budget, require
 from .errors import NotApplicable, NotStronglyRegular, OutOfTheory, UnbalancedCounts
 from .forms import TraceForm, class_from_counts, classify_logs, exp_sum, kernel_counts
-from .graphs import CayleyGraph, apply_affine_frobenius, build_graph, verify_waring
+from .graphs import CayleyGraph, apply_affine_frobenius, build_graph, verify_waring, waring_witnesses
 from .spec import GraphSpec
 from .spectra import spanning_trees, spectrum, srg_params
 
@@ -240,8 +240,6 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     spec = GraphSpec(spec.p, spec.s, spec.m, spec.ell)  # primal view
     spectrum(spec)  # refuses a spec outside the family before any graph is built
     suite = _Suite(spec)
-    # build_graph admits the graphs under max_order, so the field and the
-    # Waring witnesses, capped by the same value, are admitted too
     t0 = time.perf_counter()
     g = build_graph(spec, max_order=max_order)
     t1 = time.perf_counter()
@@ -252,7 +250,7 @@ def run_suite(spec: GraphSpec, max_order: int | None = None) -> VerificationRepo
     _side_checks(suite, "primal", g)
     _side_checks(suite, "complement", gbar)
     _klapper_checks(suite, g)
-    _waring_checks(suite, g, max_order)
+    _waring_checks(suite, g)
     _ramanujan_checks(suite, g, gbar)
     _coset_checks(suite, g, gbar)
     _arc_transitivity_checks(suite, g)
@@ -372,16 +370,13 @@ def _klapper_checks(suite, g):
     )
 
 
-def _waring_checks(suite, g, max_order):
-    spec = g.spec
-    if spec.is_half:
+def _waring_checks(suite, g):
+    if g.spec.is_half:
         return
     suite.run(
         "waring-witnesses",
         lambda: True,
-        lambda: (lambda cert: cert.g == 2 and verify_waring(cert, g.field))(
-            waring_number(spec, max_order=max_order)
-        ),
+        lambda: (lambda cert: cert.g == 2 and verify_waring(cert, g.field))(waring_witnesses(g)),
     )
 
 

@@ -53,36 +53,22 @@ def _is_bool(value) -> bool:
 
 
 @dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(FieldParams):
     """The triple (q, m, ell) with q = p^s, plus a complement flag, which
-    must be a bool, Python or numpy, and is stored as a Python bool."""
+    must be a bool, Python or numpy, and is stored as a Python bool; p, s
+    and m are checked as ``FieldParams`` checks them."""
 
-    p: int
-    s: int
-    m: int
     ell: int
     complemented: bool = False
 
     def __post_init__(self):
-        for name in ("p", "s", "m", "ell"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        super().__post_init__()
+        object.__setattr__(self, "ell", require_int(self.ell, "ell"))
         if not _is_bool(self.complemented):
             raise ValueError(f"complemented must be a bool, not {self.complemented!r}")
         object.__setattr__(self, "complemented", bool(self.complemented))
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.s < 1 or self.m < 1:
-            raise ValueError("s and m must be positive")
         if not 0 <= self.ell < self.m:
             raise ValueError("need 0 <= ell < m (exponents repeat mod m)")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.s
-
-    @property
-    def order(self) -> int:
-        return self.q**self.m
 
     @property
     def m_ell(self) -> int:

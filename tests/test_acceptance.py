@@ -32,12 +32,18 @@ from gpaley.applications import (
     family_table,
     ihara_zeta,
     is_ramanujan,
-    waring_number,
     zeta_json,
 )
 from gpaley.errors import NotStronglyRegular
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, build_graph, enumerate_family, is_subgraph, verify_waring
+from gpaley.graphs import (
+    GraphSpec,
+    build_graph,
+    enumerate_family,
+    is_subgraph,
+    verify_waring,
+    waring_witnesses,
+)
 from gpaley.oracles import (
     count_srg_params,
     count_trees_bruteforce,
@@ -509,11 +515,11 @@ def test_criterion_6_waring():
         (GraphSpec(2, 1, 12, 3), 9, 4096),
     ]
     for spec, k_exp, size in cases:
-        cert = waring_number(spec)
+        cert = waring_witnesses(build_graph(spec))
         assert (cert.k_exp, cert.field_size, cert.g) == (k_exp, size, 2)
         assert len(cert.witnesses) == size
         assert verify_waring(cert, get_field(spec.p, spec.s, spec.m))
-    complete = waring_number(GraphSpec(2, 1, 3, 1))
+    complete = waring_witnesses(build_graph(GraphSpec(2, 1, 3, 1)))
     assert complete.g == 1
     assert verify_waring(complete, get_field(2, 1, 3))
     _announce("6 (Waring)", True, "g=2 with witnesses x5, g=1 x1")
@@ -637,7 +643,7 @@ def test_criterion_9_falsification_controls():
         count_srg_params(corrupted)
     assert not verify_a2_identity(corrupted, (16, 5, 0, 2))
     assert not verify_a2_identity(g, (16, 5, 0, 3))
-    cert = waring_number(GraphSpec(2, 1, 4, 1))
+    cert = waring_witnesses(g)
     bad = dict(cert.witnesses)
     target = next(a for a in bad if a != 0)
     x, y = bad[target]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,16 @@ from gpaley.applications import (
     waring_number,
     zeta_json,
 )
-from gpaley.errors import DegenerateGraph, Disconnected, NotApplicable, NotInFamily
+from gpaley.errors import (
+    DegenerateGraph,
+    Disconnected,
+    InternalCheckError,
+    NotApplicable,
+    NotInFamily,
+)
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, build_graph, enumerate_family, verify_waring
-from reference import bareiss_determinant, digit_add, digit_neg
+from gpaley.graphs import GraphSpec, build_graph, enumerate_family, verify_waring, waring_witnesses
+from reference import bareiss_determinant, digit_add, digit_neg, with_members
 
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -23,16 +31,16 @@ PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 # ---------------------------------------------------------------------------
 
 def test_waring_examples():
-    cert = waring_number(GraphSpec(2, 1, 4, 1))
+    cert = waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1)))
     assert (cert.k_exp, cert.field_size, cert.g) == (3, 16, 2)
     assert len(cert.witnesses) == 16
     assert verify_waring(cert, get_field(2, 1, 4))
 
-    cert = waring_number(GraphSpec(3, 1, 4, 1))
+    cert = waring_witnesses(build_graph(GraphSpec(3, 1, 4, 1)))
     assert (cert.k_exp, cert.g) == (4, 2)
     assert verify_waring(cert, get_field(3, 1, 4))
 
-    cert = waring_number(GraphSpec(2, 1, 3, 1))  # complete-graph case
+    cert = waring_witnesses(build_graph(GraphSpec(2, 1, 3, 1)))  # complete-graph case
     assert (cert.k_exp, cert.g) == (3, 1)
     assert verify_waring(cert, get_field(2, 1, 3))
     # cubing is a bijection of F_8, so every witness has y = 0
@@ -68,13 +76,13 @@ def _brute_force_witnesses(spec):
 )
 def test_waring_witnesses_match_a_brute_force_search(spec):
     # Gamma_{2,5}(1) is a complete case: cubing is onto F_32
-    cert = waring_number(spec)
+    cert = waring_witnesses(build_graph(spec))
     assert cert.witnesses == _brute_force_witnesses(spec)
     assert verify_waring(cert, get_field(spec.p, spec.s, spec.m))
 
 
 def test_waring_g2_means_a_pair_is_needed():
-    cert = waring_number(GraphSpec(2, 1, 4, 1))
+    cert = waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1)))
     used_pairs = [w for w in cert.witnesses.values() if 0 not in w]
     assert used_pairs  # g would be 1 otherwise
 
@@ -86,16 +94,49 @@ def test_waring_not_applicable():
         waring_number(GraphSpec(3, 1, 3, 1))  # odd q, odd m_ell
     with pytest.raises(NotApplicable):
         waring_number(GraphSpec(2, 1, 4, 1, True))
+    # the search takes its refusals from the closed form
+    with pytest.raises(NotApplicable):
+        waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1, True)))
+
+
+@pytest.mark.parametrize(
+    "spec, exc, message",
+    [(GraphSpec(2, 1, 4, 3), NotInFamily, "Gamma_{2,4}(3) is not a proper family member")],
+    ids=lambda x: x.label() if isinstance(x, GraphSpec) else None,
+)
+def test_waring_number_refusals(spec, exc, message):
+    # m_ell = 4 is even, but ell = 3 does not divide m: not in the family
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        waring_number(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(2, 1, 3, 1)],
+    ids=GraphSpec.label,
+)
+@pytest.mark.parametrize("flip", ["a member", "zero"])
+def test_waring_witnesses_vet_the_graphs_own_row0(spec, flip):
+    # the search reads row 0 of the graph it is handed, and first holds it
+    # to the image of the power map: a member dropped, or 0 made a member,
+    # is refused (Gamma_{2,3}(1) is the complete case)
+    g = build_graph(spec)
+    row = g.row0.copy()
+    index = np.flatnonzero(row)[0] if flip == "a member" else 0
+    row[index] = not row[index]
+    with pytest.raises(InternalCheckError, match="^the nonzero powers are not the connection set$"):
+        waring_witnesses(with_members(g, row))
 
 
 def test_waring_symbolic_beyond_budget():
-    cert = waring_number(GraphSpec(2, 1, 20, 1), max_order=0)
+    cert = waring_number(GraphSpec(2, 1, 20, 1))
     assert cert.g == 2 and cert.witnesses is None
 
 
 def test_waring_without_witnesses_builds_no_table():
+    # the closed form reads the spec alone; the witnesses are searched on a
+    # built graph by waring_witnesses
     get_field.cache_clear()
-    cert = waring_number(GraphSpec(2, 1, 4, 1), max_order=0)
+    cert = waring_number(GraphSpec(2, 1, 4, 1))
     assert cert.g == 2 and cert.witnesses is None
     assert gpaley.field._memoized_table.cache_info().currsize == 0
 
@@ -103,13 +144,14 @@ def test_waring_without_witnesses_builds_no_table():
 def test_verify_waring_refuses_a_certificate_without_witnesses():
     # nothing to re-evaluate is not a pass; the refusal comes before the
     # field is read, so F_16 stands in for F_{2^20}
-    cert = waring_number(GraphSpec(2, 1, 20, 1), max_order=0)
+    cert = waring_number(GraphSpec(2, 1, 20, 1))
     with pytest.raises(NotApplicable):
         verify_waring(cert, get_field(2, 1, 4))
-    capped = waring_number(GraphSpec(2, 1, 4, 1), max_order=8)
-    assert capped.witnesses is None
+    # a field within every budget: the closed form still carries none
+    symbolic = waring_number(GraphSpec(2, 1, 4, 1))
+    assert symbolic.witnesses is None
     with pytest.raises(NotApplicable):
-        verify_waring(capped, get_field(2, 1, 4))
+        verify_waring(symbolic, get_field(2, 1, 4))
 
 
 # ---------------------------------------------------------------------------

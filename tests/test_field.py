@@ -602,6 +602,17 @@ def test_pow_refuses_an_exponent_that_is_not_an_integer(e):
         assert f.pow(3, n) == f.pow(3, int(n))
 
 
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [(lambda f: f.inv(0), ZeroElement, "zero has no inverse"),
+     (lambda f: f.pow(0, -1), ZeroElement, "zero to a negative power")],
+    ids=["inv", "pow"],
+)
+def test_zero_has_no_inverse(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call(get_field(2, 1, 4))
+
+
 def test_vector_ops_match_scalar():
     # the whole-array products and powers against the scalar ones, which are
     # the same kernels at one index; addition and negation are held to the

@@ -9,6 +9,7 @@ import gpaley.forms
 from gpaley.errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
 from gpaley.field import FieldTable, get_field
 from gpaley.forms import (
+    FormClass,
     TraceForm,
     class_from_counts,
     classify_form,
@@ -52,6 +53,23 @@ def test_trace_form_refuses_a_parameter_that_is_not_an_integer(gamma, ell, name,
     f = get_field(2, 1, 4)
     with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(bad)}$"):
         TraceForm(f, gamma, ell)
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: TraceForm(get_field(2, 1, 4), 3, -1), ValueError, "ell must be nonnegative"),
+        (lambda: FormClass(3, 1), ValueError, "rank must be even and type +-1"),
+        (lambda: FormClass(2, 0), ValueError, "rank must be even and type +-1"),
+        # as many zeros as ones: no even-rank form over F_16 counts so
+        (lambda: class_from_counts(2, 4, {0: 8, 1: 8}), OutOfTheory,
+         "zero-count offset vanishes: not an even-rank form"),
+    ],
+    ids=["negative-ell", "odd-rank", "zero-type", "no-offset"],
+)
+def test_form_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_trace_form_takes_numpy_integers():

@@ -13,6 +13,7 @@ import gpaley.graphs
 import gpaley.oracles
 from gpaley.cli import dispatch
 from gpaley.errors import (
+    CompositeP,
     DirectedUnsupported,
     InternalCheckError,
     MixedBase,
@@ -35,7 +36,7 @@ from gpaley.graphs import (
     write_bit_dump,
 )
 from gpaley.oracles import count_srg_params, run_suite
-from gpaley.spec import normalize
+from gpaley.spec import FieldParams, normalize
 from gpaley.spectra import record_json, spectrum, srg_params
 from reference import (
     digit_add,
@@ -434,6 +435,25 @@ def test_spec_takes_python_and_numpy_integers():
     assert GraphSpec(np.int64(2), 1, np.int64(70), 1).order == 2**70
     with pytest.raises(ValueError, match="^p = 4 is not prime$"):
         GraphSpec(4, 1, 2, 1)
+
+
+def test_graph_spec_and_field_params_refuse_a_composite_p_alike():
+    # GraphSpec extends FieldParams: one rule checks (p, s, m) in both
+    with pytest.raises(CompositeP) as spec_error:
+        GraphSpec(4, 1, 2, 1)
+    with pytest.raises(CompositeP) as params_error:
+        FieldParams(4, 1, 2)
+    assert str(spec_error.value) == str(params_error.value) == "p = 4 is not prime"
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [(lambda: GraphSpec(2, 1, 3, 1).eps, NotInFamily, "eps undefined for odd m_ell = 3")],
+    ids=["eps-odd-m_ell"],
+)
+def test_spec_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", ["yes", None, 1, 0, 1.0, np.int64(1), "False"])

@@ -1,6 +1,7 @@
 """The import layers: the closed forms load no numpy and no table module;
 the table layer is reached on first access."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import gpaley
 
 SRC = str(Path(gpaley.__file__).resolve().parent.parent)
 TABLE_MODULES = ("gpaley.field", "gpaley.graphs", "gpaley.forms", "gpaley.oracles")
+CLOSED_FORM_MODULES = ("spec", "spectra", "applications", "arith", "budgets", "errors")
 
 
 def _run(script: str) -> subprocess.CompletedProcess:
@@ -40,6 +42,37 @@ def test_closed_form_verbs_load_no_numpy():
     # spec alone: neither numpy nor a table module is imported on the way
     result = _run(CLOSED_FORM_DISPATCH)
     assert result.returncode == 0, result.stderr
+
+
+def _imports(tree: ast.Module):
+    """(line, module) of every module that an import in ``tree`` names,
+    function bodies included; a package's own modules without the
+    ``gpaley.`` prefix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # from . import graphs, and from gpaley import graphs, name modules
+            package = node.module is None or node.module == "gpaley"
+            names = [a.name for a in node.names] if package else [node.module]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name.removeprefix("gpaley.")
+
+
+def test_closed_form_modules_import_no_table_layer():
+    # the static half of the test above: no import in a closed-form module,
+    # at its top or inside a function, reaches numpy or a table module
+    table = {"numpy"} | {name.removeprefix("gpaley.") for name in TABLE_MODULES}
+    package = Path(gpaley.__file__).parent
+    found = [
+        (module, line, name)
+        for module in CLOSED_FORM_MODULES
+        for line, name in _imports(ast.parse((package / f"{module}.py").read_text()))
+        if name.split(".")[0] in table
+    ]
+    assert found == []
 
 
 LAZY_NAMES = """

@@ -13,7 +13,6 @@ import gpaley.forms
 import gpaley.graphs
 import gpaley.oracles
 import gpaley.spectra
-from gpaley.applications import waring_number
 from gpaley.arith import gcd_power
 from gpaley.errors import (
     BudgetExceeded,
@@ -23,7 +22,13 @@ from gpaley.errors import (
     NotStronglyRegular,
 )
 from gpaley.field import get_field
-from gpaley.graphs import GraphSpec, apply_affine_frobenius, build_graph, verify_waring
+from gpaley.graphs import (
+    GraphSpec,
+    apply_affine_frobenius,
+    build_graph,
+    verify_waring,
+    waring_witnesses,
+)
 from gpaley.oracles import (
     count_components,
     count_diameter,
@@ -525,7 +530,7 @@ def test_closed_girth_equals_the_counted_girth_on_the_half_members(spec, girth):
 
 
 def test_waring_witness_falsification():
-    cert = waring_number(GraphSpec(2, 1, 4, 1))
+    cert = waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1)))
     bad = dict(cert.witnesses)
     some = next(a for a in bad if a != 0)
     x, y = bad[some]
@@ -685,6 +690,15 @@ def test_run_suite_checks_reach_the_kernels(monkeypatch):
     assert {"srg-counts-primal", "a2-identity-primal", "walks-2..6-primal",
             "trees-primal", "spectrum-moments-primal"} <= failed
     assert "srg-counts-complement" not in failed
+
+
+def test_run_suite_searches_witnesses_on_its_primal_graph(monkeypatch):
+    # the witness search reads row 0 of the graph run_suite built, so a
+    # member dropped there fails it too
+    _plant(monkeypatch, primal=_drop_member)
+    check = next(c for c in run_suite(GraphSpec(2, 1, 4, 1)).checks if c.name == "waring-witnesses")
+    assert not check.passed
+    assert check.observed == "InternalCheckError: the nonzero powers are not the connection set"
 
 
 def _moved_count(form):

@@ -55,6 +55,12 @@ def test_spectrum_rejects_non_family():
         spectrum(GraphSpec(3, 1, 4, 0))  # classic Paley
 
 
+@pytest.mark.parametrize("r", [0, -2])
+def test_closed_walks_refuses_a_length_below_one(r):
+    with pytest.raises(ValueError, match="^walk length must be positive$"):
+        closed_walks(GraphSpec(2, 1, 4, 1), r)
+
+
 def test_moment_identities_all_family_members():
     for spec in _family_specs(16):
         for s in (spec, spec.complement()):
@@ -185,7 +191,7 @@ _GUARD_CALLS = {
     "girth": lambda s: srg_params(s).girth,
     "is_ramanujan": is_ramanujan,
     "ihara_zeta": lambda s: ihara_zeta(s).square_factor_exponent,
-    "waring_number": lambda s: waring_number(s, max_order=0).g,
+    "waring_number": lambda s: waring_number(s).g,
 }
 _CONNECTED_ONLY = ("intersection_array", "is_ramanujan", "ihara_zeta")
 _NOT_PROPER = dict.fromkeys(("spectrum", "srg_params", "girth") + _CONNECTED_ONLY, NotInFamily)
