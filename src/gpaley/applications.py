@@ -3,8 +3,6 @@ infinite families, and Ihara zeta factorization: closed forms on the spec,
 loading no numpy and no field table. The Waring witnesses are searched on a
 built graph by ``graphs.waring_witnesses``."""
 
-from dataclasses import dataclass
-
 from .arith import int_to_str, require_int
 from .errors import (
     DegenerateGraph,
@@ -13,12 +11,11 @@ from .errors import (
     NotApplicable,
     NotInFamily,
 )
-from .spec import GraphSpec
+from .spec import GraphSpec, Record
 from .spectra import Spectrum, SrgRecord, spectrum, srg_params
 
 
-@dataclass(frozen=True)
-class WaringCertificate:
+class WaringCertificate(Record):
     """g is the least s with every field element a sum of s many
     (q^ell+1)-th powers; witnesses, None from ``waring_number`` and filled
     in by ``graphs.waring_witnesses``, map each element index to a pair
@@ -30,8 +27,7 @@ class WaringCertificate:
     witnesses: dict[int, tuple[int, int]] | None
 
 
-@dataclass(frozen=True)
-class ZetaFactorization:
+class ZetaFactorization(Record):
     """Reciprocal Ihara zeta of a connected k-regular non-bipartite graph:
 
         (1 - u^2)^(E - n) * prod_i (1 - lambda_i u + (k-1) u^2)^(mult_i)

@@ -23,7 +23,6 @@ does not offer, or a bad --p/--s/--m/--ell/--r/--tmax value or a negative
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -31,12 +30,11 @@ from .applications import family_table, ihara_zeta, is_ramanujan, waring_number,
 from .arith import int_to_str
 from .budgets import budget
 from .errors import GPaleyError
-from .spec import FieldParams, GraphSpec
+from .spec import FieldParams, GraphSpec, Record
 from .spectra import closed_walks, record_json, spectrum, tree_count_text
 
 
-@dataclass(frozen=True)
-class Verb:
+class Verb(Record):
     """Everything the CLI knows about one verb."""
 
     reads: type | None  # GraphSpec, FieldParams, or None when no spec is named

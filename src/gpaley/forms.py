@@ -30,7 +30,6 @@ representative alpha^j, and classifies every gamma in closed form with one
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,10 +37,10 @@ import numpy as np
 from .arith import require_int
 from .errors import InternalCheckError, OutOfTheory, UnbalancedCounts, ZeroElement
 from .field import FieldTable, trace
+from .spec import Record
 
 
-@dataclass(frozen=True)
-class TraceForm:
+class TraceForm(Record):
     """Q(x) = Tr_{q^m/q}(gamma * x^(q^ell+1)) on the field's full extension."""
 
     field: FieldTable
@@ -81,8 +80,7 @@ class TraceForm:
         return self.field.params.q**self.ell + 1
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(Record):
     """Even rank plus the sign distinguishing the two even-rank classes."""
 
     rank: int

@@ -19,7 +19,6 @@ blocks' Zech additions are digit arithmetic.
 
 import json
 import numbers
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,14 +35,13 @@ from .errors import (
     ZeroScale,
 )
 from .field import FieldTable, certify_field, get_field
-from .spec import GraphSpec
+from .spec import GraphSpec, Record
 
 # Rows of A per block of _row_blocks, so that a block stays a few MB.
 _ROW_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
+class ConnectionSet(Record):
     """Bool membership array of the connection elements, read-only, plus
     its exact cardinality."""
 
@@ -53,8 +51,7 @@ class ConnectionSet:
     cardinality: int
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(Record):
     """The Cayley graph on the additive group of ``field`` with connection
     set ``connection``: i ~ j iff element_j - element_i is a member. Its
     adjacency A is fixed by row 0, the members, and counted from it."""
@@ -76,8 +73,8 @@ class CayleyGraph:
         """Row 0 of A, the connection set's members: it fixes every other row."""
         return self.connection.members
 
-    # Each computed at most once per graph object; dataclasses.replace builds
-    # a new object with nothing cached.
+    # Each computed at most once per graph object; replace builds a new
+    # object with nothing cached.
     @cached_property
     def adjacency(self) -> np.ndarray:
         """A as a read-only (n, n) bool matrix, assembled from ``_row_blocks``
@@ -276,7 +273,7 @@ def waring_witnesses(g: CayleyGraph) -> WaringCertificate:
         raise InternalCheckError(f"element {left[0]} unreachable in two power steps")
     order = np.concatenate(([0], members, others))
     witnesses = dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
-    return replace(cert, witnesses=witnesses)
+    return cert.replace(witnesses=witnesses)
 
 
 def verify_waring(cert: WaringCertificate, field: FieldTable) -> bool:

@@ -22,7 +22,6 @@ time, map all of their scales at once, with one
 import functools
 import math
 import time
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -134,13 +133,17 @@ def girth_bruteforce(g: CayleyGraph) -> int:
 # verification suite
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    expected: object
-    observed: object
-    passed: bool
-    seconds: float
+    """One check of a suite: the closed form's value, the count's, whether
+    they agree, and the seconds the check took. Mutable, so that a caller
+    may edit a copy of a report."""
+
+    def __init__(self, name: str, expected, observed, passed: bool, seconds: float):
+        self.name = name
+        self.expected = expected
+        self.observed = observed
+        self.passed = passed
+        self.seconds = seconds
 
     def to_json(self) -> dict:
         def _enc(x):
@@ -159,14 +162,14 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerificationReport:
-    spec: GraphSpec
-    checks: list[CheckResult] = dc_field(default_factory=list)
-    # (check name, budget kind, limit) of every check left out for size
-    skipped: list[tuple[str, str, int]] = dc_field(default_factory=list)
-    # seconds spent building the primal graph and its complement
-    build_seconds: tuple[float, float] = (0.0, 0.0)
+    def __init__(self, spec: GraphSpec):
+        self.spec = spec
+        self.checks: list[CheckResult] = []
+        # (check name, budget kind, limit) of every check left out for size
+        self.skipped: list[tuple[str, str, int]] = []
+        # seconds spent building the primal graph and its complement
+        self.build_seconds: tuple[float, float] = (0.0, 0.0)
 
     @property
     def ok(self) -> bool:

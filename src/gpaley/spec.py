@@ -10,14 +10,67 @@ tables of the field and the graph a spec names.
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from .arith import is_prime, require_int
 from .errors import CompositeP, NotDivisible, NotInFamily
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class Record:
+    """A frozen record, the one record base of the package. Its fields are
+    the annotated names of the class and its bases, base fields first, and a
+    class attribute is a field's default. It has the constructor, equality,
+    hash and repr that a frozen dataclass would, and ``__post_init__`` runs
+    in every construction, ``replace`` included; assignment and deletion
+    raise AttributeError. Instances keep a ``__dict__``, so a
+    ``cached_property`` works, and ``replace`` starts one with nothing cached."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class's own __annotations__, never its base's (Python 3.10 on)
+        fields = tuple(dict.fromkeys([*cls._fields, *cls.__annotations__]))
+        defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        # __init__, the tuple of values and the hash, written out as a frozen
+        # dataclass writes them, so that each runs at its speed
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+        values = "(" + "".join(f"self.{f}, " for f in fields) + ")"
+        source = (f"def __init__(self, {params}):\n"
+                  + "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+                  + "    self.__post_init__()\n"
+                  f"def _values(self):\n    return {values}\n"
+                  f"def __hash__(self):\n    return hash({values})\n")
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(source, namespace)
+        cls._fields = fields
+        for name in ("__init__", "_values", "__hash__"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, namespace[name])
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def replace(self, **changes):
+        """A new record with ``changes`` applied, built and checked anew."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class FieldParams(Record):
     """F_{q^m} with q = p^s, realized over the prime field of degree n = s*m."""
 
     p: int
@@ -52,7 +105,6 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool) or (np is not None and isinstance(value, np.bool_))
 
 
-@dataclass(frozen=True)
 class GraphSpec(FieldParams):
     """The triple (q, m, ell) with q = p^s, plus a complement flag, which
     must be a bool, Python or numpy, and is stored as a Python bool; p, s
@@ -110,7 +162,7 @@ class GraphSpec(FieldParams):
         return -1 if (self.m_ell // 2) % 2 else 1
 
     def complement(self) -> "GraphSpec":
-        return replace(self, complemented=not self.complemented)
+        return self.replace(complemented=not self.complemented)
 
     def canonical(self) -> "GraphSpec":
         """Rewrite with power index 1: (p, s, m, ell) -> (p, s*ell, m/ell, 1)."""
@@ -136,7 +188,10 @@ class GraphSpec(FieldParams):
 
 def normalize(p: int, r: int, m: int, ell: int, complemented: bool = False) -> GraphSpec:
     """Canonical power-1 presentation: the (p^r, m, ell) graph equals the
-    (p^(r*ell), m/ell, 1) graph."""
+    (p^(r*ell), m/ell, 1) graph. Each of p, r, m and ell must be an
+    integer, a bool refused, under its own name."""
+    p, r = require_int(p, "p"), require_int(r, "r")
+    m, ell = require_int(m, "m"), require_int(ell, "ell")
     if ell < 1 or m % ell or m // ell < 2:
         raise NotDivisible(f"ell = {ell} must divide m = {m} with quotient >= 2")
     return GraphSpec(p, r * ell, m // ell, 1, complemented)

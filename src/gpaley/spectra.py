@@ -15,7 +15,6 @@ formula is wrong.
 
 import decimal
 import math
-from dataclasses import dataclass
 
 from .arith import exact_decimal, exact_div, int_to_str, require_int, same_product
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     InternalCheckError,
     NotInFamily,
 )
-from .spec import GraphSpec
+from .spec import GraphSpec, Record
 
 
 def _require_proper(spec: GraphSpec) -> None:
@@ -55,8 +54,7 @@ def _core_e_d(spec: GraphSpec) -> tuple[int, int]:
     return e, d
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Eigenvalues with multiplicities, strictly decreasing."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -103,8 +101,7 @@ class Spectrum:
         return lam * lam <= 4 * (self.k - 1)
 
 
-@dataclass(frozen=True)
-class SrgRecord:
+class SrgRecord(Record):
     v: int
     k: int
     e: int

@@ -26,7 +26,6 @@ checks, see. ``with_members`` plants a faulty connection set, which every
 count reads.
 """
 
-import dataclasses
 import json
 from functools import lru_cache
 
@@ -174,7 +173,7 @@ def with_adjacency(g, adj):
     matrix ``adj``, held read-only as the library holds it. The copy keeps
     the connection set of ``g``, so only what reads the adjacency sees the
     new matrix."""
-    planted = dataclasses.replace(g)
+    planted = g.replace()
     adj = np.array(adj, dtype=bool)
     adj.flags.writeable = False
     planted.__dict__["adjacency"] = adj
@@ -188,8 +187,8 @@ def with_members(g, members):
     row."""
     members = np.array(members, dtype=bool)
     members.flags.writeable = False
-    conn = dataclasses.replace(g.connection, members=members, cardinality=int(members.sum()))
-    return dataclasses.replace(g, connection=conn)
+    conn = g.connection.replace(members=members, cardinality=int(members.sum()))
+    return g.replace(connection=conn)
 
 
 def bareiss_determinant(mat) -> int:

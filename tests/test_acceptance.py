@@ -629,7 +629,6 @@ def test_criterion_9_property_suites():
 
 
 def test_criterion_9_falsification_controls():
-    import dataclasses
     import numpy as np
 
     from reference import with_members
@@ -648,6 +647,6 @@ def test_criterion_9_falsification_controls():
     target = next(a for a in bad if a != 0)
     x, y = bad[target]
     bad[target] = (x, (y + 3) % 16 or 2)
-    assert not verify_waring(dataclasses.replace(cert, witnesses=bad), g.field)
+    assert not verify_waring(cert.replace(witnesses=bad), g.field)
     assert count_trees_bruteforce(corrupted) != spanning_trees(GraphSpec(2, 1, 4, 1))
     _announce("9 (falsification controls)", True)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import math
 import re
@@ -275,7 +274,7 @@ def test_build_refuses_an_asymmetric_connection_set(monkeypatch):
         conn = real(spec, field)
         members = conn.members.copy()
         members[np.flatnonzero(members)[0]] = False
-        return dataclasses.replace(conn, members=members, cardinality=conn.cardinality - 1)
+        return conn.replace(members=members, cardinality=conn.cardinality - 1)
 
     monkeypatch.setattr(gpaley.graphs, "connection_set", dropped)
     with pytest.raises(InternalCheckError, match="not closed under negation"):
@@ -547,6 +546,18 @@ def test_normalize():
         normalize(2, 1, 9, 2)
     with pytest.raises(NotDivisible):
         normalize(2, 1, 4, 4)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((2, 1, 4, True), "ell"),
+    ((2, True, 4, 1), "r"),
+    ((2, 1, 4, 2.0), "ell"),
+])
+def test_normalize_refuses_a_non_integer_under_its_own_name(args, name):
+    # a bool was taken as 1, so both bool calls gave GraphSpec(2, 1, 4, 1),
+    # and the float ell was refused as "s", after it had entered r * ell
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        normalize(*args)
 
 
 def test_normalized_specs_are_the_same_graph():

@@ -1,5 +1,5 @@
-"""The import layers: the closed forms load no numpy and no table module;
-the table layer is reached on first access."""
+"""The import layers: the closed forms load no numpy, no table module and
+no ``dataclasses``; the table layer is reached on first access."""
 
 import ast
 import os
@@ -12,6 +12,8 @@ import gpaley
 SRC = str(Path(gpaley.__file__).resolve().parent.parent)
 TABLE_MODULES = ("gpaley.field", "gpaley.graphs", "gpaley.forms", "gpaley.oracles")
 CLOSED_FORM_MODULES = ("spec", "spectra", "applications", "arith", "budgets", "errors")
+# what ``dataclasses`` costs a cold import: itself, and inspect, which it loads
+RECORD_MACHINERY = ("dataclasses", "inspect")
 
 
 def _run(script: str) -> subprocess.CompletedProcess:
@@ -23,7 +25,10 @@ def _run(script: str) -> subprocess.CompletedProcess:
 
 CLOSED_FORM_DISPATCH = f"""
 import contextlib, io, sys
-import gpaley, gpaley.cli
+import gpaley
+machinery = sorted(m for m in sys.modules if m in {RECORD_MACHINERY!r})
+assert not machinery, ("import gpaley", machinery)
+import gpaley.cli
 spec = ["--p", "2", "--m", "8", "--ell", "2"]
 argvs = [[verb] + spec for verb in ("srg", "spectrum", "trees", "walks")]
 argvs += [["ramanujan", "--p", "3", "--m", "4", "--ell", "1", "--complement"],
@@ -32,14 +37,16 @@ argvs += [["ramanujan", "--p", "3", "--m", "4", "--ell", "1", "--complement"],
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert gpaley.cli.dispatch(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m in {TABLE_MODULES!r})
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy"
+                or m in {TABLE_MODULES!r} or m in {RECORD_MACHINERY!r})
 assert not loaded, loaded
 """
 
 
 def test_closed_form_verbs_load_no_numpy():
     # import gpaley and gpaley.cli, then dispatch every verb that reads the
-    # spec alone: neither numpy nor a table module is imported on the way
+    # spec alone: neither numpy, nor a table module, nor dataclasses or
+    # inspect is imported on the way
     result = _run(CLOSED_FORM_DISPATCH)
     assert result.returncode == 0, result.stderr
 
@@ -71,6 +78,19 @@ def test_closed_form_modules_import_no_table_layer():
         for module in CLOSED_FORM_MODULES
         for line, name in _imports(ast.parse((package / f"{module}.py").read_text()))
         if name.split(".")[0] in table
+    ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # every record in src/ is a spec.Record, the one record mechanism, so no
+    # module, closed form or table layer, imports dataclasses anywhere
+    package = Path(gpaley.__file__).parent
+    found = [
+        (path.name, line)
+        for path in sorted(package.glob("*.py"))
+        for line, name in _imports(ast.parse(path.read_text()))
+        if name.split(".")[0] == "dataclasses"
     ]
     assert found == []
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -284,7 +283,7 @@ def test_translation_check_matches_the_entrywise_reference(spec, complemented):
     # the rows built on a certified field pass the reference's entrywise
     # translation check, which reads digit arithmetic alone, and row 0 of
     # them is the connection set
-    g = build_graph(dataclasses.replace(spec, complemented=complemented))
+    g = build_graph(spec.replace(complemented=complemented))
     assert translation_invariant(g.adjacency, spec.p, g.field.n)
     assert np.array_equal(g.adjacency[0], g.row0)
 
@@ -412,7 +411,7 @@ def test_walk_rows_match_the_dense_powers(spec, complemented):
     # the transform against dense int64 powers: the eigenvalues of A, row 0
     # of A^2 and trace(A^r) for r = 1..8 (entries of A^r are at most
     # k^(r-1), so every trace is below N k^7 < 2^62)
-    g = build_graph(dataclasses.replace(spec, complemented=complemented))
+    g = build_graph(spec.replace(complemented=complemented))
     a = g.adjacency.astype(np.int64)
     eigs = np.linalg.eigvalsh(a.astype(np.float64))
     assert np.abs(eigs - np.rint(eigs)).max() < 1e-8
@@ -463,7 +462,7 @@ _COUNTED = [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(5, 1, 2, 1),
 @pytest.mark.parametrize("spec", _COUNTED, ids=GraphSpec.label)
 @pytest.mark.parametrize("complemented", [False, True])
 def test_counted_spectrum_and_tree_count_match_the_dense_references(spec, complemented):
-    g = build_graph(dataclasses.replace(spec, complemented=complemented))
+    g = build_graph(spec.replace(complemented=complemented))
     adj = g.adjacency.astype(np.int64)
     eigs = np.linalg.eigvalsh(adj.astype(np.float64))
     assert np.abs(eigs - np.rint(eigs)).max() < 1e-8
@@ -535,7 +534,7 @@ def test_waring_witness_falsification():
     some = next(a for a in bad if a != 0)
     x, y = bad[some]
     bad[some] = (x, (y + 1) % 16 or 1)
-    corrupted = dataclasses.replace(cert, witnesses=bad)
+    corrupted = cert.replace(witnesses=bad)
     assert not verify_waring(corrupted, get_field(2, 1, 4))
 
 
