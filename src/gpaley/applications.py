@@ -18,13 +18,13 @@ from .spectra import Spectrum, SrgRecord, spectrum, srg_params
 class WaringCertificate(Record):
     """g is the least s with every field element a sum of s many
     (q^ell+1)-th powers; witnesses, None from ``waring_number`` and filled
-    in by ``graphs.waring_witnesses``, map each element index to a pair
-    (x, y) of indices with x^(q^ell+1) + y^(q^ell+1) = it."""
+    in by ``graphs.waring_witnesses``, is one (field_size, 2) int64 array
+    whose row a holds indices (x, y) with x^(q^ell+1) + y^(q^ell+1) = a."""
 
     k_exp: int
     field_size: int
     g: int
-    witnesses: dict[int, tuple[int, int]] | None
+    witnesses: "np.ndarray | None"  # numpy is loaded only by the search
 
 
 class ZetaFactorization(Record):

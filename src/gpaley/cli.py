@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import Callable
 
 from .applications import family_table, ihara_zeta, is_ramanujan, waring_number, zeta_json
 from .arith import int_to_str
@@ -40,7 +39,7 @@ class Verb(Record):
     reads: type | None  # GraphSpec, FieldParams, or None when no spec is named
     # (args, subject) -> text, a JSON payload, or None when nothing is printed;
     # a payload whose "ok" is false exits 1
-    run: Callable
+    run: object
     complement: bool = False  # offers --complement: the output depends on it
     flags: tuple = ()  # the verb's own (flag, add_argument keywords) pairs
     formats: tuple[str, ...] = ("json",)  # --format choices; the first is the default

@@ -259,9 +259,9 @@ def waring_witnesses(g: CayleyGraph) -> WaringCertificate:
     if row[0] or not np.array_equal(roots[1:] >= 0, row[1:]):
         raise InternalCheckError("the nonzero powers are not the connection set")
     members = np.flatnonzero(row)
-    x, y = roots.copy(), np.zeros(g.n, dtype=np.int64)
-    others = np.flatnonzero(~row)[1:]  # index 0 is zero, its own witness
-    left = others
+    witnesses = np.stack((roots, np.zeros_like(roots)), axis=1)
+    x, y = witnesses.T  # column views: row a of witnesses is (x[a], y[a])
+    left = np.flatnonzero(~row)[1:]  # index 0 is zero, its own witness
     for b, neg_b in zip(members.tolist(), field.neg_array(members).tolist()):
         if not len(left):
             break
@@ -271,21 +271,21 @@ def waring_witnesses(g: CayleyGraph) -> WaringCertificate:
         left = left[~hit]
     if len(left):
         raise InternalCheckError(f"element {left[0]} unreachable in two power steps")
-    order = np.concatenate(([0], members, others))
-    witnesses = dict(zip(order.tolist(), zip(x[order].tolist(), y[order].tolist())))
     return cert.replace(witnesses=witnesses)
 
 
 def verify_waring(cert: WaringCertificate, field: FieldTable) -> bool:
-    """Soundness of a ``WaringCertificate``: re-evaluate every
-    witness pair. A certificate without witnesses has nothing to re-evaluate
-    and raises NotApplicable."""
+    """Soundness of a ``WaringCertificate``: the pair in each row a must sum
+    to a. No witnesses raise NotApplicable; a witness that is not an element
+    index, or a shape other than (field order, 2), raises ValueError."""
     if cert.witnesses is None:
         raise NotApplicable("the certificate carries no witnesses")
-    targets = np.fromiter(cert.witnesses, dtype=np.int64, count=len(cert.witnesses))
-    x, y = np.array(list(cert.witnesses.values()), dtype=np.int64).reshape(-1, 2).T
+    witnesses = _field_indices(cert.witnesses, "witness", field.order)
+    if witnesses.shape != (field.order, 2):
+        raise ValueError(f"witnesses of shape {witnesses.shape}, not ({field.order}, 2)")
+    x, y = witnesses.T
     sums = field.add_arrays(field.pow_array(x, cert.k_exp), field.pow_array(y, cert.k_exp))
-    return np.array_equal(sums, targets) and len(cert.witnesses) == cert.field_size
+    return np.array_equal(sums, np.arange(field.order)) and cert.field_size == field.order
 
 
 def enumerate_family(p: int, s: int, m: int) -> list[GraphSpec]:

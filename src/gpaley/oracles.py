@@ -387,8 +387,8 @@ def count_ramanujan(g: CayleyGraph) -> bool:
     """Whether max over a != 0 of lambda_a^2 <= 4(k-1) on the counted
     eigenvalues, k = lambda_0 (Lubotzky, Phillips and Sarnak, Combinatorica
     8, 1988), in Python integers."""
-    k, *rest = g.eigenvalues.tolist()
-    return max(lam * lam for lam in rest) <= 4 * (k - 1)
+    k, lam = int(g.eigenvalues[0]), int(np.abs(g.eigenvalues[1:]).max())
+    return lam * lam <= 4 * (k - 1)
 
 
 def _ramanujan_checks(suite, g, gbar):

@@ -517,7 +517,7 @@ def test_criterion_6_waring():
     for spec, k_exp, size in cases:
         cert = waring_witnesses(build_graph(spec))
         assert (cert.k_exp, cert.field_size, cert.g) == (k_exp, size, 2)
-        assert len(cert.witnesses) == size
+        assert len(cert.witnesses) == size and cert.witnesses.shape == (size, 2)
         assert verify_waring(cert, get_field(spec.p, spec.s, spec.m))
     complete = waring_witnesses(build_graph(GraphSpec(2, 1, 3, 1)))
     assert complete.g == 1
@@ -643,10 +643,9 @@ def test_criterion_9_falsification_controls():
     assert not verify_a2_identity(corrupted, (16, 5, 0, 2))
     assert not verify_a2_identity(g, (16, 5, 0, 3))
     cert = waring_witnesses(g)
-    bad = dict(cert.witnesses)
-    target = next(a for a in bad if a != 0)
-    x, y = bad[target]
-    bad[target] = (x, (y + 3) % 16 or 2)
+    bad = cert.witnesses.copy()
+    x, y = bad[1]  # the first nonzero element, 1 = 1^3
+    bad[1] = (x, (y + 3) % 16 or 2)
     assert not verify_waring(cert.replace(witnesses=bad), g.field)
     assert count_trees_bruteforce(corrupted) != spanning_trees(GraphSpec(2, 1, 4, 1))
     _announce("9 (falsification controls)", True)

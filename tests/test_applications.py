@@ -44,7 +44,7 @@ def test_waring_examples():
     assert (cert.k_exp, cert.g) == (3, 1)
     assert verify_waring(cert, get_field(2, 1, 3))
     # cubing is a bijection of F_8, so every witness has y = 0
-    assert all(y == 0 for _, y in cert.witnesses.values())
+    assert not cert.witnesses[:, 1].any()
 
 
 def _brute_force_witnesses(spec):
@@ -58,7 +58,7 @@ def _brute_force_witnesses(spec):
         roots.setdefault(f.pow(x, e), x)
     powers = np.array(sorted(set(roots) - {0}), dtype=np.int64)
     neg_powers = digit_neg(powers, spec.p, f.n)
-    witnesses = {}
+    witnesses = np.zeros((f.order, 2), dtype=np.int64)
     for a in range(f.order):
         if a in roots:
             witnesses[a] = (roots[a], 0)
@@ -77,14 +77,57 @@ def _brute_force_witnesses(spec):
 def test_waring_witnesses_match_a_brute_force_search(spec):
     # Gamma_{2,5}(1) is a complete case: cubing is onto F_32
     cert = waring_witnesses(build_graph(spec))
-    assert cert.witnesses == _brute_force_witnesses(spec)
+    assert np.array_equal(cert.witnesses, _brute_force_witnesses(spec))
     assert verify_waring(cert, get_field(spec.p, spec.s, spec.m))
 
 
 def test_waring_g2_means_a_pair_is_needed():
     cert = waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1)))
-    used_pairs = [w for w in cert.witnesses.values() if 0 not in w]
-    assert used_pairs  # g would be 1 otherwise
+    used_pairs = cert.witnesses[(cert.witnesses != 0).all(axis=1)]
+    assert len(used_pairs)  # g would be 1 otherwise
+
+
+@pytest.mark.parametrize(
+    "spec", [GraphSpec(2, 1, 4, 1), GraphSpec(3, 1, 4, 1), GraphSpec(2, 1, 3, 1)],
+    ids=GraphSpec.label,
+)
+def test_waring_witnesses_are_one_element_indexed_array(spec):
+    # one (N, 2) integer array, 16 bytes per element, whose row a holds
+    # (x, y) with x^e + y^e = a, each row re-added with the digit-wise
+    # reference addition
+    f = get_field(spec.p, spec.s, spec.m)
+    e = spec.q**spec.ell + 1
+    witnesses = waring_witnesses(build_graph(spec)).witnesses
+    assert witnesses.shape == (f.order, 2) and witnesses.dtype.kind in "iu"
+    assert witnesses.nbytes <= 16 * f.order
+    sums = [int(digit_add(f.pow(x, e), f.pow(y, e), spec.p, f.n)) for x, y in witnesses.tolist()]
+    assert sums == list(range(f.order))
+
+
+def _set_witness(witnesses, row, column, value):
+    witnesses = witnesses.copy()
+    witnesses[row, column] = value
+    return witnesses
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # row 2 holds (5, 2); a log table read at -14 would read element 2
+        (lambda w: _set_witness(w, 2, 1, -14), "witness -14 is not a field element in [0, 16)"),
+        (lambda w: _set_witness(w, 2, 1, 18), "witness 18 is not a field element in [0, 16)"),
+        (lambda w: w.astype(float), "witness 0.0 is not a field element in [0, 16)"),
+        (lambda w: w[:-1], "witnesses of shape (15, 2), not (16, 2)"),
+        # a lone column that would broadcast as both x and y
+        (lambda w: w[:, :1], "witnesses of shape (16, 1), not (16, 2)"),
+    ],
+    ids=["negative", "past-N", "float", "short", "one-column"],
+)
+def test_verify_waring_refuses_what_is_not_an_element_pair_per_row(corrupt, message):
+    cert = waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1)))
+    assert cert.witnesses[2].tolist() == [5, 2]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_waring(cert.replace(witnesses=corrupt(cert.witnesses)), get_field(2, 1, 4))
 
 
 def test_waring_not_applicable():

@@ -1,5 +1,6 @@
 """The import layers: the closed forms load no numpy, no table module and
-no ``dataclasses``; the table layer is reached on first access."""
+no ``dataclasses``, the CLI no ``typing``; the table layer is reached on
+first access."""
 
 import ast
 import os
@@ -16,10 +17,11 @@ CLOSED_FORM_MODULES = ("spec", "spectra", "applications", "arith", "budgets", "e
 RECORD_MACHINERY = ("dataclasses", "inspect")
 
 
-def _run(script: str) -> subprocess.CompletedProcess:
-    """``script`` in a fresh interpreter that imports gpaley from this tree."""
+def _run(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter, started with ``flags``, that
+    imports gpaley from this tree."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
 
 
@@ -48,6 +50,22 @@ def test_closed_form_verbs_load_no_numpy():
     # spec alone: neither numpy, nor a table module, nor dataclasses or
     # inspect is imported on the way
     result = _run(CLOSED_FORM_DISPATCH)
+    assert result.returncode == 0, result.stderr
+
+
+CLI_WITHOUT_TYPING = """
+import contextlib, io, sys
+import gpaley.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gpaley.cli.dispatch(["srg", "--p", "2", "--m", "8", "--ell", "2"]) == 0
+assert "typing" not in sys.modules
+"""
+
+
+def test_cli_dispatch_imports_no_typing():
+    # under -S no site .pth has loaded typing first, so this sees what the
+    # package itself imports: the CLI and a closed-form verb need no typing
+    result = _run(CLI_WITHOUT_TYPING, "-S")
     assert result.returncode == 0, result.stderr
 
 

@@ -530,10 +530,9 @@ def test_closed_girth_equals_the_counted_girth_on_the_half_members(spec, girth):
 
 def test_waring_witness_falsification():
     cert = waring_witnesses(build_graph(GraphSpec(2, 1, 4, 1)))
-    bad = dict(cert.witnesses)
-    some = next(a for a in bad if a != 0)
-    x, y = bad[some]
-    bad[some] = (x, (y + 1) % 16 or 1)
+    bad = cert.witnesses.copy()
+    x, y = bad[1]  # the first nonzero element, 1 = 1^3
+    bad[1] = (x, (y + 1) % 16 or 1)
     corrupted = cert.replace(witnesses=bad)
     assert not verify_waring(corrupted, get_field(2, 1, 4))
 
